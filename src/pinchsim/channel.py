@@ -87,8 +87,9 @@ def free_space_gain(distance_m, lambda0_m: float, los=True, nlos_extra_loss_db: 
     if lambda0_m <= 0:
         raise ValueError("free-space wavelength must be positive")
     g = lambda0_m / (4.0 * np.pi * d) * np.exp(-2j * np.pi * d / lambda0_m)
-    penalty = 10.0 ** (-nlos_extra_loss_db / 20.0)
-    g = np.where(np.asarray(los, dtype=bool), g, g * penalty)
+    if los is not True:
+        penalty = 10.0 ** (-nlos_extra_loss_db / 20.0)
+        g = np.where(np.asarray(los, dtype=bool), g, g * penalty)
     return complex(g) if np.ndim(g) == 0 else g
 
 
@@ -147,6 +148,62 @@ def antenna_positions(s: Scenario, layout: PinchingLayout) -> np.ndarray:
     return np.asarray(pts, dtype=float).reshape(-1, 3)
 
 
+def _check_layout(s: Scenario, layout: PinchingLayout) -> None:
+    """Raise ``ValueError`` unless ``layout`` fits the scenario's guides and
+    activates at least one antenna."""
+    if len(layout.offsets_per_guide) != len(s.waveguides):
+        raise ValueError(
+            f"layout covers {len(layout.offsets_per_guide)} waveguides, "
+            f"scenario has {len(s.waveguides)}")
+    problems = layout.violations(s.waveguides)
+    if problems:
+        raise ValueError("invalid layout: " + "; ".join(v.code for v in problems))
+    if layout.total_antennas == 0:
+        raise ValueError("layout activates no antennas")
+
+
+def _antenna_terms(s: Scenario, guide_idx, offsets, weights, dist, los=True):
+    """Per-antenna channel summands: free-space gain x weight x in-guide factor.
+
+    ``guide_idx``, ``offsets`` and ``weights`` are 1-D arrays over antennas;
+    ``dist`` (and ``los``) broadcast against them along the last axis, so one
+    call serves a users-by-antennas matrix or one link per antenna.
+    """
+    ig = np.empty(len(offsets), dtype=complex)
+    for g, w in enumerate(s.waveguides):
+        on_g = guide_idx == g
+        if np.any(on_g):
+            ig[on_g] = in_guide_factor(w, GuidedWave.for_waveguide(s.carrier, w),
+                                       offsets[on_g])
+    fs = free_space_gain(dist, s.carrier.free_space_wavelength_m, los,
+                         s.los_model.nlos_extra_loss_db)
+    return fs * (weights * ig)
+
+
+def _check_clear_of_users(s: Scenario, guide_idx, offsets, apos) -> None:
+    """Raise ``ValueError`` if any antenna lies within 1e-9 m of any user.
+
+    An antenna on guide g is never closer to a user than the guide's span of
+    activated offsets is, so only users within 1e-6 m of that span are
+    tested pairwise; memory stays linear in users plus antennas.
+    """
+    users = s.users.positions
+    for g, w in enumerate(s.waveguides):
+        on_g = guide_idx == g
+        if not np.any(on_g):
+            continue
+        t = offsets[on_g]
+        start = w.point_at(t.min())
+        span = w.point_at(t.max()) - start
+        rel = users - start
+        length2 = float(span @ span)
+        u = np.clip(rel @ span / length2, 0.0, 1.0) if length2 > 0 else 0.0
+        near = np.linalg.norm(rel - np.multiply.outer(u, span), axis=1) < 1e-6
+        for k in np.flatnonzero(near):
+            if np.any(np.linalg.norm(users[k] - apos[on_g], axis=1) < 1e-9):
+                raise ValueError("an activated antenna coincides with a user position")
+
+
 def build_channel(s: Scenario, layout: PinchingLayout, *,
                   seed=None, los_states=None) -> ChannelMatrix:
     """Synthesize the users-by-feeds channel for a given antenna layout.
@@ -156,15 +213,7 @@ def build_channel(s: Scenario, layout: PinchingLayout, *,
     or sampled once per link from the scenario's LoS model using ``seed``.
     Sampling is reproducible: a fixed seed yields bit-identical channels.
     """
-    if len(layout.offsets_per_guide) != len(s.waveguides):
-        raise ValueError(
-            f"layout covers {len(layout.offsets_per_guide)} waveguides, "
-            f"scenario has {len(s.waveguides)}")
-    problems = layout.violations(s.waveguides)
-    if problems:
-        raise ValueError("invalid layout: " + "; ".join(v.code for v in problems))
-
-    lambda0 = s.carrier.free_space_wavelength_m
+    _check_layout(s, layout)
     users = s.users.positions
     n_users = users.shape[0]
     n_guides = len(s.waveguides)
@@ -173,8 +222,6 @@ def build_channel(s: Scenario, layout: PinchingLayout, *,
                       for _ in offs)
     all_offsets = tuple(t for offs in layout.offsets_per_guide for t in offs)
     n_ant = len(all_offsets)
-    if n_ant == 0:
-        raise ValueError("layout activates no antennas")
 
     apos = antenna_positions(s, layout)
     dist = np.linalg.norm(users[:, None, :] - apos[None, :, :], axis=2)
@@ -194,18 +241,10 @@ def build_channel(s: Scenario, layout: PinchingLayout, *,
             "LoS sampling needs a seed (or pass explicit los_states) when the "
             f"LoS model is probabilistic ({s.los_model.kind!r})")
 
-    fs = free_space_gain(dist, lambda0, los, s.los_model.nlos_extra_loss_db)
-
-    weights = np.asarray([w for ws in layout.weights_per_guide for w in ws])
-    ig = np.concatenate([
-        np.atleast_1d(in_guide_factor(w, GuidedWave.for_waveguide(s.carrier, w),
-                                      np.asarray(offs, dtype=float)))
-        for w, offs in zip(s.waveguides, layout.offsets_per_guide) if len(offs)
-    ])
-
-    breakdown = fs * (weights * ig)[None, :]
-    gains = np.zeros((n_users, n_guides), dtype=complex)
     col = np.asarray(guide_idx)
+    weights = np.asarray([w for ws in layout.weights_per_guide for w in ws])
+    breakdown = _antenna_terms(s, col, np.asarray(all_offsets), weights, dist, los)
+    gains = np.zeros((n_users, n_guides), dtype=complex)
     for g in range(n_guides):
         sel = col == g
         if np.any(sel):

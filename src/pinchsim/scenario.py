@@ -32,7 +32,7 @@ class CarrierSpec:
 
     @property
     def free_space_wavelength_m(self) -> float:
-        if self.frequency_hz <= 0:
+        if not self.frequency_hz > 0:
             raise ValueError("carrier frequency must be positive")
         return SPEED_OF_LIGHT_M_S / self.frequency_hz
 
@@ -225,7 +225,7 @@ def validate_scenario(s: Scenario, require_common_height: bool = False) -> list[
     geometrically meaningful.
     """
     out: list[Violation] = []
-    if s.carrier.frequency_hz <= 0:
+    if not s.carrier.frequency_hz > 0:
         out.append(Violation("nonpositive_frequency",
                              f"frequency_hz = {s.carrier.frequency_hz!r}"))
     if not s.waveguides:
@@ -251,7 +251,7 @@ def validate_scenario(s: Scenario, require_common_height: bool = False) -> list[
         out.append(Violation("empty_user_set", "scenario has no users"))
     elif np.any(s.users.positions[:, 2] != 0.0):
         out.append(Violation("user_off_ground", "user z-coordinates must be exactly 0"))
-    if s.transmit_snr <= 0:
+    if not s.transmit_snr > 0:
         out.append(Violation("nonpositive_snr", f"transmit_snr = {s.transmit_snr!r}"))
     m = s.los_model
     if m.kind not in LOS_MODEL_KINDS:

@@ -3,6 +3,9 @@
 Scenario files are YAML trees with nested ``carrier`` / ``waveguides`` /
 ``users`` / ``los_model`` sections. On-disk units: meters for coordinates,
 Hz for frequencies, dB for the transmit SNR (converted to linear in memory).
+Every number must be finite (``.nan`` and ``.inf`` are rejected). Files are
+parsed with libyaml's safe loader when PyYAML has it, else with PyYAML's
+pure-Python safe loader; both yield the same data.
 
 Example::
 
@@ -13,6 +16,11 @@ Example::
       kind: inmo                # exponential | inmo | always_los
       rho_los_per_m: 0.1        # exponential kind only
       nlos_extra_loss_db: 20.0
+      inmo_near_m: 1.2          # inmo kind only, as are the four below
+      inmo_far_m: 6.5
+      inmo_near_decay_m: 4.7
+      inmo_far_decay_m: 32.6
+      inmo_far_scale: 0.32
     waveguides:
       - feed_point_m: [0.0, -10.0, 3.0]
         axis_direction: [0.0, 1.0, 0.0]
@@ -25,6 +33,7 @@ Example::
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -38,6 +47,10 @@ from .scenario import (
     UserSet,
     WaveguideSpec,
 )
+
+
+# Both loaders run the same safe constructors; libyaml's only parses faster.
+_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ScenarioFormatError(ValueError):
@@ -55,7 +68,13 @@ def _require(mapping, key, context):
 def _number(value, context) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{context}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ScenarioFormatError(f"{context}: expected a finite number, got {value!r}")
+    return x
 
 
 def _vector3(value, context):
@@ -123,11 +142,7 @@ def scenario_to_dict(s: Scenario) -> dict:
     return {
         "carrier": {"frequency_hz": s.carrier.frequency_hz},
         "transmit_snr_db": 10.0 * math.log10(s.transmit_snr),
-        "los_model": {
-            "kind": s.los_model.kind,
-            "rho_los_per_m": s.los_model.rho_los_per_m,
-            "nlos_extra_loss_db": s.los_model.nlos_extra_loss_db,
-        },
+        "los_model": dataclasses.asdict(s.los_model),
         "waveguides": [
             {
                 "feed_point_m": [float(v) for v in w.feed_point],
@@ -149,7 +164,7 @@ def load_scenario(path) -> Scenario:
     except OSError as exc:
         raise ScenarioFormatError(f"cannot read scenario file {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_SAFE_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioFormatError(f"{path} is not valid YAML: {exc}") from exc
     if not isinstance(data, dict):

@@ -14,6 +14,7 @@ from pinchsim import (
     noma_rates,
     place_single_for_group,
     place_single_for_user,
+    project_onto_waveguide,
     tdma_rates,
 )
 from tests.conftest import make_scenario
@@ -97,6 +98,89 @@ def test_tdma_report_is_internally_consistent(guide_y):
     report = tdma_rates(s, TdmaSchedule(slots, (0.25, 0.75)))
     np.testing.assert_allclose(report.per_user_rate_bps_hz,
                                np.log2(1 + report.per_user_sinr), rtol=1e-12)
+
+
+def tdma_oracle(s, schedule):
+    """Per-slot build_channel over all users, keeping the served user's row."""
+    rates = np.zeros(len(s.users))
+    for (u, layout), f in zip(schedule.slots, schedule.slot_fractions):
+        H = build_channel(s, layout, los_states=True)
+        rates[u] += f * np.log2(1.0 + s.transmit_snr * float(np.linalg.norm(H.gains[u]) ** 2))
+    return rates
+
+
+def two_guides():
+    return (WaveguideSpec(feed_point=(-2.0, -10.0, 3.0), axis_direction=(0.0, 1.0, 0.0),
+                          length_m=20.0, relative_permittivity=2.1),
+            WaveguideSpec(feed_point=(2.5, -8.0, 2.5), axis_direction=(0.0, 1.0, 0.0),
+                          length_m=16.0, relative_permittivity=3.0,
+                          guide_attenuation_np_per_m=0.08))
+
+
+def test_batched_tdma_matches_per_slot_channels_with_many_antennas():
+    users = [(-1.0, -6.0, 0.0), (3.0, 1.5, 0.0), (0.5, 7.0, 0.0)]
+    s = make_scenario(users, two_guides(), snr_db=110.0)
+    slots = (
+        (0, PinchingLayout(((2.0, 4.0, 4.5), (1.0, 6.0)), ((0.6, 0.0, 0.8), (0.8, 0.6)))),
+        (1, PinchingLayout.equal_split(((9.0, 11.5, 12.0, 19.0), (9.5,)))),
+        (2, PinchingLayout.equal_split(((16.0, 17.0), (14.0, 15.0, 15.9)))),
+        (1, PinchingLayout.equal_split(((), (3.0, 8.0, 9.5, 10.0, 12.5, 13.0, 14.0, 15.0,
+                                             15.5)))),
+    )
+    schedule = TdmaSchedule(slots, (0.1, 0.2, 0.3, 0.4))
+    report = tdma_rates(s, schedule)
+    np.testing.assert_allclose(report.per_user_rate_bps_hz, tdma_oracle(s, schedule),
+                               rtol=1e-12, atol=0.0)
+    assert report.sum_rate_bps_hz == pytest.approx(report.per_user_rate_bps_hz.sum(), rel=1e-15)
+
+
+def test_batched_tdma_is_exact_with_one_antenna_per_guide():
+    users = [(-1.0, -6.0, 0.0), (3.0, 1.5, 0.0), (0.5, 7.0, 0.0), (-4.0, 2.0, 0.0)]
+    s = make_scenario(users, two_guides())
+    guides = s.waveguides
+    slots = tuple(
+        (u, PinchingLayout.equal_split(
+            tuple((project_onto_waveguide(w, users[u]).offset,) for w in guides)))
+        for u in (0, 1, 2, 3, 2))
+    schedule = TdmaSchedule(slots, (0.25, 0.25, 0.125, 0.25, 0.125))
+    assert np.array_equal(tdma_rates(s, schedule).per_user_rate_bps_hz,
+                          tdma_oracle(s, schedule))
+
+
+def test_tdma_rejects_an_antenna_on_a_user_it_does_not_serve():
+    ground_guide = WaveguideSpec(feed_point=(0.0, 0.0, 0.0), axis_direction=(0.0, 1.0, 0.0),
+                                 length_m=20.0)
+    s = make_scenario([(1.0, 5.0, 0.0), (0.0, 7.0, 0.0), (0.0, 12.0 + 1e-7, 0.0)],
+                      (ground_guide,))
+    on_user_1 = PinchingLayout(((7.0,),), ((1.0,),))
+    schedule = TdmaSchedule(((0, on_user_1), (1, slot_for(ground_guide, (5.0, 9.0, 0.0))),
+                             (2, slot_for(ground_guide, (5.0, 15.0, 0.0)))),
+                            (0.5, 0.25, 0.25))
+    with pytest.raises(ValueError, match="coincides"):
+        build_channel(s, on_user_1, los_states=True)
+    with pytest.raises(ValueError, match="coincides"):
+        tdma_rates(s, schedule)
+    # An antenna 1e-7 m from user 2 is near enough to be tested pairwise,
+    # far enough to pass, as in build_channel.
+    near_user_2 = PinchingLayout(((12.0,),), ((1.0,),))
+    schedule = TdmaSchedule(((0, near_user_2), (1, slot_for(ground_guide, (5.0, 9.0, 0.0))),
+                             (2, slot_for(ground_guide, (5.0, 15.0, 0.0)))),
+                            (0.5, 0.25, 0.25))
+    assert np.array_equal(tdma_rates(s, schedule).per_user_rate_bps_hz,
+                          tdma_oracle(s, schedule))
+
+
+def test_tdma_keeps_the_per_slot_layout_checks(guide_y):
+    s = make_scenario([(1.0, 3.0, 0.0), (1.0, 12.0, 0.0)], (guide_y,))
+    good = slot_for(guide_y, (1.0, 3.0, 0.0))
+    bad_slots = {
+        "waveguides": PinchingLayout(((3.0,), (4.0,)), ((1.0,), (1.0,))),
+        "offset_out_of_range": PinchingLayout(((25.0,),), ((1.0,),)),
+        "no antennas": PinchingLayout(((),), ((),)),
+    }
+    for message, bad in bad_slots.items():
+        with pytest.raises(ValueError, match=message):
+            tdma_rates(s, TdmaSchedule(((0, good), (1, bad)), (0.5, 0.5)))
 
 
 # --- NOMA -------------------------------------------------------------------

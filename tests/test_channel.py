@@ -117,6 +117,14 @@ def test_full_wavelength_phase_wraps_to_zero():
     assert abs(np.angle(g)) <= 1e-9
 
 
+def test_literal_los_true_matches_an_all_los_mask():
+    d = np.linspace(0.5, 40.0, 257).reshape(1, -1) + np.array([[0.0], [0.01], [3.0]])
+    fast = free_space_gain(d, LAMBDA0_28GHZ, los=True)
+    assert np.array_equal(fast, free_space_gain(d, LAMBDA0_28GHZ, los=np.ones(d.shape, bool)))
+    assert np.array_equal(fast, free_space_gain(d, LAMBDA0_28GHZ, los=1))
+    assert isinstance(free_space_gain(2.0, LAMBDA0_28GHZ, los=True), complex)
+
+
 def test_free_space_gain_rejects_nonpositive_distance():
     with pytest.raises(ValueError):
         free_space_gain(0.0, LAMBDA0_28GHZ)

@@ -1,6 +1,9 @@
 import hashlib
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchsim import cli
 from pinchsim.beamforming import RankDeficiencyError
@@ -45,6 +48,21 @@ def test_numerical_failures_map_to_exit_3(monkeypatch, tmp_path, scenario_file, 
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+@settings(max_examples=10, deadline=None)
+@given(field=st.sampled_from(["frequency_hz", "transmit_snr_db", "length_m"]),
+       value=st.sampled_from([".nan", ".inf", "-.inf"]))
+def test_non_finite_scenario_number_exits_2(tmp_path_factory, field, value):
+    tmp = tmp_path_factory.mktemp("nf")
+    path = save_scenario(tdma_scenario(), tmp / "scenario.yaml")
+    text = path.read_text(encoding="utf-8")
+    text, n = re.subn(rf"^(\s*{field}:) .*$", rf"\1 {value}", text, count=1, flags=re.M)
+    assert n == 1
+    path.write_text(text, encoding="utf-8")
+    code = cli.main(["tdma-demo", "--scenario", str(path), "--out", str(tmp / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert not (tmp / "out" / "tdma_demo.csv").exists()
 
 
 def test_unknown_subcommand_exits_2(capsys):

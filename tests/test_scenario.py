@@ -62,6 +62,16 @@ def test_validate_flags_axis_length_height_and_snr():
     assert "nonpositive_snr" in got
 
 
+@settings(max_examples=30, deadline=None)
+@given(frequency=st.one_of(st.just(math.nan), st.floats(max_value=0.0, allow_nan=False)),
+       snr=st.one_of(st.just(math.nan), st.floats(max_value=0.0, allow_nan=False)))
+def test_validate_flags_nan_or_nonpositive_frequency_and_snr(frequency, snr):
+    s = make_scenario([(1, 1, 0)])
+    s = type(s)(carrier=CarrierSpec(frequency), waveguides=s.waveguides, users=s.users,
+                transmit_snr=snr, los_model=s.los_model)
+    assert codes(validate_scenario(s)) == ["nonpositive_frequency", "nonpositive_snr"]
+
+
 def test_validate_flags_user_off_ground(guide_y):
     s = make_scenario([(1, 1, 0.5)], (guide_y,))
     assert codes(validate_scenario(s)) == ["user_off_ground"]
