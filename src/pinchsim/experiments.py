@@ -14,7 +14,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,6 @@ from .beamforming import (
 )
 from .channel import build_channel, free_space_gain, los_probability
 from .placement import (
-    PlacementSolution,
     _candidate_tables,
     optimize_multi_waveguide,
     place_single_for_group,
@@ -135,36 +136,61 @@ def _metadata(cfg: ExperimentConfig, scenario: Scenario) -> dict:
     }
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
+_CHUNK_ROWS = 8192  # rows formatted per write: bounds the memory of one chunk
+
+
+def _cell_kinds(row) -> tuple[bool, ...]:
+    return tuple(isinstance(v, float) for v in row)
 
 
 def write_csv(path, columns, rows, metadata: dict) -> Path:
+    """Write a ``#`` metadata line, the header and ``rows`` to ``path``.
+
+    ``rows`` is a sequence of tuples or a ``(rows, columns)`` float64 array.
+    Float cells are written as ``%.12g`` and other cells as ``str``, through
+    one ``%``-template per table, so each column must hold only floats or
+    only non-floats (``ValueError`` otherwise). Rows are formatted in chunks
+    into a temporary file next to ``path``, renamed onto it once complete:
+    a failed write leaves no partial CSV and any earlier file as it was.
+    """
     path = Path(path)
+    n = len(columns)
+    if isinstance(rows, np.ndarray):
+        if rows.dtype != np.float64 or rows.ndim != 2 or rows.shape[1] != n:
+            raise ValueError(f"array rows must be float64 of shape (rows, {n}), "
+                             f"got {rows.dtype} {rows.shape}")
+        kinds = (True,) * n
+    else:
+        kinds = _cell_kinds(rows[0]) if len(rows) else (True,) * n
+        if len(kinds) != n:
+            raise ValueError(f"row 0 has {len(kinds)} cells for {n} columns")
+    # "%.12g" % v == format(v, ".12g") for a float and "%s" % v == str(v)
+    line = ",".join("%.12g" if k else "%s" for k in kinds) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["# " + " ".join(f"{k}={v}" for k, v in metadata.items())]
-    lines.append(",".join(columns))
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # "x" creates the file with the mode write_text would give it, unlike
+    # tempfile's 0o600; the random name keeps concurrent writers apart
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write("# " + " ".join(f"{k}={v}" for k, v in metadata.items()) + "\n")
+            fh.write(",".join(columns) + "\n")
+            for start in range(0, len(rows), _CHUNK_ROWS):
+                chunk = rows[start:start + _CHUNK_ROWS]
+                if isinstance(chunk, np.ndarray):
+                    cells = chunk.ravel().tolist()
+                else:
+                    for i, row in enumerate(chunk, start):
+                        if _cell_kinds(row) != kinds:
+                            raise ValueError(
+                                f"row {i} does not match the cell kinds of row 0: "
+                                "each column must hold only floats or only non-floats")
+                    cells = list(chain.from_iterable(chunk))
+                fh.write((line * len(chunk)) % tuple(cells))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
-
-
-def write_solution_trace(solution: PlacementSolution, path, metadata: dict) -> Path:
-    rows = [(i, v) for i, v in enumerate(solution.trace)]
-    return write_csv(path, ("iteration", "objective"), rows, metadata)
-
-
-def write_channel_matrix_csv(H, path, metadata: dict) -> Path:
-    """Dump a channel matrix: one row per user, one complex cell per feed."""
-    gains = H.gains
-    columns = ("user",) + tuple(f"feed{m}" for m in range(gains.shape[1]))
-    rows = [
-        (k, *(f"{c.real:.12g}{c.imag:+.12g}j" for c in gains[k]))
-        for k in range(gains.shape[0])
-    ]
-    return write_csv(path, columns, rows, metadata)
 
 
 def _load_validated(cfg: ExperimentConfig, require_common_height=False) -> Scenario:
@@ -224,10 +250,9 @@ def run_heatmap(cfg: ExperimentConfig) -> HeatmapResult:
     meta = _metadata(cfg, scenario)
     result = HeatmapResult(cells[:, 0], cells[:, 1], rate_conv, rate_pinch,
                            len(xs), len(ys), meta)
-    rows = list(zip(cells[:, 0], cells[:, 1], rate_conv, rate_pinch))
     write_csv(Path(cfg.out_dir) / "heatmap.csv",
               ("x_m", "y_m", "rate_conventional_bps_hz", "rate_pinching_bps_hz"),
-              rows, meta)
+              np.column_stack([cells[:, 0], cells[:, 1], rate_conv, rate_pinch]), meta)
     return result
 
 

@@ -247,6 +247,12 @@ def validate_scenario(s: Scenario, require_common_height: bool = False) -> list[
         if abs(w.height_m - float(w.feed_point[2])) > 1e-12:
             out.append(Violation("height_mismatch",
                                  f"waveguide {i}: height_m differs from feed z"))
+        # users sit at z = 0, and an antenna on a user has an infinite gain;
+        # a straight guide with both ends above that plane stays above it
+        feed_z, end_z = float(w.feed_point[2]), float(w.point_at(w.length_m)[2])
+        if not (feed_z > 0 and end_z > 0):
+            out.append(Violation("guide_not_above_users",
+                                 f"waveguide {i}: feed z = {feed_z!r}, far-end z = {end_z!r}"))
     if len(s.users) == 0:
         out.append(Violation("empty_user_set", "scenario has no users"))
     elif np.any(s.users.positions[:, 2] != 0.0):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 
@@ -63,6 +64,18 @@ def test_non_finite_scenario_number_exits_2(tmp_path_factory, field, value):
     code = cli.main(["tdma-demo", "--scenario", str(path), "--out", str(tmp / "out")])
     assert code == cli.EXIT_CONFIG
     assert not (tmp / "out" / "tdma_demo.csv").exists()
+
+
+def test_guide_on_users_plane_exits_2(tmp_path, capsys):
+    base = heatmap_scenario(los_kind="always_los")
+    ground = dataclasses.replace(base, waveguides=(dataclasses.replace(
+        base.waveguides[0], feed_point=(0.0, -10.0, 0.0), height_m=None),))
+    path = save_scenario(ground, tmp_path / "ground.yaml")
+    code = cli.main(["heatmap", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                     "--grid-res", "0.5"])
+    assert code == cli.EXIT_CONFIG
+    assert "guide_not_above_users" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "heatmap.csv").exists()
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchsim import conventional_bound
 from pinchsim.experiments import (
+    _CHUNK_ROWS,
     ConfigError,
     ExperimentConfig,
     run_compare_mimo,
@@ -14,6 +17,7 @@ from pinchsim.experiments import (
     run_heatmap,
     run_noma_region,
     run_tdma_demo,
+    write_csv,
 )
 from pinchsim.presets import (
     compare_scenario,
@@ -254,24 +258,8 @@ def test_outputs_are_bit_reproducible(tmp_path):
     assert digests[0] == digests[1]
 
 
-def test_channel_matrix_csv_export(tmp_path):
-    from pinchsim import PinchingLayout, build_channel
-    from pinchsim.experiments import write_channel_matrix_csv
-    from tests.conftest import make_scenario
-
-    s = make_scenario([(1.0, 2.0, 0.0), (3.0, 9.0, 0.0)])
-    H = build_channel(s, PinchingLayout(((4.0,),), ((1.0,),)), los_states=True)
-    path = write_channel_matrix_csv(H, tmp_path / "channel.csv", {"seed": 0})
-    lines = path.read_text().splitlines()
-    assert lines[1] == "user,feed0"
-    assert len(lines) == 4
-    cell = complex(lines[2].split(",")[1])
-    assert cell == pytest.approx(H.gains[0, 0], rel=1e-9)
-
-
 def test_solution_serialization_round_trip(tmp_path):
     from pinchsim import optimize_multi_waveguide
-    from pinchsim.experiments import write_solution_trace
     from pinchsim.scenario_io import layout_from_dict, save_solution, solution_to_dict
     from tests.conftest import make_scenario
 
@@ -282,10 +270,6 @@ def test_solution_serialization_round_trip(tmp_path):
     assert layout_from_dict(data["layout"]).offsets_per_guide == \
         sol.layout.offsets_per_guide
     assert save_solution(sol, tmp_path / "solution.yaml").exists()
-    trace = write_solution_trace(sol, tmp_path / "trace.csv", {"seed": 0})
-    lines = trace.read_text().splitlines()
-    assert lines[1] == "iteration,objective"
-    assert len(lines) == 2 + len(sol.trace)
 
 
 def test_seed_changes_sampled_output(tmp_path):
@@ -298,3 +282,100 @@ def test_seed_changes_sampled_output(tmp_path):
         run_heatmap(cfg)
         texts.append((out / "heatmap.csv").read_text())
     assert texts[0] != texts[1]
+
+
+# --- CSV writer -------------------------------------------------------------
+
+HEATMAP_COLUMNS = ("x_m", "y_m", "rate_conventional_bps_hz", "rate_pinching_bps_hz")
+SPECIAL_FLOATS = (math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e-310, 1e300)
+
+
+def reference_csv(columns, rows, metadata) -> str:
+    """The cell-by-cell formula that ``write_csv`` must reproduce byte for byte."""
+    def fmt(value):
+        return format(value, ".12g") if isinstance(value, float) else str(value)
+
+    lines = ["# " + " ".join(f"{k}={v}" for k, v in metadata.items()), ",".join(columns)]
+    lines.extend(",".join(fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+float_cell = st.one_of(st.floats(), st.floats().map(np.float64),
+                       st.sampled_from(SPECIAL_FLOATS))
+CELLS = {
+    "float": float_cell,
+    "int": st.integers(-10 ** 15, 10 ** 15),
+    "str": st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+}
+
+
+@st.composite
+def tuple_tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=5))
+    rows = draw(st.lists(st.tuples(*(CELLS[k] for k in kinds)), max_size=30))
+    return tuple(f"{k}{j}" for j, k in enumerate(kinds)), rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=tuple_tables())
+def test_write_csv_tuple_rows_match_reference(tmp_path_factory, table):
+    columns, rows = table
+    meta = {"experiment": "t", "seed": 3}
+    path = write_csv(tmp_path_factory.mktemp("csv") / "t.csv", columns, rows, meta)
+    assert path.read_bytes().decode("utf-8") == reference_csv(columns, rows, meta)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_rows=st.sampled_from([0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1]),
+       n_cols=st.integers(1, 4),
+       pool=st.lists(float_cell.map(float), min_size=1, max_size=12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_write_csv_float_array_matches_reference(tmp_path_factory, n_rows, n_cols,
+                                                 pool, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(
+        -320, 300, (n_rows, n_cols))
+    special = rng.uniform(size=values.shape) < 0.3
+    values[special] = rng.choice(np.array(pool), size=int(special.sum()))
+    columns = tuple(f"c{j}" for j in range(n_cols))
+    meta = {"seed": seed}
+    path = write_csv(tmp_path_factory.mktemp("csv") / "a.csv", columns, values, meta)
+    # the reference sees np.float64 scalars, as the rows of zipped columns did
+    expected = reference_csv(columns, [tuple(row) for row in values], meta)
+    assert path.read_bytes().decode("utf-8") == expected
+
+
+def test_write_csv_rejects_rows_unlike_row_0(tmp_path):
+    with pytest.raises(ValueError, match="only floats or only non-floats"):
+        write_csv(tmp_path / "m.csv", ("v",), [(1.0,), (10 ** 13,)], {})
+    with pytest.raises(ValueError, match="only floats or only non-floats"):
+        write_csv(tmp_path / "m.csv", ("v",), [(10 ** 13,), (1.0,)], {})
+    with pytest.raises(ValueError, match="row 1 "):
+        write_csv(tmp_path / "m.csv", ("a", "b"), [(1.0, 2.0), (3.0,)], {})
+    with pytest.raises(ValueError, match="row 0 has 1 cells for 2 columns"):
+        write_csv(tmp_path / "m.csv", ("a", "b"), [(3.0,), (1.0, 2.0)], {})
+    with pytest.raises(ValueError, match="float64"):
+        write_csv(tmp_path / "m.csv", ("v",), np.ones((2, 1), dtype=np.float32), {})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_heatmap_csv_matches_reference(tmp_path):
+    cfg = heatmap_cfg(tmp_path, scenario_path=write_preset(
+        tmp_path, heatmap_scenario(los_kind="inmo")))
+    result = run_heatmap(cfg)
+    rows = list(zip(result.x_m, result.y_m, result.rate_conventional, result.rate_pinching))
+    text = (tmp_path / "out" / "heatmap.csv").read_bytes().decode("utf-8")
+    assert text == reference_csv(HEATMAP_COLUMNS, rows, result.metadata)
+
+
+def test_failed_write_keeps_earlier_csv(tmp_path):
+    run_heatmap(heatmap_cfg(tmp_path))
+    out = tmp_path / "out"
+    before = (out / "heatmap.csv").read_bytes()
+    bad = _CHUNK_ROWS + 2  # fails after the first chunk is written
+    rows = [(float(i),) * 4 for i in range(_CHUNK_ROWS + 5)]
+    rows[bad] = (1.0, 2.0, 3.0, 4)
+    with pytest.raises(ValueError, match=f"row {bad} "):
+        write_csv(out / "heatmap.csv", HEATMAP_COLUMNS, rows, {"seed": 0})
+    assert (out / "heatmap.csv").read_bytes() == before
+    assert [p.name for p in out.iterdir()] == ["heatmap.csv"]

@@ -85,6 +85,20 @@ def test_validate_common_height_only_when_requested(guide_y):
         "unequal_waveguide_heights"]
 
 
+@pytest.mark.parametrize("feed_z, axis", [
+    (0.0, (0.0, 1.0, 0.0)),    # flat guide on the users' plane
+    (-1.0, (0.0, 1.0, 0.0)),   # flat guide below it
+    (1.0, (0.0, 0.8, -0.6)),   # tilted: feed above, far end at z = -2
+])
+def test_validate_flags_guide_not_above_users(feed_z, axis):
+    w = WaveguideSpec(feed_point=(0.0, 0.0, feed_z), axis_direction=axis, length_m=5.0)
+    s = make_scenario([(1, 1, 0)], (w,))
+    assert codes(validate_scenario(s)) == ["guide_not_above_users"]
+    rising = WaveguideSpec(feed_point=(0.0, 0.0, 1.0), axis_direction=(0.0, 0.8, 0.6),
+                           length_m=5.0)
+    assert validate_scenario(make_scenario([(1, 1, 0)], (rising,))) == []
+
+
 def test_validation_is_order_independent(guide_y):
     bad_guide = WaveguideSpec(feed_point=(2, 0, 3), axis_direction=(0, 1, 0),
                               length_m=-2.0)
