@@ -22,12 +22,13 @@ from .beamforming import (
 from .channel import (
     ChannelMatrix,
     GuidedWave,
-    LinkGain,
     build_channel,
     free_space_gain,
-    free_space_link,
+    guide_distances,
     guided_wavelength,
     in_guide_factor,
+    link_gains,
+    link_power,
     los_probability,
 )
 from .placement import (
@@ -67,9 +68,10 @@ __all__ = [
     "GuidedWave",
     "los_probability",
     "free_space_gain",
-    "free_space_link",
     "in_guide_factor",
-    "LinkGain",
+    "guide_distances",
+    "link_gains",
+    "link_power",
     "ChannelMatrix",
     "build_channel",
     "Beamformer",

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import RateReport, _gains
-from .channel import _antenna_terms, _check_clear_of_users, _check_layout
+from .channel import _check_clear_of_users, _check_layout, link_gains, link_power
 from .placement import (
     PlacementSolution,
     _argmax_tie_smallest,
+    _offset_grid,
     default_grid_res,
     place_single_for_group,
 )
@@ -59,8 +60,8 @@ def tdma_rates(s: Scenario, schedule: TdmaSchedule) -> RateReport:
     """Per-user TDMA rates: time-weighted single-user rates over the slots.
 
     Slot layouts place antennas next to their users, so every link is taken
-    as LoS. One batched pass synthesizes each slot's channel to its served
-    user only; each slot's layout still gets every check of
+    as LoS. One kernel call per guide synthesizes each slot's channel to its
+    served user only; each slot's layout still gets every check of
     :func:`build_channel`, including that no activated antenna sits on any
     user (served or not). Rates are accumulated in slot order. With one
     antenna per guide in each slot, as ``tdma-demo`` places them, they equal
@@ -83,15 +84,13 @@ def tdma_rates(s: Scenario, schedule: TdmaSchedule) -> RateReport:
     slot_idx, guide_idx = np.array(slot_idx), np.array(guide_idx)
     offsets, weights = np.array(offsets), np.array(weights)
 
-    feeds = np.array([w.feed_point for w in s.waveguides])
-    axes = np.array([w.axis_direction for w in s.waveguides])
-    apos = feeds[guide_idx] + offsets[:, None] * axes[guide_idx]
-    _check_clear_of_users(s, guide_idx, offsets, apos)
-    dist = np.linalg.norm(s.users.positions[served[slot_idx]] - apos, axis=1)
-    terms = _antenna_terms(s, guide_idx, offsets, weights, dist)
-
+    _check_clear_of_users(s, guide_idx, offsets)
+    users = s.users.positions[served[slot_idx]]
     gains = np.zeros((len(served), n_guides), dtype=complex)
-    np.add.at(gains, (slot_idx, guide_idx), terms)
+    for g, w in enumerate(s.waveguides):
+        on_g = guide_idx == g
+        np.add.at(gains, (slot_idx[on_g], g),
+                  link_gains(s, w, offsets[on_g], users[on_g], weights[on_g]))
     # |row|^2 as the 1-D np.linalg.norm(row) ** 2 computes it: one dot per
     # part, a square root, then pow.
     re, im = gains.real, gains.imag
@@ -138,15 +137,12 @@ class NomaCluster:
 
 
 def noma_rates(s: Scenario, H, cluster: NomaCluster, beam,
-               transmit_snr: float | None = None,
-               other_beams: tuple[tuple[np.ndarray, float], ...] = ()) -> RateReport:
+               transmit_snr: float | None = None) -> RateReport:
     """Superposition-coding rates for one cluster sharing a single beam.
 
     The message decoded at stage t sees interference from the power of all
     later-decoded messages; its rate is the minimum over the SINRs at every
     user that must decode it (its own receiver and all later-stage users).
-    ``other_beams`` optionally adds inter-cluster interference terms as
-    (unit vector, power fraction) pairs.
     """
     cluster.validate()
     rho = s.transmit_snr if transmit_snr is None else float(transmit_snr)
@@ -158,9 +154,6 @@ def noma_rates(s: Scenario, H, cluster: NomaCluster, beam,
         raise ValueError("beam must have unit norm")
 
     gains = {u: float(np.abs(np.conj(G[u]) @ beam) ** 2) for u in cluster.users}
-    inter = {u: sum(float(np.abs(np.conj(G[u]) @ np.asarray(b, complex)) ** 2) * float(p)
-                    for b, p in other_beams)
-             for u in cluster.users}
     power = dict(zip(cluster.users, cluster.power_split))
 
     n = len(cluster.sic_order)
@@ -171,7 +164,7 @@ def noma_rates(s: Scenario, H, cluster: NomaCluster, beam,
         later = sum(power[v] for v in cluster.sic_order[t + 1:])
         decoders = cluster.sic_order[t:]
         sinr = min(
-            gains[u] * p_t * rho / (1.0 + rho * (gains[u] * later + inter[u]))
+            gains[u] * p_t * rho / (1.0 + rho * (gains[u] * later))
             for u in decoders
         )
         sinr_by_user[msg_user] = sinr
@@ -210,15 +203,10 @@ def noma_gain_reorder(s: Scenario, cluster_users, target_order,
     rho = s.transmit_snr
     users = s.users.positions[list(cluster_users)]
 
-    lam0 = s.carrier.free_space_wavelength_m
-    n = max(2, int(np.ceil(w.length_m / res)) + 1)
-    grid = np.linspace(0.0, w.length_m, n)
-    pos = w.feed_point[None, :] + grid[:, None] * w.axis_direction[None, :]
-    dist = np.linalg.norm(users[None, :, :] - pos[:, None, :], axis=2)
-    amp = lam0 / (4.0 * np.pi * dist) * np.exp(-w.guide_attenuation_np_per_m * grid)[:, None]
-    gains = amp ** 2                      # (offsets, cluster users), LoS assumed
-    rates = np.log2(1.0 + rho * gains)
-    objective = rates.sum(axis=1)
+    grid = _offset_grid(0.0, w.length_m, res)
+    n = len(grid)
+    gains = link_power(s, w, grid[:, None], users[None, :, :])  # (offsets, cluster users)
+    objective = np.log2(1.0 + rho * gains).sum(axis=1)
 
     def ranking(row) -> tuple[int, ...]:
         order = np.argsort(-row, kind="stable")
@@ -228,9 +216,7 @@ def noma_gain_reorder(s: Scenario, cluster_users, target_order,
     # return it untouched.
     group = place_single_for_group(w, users, "sum_rate", s, grid_res=res)
     opt_x = group.layout.offsets_per_guide[0][0]
-    d_opt = np.linalg.norm(users - w.point_at(opt_x)[None, :], axis=1)
-    g_opt = (lam0 / (4.0 * np.pi * d_opt) * np.exp(-w.guide_attenuation_np_per_m * opt_x)) ** 2
-    if ranking(g_opt) == target_order:
+    if ranking(link_power(s, w, np.array([opt_x]), users)) == target_order:
         return PlacementSolution(group.layout, group.objective_value, "sum_rate",
                                  n, True, (group.objective_value,))
 

@@ -100,19 +100,39 @@ def in_guide_factor(w: WaveguideSpec, gw: GuidedWave, offset):
     return complex(f) if np.ndim(offset) == 0 else f
 
 
-@dataclass(frozen=True, eq=False)
-class LinkGain:
-    """One free-space link: complex gain plus LoS provenance."""
+def guide_distances(w: WaveguideSpec, offsets, points) -> np.ndarray:
+    """Distances from antennas at ``offsets`` (...) on ``w`` to ``points`` (..., 3).
 
-    complex_gain: complex
-    los_state: bool
-    distance_m: float
+    The antenna positions are ``feed_point + offset * axis_direction``;
+    offsets and points broadcast, so ``offsets[None, :]`` against
+    ``points[:, None, :]`` gives a points-by-offsets matrix.
+    """
+    x = np.asarray(offsets, dtype=float)
+    pos = w.feed_point + x[..., None] * w.axis_direction
+    return np.linalg.norm(np.asarray(points, dtype=float) - pos, axis=-1)
 
 
-def free_space_link(distance_m: float, lambda0_m: float, los: bool,
-                    nlos_extra_loss_db: float = 20.0) -> LinkGain:
-    g = free_space_gain(distance_m, lambda0_m, los, nlos_extra_loss_db)
-    return LinkGain(complex(g), bool(los), float(distance_m))
+def link_gains(s: Scenario, w: WaveguideSpec, offsets, points, weights=1.0, los=True):
+    """Complex gains from antennas at ``offsets`` on ``w`` to ``points``.
+
+    Free-space gain x (weight x in-guide factor), broadcast as in
+    :func:`guide_distances`; ``weights`` and ``los`` broadcast against the
+    result. This is the one place the paper's link law is evaluated.
+    """
+    x = np.asarray(offsets, dtype=float)
+    fs = free_space_gain(guide_distances(w, x, points), s.carrier.free_space_wavelength_m,
+                         los, s.los_model.nlos_extra_loss_db)
+    return fs * (weights * in_guide_factor(w, GuidedWave.for_waveguide(s.carrier, w), x))
+
+
+def link_power(s: Scenario, w: WaveguideSpec, offsets, points) -> np.ndarray:
+    """LoS link power (lambda0/(4*pi*d) * exp(-alpha*x))^2, broadcast as in
+    :func:`guide_distances`; equal to ``abs(link_gains(...))**2`` up to
+    rounding, without the phase."""
+    x = np.asarray(offsets, dtype=float)
+    d = guide_distances(w, x, points)
+    lam0 = s.carrier.free_space_wavelength_m
+    return (lam0 / (4.0 * np.pi * d) * np.exp(-w.guide_attenuation_np_per_m * x)) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +149,6 @@ class ChannelMatrix:
     per_antenna_breakdown: np.ndarray | None = None
     los_states: np.ndarray | None = None
     antenna_guide_index: tuple[int, ...] = ()
-    antenna_offsets: tuple[float, ...] = ()
 
     @property
     def n_users(self) -> int:
@@ -138,14 +157,6 @@ class ChannelMatrix:
     @property
     def n_feeds(self) -> int:
         return self.gains.shape[1]
-
-
-def antenna_positions(s: Scenario, layout: PinchingLayout) -> np.ndarray:
-    """3-D positions of every activated antenna, flattened guide-major."""
-    pts = [w.feed_point + t * w.axis_direction
-           for w, offs in zip(s.waveguides, layout.offsets_per_guide)
-           for t in offs]
-    return np.asarray(pts, dtype=float).reshape(-1, 3)
 
 
 def _check_layout(s: Scenario, layout: PinchingLayout) -> None:
@@ -162,26 +173,10 @@ def _check_layout(s: Scenario, layout: PinchingLayout) -> None:
         raise ValueError("layout activates no antennas")
 
 
-def _antenna_terms(s: Scenario, guide_idx, offsets, weights, dist, los=True):
-    """Per-antenna channel summands: free-space gain x weight x in-guide factor.
-
-    ``guide_idx``, ``offsets`` and ``weights`` are 1-D arrays over antennas;
-    ``dist`` (and ``los``) broadcast against them along the last axis, so one
-    call serves a users-by-antennas matrix or one link per antenna.
-    """
-    ig = np.empty(len(offsets), dtype=complex)
-    for g, w in enumerate(s.waveguides):
-        on_g = guide_idx == g
-        if np.any(on_g):
-            ig[on_g] = in_guide_factor(w, GuidedWave.for_waveguide(s.carrier, w),
-                                       offsets[on_g])
-    fs = free_space_gain(dist, s.carrier.free_space_wavelength_m, los,
-                         s.los_model.nlos_extra_loss_db)
-    return fs * (weights * ig)
-
-
-def _check_clear_of_users(s: Scenario, guide_idx, offsets, apos) -> None:
+def _check_clear_of_users(s: Scenario, guide_idx, offsets) -> None:
     """Raise ``ValueError`` if any antenna lies within 1e-9 m of any user.
+
+    ``guide_idx`` and ``offsets`` are 1-D arrays over antennas.
 
     An antenna on guide g is never closer to a user than the guide's span of
     activated offsets is, so only users within 1e-6 m of that span are
@@ -200,7 +195,7 @@ def _check_clear_of_users(s: Scenario, guide_idx, offsets, apos) -> None:
         u = np.clip(rel @ span / length2, 0.0, 1.0) if length2 > 0 else 0.0
         near = np.linalg.norm(rel - np.multiply.outer(u, span), axis=1) < 1e-6
         for k in np.flatnonzero(near):
-            if np.any(np.linalg.norm(users[k] - apos[on_g], axis=1) < 1e-9):
+            if np.any(guide_distances(w, t, users[k]) < 1e-9):
                 raise ValueError("an activated antenna coincides with a user position")
 
 
@@ -215,43 +210,32 @@ def build_channel(s: Scenario, layout: PinchingLayout, *,
     """
     _check_layout(s, layout)
     users = s.users.positions
-    n_users = users.shape[0]
-    n_guides = len(s.waveguides)
-
     guide_idx = tuple(g for g, offs in enumerate(layout.offsets_per_guide)
                       for _ in offs)
-    all_offsets = tuple(t for offs in layout.offsets_per_guide for t in offs)
-    n_ant = len(all_offsets)
-
-    apos = antenna_positions(s, layout)
-    dist = np.linalg.norm(users[:, None, :] - apos[None, :, :], axis=2)
-    if np.any(dist < 1e-9):
-        raise ValueError("an activated antenna coincides with a user position")
+    col = np.asarray(guide_idx)
+    on = [col == g for g in range(len(s.waveguides))]
+    offsets = np.asarray([t for offs in layout.offsets_per_guide for t in offs])
+    weights = np.asarray([w for ws in layout.weights_per_guide for w in ws])
+    _check_clear_of_users(s, col, offsets)
+    shape = (users.shape[0], len(offsets))
 
     if los_states is not None:
-        los = np.broadcast_to(np.asarray(los_states, dtype=bool),
-                              (n_users, n_ant)).copy()
+        los = np.broadcast_to(np.asarray(los_states, dtype=bool), shape).copy()
     elif s.los_model.kind == "always_los":
-        los = np.ones((n_users, n_ant), dtype=bool)
+        los = np.ones(shape, dtype=bool)
     elif seed is not None:
+        dist = np.concatenate([guide_distances(w, offsets[sel], users[:, None, :])
+                               for w, sel in zip(s.waveguides, on)], axis=1)
         rng = np.random.default_rng(seed)
-        los = rng.uniform(size=(n_users, n_ant)) < los_probability(s.los_model, dist)
+        los = rng.uniform(size=shape) < los_probability(s.los_model, dist)
     else:
         raise ValueError(
             "LoS sampling needs a seed (or pass explicit los_states) when the "
             f"LoS model is probabilistic ({s.los_model.kind!r})")
 
-    col = np.asarray(guide_idx)
-    weights = np.asarray([w for ws in layout.weights_per_guide for w in ws])
-    breakdown = _antenna_terms(s, col, np.asarray(all_offsets), weights, dist, los)
-    gains = np.zeros((n_users, n_guides), dtype=complex)
-    for g in range(n_guides):
-        sel = col == g
-        if np.any(sel):
-            gains[:, g] = breakdown[:, sel].sum(axis=1)
-
-    return ChannelMatrix(gains=gains,
-                         per_antenna_breakdown=breakdown,
+    per_guide = [link_gains(s, w, offsets[sel], users[:, None, :], weights[sel], los[:, sel])
+                 for w, sel in zip(s.waveguides, on)]
+    return ChannelMatrix(gains=np.stack([b.sum(axis=1) for b in per_guide], axis=1),
+                         per_antenna_breakdown=np.concatenate(per_guide, axis=1),
                          los_states=los,
-                         antenna_guide_index=guide_idx,
-                         antenna_offsets=all_offsets)
+                         antenna_guide_index=guide_idx)

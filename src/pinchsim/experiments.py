@@ -30,7 +30,7 @@ from .beamforming import (
     mrc_beamformer,
     zf_beamformer,
 )
-from .channel import build_channel, free_space_gain, los_probability
+from .channel import build_channel, free_space_gain, guide_distances, link_power, los_probability
 from .placement import (
     _candidate_tables,
     optimize_multi_waveguide,
@@ -74,12 +74,20 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; "
                               f"expected one of {EXPERIMENT_KINDS}")
         xmin, xmax, ymin, ymax = self.grid_bounds
-        if xmax <= xmin or ymax <= ymin:
-            raise ConfigError(f"degenerate grid bounds {self.grid_bounds}")
-        if self.grid_res_m <= 0:
-            raise ConfigError(f"grid resolution must be positive, got {self.grid_res_m}")
+        if not all(map(math.isfinite, self.grid_bounds)) or xmax <= xmin or ymax <= ymin:
+            raise ConfigError(f"grid bounds must be finite and non-degenerate, "
+                              f"got {self.grid_bounds}")
+        if not 0 < self.grid_res_m < math.inf:
+            raise ConfigError(f"grid resolution must be positive and finite, "
+                              f"got {self.grid_res_m}")
         if self.kind == "compare_mimo" and not self.snr_sweep_db:
             raise ConfigError("compare_mimo needs a non-empty snr_sweep_db")
+        # NaN fails the comparison; beyond +-3000 dB the linear SNR overflows
+        if not all(-3000.0 <= v <= 3000.0 for v in self.snr_sweep_db):
+            raise ConfigError(f"transmit SNRs must lie in [-3000, 3000] dB, "
+                              f"got {self.snr_sweep_db}")
+        if self.cd_budget < 1:
+            raise ConfigError(f"cd_budget must be >= 1, got {self.cd_budget}")
         if self.seed < 0 or self.seed >= 2 ** 64:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if self.drops < 1:
@@ -234,18 +242,14 @@ def run_heatmap(cfg: ExperimentConfig) -> HeatmapResult:
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     cells = np.column_stack([X.ravel(), Y.ravel(), np.zeros(X.size)])
 
-    d_conv = np.linalg.norm(cells - w.feed_point[None, :], axis=1)
+    d_conv = guide_distances(w, 0.0, cells)  # the conventional antenna sits at the feed
     rng = np.random.default_rng(cfg.seed)
     los = rng.uniform(size=cells.shape[0]) < los_probability(scenario.los_model, d_conv)
     g_conv = free_space_gain(d_conv, lam0, los, penalty)
     rate_conv = np.log2(1.0 + rho * np.abs(g_conv) ** 2)
 
-    offsets = np.clip((cells - w.feed_point[None, :]) @ w.axis_direction,
-                      0.0, w.length_m)
-    foot = w.feed_point[None, :] + offsets[:, None] * w.axis_direction[None, :]
-    d_pinch = np.linalg.norm(cells - foot, axis=1)
-    amp = lam0 / (4.0 * np.pi * d_pinch) * np.exp(-w.guide_attenuation_np_per_m * offsets)
-    rate_pinch = np.log2(1.0 + rho * amp ** 2)
+    offsets = project_onto_waveguide(w, cells).offset
+    rate_pinch = np.log2(1.0 + rho * link_power(scenario, w, offsets, cells))
 
     meta = _metadata(cfg, scenario)
     result = HeatmapResult(cells[:, 0], cells[:, 1], rate_conv, rate_pinch,
@@ -371,12 +375,9 @@ def run_tdma_demo(cfg: ExperimentConfig) -> ExperimentTable:
     cfg.validate()
     scenario = _load_validated(cfg)
     k = len(scenario.users)
-    slots = []
-    for u in range(k):
-        offsets = tuple(
-            (project_onto_waveguide(w, scenario.users.positions[u]).offset,)
-            for w in scenario.waveguides)
-        slots.append((u, PinchingLayout.equal_split(offsets)))
+    offsets = np.array([project_onto_waveguide(w, scenario.users.positions).offset
+                        for w in scenario.waveguides])  # (guides, users)
+    slots = [(u, PinchingLayout.equal_split(offsets[:, u, None])) for u in range(k)]
     schedule = TdmaSchedule(tuple(slots), tuple(1.0 / k for _ in range(k)))
     report = tdma_rates(scenario, schedule)
 

@@ -26,7 +26,7 @@ from .beamforming import (
     mrc_beamformer,
     zf_beamformer,
 )
-from .channel import GuidedWave, build_channel, free_space_gain, in_guide_factor
+from .channel import GuidedWave, build_channel, link_gains, link_power
 from .scenario import (
     CarrierSpec,
     PinchingLayout,
@@ -64,6 +64,11 @@ def place_single_for_user(w: WaveguideSpec, user) -> float:
 
 def default_grid_res(s: Scenario) -> float:
     return s.carrier.free_space_wavelength_m / 4.0
+
+
+def _offset_grid(lo: float, hi: float, res: float) -> np.ndarray:
+    """Evenly spaced offsets from lo to hi, both included, at most ``res`` apart."""
+    return np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / res)) + 1))
 
 
 def _argmax_tie_smallest(values: np.ndarray) -> int:
@@ -104,8 +109,8 @@ def maximize_on_segment(fn_batch, lo: float, hi: float, grid_res: float,
     ``fn_batch`` maps an array of offsets to an array of objective values.
     Returns (offset, value, evaluations, converged).
     """
-    n = max(2, int(math.ceil((hi - lo) / grid_res)) + 1)
-    grid = np.linspace(lo, hi, n)
+    grid = _offset_grid(lo, hi, grid_res)
+    n = len(grid)
     vals = np.asarray(fn_batch(grid), dtype=float)
     i = _argmax_tie_smallest(vals)
     step = (hi - lo) / (n - 1)
@@ -125,14 +130,9 @@ def _single_antenna_rates(w: WaveguideSpec, users: np.ndarray, s: Scenario,
                           offsets: np.ndarray) -> np.ndarray:
     """LoS rates of every user for one full-power antenna at each offset.
 
-    Returns an (offsets, users) array; the in-guide factor contributes only
-    its attenuation envelope since a lone antenna's phase is irrelevant.
+    Returns an (offsets, users) array; a lone antenna's phase is irrelevant.
     """
-    pos = w.feed_point[None, :] + offsets[:, None] * w.axis_direction[None, :]
-    dist = np.linalg.norm(users[None, :, :] - pos[:, None, :], axis=2)
-    lam0 = s.carrier.free_space_wavelength_m
-    amp = lam0 / (4.0 * np.pi * dist) * np.exp(-w.guide_attenuation_np_per_m * offsets)[:, None]
-    return np.log2(1.0 + s.transmit_snr * amp ** 2)
+    return np.log2(1.0 + s.transmit_snr * link_power(s, w, offsets[:, None], users[None, :, :]))
 
 
 def place_single_for_group(w: WaveguideSpec, users, objective: str,
@@ -156,17 +156,6 @@ def place_single_for_group(w: WaveguideSpec, users, objective: str,
     x, value, evals, converged = maximize_on_segment(fn, 0.0, w.length_m, res)
     layout = PinchingLayout(((x,),), ((1.0,),))
     return PlacementSolution(layout, value, objective, evals, converged, (value,))
-
-
-def _total_phase(w: WaveguideSpec, gw: GuidedWave, user: np.ndarray,
-                 lam0: float, x):
-    """In-guide plus free-space phase at the user for an antenna at offset x."""
-    scalar = np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    pos = w.feed_point[None, :] + x[:, None] * w.axis_direction[None, :]
-    d = np.linalg.norm(user[None, :] - pos, axis=-1)
-    phase = -gw.wavenumber_rad_per_m * x - 2.0 * np.pi * d / lam0
-    return float(phase[0]) if scalar else phase
 
 
 def _wrap(phase):
@@ -243,16 +232,11 @@ def align_multi_on_guide(w: WaveguideSpec, gw: GuidedWave, user, n_antennas: int
     weight = 1.0 / math.sqrt(n_antennas)
 
     def phase_fn(x):
-        return _total_phase(w, gw, user, lam0, x)
-
-    def amplitude(x):
-        x = np.asarray(x, dtype=float)
-        pos = w.feed_point[None, :] + x[:, None] * w.axis_direction[None, :]
-        d = np.linalg.norm(user[None, :] - pos, axis=1)
-        return lam0 / (4.0 * np.pi * d) * np.exp(-w.guide_attenuation_np_per_m * x)
+        """Total phase (in-guide plus free-space) at the user, wrapped."""
+        return np.angle(link_gains(s, w, x, user))
 
     targets = np.concatenate([
-        np.asarray(phase_fn(coarse)),
+        phase_fn(coarse),
         np.linspace(-np.pi, np.pi, phase_candidates, endpoint=False),
     ])
 
@@ -275,7 +259,7 @@ def align_multi_on_guide(w: WaveguideSpec, gw: GuidedWave, user, n_antennas: int
         if not feasible:
             continue
         offs = np.asarray(offsets)
-        agg = float(np.abs(np.sum(weight * amplitude(offs) * np.exp(1j * phase_fn(offs)))))
+        agg = float(np.abs(np.sum(link_gains(s, w, offs, user, weight))))
         if best is None or agg > best[0]:
             best = (agg, offs, miss)
 
@@ -397,18 +381,13 @@ class _CandidateTables:
     waveguides: tuple[WaveguideSpec, ...]
     users: np.ndarray
     grid_res: float
-    guided: tuple[GuidedWave, ...]
     grids: tuple[np.ndarray, ...]
     outers: tuple[np.ndarray, ...]
 
 
-def _guide_columns(s: Scenario, gw: GuidedWave, g: int, xs: np.ndarray) -> np.ndarray:
+def _guide_columns(s: Scenario, g: int, xs: np.ndarray) -> np.ndarray:
     """LoS channel columns (K, len(xs)) of guide g with its antenna at offsets xs."""
-    w = s.waveguides[g]
-    pos = w.feed_point[None, :] + xs[:, None] * w.axis_direction[None, :]
-    dist = np.linalg.norm(s.users.positions[:, None, :] - pos[None, :, :], axis=2)
-    return (free_space_gain(dist, s.carrier.free_space_wavelength_m)
-            * in_guide_factor(w, gw, xs)[None, :])
+    return link_gains(s, s.waveguides[g], xs[None, :], s.users.positions[:, None, :])
 
 
 def _outer(c: np.ndarray) -> np.ndarray:
@@ -419,13 +398,9 @@ def _outer(c: np.ndarray) -> np.ndarray:
 def _candidate_tables(s: Scenario, grid_res: float | None = None) -> _CandidateTables:
     """Candidate grids (``grid_res``, default lambda0/4) and their Gram terms."""
     res = default_grid_res(s) if grid_res is None else grid_res
-    guided = tuple(GuidedWave.for_waveguide(s.carrier, w) for w in s.waveguides)
-    grids = tuple(np.linspace(0.0, w.length_m, max(2, int(math.ceil(w.length_m / res)) + 1))
-                  for w in s.waveguides)
-    outers = tuple(_outer(_guide_columns(s, guided[g], g, grid))
-                   for g, grid in enumerate(grids))
-    return _CandidateTables(s.carrier, s.waveguides, s.users.positions, res,
-                            guided, grids, outers)
+    grids = tuple(_offset_grid(0.0, w.length_m, res) for w in s.waveguides)
+    outers = tuple(_outer(_guide_columns(s, g, grid)) for g, grid in enumerate(grids))
+    return _CandidateTables(s.carrier, s.waveguides, s.users.positions, res, grids, outers)
 
 
 def _zoom_max(fn_batch, a: float, b: float, x0: float, v0: float,
@@ -507,13 +482,12 @@ def optimize_multi_waveguide(s: Scenario, beamformer_kind: str = "zf",
         return float(_reduce_objective(report.per_user_rate_bps_hz, objective))
 
     # Start each antenna at the projection of the user nearest to its guide
-    # (ties break to the lower user index for determinism).
+    # (argmin breaks ties to the lower user index).
     offsets = np.empty(M)
     for g, w in enumerate(s.waveguides):
-        _, nearest = min((project_onto_waveguide(w, u).distance, k)
-                         for k, u in enumerate(users))
-        offsets[g] = project_onto_waveguide(w, users[nearest]).offset
-    cols = np.concatenate([_guide_columns(s, tables.guided[g], g, offsets[g:g + 1])
+        proj = project_onto_waveguide(w, users)
+        offsets[g] = proj.offset[np.argmin(proj.distance)]
+    cols = np.concatenate([_guide_columns(s, g, offsets[g:g + 1])
                            for g in range(M)], axis=1)  # (K, M)
 
     value = float(scores(_outer(cols).sum(axis=-1)[:, :, None])[0])
@@ -534,13 +508,13 @@ def optimize_multi_waveguide(s: Scenario, beamformer_kind: str = "zf",
             a = max(0.0, grid[i] - step)
             b = min(s.waveguides[g].length_m, grid[i] + step)
             cand_x, cand_v = _zoom_max(
-                lambda xs: scores(fixed + _outer(_guide_columns(s, tables.guided[g], g, xs))),
+                lambda xs: scores(fixed + _outer(_guide_columns(s, g, xs))),
                 a, b, float(grid[i]), float(obj[i]), refine_tol)
             if cand_v > value:
                 cycle_gain += cand_v - value
                 value = cand_v
                 offsets[g] = cand_x
-                cols[:, g] = _guide_columns(s, tables.guided[g], g, offsets[g:g + 1])[:, 0]
+                cols[:, g] = _guide_columns(s, g, offsets[g:g + 1])[:, 0]
                 trace.append(value)
         if cycle_gain < tol:
             converged = True

@@ -43,7 +43,6 @@ class WaveguideSpec:
 
     ``feed_point`` is where the RF chain feeds the guide; antenna positions
     are scalar offsets along ``axis_direction`` measured from the feed.
-    ``height_m`` is redundant convenience and defaults to the feed z.
     """
 
     feed_point: np.ndarray
@@ -51,13 +50,10 @@ class WaveguideSpec:
     length_m: float
     relative_permittivity: float = 2.1
     guide_attenuation_np_per_m: float = 0.0
-    height_m: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "feed_point", _as_point(self.feed_point))
         object.__setattr__(self, "axis_direction", _as_point(self.axis_direction))
-        if self.height_m is None:
-            object.__setattr__(self, "height_m", float(self.feed_point[2]))
 
     def point_at(self, offset: float) -> np.ndarray:
         """Position on the guide at a given offset from the feed."""
@@ -199,22 +195,28 @@ class Violation:
 
 
 class Projection(NamedTuple):
-    offset: float
+    offset: float | np.ndarray
     foot_point: np.ndarray
-    distance: float
+    distance: float | np.ndarray
 
 
 def project_onto_waveguide(w: WaveguideSpec, p) -> Projection:
-    """Closest point of the guide segment to ``p``.
+    """Closest points of the guide segment to one point (3,) or many (..., 3).
 
-    The returned offset is clamped to [0, length], so the foot point is the
-    distance-minimizing point over the whole finite segment.
+    Offsets are clamped to [0, length], so each foot point is the
+    distance-minimizing point over the whole finite segment. One point gives
+    a float offset and distance; many give arrays of their batch shape.
     """
-    p = np.asarray(p, dtype=float).reshape(3)
-    t = float(np.dot(p - w.feed_point, w.axis_direction))
-    t = min(max(t, 0.0), w.length_m)
-    foot = w.feed_point + t * w.axis_direction
-    return Projection(t, foot, float(np.linalg.norm(p - foot)))
+    p = np.asarray(p, dtype=float)
+    f, a = w.feed_point, w.axis_direction
+    # written out, not a BLAS dot: one point then gets the bits it gets in a batch
+    t = np.clip((p[..., 0] - f[0]) * a[0] + (p[..., 1] - f[1]) * a[1]
+                + (p[..., 2] - f[2]) * a[2], 0.0, w.length_m)
+    foot = f + t[..., None] * a
+    d = np.linalg.norm(p - foot, axis=-1)
+    if p.ndim == 1:
+        return Projection(float(t), foot, float(d))
+    return Projection(t, foot, d)
 
 
 def validate_scenario(s: Scenario, require_common_height: bool = False) -> list[Violation]:
@@ -244,9 +246,6 @@ def validate_scenario(s: Scenario, require_common_height: bool = False) -> list[
         if w.guide_attenuation_np_per_m < 0:
             out.append(Violation("negative_attenuation",
                                  f"waveguide {i}: attenuation = {w.guide_attenuation_np_per_m!r}"))
-        if abs(w.height_m - float(w.feed_point[2])) > 1e-12:
-            out.append(Violation("height_mismatch",
-                                 f"waveguide {i}: height_m differs from feed z"))
         # users sit at z = 0, and an antenna on a user has an infinite gain;
         # a straight guide with both ends above that plane stays above it
         feed_z, end_z = float(w.feed_point[2]), float(w.point_at(w.length_m)[2])

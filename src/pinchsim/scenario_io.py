@@ -199,13 +199,6 @@ def layout_from_dict(data: dict) -> PinchingLayout:
                                             "layout.minimum_spacing_m"))
 
 
-def save_layout(layout: PinchingLayout, path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(yaml.safe_dump(layout_to_dict(layout), sort_keys=False), encoding="utf-8")
-    return path
-
-
 def solution_to_dict(solution) -> dict:
     return {
         "objective_kind": solution.objective_kind,
@@ -214,11 +207,3 @@ def solution_to_dict(solution) -> dict:
         "converged": bool(solution.converged),
         "layout": layout_to_dict(solution.layout),
     }
-
-
-def save_solution(solution, path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(yaml.safe_dump(solution_to_dict(solution), sort_keys=False),
-                    encoding="utf-8")
-    return path

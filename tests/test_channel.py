@@ -1,8 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pinchsim import (
@@ -12,9 +13,10 @@ from pinchsim import (
     WaveguideSpec,
     build_channel,
     free_space_gain,
-    free_space_link,
     guided_wavelength,
     in_guide_factor,
+    link_gains,
+    link_power,
     los_probability,
     project_onto_waveguide,
 )
@@ -139,13 +141,6 @@ def test_doubling_distance_halves_amplitude(d):
     g2 = abs(free_space_gain(2 * d, LAMBDA0_28GHZ))
     assert g2 == pytest.approx(g1 / 2, rel=1e-12)
     assert g2 < g1
-
-
-def test_free_space_link_provenance():
-    link = free_space_link(4.0, LAMBDA0_28GHZ, los=False)
-    assert link.distance_m == 4.0
-    assert link.los_state is False
-    assert abs(link.complex_gain) > 0
 
 
 # --- in-guide factor --------------------------------------------------------
@@ -291,3 +286,71 @@ def test_invalid_layout_is_rejected(guide_y):
     with pytest.raises(ValueError, match="waveguides"):
         build_channel(s, PinchingLayout(((1.0,), (2.0,)), ((1.0,), (1.0,))),
                       los_states=True)
+
+
+# --- link kernel ------------------------------------------------------------
+
+
+@st.composite
+def any_guide(draw):
+    """A guide with any axis direction and any nonnegative attenuation."""
+    axis = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+    assume(np.linalg.norm(axis) > 1e-3)
+    return WaveguideSpec(feed_point=[draw(st.floats(-10.0, 10.0)) for _ in range(3)],
+                         axis_direction=axis / np.linalg.norm(axis),
+                         length_m=draw(st.floats(0.1, 30.0)),
+                         relative_permittivity=draw(st.floats(1.0, 12.0)),
+                         guide_attenuation_np_per_m=draw(st.floats(0.0, 2.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(w=any_guide(), frequency=st.floats(1e9, 1e11), seed=st.integers(0, 2 ** 32 - 1))
+def test_link_kernel_broadcasts_and_matches_closed_form(w, frequency, seed):
+    rng = np.random.default_rng(seed)
+    offsets = rng.uniform(0.0, w.length_m, 5)
+    points = rng.uniform(-20.0, 20.0, (4, 3))
+    s = make_scenario(points, (w,), frequency_hz=frequency)
+
+    outer = link_gains(s, w, offsets[None, :], points[:, None, :])
+    paired = link_gains(s, w, np.tile(offsets, 4), np.repeat(points, 5, axis=0))
+    assert np.array_equal(outer, paired.reshape(4, 5))
+    power = link_power(s, w, offsets[None, :], points[:, None, :])
+    assert np.abs(outer) ** 2 == pytest.approx(power, rel=1e-12)
+    nlos = link_gains(s, w, offsets[None, :], points[:, None, :], 0.5, False)
+    penalty = 10.0 ** (-s.los_model.nlos_extra_loss_db / 20.0)
+    assert nlos == pytest.approx(0.5 * penalty * outer, rel=1e-12)
+
+    lam0 = 299792458.0 / frequency
+    k_g = 2.0 * math.pi * math.sqrt(w.relative_permittivity) / lam0
+    alpha = w.guide_attenuation_np_per_m
+    for i, p in enumerate(points):
+        for j, x in enumerate(offsets):
+            d = math.dist(p, w.feed_point + x * w.axis_direction)
+            closed = (lam0 / (4.0 * math.pi * d) * cmath.exp(-2j * math.pi * d / lam0)
+                      * cmath.exp(-(1j * k_g + alpha) * x))
+            assert outer[i, j] == pytest.approx(closed, rel=1e-9)
+            assert power[i, j] == pytest.approx(abs(closed) ** 2, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(w=any_guide(), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_projection_equals_scalar_calls(w, seed):
+    rng = np.random.default_rng(seed)
+    along = np.concatenate([[-1.0, w.length_m + 1.0],  # clamp to 0 and to length
+                            rng.uniform(-0.5, 1.5, 6) * w.length_m])
+    beside = rng.normal(0.0, 3.0, (8, 3))
+    beside -= np.outer(beside @ w.axis_direction, w.axis_direction)  # across the guide
+    points = w.feed_point + along[:, None] * w.axis_direction + beside
+    batch = project_onto_waveguide(w, points.reshape(4, 2, 3))
+    assert batch.offset.shape == batch.distance.shape == (4, 2)
+    offsets, feet, dists = (batch.offset.ravel(), batch.foot_point.reshape(8, 3),
+                            batch.distance.ravel())
+    for i, p in enumerate(points):
+        one = project_onto_waveguide(w, p)
+        assert isinstance(one.offset, float) and isinstance(one.distance, float)
+        assert offsets[i] == one.offset
+        assert dists[i] == one.distance
+        assert np.array_equal(feet[i], one.foot_point)
+    assert offsets[0] == 0.0 and offsets[1] == w.length_m
+    assert 0.0 <= offsets.min() and offsets.max() <= w.length_m
+

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pinchsim import cli
 from pinchsim.beamforming import RankDeficiencyError
-from pinchsim.presets import heatmap_scenario, noma_scenario, tdma_scenario
+from pinchsim.presets import compare_scenario, heatmap_scenario, noma_scenario, tdma_scenario
 from pinchsim.scenario_io import save_scenario
 
 
@@ -69,13 +69,30 @@ def test_non_finite_scenario_number_exits_2(tmp_path_factory, field, value):
 def test_guide_on_users_plane_exits_2(tmp_path, capsys):
     base = heatmap_scenario(los_kind="always_los")
     ground = dataclasses.replace(base, waveguides=(dataclasses.replace(
-        base.waveguides[0], feed_point=(0.0, -10.0, 0.0), height_m=None),))
+        base.waveguides[0], feed_point=(0.0, -10.0, 0.0)),))
     path = save_scenario(ground, tmp_path / "ground.yaml")
     code = cli.main(["heatmap", "--scenario", str(path), "--out", str(tmp_path / "out"),
                      "--grid-res", "0.5"])
     assert code == cli.EXIT_CONFIG
     assert "guide_not_above_users" in capsys.readouterr().err
     assert not (tmp_path / "out" / "heatmap.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare-mimo", "--drops", "1", "--snr-db", "nan"],
+    ["compare-mimo", "--drops", "1", "--snr-db", "inf,10"],
+    ["compare-mimo", "--drops", "1", "--snr-db", "10", "--budget", "-1"],
+    ["compare-mimo", "--drops", "1", "--snr-db", "10", "--bounds", "nan", "5", "-5", "5"],
+    ["heatmap", "--bounds", "nan", "5", "-5", "5"],
+    ["heatmap", "--grid-res", "nan"],
+])
+def test_malformed_experiment_flags_exit_2(tmp_path, capsys, argv):
+    preset = compare_scenario() if argv[0] == "compare-mimo" else heatmap_scenario()
+    path = save_scenario(preset, tmp_path / "scenario.yaml")
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--scenario", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -12,6 +12,7 @@ from pinchsim import (
     coherent_gain_bound,
     conventional_bound,
     evaluate_rates,
+    link_gains,
     optimize_multi_waveguide,
     place_single_for_group,
     place_single_for_user,
@@ -20,7 +21,6 @@ from pinchsim import (
 )
 from pinchsim.placement import (
     _candidate_tables,
-    _total_phase,
     _wrap,
     maximize_on_segment,
 )
@@ -135,7 +135,7 @@ def test_align_equalizes_total_phase_at_foot_point_user(carrier28, guide_y):
     gw = GuidedWave.for_waveguide(carrier28, guide_y)
     sol = align_multi_on_guide(guide_y, gw, user, 2, s)
     offs = np.asarray(sol.layout.offsets_per_guide[0])
-    phases = _total_phase(guide_y, gw, user, s.carrier.free_space_wavelength_m, offs)
+    phases = np.angle(link_gains(s, guide_y, offs, user))
     assert abs(_wrap(phases[1] - phases[0])) <= 1e-6
     spacing = sol.layout.minimum_spacing_m
     assert offs[1] - offs[0] >= spacing - 1e-12

@@ -51,14 +51,13 @@ def test_validate_well_formed_scenario_is_clean(simple_scenario):
 
 def test_validate_flags_axis_length_height_and_snr():
     w = WaveguideSpec(feed_point=(0, 0, 3), axis_direction=(0, 2, 0),
-                      length_m=-1.0, height_m=4.0)
+                      length_m=-1.0)
     s = make_scenario([(1, 1, 0)], (w,), snr_db=0.0)
     s = type(s)(carrier=s.carrier, waveguides=s.waveguides, users=s.users,
                 transmit_snr=0.0, los_model=s.los_model)
     got = codes(validate_scenario(s))
     assert "axis_not_unit" in got
     assert "nonpositive_length" in got
-    assert "height_mismatch" in got
     assert "nonpositive_snr" in got
 
 
