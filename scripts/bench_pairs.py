@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of the benchmark, summarized into BENCH_<n>.json.
+
+Usage, from the root of a checkout::
+
+    python3 scripts/bench_pairs.py --parent <rev> --number <n> --pairs 10 \\
+        --workload mimo-sweep --seed 7
+
+The change side is this checkout's working tree; the parent side is
+``<rev>`` exported with ``git archive`` into a temporary directory (an
+export registers nothing in the repository, so an interrupted run leaves
+no stale worktree behind). Each pair runs ``perfbench/run.py --trace 0``
+once on each side with the same arguments, parent first in even pairs and
+change first in odd ones. The summary holds, per workload, seed and
+end-to-end metric of ``BENCHMARK.json``: every run's value, each side's
+median and quartiles, and the pairs the change won (ties count for
+neither side). Invocations with the same ``--number`` add to the existing
+file: each workload and seed holds the list of its series, in run order.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", required=True, help="git revision of the parent side")
+    p.add_argument("--number", required=True, type=int, help="n of the output file BENCH_<n>.json")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--workload", required=True,
+                   choices=("mimo-sweep", "heatmap-dense", "tdma-crowd"))
+    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seconds", type=float, default=30.0, help="measuring time per run")
+    args = p.parse_args(argv)
+    if args.pairs < 1 or not args.seconds > 0:
+        p.error("--pairs must be >= 1 and --seconds positive")
+    return args
+
+
+def git(*args: str) -> str:
+    done = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
+                          text=True, check=True)
+    return done.stdout.strip()
+
+
+def export(rev: str, dest: Path) -> Path:
+    """Files of ``rev`` under ``dest/parent``."""
+    archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", "--prefix=parent/", rev],
+                               stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise SystemExit(f"git archive {rev} failed")
+    return dest / "parent"
+
+
+def run_once(side: str, checkout: Path, args: argparse.Namespace) -> dict:
+    """One benchmark run; its last stdout line is the JSON result."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", args.workload,
+         "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    print(f"  {side}: correct={result['correct']} attempted={result['attempted']} "
+          f"failed={result['failed']} "
+          + " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items()),
+          flush=True)
+    return result
+
+
+def spread(values: list) -> dict:
+    if len(values) < 2:
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def summarize(runs: dict, end_to_end: list) -> dict:
+    metrics = {}
+    for spec in end_to_end:
+        name, higher = spec["name"], spec["better"] == "higher"
+        sides = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
+        wins = sum((c > p) if higher else (c < p)
+                   for p, c in zip(sides["parent"], sides["change"]))
+        metrics[name] = {"unit": spec["unit"], "better": spec["better"],
+                         "bound": spec["bound"], "change_wins": wins,
+                         "parent": spread(sides["parent"]), "change": spread(sides["change"])}
+    return {
+        "pairs": len(runs["parent"]),
+        "correct": {side: all(r["correct"] for r in runs[side]) for side in runs},
+        "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in runs},
+        "failed": {side: sum(r["failed"] for r in runs[side]) for side in runs},
+        "metrics": metrics,
+    }
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    out_path = ROOT / f"BENCH_{args.number}.json"
+    report = json.loads(out_path.read_text()) if out_path.exists() else {
+        "number": args.number, "results": {}}
+    report.update({
+        "parent": git("rev-parse", args.parent),
+        "change": git("rev-parse", "HEAD") + ("+dirty" if git("status", "--porcelain") else ""),
+        "host": {"python": platform.python_version(), "machine": platform.machine(),
+                 "nproc": os.cpu_count()},
+        "seconds": args.seconds,
+    })
+    runs: dict = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        checkouts = {"parent": export(args.parent, Path(tmp)), "change": ROOT}
+        for i in range(args.pairs):
+            print(f"pair {i + 1}/{args.pairs}", flush=True)
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(run_once(side, checkouts[side], args))
+    summary = summarize(runs, end_to_end)
+    report["results"].setdefault(args.workload, {}).setdefault(str(args.seed), []).append(summary)
+    out_path.write_text(json.dumps(report, indent=2) + "\n")
+    for name, m in summary["metrics"].items():
+        print(f"{name}: {m['parent']['median']:.6g} -> {m['change']['median']:.6g} "
+              f"(change wins {m['change_wins']}/{summary['pairs']})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -36,6 +36,7 @@ from .placement import (
     align_multi_on_guide,
     coherent_gain_bound,
     optimize_multi_waveguide,
+    optimize_multi_waveguide_sweep,
     place_single_for_group,
     place_single_for_user,
 )
@@ -87,6 +88,7 @@ __all__ = [
     "align_multi_on_guide",
     "coherent_gain_bound",
     "optimize_multi_waveguide",
+    "optimize_multi_waveguide_sweep",
     "TdmaSchedule",
     "NomaCluster",
     "tdma_rates",

@@ -31,11 +31,7 @@ from .beamforming import (
     zf_beamformer,
 )
 from .channel import build_channel, free_space_gain, guide_distances, link_power, los_probability
-from .placement import (
-    _candidate_tables,
-    optimize_multi_waveguide,
-    place_single_for_group,
-)
+from .placement import optimize_multi_waveguide_sweep, place_single_for_group
 from .scenario import (
     PinchingLayout,
     Scenario,
@@ -43,7 +39,7 @@ from .scenario import (
     project_onto_waveguide,
     validate_scenario,
 )
-from .scenario_io import load_scenario, scenario_to_dict
+from .scenario_io import SNR_DB_LIMIT, load_scenario, scenario_to_dict
 
 EXPERIMENT_KINDS = ("heatmap", "compare_mimo", "noma_region", "tdma_demo")
 COMPARE_SCHEMES = ("conventional_zf", "conventional_mrc", "conventional_bound",
@@ -82,10 +78,10 @@ class ExperimentConfig:
                               f"got {self.grid_res_m}")
         if self.kind == "compare_mimo" and not self.snr_sweep_db:
             raise ConfigError("compare_mimo needs a non-empty snr_sweep_db")
-        # NaN fails the comparison; beyond +-3000 dB the linear SNR overflows
-        if not all(-3000.0 <= v <= 3000.0 for v in self.snr_sweep_db):
-            raise ConfigError(f"transmit SNRs must lie in [-3000, 3000] dB, "
-                              f"got {self.snr_sweep_db}")
+        # NaN fails the comparison
+        if not all(-SNR_DB_LIMIT <= v <= SNR_DB_LIMIT for v in self.snr_sweep_db):
+            raise ConfigError(f"transmit SNRs must lie in [-{SNR_DB_LIMIT:g}, "
+                              f"{SNR_DB_LIMIT:g}] dB, got {self.snr_sweep_db}")
         if self.cd_budget < 1:
             raise ConfigError(f"cd_budget must be >= 1, got {self.cd_budget}")
         if self.seed < 0 or self.seed >= 2 ** 64:
@@ -308,9 +304,10 @@ def run_compare_mimo(cfg: ExperimentConfig) -> ExperimentTable:
                                  np.zeros(k)])
         h_conv = _conventional_channel(users, antenna_pos, scenario, rng)
         drop_geometry = dataclasses.replace(scenario, users=UserSet(users))
-        tables = _candidate_tables(drop_geometry)  # shared by the whole sweep
-        for rho_db in cfg.snr_sweep_db:
-            rho = 10.0 ** (rho_db / 10.0)
+        rhos = [10.0 ** (rho_db / 10.0) for rho_db in cfg.snr_sweep_db]
+        solutions = optimize_multi_waveguide_sweep(drop_geometry, rhos, "zf", "sum_rate",
+                                                   budget=cfg.cd_budget)
+        for rho_db, rho, solution in zip(cfg.snr_sweep_db, rhos, solutions):
             sums[rho_db, "conventional_bound"] += float(
                 conventional_bound(h_conv, rho).sum())
             for scheme, factory in (("conventional_zf", zf_beamformer),
@@ -320,11 +317,7 @@ def run_compare_mimo(cfg: ExperimentConfig) -> ExperimentTable:
                     sums[rho_db, scheme] += report.sum_rate_bps_hz
                 except RankDeficiencyError:
                     pass  # degenerate drop counts as zero rate for this scheme
-            drop_scenario = dataclasses.replace(drop_geometry, transmit_snr=rho)
-            solution = optimize_multi_waveguide(drop_scenario, "zf", "sum_rate",
-                                                budget=cfg.cd_budget, _tables=tables)
             sums[rho_db, "pinching_zf"] += solution.objective_value
-        del tables  # free it before the next drop's tables exist: peak memory
 
     rows = tuple((float(rho_db), scheme, sums[rho_db, scheme] / cfg.drops)
                  for rho_db in cfg.snr_sweep_db for scheme in COMPARE_SCHEMES)

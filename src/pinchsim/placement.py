@@ -28,7 +28,6 @@ from .beamforming import (
 )
 from .channel import GuidedWave, build_channel, link_gains, link_power
 from .scenario import (
-    CarrierSpec,
     PinchingLayout,
     Scenario,
     UserSet,
@@ -285,71 +284,99 @@ def coherent_gain_bound(H, user_index: int = 0) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _gram_inverse_diag(Mh: np.ndarray) -> np.ndarray:
-    """Real diagonal of the inverse of stacked Hermitian KxK Gram matrices.
+def _gram_inverse_diag(m, K: int) -> list:
+    """Real diagonal of the inverse of Hermitian KxK Gram matrices, per user.
 
-    Closed forms for K <= 3; degenerate (non positive definite) matrices
-    produce non-finite or nonpositive entries, which callers treat as
-    invalid candidates.
+    ``m(k, l)`` returns the Gram entries h_k^H h_l, stacked over candidates.
+    The closed forms for K <= 3 read only the diagonal and the upper
+    triangle; degenerate (non positive definite) matrices produce
+    non-finite or nonpositive entries, and for K > 3 exactly singular ones
+    produce NaN, which callers treat as invalid candidates.
     """
-    K = Mh.shape[-1]
     if K == 1:
-        return (1.0 / Mh[..., 0, 0].real)[..., None]
+        return [1.0 / m(0, 0).real]
     if K == 2:
-        m00, m11 = Mh[..., 0, 0].real, Mh[..., 1, 1].real
-        m01 = Mh[..., 0, 1]
+        m00, m11 = m(0, 0).real, m(1, 1).real
+        m01 = m(0, 1)
         det = m00 * m11 - (m01.real ** 2 + m01.imag ** 2)
-        return np.stack([m11 / det, m00 / det], axis=-1)
+        return [m11 / det, m00 / det]
     if K == 3:
-        m00, m11, m22 = Mh[..., 0, 0].real, Mh[..., 1, 1].real, Mh[..., 2, 2].real
-        m01, m02, m12 = Mh[..., 0, 1], Mh[..., 0, 2], Mh[..., 1, 2]
-        a01 = m01.real ** 2 + m01.imag ** 2
-        a02 = m02.real ** 2 + m02.imag ** 2
-        a12 = m12.real ** 2 + m12.imag ** 2
-        c00 = m11 * m22 - a12
-        c11 = m00 * m22 - a02
-        c22 = m00 * m11 - a01
-        det = m00 * c00 - m11 * a02 - m22 * a01 \
-            + 2.0 * (m01 * m12 * np.conj(m02)).real
-        return np.stack([c00 / det, c11 / det, c22 / det], axis=-1)
-    return np.einsum("...ii->...i", np.linalg.inv(Mh)).real
+        # The hot path of the descent's scans: updates are in place to spare
+        # temporaries; each one rounds as the written-out expression would.
+        m00, m11, m22 = m(0, 0).real, m(1, 1).real, m(2, 2).real
+        m01, m02, m12 = m(0, 1), m(0, 2), m(1, 2)
+        a01 = m01.real ** 2
+        a01 += m01.imag ** 2
+        a02 = m02.real ** 2
+        a02 += m02.imag ** 2
+        a12 = m12.real ** 2
+        a12 += m12.imag ** 2
+        c00 = m11 * m22
+        c00 -= a12
+        c11 = m00 * m22
+        c11 -= a02
+        c22 = m00 * m11
+        c22 -= a01
+        det = m00 * c00
+        det -= m11 * a02
+        det -= m22 * a01
+        triple = m01 * m12
+        triple *= np.conj(m02)
+        det += 2.0 * triple.real
+        return [c00 / det, c11 / det, c22 / det]
+    Mh = np.stack([np.stack([m(k, l) for l in range(K)], axis=-1) for k in range(K)], axis=-2)
+    # np.linalg.inv raises on the first exactly singular matrix of a stack
+    inv = np.full(Mh.shape, np.nan, dtype=complex)
+    regular = np.linalg.det(Mh) != 0
+    inv[regular] = np.linalg.inv(Mh[regular])
+    return [inv[..., k, k].real for k in range(K)]
 
 
 def _batch_rates(G: np.ndarray, kind: str, transmit_snr: float) -> np.ndarray:
-    """Per-user rates for stacked channels (..., K, M) under ZF or MRC."""
-    return _gram_rates(np.einsum("...km,...lm->...kl", np.conj(G), G), kind,
-                       transmit_snr)
+    """Per-user rates (..., K) for stacked channels (..., K, M) under ZF or MRC."""
+    Mh = np.einsum("...km,...lm->...kl", np.conj(G), G)
+    return np.stack(_gram_rates(lambda k, l: Mh[..., k, l], G.shape[-2], kind,
+                                transmit_snr), axis=-1)
 
 
-def _gram_rates(Mh: np.ndarray, kind: str, transmit_snr: float) -> np.ndarray:
-    """Per-user rates from stacked Gram matrices Mh[k, l] = h_k^H h_l (..., K, K).
+def _gram_rates(m, K: int, kind: str, transmit_snr) -> list:
+    """Per-user rates, one array per user, from Gram entries m(k, l) = h_k^H h_l.
 
-    With unit-norm precoding columns and equal power p = 1/K, zero-forcing
-    gives sinr_i = p * snr / [Mh^{-1}]_ii and matched beams give cross gains
-    |h_j^H w_i|^2 = |Mh[j, i]|^2 / Mh[i, i]. Numerically degenerate
-    candidates come out as NaN; callers map them to -inf objectives. The
-    descent's final value is re-scored through the public beamforming path.
+    Each entry is evaluated only when it is read. With unit-norm precoding
+    columns and equal power p = 1/K, zero-forcing gives sinr_i = p * snr /
+    [Mh^{-1}]_ii and matched beams give cross gains |h_j^H w_i|^2 =
+    |Mh[j, i]|^2 / Mh[i, i]. ``transmit_snr`` broadcasts against the
+    entries. Numerically degenerate candidates come out as NaN; callers map
+    them to -inf objectives. The descent's final value is re-scored through
+    the public beamforming path.
     """
-    K = Mh.shape[-1]
     p = 1.0 / K
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if kind == "zf":
-            inv_diag = _gram_inverse_diag(Mh)
-            valid = np.isfinite(inv_diag) & (inv_diag > 0)
-            sinr = np.where(valid, p * transmit_snr / inv_diag, np.nan)
+            sinr = []
+            for d in _gram_inverse_diag(m, K):
+                x = p * transmit_snr / d
+                np.copyto(x, np.nan, where=~(np.isfinite(d) & (d > 0)))
+                sinr.append(x)
         elif kind == "mrc":
-            diag = np.einsum("...ii->...i", Mh).real
-            cross = (Mh.real ** 2 + Mh.imag ** 2) / diag[..., None, :]
-            signal = np.einsum("...ii->...i", cross)
-            interference = cross.sum(axis=-1) - signal
-            sinr = p * signal * transmit_snr / (1.0 + transmit_snr * p * interference)
+            diag = [m(i, i).real for i in range(K)]
+            sinr = []
+            for j in range(K):
+                cross = [(z.real ** 2 + z.imag ** 2) / diag[i]
+                         for i, z in enumerate(m(j, i) for i in range(K))]
+                interference = functools.reduce(np.add, cross) - cross[j]
+                sinr.append(p * cross[j] * transmit_snr
+                            / (1.0 + transmit_snr * p * interference))
         else:
             raise ValueError(f"unknown beamformer kind {kind!r}")
-        return np.log2(1.0 + sinr)
+        for x in sinr:
+            x += 1.0
+            np.log2(x, out=x)
+        return sinr
 
 
-def _reduce_objective(rates: np.ndarray, objective: str) -> np.ndarray:
-    """Reduce per-user rates (..., K) over users, folding in user order.
+def _reduce_objective(rates, objective: str):
+    """Reduce per-user rates (a sequence over users) in user order.
 
     An elementwise fold over the K users is far faster than a reduction
     along the short last axis of a long stack of candidates.
@@ -360,7 +387,13 @@ def _reduce_objective(rates: np.ndarray, objective: str) -> np.ndarray:
         fold = np.minimum
     else:
         raise ValueError(f"unknown objective {objective!r}")
-    return functools.reduce(fold, np.moveaxis(rates, -1, 0))
+    return functools.reduce(fold, rates)
+
+
+def _scores(m, K: int, kind: str, objective: str, transmit_snr) -> np.ndarray:
+    """Objective from Gram entries m(k, l), -inf where degenerate."""
+    obj = _reduce_objective(_gram_rates(m, K, kind, transmit_snr), objective)
+    return np.where(np.isfinite(obj), obj, -np.inf)
 
 
 def _one_per_guide_layout(offsets) -> PinchingLayout:
@@ -368,70 +401,135 @@ def _one_per_guide_layout(offsets) -> PinchingLayout:
                           tuple((1.0,) for _ in offsets))
 
 
-@dataclass(frozen=True, eq=False)
-class _CandidateTables:
-    """Geometry-only inputs of the descent, shared across transmit SNRs.
-
-    ``outers[g]`` holds the rank-1 Gram terms conj(c_k) c_l of guide g's
-    channel column c at every candidate in ``grids[g]``, batch axis last
-    (K, K, n) so that each Gram entry is a contiguous array.
-    """
-
-    carrier: CarrierSpec
-    waveguides: tuple[WaveguideSpec, ...]
-    users: np.ndarray
-    grid_res: float
-    grids: tuple[np.ndarray, ...]
-    outers: tuple[np.ndarray, ...]
-
-
 def _guide_columns(s: Scenario, g: int, xs: np.ndarray) -> np.ndarray:
-    """LoS channel columns (K, len(xs)) of guide g with its antenna at offsets xs."""
-    return link_gains(s, s.waveguides[g], xs[None, :], s.users.positions[:, None, :])
+    """LoS channel columns (K, *xs.shape) of guide g with its antenna at offsets xs.
+
+    The leading length-1 axis of the offsets is kept: numpy's complex
+    multiply takes another kernel, with other rounding, when an operand is
+    broadcast along the inner loop, so the layout fixes the bits.
+    """
+    users = s.users.positions
+    return link_gains(s, s.waveguides[g], xs[None],
+                      users.reshape(users.shape[:1] + (1,) * xs.ndim + (3,)))
 
 
 def _outer(c: np.ndarray) -> np.ndarray:
-    """Rank-1 Gram terms of stacked columns: (K, n) -> (K, K, n)."""
-    return np.conj(c)[:, None, :] * c[None, :, :]
+    """Rank-1 Gram terms of stacked columns: (..., K, n) -> (..., K, K, n)."""
+    return np.conj(c)[..., :, None, :] * c[..., None, :, :]
 
 
-def _candidate_tables(s: Scenario, grid_res: float | None = None) -> _CandidateTables:
-    """Candidate grids (``grid_res``, default lambda0/4) and their Gram terms."""
-    res = default_grid_res(s) if grid_res is None else grid_res
-    grids = tuple(_offset_grid(0.0, w.length_m, res) for w in s.waveguides)
-    outers = tuple(_outer(_guide_columns(s, g, grid)) for g, grid in enumerate(grids))
-    return _CandidateTables(s.carrier, s.waveguides, s.users.positions, res, grids, outers)
+def _zoom_max(fn, a, b, x0, v0, bracket_tol: float, points: int = ZOOM_POINTS):
+    """Batched zoom refinement of grid maxima (x0, v0) inside brackets [a, b].
 
-
-def _zoom_max(fn_batch, a: float, b: float, x0: float, v0: float,
-              bracket_tol: float, points: int = ZOOM_POINTS):
-    """Batched zoom refinement of a grid maximum (x0, v0) inside [a, b].
-
-    Each pass scores ``points`` evenly spaced offsets across the bracket and
-    shrinks it to one spacing either side of the pass's best offset (exact
-    ties to the smallest), until it is narrower than ``bracket_tol``.
-    Returns the best (x, value) seen; (x0, v0) is kept unless a candidate
-    beats it or ties it at a smaller offset.
+    Arrays hold one row per state. Each pass scores ``points`` evenly spaced
+    offsets across every open bracket at once, ``fn(rows, xs)`` mapping the
+    open rows and their offsets (rows, points) to values, and shrinks each
+    bracket to one spacing either side of its pass's best offset (exact ties
+    to the smallest), until it is narrower than ``bracket_tol``. Returns the
+    best (x, value) per row; (x0, v0) is kept unless a candidate beats it or
+    ties it at a smaller offset.
     """
-    x_best, v_best = x0, v0
-    while b - a > bracket_tol and b > a:  # b > a: ends even for bracket_tol <= 0
-        xs = np.linspace(a, b, points)
-        vals = fn_batch(xs)
-        j = int(np.argmax(vals))
-        if vals[j] > v_best or (vals[j] == v_best and xs[j] < x_best):
-            x_best, v_best = float(xs[j]), float(vals[j])
-        h = (b - a) / (points - 1)
-        a, b = max(a, xs[j] - h), min(b, xs[j] + h)
-    return x_best, v_best
+    a, b, x, v = (np.array(t, dtype=float) for t in (a, b, x0, v0))
+    # b > a: ends even for bracket_tol <= 0
+    rows = np.flatnonzero((b - a > bracket_tol) & (b > a))
+    while rows.size:
+        xs = np.linspace(a[rows], b[rows], points, axis=-1)
+        vals = fn(rows, xs)
+        best = np.arange(rows.size), np.argmax(vals, axis=-1)
+        xj, vj = xs[best], vals[best]
+        better = (vj > v[rows]) | ((vj == v[rows]) & (xj < x[rows]))
+        x[rows[better]], v[rows[better]] = xj[better], vj[better]
+        h = (b[rows] - a[rows]) / (points - 1)
+        a[rows], b[rows] = np.maximum(a[rows], xj - h), np.minimum(b[rows], xj + h)
+        rows = rows[(b[rows] - a[rows] > bracket_tol) & (b[rows] > a[rows])]
+    return x, v
 
 
-def optimize_multi_waveguide(s: Scenario, beamformer_kind: str = "zf",
-                             objective: str = "sum_rate", budget: int = 10,
-                             grid_res: float | None = None,
-                             tol: float = 1e-9,
-                             refine_tol: float = 1e-8, *,
-                             _tables: _CandidateTables | None = None) -> PlacementSolution:
-    """Jointly place one antenna per waveguide by coordinate descent.
+def _descend(s: Scenario, transmit_snrs: np.ndarray, kind: str, objective: str,
+             budget: int, grid_res: float | None, tol: float, refine_tol: float):
+    """Coordinate descent of one state per transmit SNR, stepped in lockstep.
+
+    The states share the geometry, the start and the candidate tables: the
+    rank-1 Gram terms conj(c_k) c_l of each guide's channel column c at
+    every grid offset, candidate axis last (K, K, n) so that each Gram entry
+    is a contiguous array. A state leaves the lockstep when a cycle improves
+    it by less than ``tol``. Returns offsets (B, M), traces, cycles and
+    converged flags per state.
+    """
+    users = s.users.positions
+    K, M, B = users.shape[0], len(s.waveguides), len(transmit_snrs)
+    res = default_grid_res(s) if grid_res is None else grid_res
+    grids = [_offset_grid(0.0, w.length_m, res) for w in s.waveguides]
+    tables = [_outer(_guide_columns(s, g, grid)) for g, grid in enumerate(grids)]
+
+    # Start each antenna at the projection of the user nearest to its guide
+    # (argmin breaks ties to the lower user index).
+    start = np.empty(M)
+    for g, w in enumerate(s.waveguides):
+        proj = project_onto_waveguide(w, users)
+        start[g] = proj.offset[np.argmin(proj.distance)]
+    cols0 = np.concatenate([_guide_columns(s, g, start[g:g + 1]) for g in range(M)],
+                           axis=1)  # (K, M)
+    gram = _outer(cols0).sum(axis=-1)[:, :, None]
+    value = _scores(lambda k, l: gram[k, l], K, kind, objective, transmit_snrs)
+    traces = [[float(v)] for v in value]
+    offsets = np.tile(start, (B, 1))
+    cols = np.repeat(cols0[None], B, axis=0)  # (B, K, M)
+    cycles = np.zeros(B, dtype=int)
+    converged = np.zeros(B, dtype=bool)
+    live = np.arange(B)
+    for _ in range(budget):
+        cycles[live] += 1
+        cycle_gain = np.zeros(live.size)
+        for g in range(M):
+            fixed = _outer(np.delete(cols[live], g, axis=-1)).sum(axis=-1)  # (L, K, K)
+            grid, table = grids[g], tables[g]
+            found = []  # (position in live, grid index, grid value)
+            for r, state in enumerate(live):
+                f = fixed[r]
+                obj = _scores(lambda k, l: f[k, l] + table[k, l], K, kind, objective,
+                              transmit_snrs[state])
+                i = _argmax_tie_smallest(obj)
+                if obj[i] != -np.inf:
+                    found.append((r, i, obj[i]))
+            if not found:
+                continue
+            pos, idx, best = (np.array(t) for t in zip(*found))
+            step = grid[1] - grid[0]
+            fz, rho_z = fixed[pos], transmit_snrs[live[pos], None]
+
+            def zoom_scores(rows, xs):
+                c = _guide_columns(s, g, xs)  # (K, rows, points)
+                F = fz[rows]
+                return _scores(lambda k, l: F[:, k, l, None] + np.conj(c[k]) * c[l],
+                               K, kind, objective, rho_z[rows])
+
+            x, v = _zoom_max(zoom_scores, np.maximum(0.0, grid[idx] - step),
+                             np.minimum(s.waveguides[g].length_m, grid[idx] + step),
+                             grid[idx], best, refine_tol)
+            up = v > value[live[pos]]
+            pos, x, v = pos[up], x[up], v[up]
+            states = live[pos]
+            cycle_gain[pos] += v - value[states]
+            value[states] = v
+            offsets[states, g] = x
+            for state, vs in zip(states, v):
+                cols[state, :, g] = _guide_columns(s, g, offsets[state, g:g + 1])[:, 0]
+                traces[state].append(float(vs))
+        done = cycle_gain < tol
+        converged[live[done]] = True
+        live = live[~done]
+        if not live.size:
+            break
+    return offsets, traces, cycles, converged
+
+
+def optimize_multi_waveguide_sweep(s: Scenario, transmit_snrs, beamformer_kind: str = "zf",
+                                   objective: str = "sum_rate", budget: int = 10,
+                                   grid_res: float | None = None, tol: float = 1e-9,
+                                   refine_tol: float = 1e-8) -> tuple[PlacementSolution, ...]:
+    """Jointly place one antenna per waveguide by coordinate descent, at each
+    transmit SNR in ``transmit_snrs`` (linear; ``s.transmit_snr`` is unused).
 
     Cycles over waveguides; each step scans that guide's offset on a dense
     grid (lambda0/4 by default), then refines the best cell by batched zoom
@@ -439,40 +537,30 @@ def optimize_multi_waveguide(s: Scenario, beamformer_kind: str = "zf",
     one antenna changes one channel column, so every candidate's Gram matrix
     is the other guides' fixed part plus the rank-1 outer product of its own
     column, from which the beamformer's rates follow in closed form. Steps
-    are accepted only when they improve the objective, so the recorded trace
-    is nondecreasing; the descent stops when a full cycle improves it by less
-    than ``tol`` or the cycle budget runs out. Candidates that leave the
-    channel rank-deficient are skipped. The returned value is re-scored
+    are accepted only when they improve the objective, so each recorded
+    trace is nondecreasing; a descent stops when a full cycle improves it by
+    less than ``tol`` or the cycle budget runs out. Candidates that leave the
+    channel rank-deficient are skipped. Each returned value is re-scored
     through ``build_channel`` and the public beamformers.
 
-    ``_tables`` (from ``_candidate_tables``) lets callers that sweep the
-    transmit SNR over one geometry build the candidate tables once.
+    The descents share one geometry and one set of candidate tables, built
+    here and freed on return, and are stepped together; each solution equals
+    the one :func:`optimize_multi_waveguide` returns at its SNR.
     """
     if beamformer_kind not in ("zf", "mrc"):
         raise ValueError(f"unknown beamformer kind {beamformer_kind!r}")
     if objective not in ("sum_rate", "max_min_rate"):
         raise ValueError(f"unknown objective {objective!r}")
-    users = s.users.positions
-    K, M = users.shape[0], len(s.waveguides)
+    K, M = len(s.users.positions), len(s.waveguides)
     if K == 0 or M == 0:
         raise ValueError("need at least one user and one waveguide")
     if beamformer_kind == "zf" and K > M:
         raise ValueError(f"zero-forcing needs users <= waveguides, got {K} > {M}")
-    tables = _candidate_tables(s, grid_res) if _tables is None else _tables
-    if (tables.carrier is not s.carrier or tables.waveguides is not s.waveguides
-            or not np.array_equal(tables.users, users)
-            or grid_res not in (None, tables.grid_res)):
-        raise ValueError("candidate tables were built for another geometry")
-    rho = s.transmit_snr
+    rhos = [float(rho) for rho in transmit_snrs]
+    offsets, traces, cycles, converged = _descend(
+        s, np.asarray(rhos), beamformer_kind, objective, budget, grid_res, tol, refine_tol)
 
-    def scores(grams: np.ndarray) -> np.ndarray:
-        """Objective of stacked Gram matrices (K, K, n), -inf where degenerate."""
-        rates = _gram_rates(np.moveaxis(grams, -1, 0), beamformer_kind, rho)
-        obj = _reduce_objective(rates, objective)
-        return np.where(np.isfinite(obj), obj, -np.inf)
-
-    def public_objective(offsets) -> float:
-        layout = _one_per_guide_layout(offsets)
+    def public_objective(layout, rho) -> float:
         try:
             H = build_channel(s, layout, los_states=True)
             B = zf_beamformer(H) if beamformer_kind == "zf" else mrc_beamformer(H)
@@ -481,45 +569,18 @@ def optimize_multi_waveguide(s: Scenario, beamformer_kind: str = "zf",
             return -np.inf
         return float(_reduce_objective(report.per_user_rate_bps_hz, objective))
 
-    # Start each antenna at the projection of the user nearest to its guide
-    # (argmin breaks ties to the lower user index).
-    offsets = np.empty(M)
-    for g, w in enumerate(s.waveguides):
-        proj = project_onto_waveguide(w, users)
-        offsets[g] = proj.offset[np.argmin(proj.distance)]
-    cols = np.concatenate([_guide_columns(s, g, offsets[g:g + 1])
-                           for g in range(M)], axis=1)  # (K, M)
+    layouts = [_one_per_guide_layout(row) for row in offsets]
+    return tuple(PlacementSolution(layout, public_objective(layout, rho), objective,
+                                   int(n), bool(done), tuple(trace))
+                 for layout, rho, n, done, trace in zip(layouts, rhos, cycles, converged, traces))
 
-    value = float(scores(_outer(cols).sum(axis=-1)[:, :, None])[0])
-    trace = [value]
-    cycles = 0
-    converged = False
-    while cycles < budget:
-        cycles += 1
-        cycle_gain = 0.0
-        for g in range(M):
-            fixed = _outer(np.delete(cols, g, axis=1)).sum(axis=-1)[:, :, None]
-            obj = scores(fixed + tables.outers[g])
-            i = _argmax_tie_smallest(obj)
-            if obj[i] == -np.inf:
-                continue
-            grid = tables.grids[g]
-            step = grid[1] - grid[0]
-            a = max(0.0, grid[i] - step)
-            b = min(s.waveguides[g].length_m, grid[i] + step)
-            cand_x, cand_v = _zoom_max(
-                lambda xs: scores(fixed + _outer(_guide_columns(s, g, xs))),
-                a, b, float(grid[i]), float(obj[i]), refine_tol)
-            if cand_v > value:
-                cycle_gain += cand_v - value
-                value = cand_v
-                offsets[g] = cand_x
-                cols[:, g] = _guide_columns(s, g, offsets[g:g + 1])[:, 0]
-                trace.append(value)
-        if cycle_gain < tol:
-            converged = True
-            break
 
-    layout = _one_per_guide_layout(offsets)
-    final = public_objective(offsets)
-    return PlacementSolution(layout, final, objective, cycles, converged, tuple(trace))
+def optimize_multi_waveguide(s: Scenario, beamformer_kind: str = "zf",
+                             objective: str = "sum_rate", budget: int = 10,
+                             grid_res: float | None = None,
+                             tol: float = 1e-9,
+                             refine_tol: float = 1e-8) -> PlacementSolution:
+    """Jointly place one antenna per waveguide by coordinate descent at
+    ``s.transmit_snr``: the one-SNR case of :func:`optimize_multi_waveguide_sweep`."""
+    return optimize_multi_waveguide_sweep(s, (s.transmit_snr,), beamformer_kind, objective,
+                                          budget, grid_res, tol, refine_tol)[0]

@@ -81,8 +81,9 @@ class LoSModelConfig:
 
     ``exponential`` uses exp(-rho_los * r); ``inmo`` is the indoor
     mixed-office piecewise curve (constants overridable); ``always_los``
-    returns 1 at any distance. NLoS links incur an extra amplitude loss of
-    ``nlos_extra_loss_db`` (power loss of twice that many dB over amplitude).
+    returns 1 at any distance. NLoS links lose an extra
+    ``nlos_extra_loss_db`` dB of power: their amplitude is scaled by
+    10^(-nlos_extra_loss_db/20), so the 20 dB default makes LoS 100x stronger.
     """
 
     kind: str = "inmo"

@@ -51,6 +51,7 @@ from .scenario import (
 
 # Both loaders run the same safe constructors; libyaml's only parses faster.
 _SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+SNR_DB_LIMIT = 3000.0  # beyond about 3082 dB, 10 ** (dB / 10) overflows a float
 
 
 class ScenarioFormatError(ValueError):
@@ -87,6 +88,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     carrier = CarrierSpec(_number(_require(_require(data, "carrier", "scenario"),
                                            "frequency_hz", "carrier"), "carrier.frequency_hz"))
     snr_db = _number(_require(data, "transmit_snr_db", "scenario"), "transmit_snr_db")
+    if not -SNR_DB_LIMIT <= snr_db <= SNR_DB_LIMIT:
+        raise ScenarioFormatError(f"transmit_snr_db: expected a value in "
+                                  f"[-{SNR_DB_LIMIT:g}, {SNR_DB_LIMIT:g}] dB, got {snr_db!r}")
 
     los_raw = data.get("los_model", {}) or {}
     defaults = LoSModelConfig()

@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +67,19 @@ def test_non_finite_scenario_number_exits_2(tmp_path_factory, field, value):
     code = cli.main(["tdma-demo", "--scenario", str(path), "--out", str(tmp / "out")])
     assert code == cli.EXIT_CONFIG
     assert not (tmp / "out" / "tdma_demo.csv").exists()
+
+
+@pytest.mark.parametrize("snr_db", ["4000.0", "-4000.0"])
+def test_out_of_range_scenario_snr_exits_2(tmp_path, capsys, snr_db):
+    path = save_scenario(tdma_scenario(), tmp_path / "scenario.yaml")
+    text, n = re.subn(r"^(\s*transmit_snr_db:) .*$", rf"\1 {snr_db}",
+                      path.read_text(encoding="utf-8"), count=1, flags=re.M)
+    assert n == 1
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["tdma-demo", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert not (out / "tdma_demo.csv").exists()
 
 
 def test_guide_on_users_plane_exits_2(tmp_path, capsys):
@@ -134,3 +150,21 @@ def test_cli_runs_are_reproducible(tmp_path, scenario_file):
                          "--seed", "9", "--grid-res", "1.0"]) == 0
         hashes.append(hashlib.sha256((out / "heatmap.csv").read_bytes()).hexdigest())
     assert hashes[0] == hashes[1]
+
+
+# sha256 of this run's CSV before the descent stepped a drop's SNR sweep as one batch
+PINNED_SWEEP_SHA256 = "b2f40c98a9bbe2b996db63f2a5ab05e5b7df6e0abfc0dd173751c4f9a65e2bf3"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_compare_mimo_sweep_csv_is_pinned(tmp_path, threads):
+    path = str(save_scenario(compare_scenario(), tmp_path / "compare.yaml"))
+    out = tmp_path / "out"
+    env = dict(os.environ, OMP_NUM_THREADS=str(threads), OPENBLAS_NUM_THREADS=str(threads))
+    proc = subprocess.run([sys.executable, "-m", "pinchsim.cli", "compare-mimo",
+                           "--scenario", path, "--out", str(out), "--seed", "3",
+                           "--snr-db", "90,100,110", "--drops", "2", "--budget", "4"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256((out / "compare_mimo.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_SWEEP_SHA256

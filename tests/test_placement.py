@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchsim import (
     GuidedWave,
@@ -14,16 +16,13 @@ from pinchsim import (
     evaluate_rates,
     link_gains,
     optimize_multi_waveguide,
+    optimize_multi_waveguide_sweep,
     place_single_for_group,
     place_single_for_user,
     project_onto_waveguide,
     zf_beamformer,
 )
-from pinchsim.placement import (
-    _candidate_tables,
-    _wrap,
-    maximize_on_segment,
-)
+from pinchsim.placement import _wrap, maximize_on_segment
 from pinchsim.scenario import UserSet
 from tests.conftest import make_scenario
 
@@ -250,6 +249,15 @@ def test_descent_trace_is_monotone_and_value_consistent():
     assert sol.layout.violations(s.waveguides) == []
 
 
+def assert_same_solution(a, b):
+    assert a.layout.offsets_per_guide == b.layout.offsets_per_guide
+    assert a.objective_value == b.objective_value
+    assert a.objective_kind == b.objective_kind
+    assert a.iterations == b.iterations
+    assert a.converged == b.converged
+    assert a.trace == b.trace
+
+
 def test_descent_is_deterministic():
     users = [(-1.0, -3.0, 0.0), (2.0, 6.0, 0.0), (0.5, 8.0, 0.0)]
     s = three_guide_scenario(users)
@@ -258,10 +266,9 @@ def test_descent_is_deterministic():
     assert a.layout.offsets_per_guide == b.layout.offsets_per_guide
     assert a.objective_value == b.objective_value
     assert a.trace == b.trace
-    # candidate tables built once and shared give the same descent
-    c = optimize_multi_waveguide(s, "zf", "sum_rate", _tables=_candidate_tables(s))
-    assert c.layout.offsets_per_guide == a.layout.offsets_per_guide
-    assert c.trace == a.trace
+    # the same descent stepped inside a sweep gives the same solution
+    rhos = (s.transmit_snr / 1e3, s.transmit_snr)
+    assert_same_solution(optimize_multi_waveguide_sweep(s, rhos, "zf", "sum_rate")[1], a)
 
 
 def test_descent_max_min_objective_runs():
@@ -297,6 +304,43 @@ def test_descent_argument_validation(guide_y):
     with pytest.raises(ValueError, match="objective"):
         optimize_multi_waveguide(s, "mrc", "throughput")
     s3 = three_guide_scenario([(1, 1, 0)])
-    moved = dataclasses.replace(s3, users=UserSet([(1, 2, 0)]))
-    with pytest.raises(ValueError, match="another geometry"):
-        optimize_multi_waveguide(moved, "zf", "sum_rate", _tables=_candidate_tables(s3))
+    (swept,) = optimize_multi_waveguide_sweep(s3, [s3.transmit_snr], "zf", "sum_rate")
+    assert_same_solution(swept, optimize_multi_waveguide(s3, "zf", "sum_rate"))
+
+
+@st.composite
+def sweep_cases(draw):
+    """Random geometry with K <= M <= 4 short guides above the users, an SNR list
+    that may repeat, a beamformer and an objective; users may coincide."""
+    m = draw(st.integers(1, 4))
+    k = draw(st.integers(1, m))
+    coord = st.floats(-2.0, 2.0, allow_nan=False)
+    guides = []
+    for _ in range(m):
+        angle = draw(st.floats(0.0, 2 * math.pi))
+        guides.append(WaveguideSpec(
+            feed_point=(draw(coord), draw(coord), draw(st.floats(2.0, 4.0))),
+            axis_direction=(math.cos(angle), math.sin(angle), draw(st.floats(-0.2, 0.2))),
+            length_m=draw(st.floats(0.05, 1.0)), relative_permittivity=2.1,
+            guide_attenuation_np_per_m=draw(st.sampled_from([0.0, 0.08]))))
+    users = [(draw(coord), draw(coord), 0.0) for _ in range(k)]
+    if k > 1 and draw(st.booleans()):
+        users[1] = users[0]  # identical users: ZF is degenerate everywhere
+    snr_db = draw(st.lists(st.sampled_from([0.0, 30.0, 60.0, 90.0, 110.0]),
+                           min_size=1, max_size=4))
+    return (make_scenario(users, guides), [10.0 ** (v / 10.0) for v in snr_db],
+            draw(st.sampled_from(["zf", "mrc"])),
+            draw(st.sampled_from(["sum_rate", "max_min_rate"])), draw(st.integers(1, 4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=sweep_cases())
+def test_sweep_equals_one_descent_per_snr(case):
+    s, rhos, kind, objective, budget = case
+    swept = optimize_multi_waveguide_sweep(s, rhos, kind, objective, budget)
+    assert len(swept) == len(rhos)
+    for rho, sol in zip(rhos, swept):
+        single = optimize_multi_waveguide(dataclasses.replace(s, transmit_snr=rho),
+                                          kind, objective, budget)
+        assert_same_solution(sol, single)
+        assert all(b >= a for a, b in zip(sol.trace, sol.trace[1:]))
