@@ -14,7 +14,9 @@ once on each side with the same arguments, parent first in even pairs and
 change first in odd ones. The summary holds, per workload, seed and
 end-to-end metric of ``BENCHMARK.json``: every run's value, each side's
 median and quartiles, and the pairs the change won (ties count for
-neither side). Invocations with the same ``--number`` add to the existing
+neither side). It also holds the sha256 of the CSV that one CLI run writes
+on each side, on the input that side's own ``perfbench/workloads.py``
+builds from the seed, and whether the two match. Invocations with the same ``--number`` add to the existing
 file: each workload and seed holds the list of its series, in run order.
 """
 
@@ -31,6 +33,22 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Run from a checkout's root: one CLI run on the workload's input, then the
+# sha256 of its CSV as the last stdout line.
+CSV_HASH_CODE = """\
+import hashlib, sys, tempfile
+from pathlib import Path
+sys.path[:0] = ["src", "perfbench"]
+from pinchsim import cli
+from workloads import WORKLOADS
+with tempfile.TemporaryDirectory() as tmp:
+    workload = WORKLOADS[sys.argv[1]](int(sys.argv[2]), Path(tmp))
+    if cli.main(list(workload.argv)) != 0:
+        sys.exit("the workload's CLI run failed")
+    print(hashlib.sha256(workload.csv.read_bytes()).hexdigest())
+"""
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -79,6 +97,14 @@ def run_once(side: str, checkout: Path, args: argparse.Namespace) -> dict:
     return result
 
 
+def csv_sha256(checkout: Path, args: argparse.Namespace) -> str:
+    """sha256 of the CSV of one CLI run of the workload in ``checkout``."""
+    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
+    done = subprocess.run([sys.executable, "-c", CSV_HASH_CODE, args.workload, str(args.seed)],
+                          cwd=checkout, env=env, capture_output=True, text=True, check=True)
+    return done.stdout.strip().splitlines()[-1]
+
+
 def spread(values: list) -> dict:
     if len(values) < 2:
         q1 = median = q3 = values[0]
@@ -122,17 +148,21 @@ def main(argv=None) -> int:
     runs: dict = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
         checkouts = {"parent": export(args.parent, Path(tmp)), "change": ROOT}
+        hashes = {side: csv_sha256(checkouts[side], args) for side in checkouts}
+        print(f"csv sha256: parent {hashes['parent']}, change {hashes['change']}", flush=True)
         for i in range(args.pairs):
             print(f"pair {i + 1}/{args.pairs}", flush=True)
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 runs[side].append(run_once(side, checkouts[side], args))
     summary = summarize(runs, end_to_end)
+    summary["csv_sha256"] = {**hashes, "match": hashes["parent"] == hashes["change"]}
     report["results"].setdefault(args.workload, {}).setdefault(str(args.seed), []).append(summary)
     out_path.write_text(json.dumps(report, indent=2) + "\n")
     for name, m in summary["metrics"].items():
         print(f"{name}: {m['parent']['median']:.6g} -> {m['change']['median']:.6g} "
               f"(change wins {m['change_wins']}/{summary['pairs']})")
+    print(f"csv sha256 match: {summary['csv_sha256']['match']}")
     return 0
 
 

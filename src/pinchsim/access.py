@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import RateReport, _gains
-from .channel import _check_clear_of_users, _check_layout, link_gains, link_power
+from .channel import _check_clear_of_users, link_gains, link_power
 from .placement import (
     PlacementSolution,
     _argmax_tie_smallest,
@@ -25,68 +25,184 @@ from .placement import (
 from .scenario import PinchingLayout, Scenario
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    a = np.array(values, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class TdmaSchedule:
-    """Ordered service slots: (user index, layout) plus time shares."""
+    """Ordered service slots and their activated antennas, as flat arrays.
 
-    slots: tuple[tuple[int, PinchingLayout], ...]
-    slot_fractions: tuple[float, ...]
+    Slot ``i`` serves user ``served[i]`` for a time share
+    ``slot_fractions[i]``. Antenna ``a`` is active in slot
+    ``antenna_slot[a]`` on guide ``antenna_guide[a]``, at ``offsets[a]``
+    meters from that guide's feed with power-split weight ``weights[a]``.
+    The antennas of one slot and guide form that slot's layout on the
+    guide, in array order. ``minimum_spacing_m`` (one value, or one per
+    slot) is the smallest spacing each slot's layout allows.
+    ``guides_per_slot``, when given, is the number of guides each slot's
+    layout was written for; :meth:`from_layouts` records it, so a layout
+    for another guide count is rejected as :func:`build_channel` rejects it.
+    """
+
+    served: np.ndarray
+    slot_fractions: np.ndarray
+    antenna_slot: np.ndarray
+    antenna_guide: np.ndarray
+    offsets: np.ndarray
+    weights: np.ndarray
+    minimum_spacing_m: float | np.ndarray = 0.0
+    guides_per_slot: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "slots",
-                           tuple((int(u), lay) for u, lay in self.slots))
-        object.__setattr__(self, "slot_fractions",
-                           tuple(float(f) for f in self.slot_fractions))
+        for name, dtype in (("served", np.intp), ("slot_fractions", float),
+                            ("antenna_slot", np.intp), ("antenna_guide", np.intp),
+                            ("offsets", float), ("weights", float),
+                            ("minimum_spacing_m", float)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        if self.guides_per_slot is not None:
+            object.__setattr__(self, "guides_per_slot", _frozen(self.guides_per_slot, np.intp))
 
-    def validate(self, n_users: int) -> None:
-        if len(self.slots) != len(self.slot_fractions):
+    @classmethod
+    def from_layouts(cls, slots, slot_fractions) -> "TdmaSchedule":
+        """The schedule of ``(user, PinchingLayout)`` slots with these time shares.
+
+        Each layout's antennas are laid out guide by guide in layout order;
+        the layouts themselves are checked by :meth:`validate`, not here.
+        """
+        slot, guide, offsets, weights = [], [], [], []
+        for i, (_, layout) in enumerate(slots):
+            pairs = list(zip(layout.offsets_per_guide, layout.weights_per_guide))
+            if (len(layout.offsets_per_guide) != len(layout.weights_per_guide)
+                    or any(len(offs) != len(ws) for offs, ws in pairs)):
+                raise ValueError(f"slot {i}: invalid layout: layout_shape_mismatch")
+            for g, (offs, ws) in enumerate(pairs):
+                slot += [i] * len(offs)
+                guide += [g] * len(offs)
+                offsets += offs
+                weights += ws
+        return cls(served=[u for u, _ in slots], slot_fractions=slot_fractions,
+                   antenna_slot=slot, antenna_guide=guide, offsets=offsets, weights=weights,
+                   minimum_spacing_m=[lay.minimum_spacing_m for _, lay in slots],
+                   guides_per_slot=[len(lay.offsets_per_guide) for _, lay in slots])
+
+    def validate(self, s: Scenario) -> None:
+        """Raise ``ValueError`` unless the schedule fits ``s``, in one vectorized pass.
+
+        The time shares and served users are checked first. Then the first
+        slot with a fault is reported as :func:`build_channel` reports a
+        layout: a guide-count mismatch, else the layout's violation codes
+        (``negative_minimum_spacing``, ``offsets_unsorted``,
+        ``spacing_violation``, ``weights_not_normalized``,
+        ``offset_out_of_range``, guide by guide), else a slot with no antennas.
+        """
+        n_slots, n_users, n_guides = self.served.size, len(s.users), len(s.waveguides)
+        fractions = self.slot_fractions
+        if self.served.ndim != 1 or fractions.shape != self.served.shape:
             raise ValueError("one slot fraction is needed per slot")
-        if not self.slots:
+        if not n_slots:
             raise ValueError("schedule has no slots")
-        if any(f <= 0 or f > 1 for f in self.slot_fractions):
+        if np.any((fractions <= 0) | (fractions > 1)):
             raise ValueError("slot fractions must lie in (0, 1]")
-        if abs(sum(self.slot_fractions) - 1.0) > 1e-12:
-            raise ValueError(f"slot fractions sum to {sum(self.slot_fractions)!r}, not 1")
-        served = {u for u, _ in self.slots}
-        unknown = [u for u in served if u < 0 or u >= n_users]
-        if unknown:
-            raise ValueError(f"schedule references unknown users {sorted(unknown)}")
-        missing = set(range(n_users)) - served
-        if missing:
-            raise ValueError(f"users {sorted(missing)} appear in no slot")
+        total = sum(fractions.tolist())  # summed in slot order, as a Python sum
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"slot fractions sum to {total!r}, not 1")
+        served = self.served
+        unknown = (served < 0) | (served >= n_users)
+        if np.any(unknown):
+            raise ValueError(f"schedule references unknown users "
+                             f"{sorted(set(served[unknown].tolist()))}")
+        idle = np.ones(n_users, dtype=bool)
+        idle[served] = False
+        if np.any(idle):
+            raise ValueError(f"users {np.flatnonzero(idle).tolist()} appear in no slot")
+
+        slot, guide, x, w = self.antenna_slot, self.antenna_guide, self.offsets, self.weights
+        if not (slot.ndim == 1 and slot.shape == guide.shape == x.shape == w.shape):
+            raise ValueError("invalid layout: layout_shape_mismatch "
+                             "(antenna arrays of different shapes)")
+        if np.any((slot < 0) | (slot >= n_slots)):
+            raise ValueError(f"antenna slot indices must lie in [0, {n_slots})")
+        if np.any(guide < 0):
+            raise ValueError("antenna guide indices must be nonnegative")
+        spacing = np.broadcast_to(self.minimum_spacing_m, (n_slots,))
+
+        # One group per (slot, guide) layout, antennas in their array order.
+        order = np.lexsort((guide, slot))
+        slot, guide, x, w = slot[order], guide[order], x[order], w[order]
+        first = np.ones(slot.size, dtype=bool)
+        first[1:] = (slot[1:] != slot[:-1]) | (guide[1:] != guide[:-1])
+        group = np.cumsum(first) - 1
+        group_slot = slot[first]
+        n_groups = group_slot.size
+
+        def any_in_group(mask):
+            return np.bincount(group[mask], minlength=n_groups) > 0
+
+        step = np.zeros(slot.size)
+        step[1:] = x[1:] - x[:-1]
+        unsorted = any_in_group(~first & (step < -1e-15))
+        crowded = any_in_group(~first & (step < spacing[slot] - 1e-12)) & ~unsorted
+        # sum of squared weights in array order, as a Python sum adds them
+        unnormalized = np.abs(np.bincount(group, w * w, n_groups) - 1.0) > 1e-9
+        # a guide past the scenario's is reported as a mismatch, not here
+        length = np.array([wg.length_m for wg in s.waveguides] + [np.inf])[
+            np.minimum(guide, n_guides)]
+        out_of_range = any_in_group((x < -1e-12) | (x > length + 1e-12))
+
+        def any_in_slot(mask, slots):
+            return np.bincount(slots[mask], minlength=n_slots) > 0
+
+        mismatched = any_in_slot(guide >= n_guides, slot)
+        if self.guides_per_slot is not None:
+            mismatched |= self.guides_per_slot != n_guides
+        faulty = (mismatched | (spacing < 0) | (np.bincount(slot, minlength=n_slots) == 0)
+                  | any_in_slot(unsorted | crowded | unnormalized | out_of_range, group_slot))
+        if not np.any(faulty):
+            return
+        i = int(np.argmax(faulty))
+        if mismatched[i]:
+            covers = (int(self.guides_per_slot[i]) if self.guides_per_slot is not None
+                      else int(guide[slot == i].max()) + 1)
+            raise ValueError(f"slot {i}: layout covers {covers} waveguides, "
+                             f"scenario has {n_guides}")
+        codes = ["negative_minimum_spacing"] if spacing[i] < 0 else []
+        for k in np.flatnonzero(group_slot == i):
+            if unsorted[k]:
+                codes.append("offsets_unsorted")
+            elif crowded[k]:
+                codes.append("spacing_violation")
+            if unnormalized[k]:
+                codes.append("weights_not_normalized")
+            if out_of_range[k]:
+                codes.append("offset_out_of_range")
+        if codes:
+            raise ValueError(f"slot {i}: invalid layout: " + "; ".join(codes))
+        raise ValueError(f"slot {i}: layout activates no antennas")
 
 
 def tdma_rates(s: Scenario, schedule: TdmaSchedule) -> RateReport:
     """Per-user TDMA rates: time-weighted single-user rates over the slots.
 
     Slot layouts place antennas next to their users, so every link is taken
-    as LoS. One kernel call per guide synthesizes each slot's channel to its
-    served user only; each slot's layout still gets every check of
-    :func:`build_channel`, including that no activated antenna sits on any
-    user (served or not). Rates are accumulated in slot order. With one
-    antenna per guide in each slot, as ``tdma-demo`` places them, they equal
-    the per-slot ``build_channel`` result bit for bit; with more, a guide's
-    terms are summed in another order and may differ in the last bits.
+    as LoS. :meth:`TdmaSchedule.validate` checks the schedule and every
+    slot's layout in one pass, and no activated antenna may sit on any user
+    (served or not), as in :func:`build_channel`. One kernel call per guide
+    then synthesizes each slot's channel to its served user only, and rates
+    are accumulated in slot order. With one antenna per guide in each slot,
+    as ``tdma-demo`` places them, they equal the per-slot ``build_channel``
+    result bit for bit; with more, a guide's terms are summed in array order
+    and may differ from it in the last bits.
     """
-    n_users = len(s.users)
-    schedule.validate(n_users)
-    n_guides = len(s.waveguides)
-    served = np.array([u for u, _ in schedule.slots])
-    slot_idx, guide_idx, offsets, weights = [], [], [], []
-    for i, (_, layout) in enumerate(schedule.slots):
-        _check_layout(s, layout)
-        for g, (offs, ws) in enumerate(zip(layout.offsets_per_guide,
-                                           layout.weights_per_guide)):
-            slot_idx += [i] * len(offs)
-            guide_idx += [g] * len(offs)
-            offsets += offs
-            weights += ws
-    slot_idx, guide_idx = np.array(slot_idx), np.array(guide_idx)
-    offsets, weights = np.array(offsets), np.array(weights)
-
+    schedule.validate(s)
+    slot_idx, guide_idx = schedule.antenna_slot, schedule.antenna_guide
+    offsets, weights = schedule.offsets, schedule.weights
     _check_clear_of_users(s, guide_idx, offsets)
+    served = schedule.served
     users = s.users.positions[served[slot_idx]]
-    gains = np.zeros((len(served), n_guides), dtype=complex)
+    gains = np.zeros((len(served), len(s.waveguides)), dtype=complex)
     for g, w in enumerate(s.waveguides):
         on_g = guide_idx == g
         np.add.at(gains, (slot_idx[on_g], g),
@@ -98,9 +214,8 @@ def tdma_rates(s: Scenario, schedule: TdmaSchedule) -> RateReport:
     gain2 = np.float_power(np.sqrt(sqnorm), 2)
 
     rho = s.transmit_snr
-    fractions = np.array(schedule.slot_fractions)
-    rates = np.zeros(n_users)
-    np.add.at(rates, served, fractions * np.log2(1.0 + rho * gain2))
+    rates = np.zeros(len(s.users))
+    np.add.at(rates, served, schedule.slot_fractions * np.log2(1.0 + rho * gain2))
     sinr = np.exp2(rates) - 1.0
     return RateReport(sinr, rates, float(rates.sum()), "tdma")
 

@@ -50,8 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("compare-mimo", help="pinching+ZF vs conventional array schemes")
     _add_common(p)
-    p.add_argument("--snr-db", default="0,10,20,30",
-                   help="comma-separated transmit SNR sweep in dB")
+    p.add_argument("--snr-db", default="90,100,110,120",
+                   help="comma-separated transmit SNR sweep in dB (default: the case "
+                        "study's 0-30 dBm of transmit power over a -90 dBm noise floor)")
     p.add_argument("--drops", type=int, default=100, help="number of random user drops")
     p.add_argument("--bounds", type=float, nargs=4, default=(-5.0, 5.0, -5.0, 5.0),
                    metavar=("XMIN", "XMAX", "YMIN", "YMAX"),

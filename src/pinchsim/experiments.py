@@ -32,13 +32,7 @@ from .beamforming import (
 )
 from .channel import build_channel, free_space_gain, guide_distances, link_power, los_probability
 from .placement import optimize_multi_waveguide_sweep, place_single_for_group
-from .scenario import (
-    PinchingLayout,
-    Scenario,
-    UserSet,
-    project_onto_waveguide,
-    validate_scenario,
-)
+from .scenario import Scenario, UserSet, projected_offsets, validate_scenario
 from .scenario_io import SNR_DB_LIMIT, load_scenario, scenario_to_dict
 
 EXPERIMENT_KINDS = ("heatmap", "compare_mimo", "noma_region", "tdma_demo")
@@ -244,7 +238,7 @@ def run_heatmap(cfg: ExperimentConfig) -> HeatmapResult:
     g_conv = free_space_gain(d_conv, lam0, los, penalty)
     rate_conv = np.log2(1.0 + rho * np.abs(g_conv) ** 2)
 
-    offsets = project_onto_waveguide(w, cells).offset
+    offsets = projected_offsets(w, cells)
     rate_pinch = np.log2(1.0 + rho * link_power(scenario, w, offsets, cells))
 
     meta = _metadata(cfg, scenario)
@@ -364,22 +358,27 @@ def run_noma_region(cfg: ExperimentConfig) -> ExperimentTable:
 
 
 def run_tdma_demo(cfg: ExperimentConfig) -> ExperimentTable:
-    """Equal-share TDMA with per-slot re-placement onto each user's projection."""
+    """Equal-share TDMA with per-slot re-placement onto each user's projection.
+
+    Slot u serves user u from one full-power antenna per guide, at the
+    user's projection onto that guide.
+    """
     cfg.validate()
     scenario = _load_validated(cfg)
     k = len(scenario.users)
-    offsets = np.array([project_onto_waveguide(w, scenario.users.positions).offset
+    m = len(scenario.waveguides)
+    offsets = np.array([projected_offsets(w, scenario.users.positions)
                         for w in scenario.waveguides])  # (guides, users)
-    slots = [(u, PinchingLayout.equal_split(offsets[:, u, None])) for u in range(k)]
-    schedule = TdmaSchedule(tuple(slots), tuple(1.0 / k for _ in range(k)))
+    schedule = TdmaSchedule(served=np.arange(k), slot_fractions=np.full(k, 1.0 / k),
+                            antenna_slot=np.repeat(np.arange(k), m),
+                            antenna_guide=np.tile(np.arange(m), k),
+                            offsets=offsets.T.ravel(), weights=np.ones(k * m))
     report = tdma_rates(scenario, schedule)
 
     rows = tuple(
-        (report.scheme_label, u,
-         10.0 * math.log10(report.per_user_sinr[u]) if report.per_user_sinr[u] > 0
-         else float("-inf"),
-         float(report.per_user_rate_bps_hz[u]))
-        for u in range(k))
+        (report.scheme_label, u, 10.0 * math.log10(sinr) if sinr > 0 else float("-inf"), rate)
+        for u, (sinr, rate) in enumerate(zip(report.per_user_sinr.tolist(),
+                                             report.per_user_rate_bps_hz.tolist())))
     meta = _metadata(cfg, scenario)
     table = ExperimentTable(("scheme", "user", "sinr_db", "rate_bps_hz"), rows, meta)
     write_csv(Path(cfg.out_dir) / "tdma_demo.csv", table.columns, rows, meta)

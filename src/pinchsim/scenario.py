@@ -201,6 +201,19 @@ class Projection(NamedTuple):
     distance: float | np.ndarray
 
 
+def projected_offsets(w: WaveguideSpec, p) -> np.ndarray:
+    """Offsets of the guide points closest to one point (3,) or many (..., 3).
+
+    The offset along the axis is clamped to [0, length]: the offset of
+    :func:`project_onto_waveguide`, without its foot points and distances.
+    """
+    p = np.asarray(p, dtype=float)
+    f, a = w.feed_point, w.axis_direction
+    # written out, not a BLAS dot: one point then gets the bits it gets in a batch
+    return np.clip((p[..., 0] - f[0]) * a[0] + (p[..., 1] - f[1]) * a[1]
+                   + (p[..., 2] - f[2]) * a[2], 0.0, w.length_m)
+
+
 def project_onto_waveguide(w: WaveguideSpec, p) -> Projection:
     """Closest points of the guide segment to one point (3,) or many (..., 3).
 
@@ -210,9 +223,7 @@ def project_onto_waveguide(w: WaveguideSpec, p) -> Projection:
     """
     p = np.asarray(p, dtype=float)
     f, a = w.feed_point, w.axis_direction
-    # written out, not a BLAS dot: one point then gets the bits it gets in a batch
-    t = np.clip((p[..., 0] - f[0]) * a[0] + (p[..., 1] - f[1]) * a[1]
-                + (p[..., 2] - f[2]) * a[2], 0.0, w.length_m)
+    t = projected_offsets(w, p)
     foot = f + t[..., None] * a
     d = np.linalg.norm(p - foot, axis=-1)
     if p.ndim == 1:

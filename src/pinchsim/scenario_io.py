@@ -1,11 +1,14 @@
-"""Scenario and layout (de)serialization.
+"""Scenario (de)serialization.
 
 Scenario files are YAML trees with nested ``carrier`` / ``waveguides`` /
 ``users`` / ``los_model`` sections. On-disk units: meters for coordinates,
 Hz for frequencies, dB for the transmit SNR (converted to linear in memory).
 Every number must be finite (``.nan`` and ``.inf`` are rejected). Files are
 parsed with libyaml's safe loader when PyYAML has it, else with PyYAML's
-pure-Python safe loader; both yield the same data.
+pure-Python safe loader; both yield the same data. A ``users`` list of
+``[x, y, z]`` number rows is read straight from the parsed node tree into
+an array; any other ``users`` value is built and checked like the rest of
+the file, with the same values and error messages either way.
 
 Example::
 
@@ -35,18 +38,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from pathlib import Path
 
+import numpy as np
 import yaml
 
-from .scenario import (
-    CarrierSpec,
-    LoSModelConfig,
-    PinchingLayout,
-    Scenario,
-    UserSet,
-    WaveguideSpec,
-)
+from .scenario import CarrierSpec, LoSModelConfig, Scenario, UserSet, WaveguideSpec
 
 
 # Both loaders run the same safe constructors; libyaml's only parses faster.
@@ -85,6 +83,12 @@ def _vector3(value, context):
 
 
 def scenario_from_dict(data: dict) -> Scenario:
+    return _scenario_from_dict(data, None)
+
+
+def _scenario_from_dict(data: dict, users) -> Scenario:
+    """The scenario of ``data``; ``users``, when not None, are rows already
+    read and checked that stand in for ``data["users"]``."""
     carrier = CarrierSpec(_number(_require(_require(data, "carrier", "scenario"),
                                            "frequency_hz", "carrier"), "carrier.frequency_hz"))
     snr_db = _number(_require(data, "transmit_snr_db", "scenario"), "transmit_snr_db")
@@ -133,12 +137,13 @@ def scenario_from_dict(data: dict) -> Scenario:
                                                f"{ctx}.guide_attenuation_np_per_m"),
         ))
 
-    users_raw = _require(data, "users", "scenario")
-    if not isinstance(users_raw, list) or not users_raw:
-        raise ScenarioFormatError("users: expected a non-empty list of [x, y, z]")
-    users = UserSet([_vector3(u, f"users[{i}]") for i, u in enumerate(users_raw)])
+    if users is None:
+        users_raw = _require(data, "users", "scenario")
+        if not isinstance(users_raw, list) or not users_raw:
+            raise ScenarioFormatError("users: expected a non-empty list of [x, y, z]")
+        users = [_vector3(u, f"users[{i}]") for i, u in enumerate(users_raw)]
 
-    return Scenario(carrier=carrier, waveguides=tuple(guides), users=users,
+    return Scenario(carrier=carrier, waveguides=tuple(guides), users=UserSet(users),
                     transmit_snr=10.0 ** (snr_db / 10.0), los_model=los)
 
 
@@ -157,7 +162,7 @@ def scenario_to_dict(s: Scenario) -> dict:
             }
             for w in s.waveguides
         ],
-        "users": [[float(v) for v in u] for u in s.users.positions],
+        "users": s.users.positions.tolist(),
     }
 
 
@@ -168,12 +173,23 @@ def load_scenario(path) -> Scenario:
     except OSError as exc:
         raise ScenarioFormatError(f"cannot read scenario file {path}: {exc}") from exc
     try:
-        data = yaml.load(text, Loader=_SAFE_LOADER)
+        loader = _SAFE_LOADER(text)  # the pure-Python one checks the text here
+        try:
+            node = loader.get_single_node()
+            users = _users_node(node)
+            rows = None if users is None else _number_rows(loader, users[1])
+            if rows is not None:
+                # the rest of the mapping; aliases of the whole document still see users
+                node = yaml.MappingNode(node.tag, [p for p in node.value if p is not users],
+                                        node.start_mark, node.end_mark, node.flow_style)
+            data = None if node is None else loader.construct_document(node)
+        finally:
+            loader.dispose()
     except yaml.YAMLError as exc:
         raise ScenarioFormatError(f"{path} is not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioFormatError(f"{path}: top level must be a mapping")
-    return scenario_from_dict(data)
+    return _scenario_from_dict(data, rows)
 
 
 def save_scenario(s: Scenario, path) -> Path:
@@ -183,31 +199,58 @@ def save_scenario(s: Scenario, path) -> Path:
     return path
 
 
-def layout_to_dict(layout: PinchingLayout) -> dict:
-    return {
-        "minimum_spacing_m": layout.minimum_spacing_m,
-        "waveguides": [
-            {"offsets_m": list(offs), "weights": list(ws)}
-            for offs, ws in zip(layout.offsets_per_guide, layout.weights_per_guide)
-        ],
-    }
+_TAG = "tag:yaml.org,2002:"
+# A plain decimal float: it matches YAML 1.1's float pattern and none of its
+# special forms (underscores, sexagesimal, .inf, .nan).
+_DECIMAL = re.compile(r"-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?")
 
 
-def layout_from_dict(data: dict) -> PinchingLayout:
-    guides = _require(data, "waveguides", "layout")
-    offs = tuple(tuple(_number(x, "layout.offsets_m") for x in _require(g, "offsets_m", "layout"))
-                 for g in guides)
-    ws = tuple(tuple(_number(x, "layout.weights") for x in _require(g, "weights", "layout"))
-               for g in guides)
-    return PinchingLayout(offs, ws, _number(data.get("minimum_spacing_m", 0.0),
-                                            "layout.minimum_spacing_m"))
+def _users_node(node):
+    """The ``(key, value)`` node pair of the last ``users`` key of a plain
+    top-level mapping, or None.
+
+    The last pair is the one a constructed mapping keeps. Keys that a
+    ``<<`` merge brings in come before the mapping's own, so they never win.
+    """
+    if not isinstance(node, yaml.MappingNode) or node.tag != _TAG + "map":
+        return None
+    found = [pair for pair in node.value if isinstance(pair[0], yaml.ScalarNode)
+             and pair[0].tag == _TAG + "str" and pair[0].value == "users"]
+    return found[-1] if found else None
 
 
-def solution_to_dict(solution) -> dict:
-    return {
-        "objective_kind": solution.objective_kind,
-        "objective_value": float(solution.objective_value),
-        "iterations": int(solution.iterations),
-        "converged": bool(solution.converged),
-        "layout": layout_to_dict(solution.layout),
-    }
+def _number_rows(loader, node):
+    """``[x, y, z]`` rows of finite floats read from a users node, or None.
+
+    Only a non-empty sequence of 3-element sequences of int or float
+    scalars is read here. Each value is the one ``construct_document``
+    would give: the loader's own scalar constructor makes it, except that
+    when every value is a plain decimal float such as ``safe_dump`` writes,
+    ``float`` reads them all at once (for those, ``construct_yaml_float``
+    returns ``float(value)``). Anything else (other tags or shapes,
+    non-finite or huge values) gives None and goes through the full
+    construction, whose checks report it.
+    """
+    if not isinstance(node, yaml.SequenceNode) or node.tag != _TAG + "seq" or not node.value:
+        return None
+    cells = []
+    for item in node.value:
+        if (not isinstance(item, yaml.SequenceNode) or item.tag != _TAG + "seq"
+                or len(item.value) != 3):
+            return None
+        cells += item.value
+    if not all(isinstance(v, yaml.ScalarNode) for v in cells):
+        return None
+    tags = {v.tag for v in cells}
+    if not tags <= {_TAG + "float", _TAG + "int"}:
+        return None
+    if tags == {_TAG + "float"} and all(_DECIMAL.fullmatch(v.value) for v in cells):
+        values = [float(v.value) for v in cells]
+    else:
+        try:
+            values = [float(loader.construct_yaml_float(v) if v.tag == _TAG + "float"
+                            else loader.construct_yaml_int(v)) for v in cells]
+        except (ArithmeticError, LookupError, ValueError):
+            return None  # huge ints, or explicit tags on text no constructor reads
+    rows = np.array(values).reshape(-1, 3)
+    return rows if np.isfinite(rows).all() else None

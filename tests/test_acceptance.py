@@ -174,7 +174,7 @@ def test_criterion_06_bound_dominance(guide_y):
         offset = rng.uniform(0, guide_y.length_m)
         layout = PinchingLayout(((offset,),), ((1.0,),))
         frac_share = rng.uniform(0.1, 1.0)
-        schedule = TdmaSchedule(((0, layout),) * 2, (frac_share, 1.0 - frac_share))
+        schedule = TdmaSchedule.from_layouts(((0, layout),) * 2, (frac_share, 1.0 - frac_share))
         rates = tdma_rates(s, schedule).per_user_rate_bps_hz
         H = build_channel(s, layout, los_states=True)
         bound = conventional_bound(H, s.transmit_snr)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchsim import (
     NomaCluster,
@@ -17,6 +19,7 @@ from pinchsim import (
     project_onto_waveguide,
     tdma_rates,
 )
+from pinchsim.channel import _check_layout
 from tests.conftest import make_scenario
 
 LAMBDA0 = 299792458.0 / 28e9
@@ -31,19 +34,21 @@ def slot_for(guide, user):
 
 def test_schedule_validation(guide_y):
     lay = slot_for(guide_y, (1, 1, 0))
+    one = make_scenario([(1, 1, 0)], (guide_y,))
+    two = make_scenario([(1, 1, 0), (2, 2, 0)], (guide_y,))
     with pytest.raises(ValueError, match="sum"):
-        TdmaSchedule(((0, lay),), (0.9,)).validate(1)
+        TdmaSchedule.from_layouts(((0, lay),), (0.9,)).validate(one)
     with pytest.raises(ValueError, match="unknown users"):
-        TdmaSchedule(((3, lay),), (1.0,)).validate(2)
+        TdmaSchedule.from_layouts(((3, lay),), (1.0,)).validate(two)
     with pytest.raises(ValueError, match="no slot"):
-        TdmaSchedule(((0, lay),), (1.0,)).validate(2)
-    TdmaSchedule(((0, lay), (1, lay)), (0.5, 0.5)).validate(2)
+        TdmaSchedule.from_layouts(((0, lay),), (1.0,)).validate(two)
+    TdmaSchedule.from_layouts(((0, lay), (1, lay)), (0.5, 0.5)).validate(two)
 
 
 def test_single_user_full_slot_hits_conventional_bound(guide_y):
     user = (2.0, 5.0, 0.0)
     s = make_scenario([user], (guide_y,))
-    schedule = TdmaSchedule(((0, slot_for(guide_y, user)),), (1.0,))
+    schedule = TdmaSchedule.from_layouts(((0, slot_for(guide_y, user)),), (1.0,))
     report = tdma_rates(s, schedule)
     d = math.sqrt(2.0 ** 2 + 3.0 ** 2)
     lam0 = s.carrier.free_space_wavelength_m
@@ -57,7 +62,7 @@ def test_single_user_full_slot_hits_conventional_bound(guide_y):
 def test_symmetric_users_get_equal_rates(guide_y):
     users = [(2.0, 4.0, 0.0), (-2.0, 4.0, 0.0)]
     s = make_scenario(users, (guide_y,))
-    schedule = TdmaSchedule(
+    schedule = TdmaSchedule.from_layouts(
         ((0, slot_for(guide_y, users[0])), (1, slot_for(guide_y, users[1]))),
         (0.5, 0.5))
     report = tdma_rates(s, schedule)
@@ -69,7 +74,7 @@ def test_replacement_beats_fixed_compromise_on_dumbbell(guide_y):
     # during half the time beats half of what a fixed middle antenna gives.
     users = [(1.0, 3.0, 0.0), (1.0, 17.0, 0.0)]
     s = make_scenario(users, (guide_y,))
-    schedule = TdmaSchedule(
+    schedule = TdmaSchedule.from_layouts(
         ((0, slot_for(guide_y, users[0])), (1, slot_for(guide_y, users[1]))),
         (0.5, 0.5))
     tdma = tdma_rates(s, schedule)
@@ -85,8 +90,8 @@ def test_growing_a_fraction_never_hurts_that_user(guide_y):
     users = [(1.0, 3.0, 0.0), (1.0, 12.0, 0.0)]
     s = make_scenario(users, (guide_y,))
     slots = ((0, slot_for(guide_y, users[0])), (1, slot_for(guide_y, users[1])))
-    base = tdma_rates(s, TdmaSchedule(slots, (0.5, 0.5)))
-    grown = tdma_rates(s, TdmaSchedule(slots, (2.0 / 3.0, 1.0 / 3.0)))
+    base = tdma_rates(s, TdmaSchedule.from_layouts(slots, (0.5, 0.5)))
+    grown = tdma_rates(s, TdmaSchedule.from_layouts(slots, (2.0 / 3.0, 1.0 / 3.0)))
     assert grown.per_user_rate_bps_hz[0] >= base.per_user_rate_bps_hz[0] - 1e-12
     assert grown.per_user_rate_bps_hz[1] <= base.per_user_rate_bps_hz[1] + 1e-12
 
@@ -95,15 +100,15 @@ def test_tdma_report_is_internally_consistent(guide_y):
     users = [(1.0, 3.0, 0.0), (1.0, 12.0, 0.0)]
     s = make_scenario(users, (guide_y,))
     slots = ((0, slot_for(guide_y, users[0])), (1, slot_for(guide_y, users[1])))
-    report = tdma_rates(s, TdmaSchedule(slots, (0.25, 0.75)))
+    report = tdma_rates(s, TdmaSchedule.from_layouts(slots, (0.25, 0.75)))
     np.testing.assert_allclose(report.per_user_rate_bps_hz,
                                np.log2(1 + report.per_user_sinr), rtol=1e-12)
 
 
-def tdma_oracle(s, schedule):
+def tdma_oracle(s, slots, fractions):
     """Per-slot build_channel over all users, keeping the served user's row."""
     rates = np.zeros(len(s.users))
-    for (u, layout), f in zip(schedule.slots, schedule.slot_fractions):
+    for (u, layout), f in zip(slots, fractions):
         H = build_channel(s, layout, los_states=True)
         rates[u] += f * np.log2(1.0 + s.transmit_snr * float(np.linalg.norm(H.gains[u]) ** 2))
     return rates
@@ -127,9 +132,10 @@ def test_batched_tdma_matches_per_slot_channels_with_many_antennas():
         (1, PinchingLayout.equal_split(((), (3.0, 8.0, 9.5, 10.0, 12.5, 13.0, 14.0, 15.0,
                                              15.5)))),
     )
-    schedule = TdmaSchedule(slots, (0.1, 0.2, 0.3, 0.4))
+    fractions = (0.1, 0.2, 0.3, 0.4)
+    schedule = TdmaSchedule.from_layouts(slots, fractions)
     report = tdma_rates(s, schedule)
-    np.testing.assert_allclose(report.per_user_rate_bps_hz, tdma_oracle(s, schedule),
+    np.testing.assert_allclose(report.per_user_rate_bps_hz, tdma_oracle(s, slots, fractions),
                                rtol=1e-12, atol=0.0)
     assert report.sum_rate_bps_hz == pytest.approx(report.per_user_rate_bps_hz.sum(), rel=1e-15)
 
@@ -142,9 +148,10 @@ def test_batched_tdma_is_exact_with_one_antenna_per_guide():
         (u, PinchingLayout.equal_split(
             tuple((project_onto_waveguide(w, users[u]).offset,) for w in guides)))
         for u in (0, 1, 2, 3, 2))
-    schedule = TdmaSchedule(slots, (0.25, 0.25, 0.125, 0.25, 0.125))
+    fractions = (0.25, 0.25, 0.125, 0.25, 0.125)
+    schedule = TdmaSchedule.from_layouts(slots, fractions)
     assert np.array_equal(tdma_rates(s, schedule).per_user_rate_bps_hz,
-                          tdma_oracle(s, schedule))
+                          tdma_oracle(s, slots, fractions))
 
 
 def test_tdma_rejects_an_antenna_on_a_user_it_does_not_serve():
@@ -153,9 +160,10 @@ def test_tdma_rejects_an_antenna_on_a_user_it_does_not_serve():
     s = make_scenario([(1.0, 5.0, 0.0), (0.0, 7.0, 0.0), (0.0, 12.0 + 1e-7, 0.0)],
                       (ground_guide,))
     on_user_1 = PinchingLayout(((7.0,),), ((1.0,),))
-    schedule = TdmaSchedule(((0, on_user_1), (1, slot_for(ground_guide, (5.0, 9.0, 0.0))),
-                             (2, slot_for(ground_guide, (5.0, 15.0, 0.0)))),
-                            (0.5, 0.25, 0.25))
+    others = ((1, slot_for(ground_guide, (5.0, 9.0, 0.0))),
+              (2, slot_for(ground_guide, (5.0, 15.0, 0.0))))
+    fractions = (0.5, 0.25, 0.25)
+    schedule = TdmaSchedule.from_layouts(((0, on_user_1),) + others, fractions)
     with pytest.raises(ValueError, match="coincides"):
         build_channel(s, on_user_1, los_states=True)
     with pytest.raises(ValueError, match="coincides"):
@@ -163,11 +171,10 @@ def test_tdma_rejects_an_antenna_on_a_user_it_does_not_serve():
     # An antenna 1e-7 m from user 2 is near enough to be tested pairwise,
     # far enough to pass, as in build_channel.
     near_user_2 = PinchingLayout(((12.0,),), ((1.0,),))
-    schedule = TdmaSchedule(((0, near_user_2), (1, slot_for(ground_guide, (5.0, 9.0, 0.0))),
-                             (2, slot_for(ground_guide, (5.0, 15.0, 0.0)))),
-                            (0.5, 0.25, 0.25))
+    slots = ((0, near_user_2),) + others
+    schedule = TdmaSchedule.from_layouts(slots, fractions)
     assert np.array_equal(tdma_rates(s, schedule).per_user_rate_bps_hz,
-                          tdma_oracle(s, schedule))
+                          tdma_oracle(s, slots, fractions))
 
 
 def test_tdma_keeps_the_per_slot_layout_checks(guide_y):
@@ -180,7 +187,133 @@ def test_tdma_keeps_the_per_slot_layout_checks(guide_y):
     }
     for message, bad in bad_slots.items():
         with pytest.raises(ValueError, match=message):
-            tdma_rates(s, TdmaSchedule(((0, good), (1, bad)), (0.5, 0.5)))
+            tdma_rates(s, TdmaSchedule.from_layouts(((0, good), (1, bad)), (0.5, 0.5)))
+
+
+def array_schedule(**changes):
+    """A valid two-slot, two-guide schedule in array form, with ``changes``."""
+    fields = dict(served=[0, 1], slot_fractions=[0.5, 0.5],
+                  antenna_slot=[0, 0, 0, 1], antenna_guide=[0, 0, 1, 1],
+                  offsets=[2.0, 4.0, 1.0, 9.5], weights=[0.6, 0.8, 1.0, 1.0])
+    fields.update(changes)
+    return TdmaSchedule(**fields)
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(slot_fractions=[1.0]), "one slot fraction is needed per slot"),
+    (dict(served=[], slot_fractions=[]), "schedule has no slots"),
+    (dict(slot_fractions=[1.5, -0.5]), r"slot fractions must lie in \(0, 1\]"),
+    (dict(slot_fractions=[0.5, 0.4]), "slot fractions sum to 0.9, not 1"),
+    (dict(served=[0, 5]), r"unknown users \[5\]"),
+    (dict(served=[0, -1]), r"unknown users \[-1\]"),
+    (dict(served=[1, 1]), r"users \[0\] appear in no slot"),
+    (dict(offsets=[2.0, 4.0, 1.0]), "layout_shape_mismatch"),
+    (dict(antenna_slot=[0, 0, 0, 2]), r"antenna slot indices must lie in \[0, 2\)"),
+    (dict(antenna_guide=[0, 0, -1, 1]), "antenna guide indices must be nonnegative"),
+    (dict(antenna_guide=[0, 0, 1, 2]), "slot 1: layout covers 3 waveguides, scenario has 2"),
+    (dict(guides_per_slot=[2, 1]), "slot 1: layout covers 1 waveguides, scenario has 2"),
+    (dict(offsets=[4.0, 2.0, 1.0, 9.5]), "slot 0: invalid layout: offsets_unsorted$"),
+    (dict(minimum_spacing_m=2.5), "slot 0: invalid layout: spacing_violation$"),
+    (dict(minimum_spacing_m=[0.0, -0.1]), "slot 1: invalid layout: negative_minimum_spacing$"),
+    (dict(weights=[0.6, 0.8, 1.0, 0.9]), "slot 1: invalid layout: weights_not_normalized$"),
+    (dict(offsets=[2.0, 4.0, 1.0, 16.5]), "slot 1: invalid layout: offset_out_of_range$"),
+    (dict(offsets=[-0.1, 4.0, 1.0, 9.5]), "slot 0: invalid layout: offset_out_of_range$"),
+    (dict(offsets=[4.0, 2.0, 1.0, 9.5], weights=[1.0, 1.0, 2.0, 1.0]),
+     "slot 0: invalid layout: offsets_unsorted; weights_not_normalized; "
+     "weights_not_normalized$"),
+    (dict(antenna_slot=[0, 0, 0, 0], antenna_guide=[0, 0, 1, 1], offsets=[2.0, 4.0, 1.0, 9.5],
+          weights=[0.6, 0.8, 0.6, 0.8]), "slot 1: layout activates no antennas"),
+])
+def test_array_schedule_rejects(changes, message):
+    s = make_scenario([(-1.0, -6.0, 0.0), (3.0, 1.5, 0.0)], two_guides())
+    array_schedule().validate(s)
+    with pytest.raises(ValueError, match=message):
+        tdma_rates(s, array_schedule(**changes))
+
+
+def test_array_schedule_antennas_may_come_in_any_slot_order():
+    # each (slot, guide) layout keeps the order its antennas have in the arrays
+    s = make_scenario([(-1.0, -6.0, 0.0), (3.0, 1.5, 0.0)], two_guides())
+    mixed = dict(antenna_slot=[0, 1, 0, 0], antenna_guide=[0, 1, 1, 0],
+                 offsets=[2.0, 9.5, 1.0, 4.0], weights=[0.6, 1.0, 1.0, 0.8])
+    assert np.array_equal(tdma_rates(s, array_schedule(**mixed)).per_user_rate_bps_hz,
+                          tdma_rates(s, array_schedule()).per_user_rate_bps_hz)
+    mixed["offsets"] = [4.0, 9.5, 1.0, 2.0]
+    with pytest.raises(ValueError, match="slot 0: invalid layout: offsets_unsorted$"):
+        array_schedule(**mixed).validate(s)
+
+
+def test_slot_fractions_are_summed_in_slot_order():
+    # Shares far below half an ulp of the first one vanish one by one in a sum
+    # taken in slot order, as the builtin sum takes it; a pairwise sum keeps them.
+    fractions = [1.0 - 2e-12] + [5e-17] * 40_000
+    n = len(fractions)
+    s = make_scenario(np.zeros((n, 3)))
+    schedule = TdmaSchedule(served=np.arange(n), slot_fractions=fractions,
+                            antenna_slot=np.arange(n), antenna_guide=np.zeros(n, dtype=int),
+                            offsets=np.ones(n), weights=np.ones(n))
+    assert abs(float(np.sum(fractions)) - 1.0) <= 1e-12
+    total = sum(fractions)
+    if abs(total - 1.0) > 1e-12:
+        with pytest.raises(ValueError, match=f"sum to {total!r}, not 1"):
+            schedule.validate(s)
+    else:
+        schedule.validate(s)
+
+
+def test_array_schedule_rejects_an_antenna_on_a_user():
+    ground_guide = WaveguideSpec(feed_point=(0.0, 0.0, 0.0), axis_direction=(0.0, 1.0, 0.0),
+                                 length_m=20.0)
+    s = make_scenario([(0.0, 5.0, 0.0), (0.0, 7.0, 0.0)], (ground_guide,))
+    schedule = TdmaSchedule(served=[0, 1], slot_fractions=[0.5, 0.5], antenna_slot=[0, 1],
+                            antenna_guide=[0, 0], offsets=[4.0, 5.0], weights=[1.0, 1.0])
+    with pytest.raises(ValueError, match="coincides"):
+        tdma_rates(s, schedule)
+
+
+def test_from_layouts_rejects_a_layout_it_cannot_flatten():
+    ragged = PinchingLayout(((1.0, 2.0),), ((1.0,),))
+    with pytest.raises(ValueError, match="layout_shape_mismatch"):
+        TdmaSchedule.from_layouts(((0, ragged),), (1.0,))
+
+
+OFFSETS = st.sampled_from([-1e-11, -1e-13, 0.0, 3.0, 3.0 + 1e-13, 3.2, 3.5, 9.0, 16.0,
+                           16.0 + 1e-11, 19.0, 20.0 + 1e-13, 25.0])
+
+
+@st.composite
+def slot_layouts(draw):
+    guides = draw(st.sampled_from([1, 2, 2, 2, 3]))
+    offsets = [draw(st.lists(OFFSETS, max_size=3)) for _ in range(guides)]
+    spacing = draw(st.sampled_from([0.0, 0.0, 0.4, -0.1]))
+    if draw(st.booleans()):
+        return PinchingLayout.equal_split(offsets, spacing)
+    weights = [[draw(st.sampled_from([1.0, 0.6, 0.8, 0.5, math.sqrt(0.5)])) for _ in offs]
+               for offs in offsets]
+    return PinchingLayout(offsets, weights, spacing)
+
+
+@settings(max_examples=300, deadline=None)
+@given(layouts=st.lists(slot_layouts(), min_size=1, max_size=4))
+def test_one_pass_validation_reports_as_the_per_slot_checks(layouts):
+    """The first faulty slot and its message, as build_channel's layout check finds them."""
+    users = [(-1.0, -6.0 + k, 0.0) for k in range(len(layouts))]
+    s = make_scenario(users, two_guides())
+    expected = None
+    for i, layout in enumerate(layouts):
+        try:
+            _check_layout(s, layout)
+        except ValueError as exc:
+            expected = f"slot {i}: {exc}"
+            break
+    schedule = TdmaSchedule.from_layouts(tuple(enumerate(layouts)),
+                                         (1.0 / len(layouts),) * len(layouts))
+    try:
+        schedule.validate(s)
+        found = None
+    except ValueError as exc:
+        found = str(exc)
+    assert found == expected
 
 
 # --- NOMA -------------------------------------------------------------------

@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from pinchsim import cli
 from pinchsim.beamforming import RankDeficiencyError
 from pinchsim.presets import compare_scenario, heatmap_scenario, noma_scenario, tdma_scenario
+from pinchsim.scenario import UserSet
 from pinchsim.scenario_io import save_scenario
 
 
@@ -168,3 +171,29 @@ def test_compare_mimo_sweep_csv_is_pinned(tmp_path, threads):
     assert proc.returncode == 0, proc.stderr
     digest = hashlib.sha256((out / "compare_mimo.csv").read_bytes()).hexdigest()
     assert digest == PINNED_SWEEP_SHA256
+
+
+def test_compare_mimo_default_sweep_is_the_case_study():
+    args = cli.build_parser().parse_args(["compare-mimo", "--scenario", "s.yaml", "--out", "o"])
+    assert cli.config_from_args(args).snr_sweep_db == (90.0, 100.0, 110.0, 120.0)
+
+
+# sha256 of this run's CSV before TDMA schedules held their antennas as arrays
+PINNED_TDMA_CROWD_SHA256 = "c32af1557f22ebaee514f961fc7b1a5b24e7e556f169e7e81c6a2a99e2dd8a17"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_tdma_demo_crowd_csv_is_pinned(tmp_path, threads):
+    rng = np.random.default_rng(300)
+    users = np.column_stack([rng.uniform(-5.0, 5.0, 300), rng.uniform(-10.0, 10.0, 300),
+                             np.zeros(300)])
+    crowd = dataclasses.replace(tdma_scenario(), users=UserSet(users))
+    path = str(save_scenario(crowd, tmp_path / "crowd.yaml"))
+    out = tmp_path / "out"
+    env = dict(os.environ, OMP_NUM_THREADS=str(threads), OPENBLAS_NUM_THREADS=str(threads))
+    proc = subprocess.run([sys.executable, "-m", "pinchsim.cli", "tdma-demo",
+                           "--scenario", path, "--out", str(out), "--seed", "3"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256((out / "tdma_demo.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_TDMA_CROWD_SHA256

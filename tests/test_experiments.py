@@ -257,19 +257,6 @@ def test_outputs_are_bit_reproducible(tmp_path):
     assert digests[0] == digests[1]
 
 
-def test_solution_serialization_round_trip():
-    from pinchsim import optimize_multi_waveguide
-    from pinchsim.scenario_io import layout_from_dict, solution_to_dict
-    from tests.conftest import make_scenario
-
-    s = make_scenario([(2.0, 5.0, 0.0)])
-    sol = optimize_multi_waveguide(s, "zf", "sum_rate", budget=3)
-    data = solution_to_dict(sol)
-    assert data["objective_kind"] == "sum_rate"
-    assert layout_from_dict(data["layout"]).offsets_per_guide == \
-        sol.layout.offsets_per_guide
-
-
 def test_seed_changes_sampled_output(tmp_path):
     path = write_preset(tmp_path, heatmap_scenario(los_kind="inmo"))
     texts = []

@@ -4,14 +4,13 @@ import math
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pinchsim import LoSModelConfig, PinchingLayout, presets, scenario_io
+from pinchsim import LoSModelConfig, presets, scenario_io
+from pinchsim.scenario import LOS_MODEL_KINDS, CarrierSpec, Scenario, UserSet, WaveguideSpec
 from pinchsim.scenario_io import (
     ScenarioFormatError,
-    layout_from_dict,
-    layout_to_dict,
     load_scenario,
     save_scenario,
     scenario_from_dict,
@@ -83,15 +82,6 @@ def test_non_yaml_and_missing_files(tmp_path):
         load_scenario(top)
 
 
-def test_layout_round_trip():
-    layout = PinchingLayout.equal_split(((1.0, 2.5), (4.0,)), minimum_spacing_m=0.3)
-    again = layout_from_dict(layout_to_dict(layout))
-    assert again.offsets_per_guide == layout.offsets_per_guide
-    assert again.minimum_spacing_m == layout.minimum_spacing_m
-    for a, b in zip(again.weights_per_guide, layout.weights_per_guide):
-        assert a == pytest.approx(b)
-
-
 def test_snr_db_conversion_is_exact_inverse(tmp_path, guide_y):
     s = make_scenario([(1, 1, 0)], (guide_y,), snr_db=0.0)
     path = save_scenario(s, tmp_path / "s.yaml")
@@ -135,6 +125,16 @@ def test_malformed_yaml_fails_under_either_loader(tmp_path, monkeypatch, loader)
             load_scenario(bad)
 
 
+@pytest.mark.parametrize("loader", ["default", "pure-python"])
+def test_unprintable_text_is_not_valid_yaml(tmp_path, monkeypatch, loader):
+    if loader == "pure-python":
+        monkeypatch.setattr(scenario_io, "_SAFE_LOADER", yaml.SafeLoader)
+    bad = tmp_path / "bell.yaml"
+    bad.write_text("users: [[1.0, 2.0, 0.0]]\n\x07\n", encoding="utf-8")
+    with pytest.raises(ScenarioFormatError, match="YAML"):
+        load_scenario(bad)
+
+
 NUMBER_PATHS = (("carrier", "frequency_hz"), ("transmit_snr_db",),
                 ("los_model", "rho_los_per_m"), ("los_model", "inmo_far_scale"),
                 ("waveguides", 0, "length_m"), ("waveguides", 0, "feed_point_m", 2),
@@ -154,3 +154,145 @@ def test_non_finite_numbers_are_rejected_at_load(tmp_path_factory, where, value)
     path.write_text(yaml.safe_dump(data), encoding="utf-8")
     with pytest.raises(ScenarioFormatError, match="finite"):
         load_scenario(path)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POINTS = st.tuples(FINITE, FINITE, FINITE)
+
+
+@st.composite
+def scenarios(draw):
+    los = LoSModelConfig(draw(st.sampled_from(LOS_MODEL_KINDS)),
+                         *draw(st.tuples(*[FINITE] * 7)))
+    guides = draw(st.lists(st.builds(WaveguideSpec, POINTS, POINTS, FINITE, FINITE, FINITE),
+                           min_size=1, max_size=3))
+    users = draw(st.lists(POINTS, min_size=1, max_size=12))
+    snr_db = draw(st.floats(-300.0, 300.0))
+    return Scenario(CarrierSpec(draw(FINITE)), guides, UserSet(users),
+                    10.0 ** (snr_db / 10.0), los)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=scenarios())
+def test_every_scenario_field_survives_save_and_load(tmp_path_factory, s):
+    path = save_scenario(s, tmp_path_factory.mktemp("rt") / "s.yaml")
+    loaded = load_scenario(path)
+    expected = scenario_fields(s)
+    # the file holds the SNR in dB; loading converts that value back
+    expected["transmit_snr"] = 10.0 ** (scenario_to_dict(s)["transmit_snr_db"] / 10.0)
+    assert scenario_fields(loaded) == expected
+    assert loaded.transmit_snr == pytest.approx(s.transmit_snr, rel=1e-12)
+
+
+def reference_load(path):
+    """``load_scenario`` as it was before users were read from the node tree:
+    build the whole document, then check it with ``scenario_from_dict``."""
+    try:
+        data = yaml.load(path.read_text(encoding="utf-8"), Loader=scenario_io._SAFE_LOADER)
+    except yaml.YAMLError as exc:
+        raise ScenarioFormatError(f"{path} is not valid YAML: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ScenarioFormatError(f"{path}: top level must be a mapping")
+    return scenario_from_dict(data)
+
+
+NUMBERS = st.one_of(
+    FINITE.map(repr), st.integers().map(str), st.floats().map(lambda x: repr(x).lower()),
+    st.sampled_from(["0", "-0.0", "1.5e+3", "1.5E+3", "1_000.5", "0x1F", "017", "0b11",
+                     "+2.5", "1:30", "10" * 200, "-" + "9" * 400, ".nan", ".inf", "-.inf",
+                     '!!float "1"', '!!float "-2.5e-3"', '!!int "7"', '!!float "abc"',
+                     '!!int "1.5"', '!!int ""', '!!float "1.5\\n"', '!!float "1.5\\n2.5"']))
+SCALARS = st.one_of(NUMBERS, NUMBERS, NUMBERS, st.sampled_from(
+    ["1e3", ".NaN", "true", "false", "~", "null", "abc", '"1.5"', "'2'", "!!str 3.0", "[]",
+     "{a: 1}"]))
+
+
+@st.composite
+def users_sections(draw):
+    """Text of a ``users:`` entry: rows of scalars, flow or block, with
+    wrong lengths, nesting and anchors/aliases (of rows and of scalars)
+    drawn in."""
+    rows, anchors, scalar_anchors = [], [], []
+    for i in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["alias", "scalar", "nested"]))
+        if kind == "alias" and anchors:
+            rows.append(f"*{draw(st.sampled_from(anchors))}")
+            continue
+        if kind == "scalar":
+            rows.append(draw(SCALARS))
+            continue
+        cells = draw(st.lists(SCALARS, min_size=3, max_size=3) | st.lists(SCALARS, max_size=5))
+        if kind == "nested":
+            cells[:1] = ["[" + ", ".join(cells[:2]) + "]"]
+        if cells and scalar_anchors and draw(st.booleans()):
+            cells[-1] = f"*{draw(st.sampled_from(scalar_anchors))}"
+        elif cells and draw(st.booleans()):
+            scalar_anchors.append(f"s{i}")
+            cells[0] = f"&s{i} {cells[0]}"
+        anchor = ""
+        if draw(st.booleans()):
+            anchors.append(f"r{i}")
+            anchor = f"&r{i} "
+        if draw(st.booleans()) or not cells or anchor:
+            rows.append(anchor + "[" + ", ".join(cells) + "]")
+        else:
+            rows.append("- " + "\n    - ".join(cells))
+    if not rows:
+        return draw(st.sampled_from(["users: []", "users:", "users: 3", "users: {a: 1}"]))
+    return "users:\n" + "".join(f"  - {row}\n" for row in rows)
+
+
+# Lines put before the scenario: nothing, an earlier users key (the last
+# one wins), or a value whose explicit tag crashes the constructor.
+PREFIXES = ("", "users: [[1.0, 2.0, 0.0]]\n", "early: !!float 'x'\n",
+            "users: [[!!int '', 1.0, 0.0]]\n")
+
+
+@pytest.mark.parametrize("loader", ["default", "pure-python"])
+@settings(max_examples=150, deadline=None)
+@given(section=users_sections(), prefix=st.sampled_from(PREFIXES))
+@example(section="users: [[1.5, -2.0e-05, 0.0], [1, 2, 0]]", prefix="")
+@example(section="users: [[017, 0x1F, 1_0]]", prefix="")
+@example(section="users: [[.nan, 1.0, 0.0]]", prefix="")
+@example(section=f"users: [[{'9' * 400}, 1.0, 0.0]]", prefix="")
+@example(section='users: [[!!int "1.5", 1.0, 0.0]]', prefix="")
+@example(section='users: [[!!float "1.5\\n2.5", 1.0, 0.0]]', prefix="")
+@example(section="users: [&r [&x 1.5, *x, 0.0], *r]", prefix="")
+@example(section="users: [['2', 1.0, 0.0]]", prefix="")
+@example(section="users: [[!!float [1], 1.0, 0.0]]", prefix="")
+@example(section="users: [[0.5, 0.5, 0.0]]", prefix=PREFIXES[1])
+@example(section="users: [[!!int '', 1.0, 0.0]]", prefix=PREFIXES[2])
+def test_node_tree_users_match_the_full_construction(tmp_path_factory, loader, section,
+                                                     prefix):
+    """The loader gives the scenario, or the error, of building the whole
+    document and checking it with ``scenario_from_dict``."""
+    data = scenario_to_dict(presets.tdma_scenario())
+    del data["users"]
+    text = prefix + yaml.safe_dump(data, sort_keys=False) + section + "\n"
+    path = tmp_path_factory.mktemp("users") / "s.yaml"
+    path.write_text(text, encoding="utf-8")
+    saved = scenario_io._SAFE_LOADER
+    if loader == "pure-python":
+        scenario_io._SAFE_LOADER = yaml.SafeLoader
+    try:
+        outcomes = []
+        for load in (reference_load, load_scenario):
+            try:
+                outcomes.append(scenario_fields(load(path)))
+            except Exception as exc:  # explicit tags on bad text crash both alike
+                outcomes.append((type(exc), str(exc)))
+    finally:
+        scenario_io._SAFE_LOADER = saved
+    assert outcomes[0] == outcomes[1]
+
+
+def test_users_of_a_merged_or_self_aliased_document_are_its_own(tmp_path):
+    data = scenario_to_dict(presets.tdma_scenario())
+    text = yaml.safe_dump(data, sort_keys=False)
+    merged = "<<: {users: [[9.0, 9.0, 0.0]], extra: 1}\n" + text
+    aliased = "&doc\n" + text + "again: *doc\n"
+    for i, t in enumerate((merged, aliased)):
+        path = tmp_path / f"s{i}.yaml"
+        path.write_text(t, encoding="utf-8")
+        assert scenario_fields(load_scenario(path)) == scenario_fields(reference_load(path))
+        assert load_scenario(path).users.positions.tolist() == data["users"]
