@@ -22,7 +22,7 @@ from .placement import (
     default_grid_res,
     place_single_for_group,
 )
-from .scenario import PinchingLayout, Scenario
+from .scenario import PinchingLayout, Scenario, first_layout_fault
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -36,74 +36,71 @@ class TdmaSchedule:
     """Ordered service slots and their activated antennas, as flat arrays.
 
     Slot ``i`` serves user ``served[i]`` for a time share
-    ``slot_fractions[i]``. Antenna ``a`` is active in slot
-    ``antenna_slot[a]`` on guide ``antenna_guide[a]``, at ``offsets[a]``
+    ``slot_fractions[i]``. Like a :class:`PinchingLayout`, its layout is
+    written for ``guides_per_slot[i]`` guides, which must be the scenario's
+    guide count, and allows no spacing below ``minimum_spacing_m[i]``.
+    Antenna ``a`` is active in slot ``antenna_slot[a]`` on guide
+    ``antenna_guide[a]`` (below its slot's guide count), at ``offsets[a]``
     meters from that guide's feed with power-split weight ``weights[a]``.
     The antennas of one slot and guide form that slot's layout on the
-    guide, in array order. ``minimum_spacing_m`` (one value, or one per
-    slot) is the smallest spacing each slot's layout allows.
-    ``guides_per_slot``, when given, is the number of guides each slot's
-    layout was written for; :meth:`from_layouts` records it, so a layout
-    for another guide count is rejected as :func:`build_channel` rejects it.
+    guide, in array order.
     """
 
     served: np.ndarray
     slot_fractions: np.ndarray
+    guides_per_slot: np.ndarray
+    minimum_spacing_m: np.ndarray
     antenna_slot: np.ndarray
     antenna_guide: np.ndarray
     offsets: np.ndarray
     weights: np.ndarray
-    minimum_spacing_m: float | np.ndarray = 0.0
-    guides_per_slot: np.ndarray | None = None
 
     def __post_init__(self):
         for name, dtype in (("served", np.intp), ("slot_fractions", float),
+                            ("guides_per_slot", np.intp), ("minimum_spacing_m", float),
                             ("antenna_slot", np.intp), ("antenna_guide", np.intp),
-                            ("offsets", float), ("weights", float),
-                            ("minimum_spacing_m", float)):
+                            ("offsets", float), ("weights", float)):
             object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
-        if self.guides_per_slot is not None:
-            object.__setattr__(self, "guides_per_slot", _frozen(self.guides_per_slot, np.intp))
 
     @classmethod
     def from_layouts(cls, slots, slot_fractions) -> "TdmaSchedule":
         """The schedule of ``(user, PinchingLayout)`` slots with these time shares.
 
-        Each layout's antennas are laid out guide by guide in layout order;
-        the layouts themselves are checked by :meth:`validate`, not here.
+        Each layout keeps its guide count and minimum spacing, and its
+        antennas come guide by guide in layout order; the layouts themselves
+        are checked by :meth:`validate`, not here.
         """
+        slots = tuple(slots)
         slot, guide, offsets, weights = [], [], [], []
         for i, (_, layout) in enumerate(slots):
-            pairs = list(zip(layout.offsets_per_guide, layout.weights_per_guide))
-            if (len(layout.offsets_per_guide) != len(layout.weights_per_guide)
-                    or any(len(offs) != len(ws) for offs, ws in pairs)):
-                raise ValueError(f"slot {i}: invalid layout: layout_shape_mismatch")
-            for g, (offs, ws) in enumerate(pairs):
-                slot += [i] * len(offs)
-                guide += [g] * len(offs)
-                offsets += offs
-                weights += ws
+            g, x, w = layout.antennas()
+            slot += [i] * g.size
+            guide += g.tolist()
+            offsets += x.tolist()
+            weights += w.tolist()
         return cls(served=[u for u, _ in slots], slot_fractions=slot_fractions,
-                   antenna_slot=slot, antenna_guide=guide, offsets=offsets, weights=weights,
+                   guides_per_slot=[len(lay.offsets_per_guide) for _, lay in slots],
                    minimum_spacing_m=[lay.minimum_spacing_m for _, lay in slots],
-                   guides_per_slot=[len(lay.offsets_per_guide) for _, lay in slots])
+                   antenna_slot=slot, antenna_guide=guide, offsets=offsets, weights=weights)
 
     def validate(self, s: Scenario) -> None:
         """Raise ``ValueError`` unless the schedule fits ``s``, in one vectorized pass.
 
-        The time shares and served users are checked first. Then the first
-        slot with a fault is reported as :func:`build_channel` reports a
-        layout: a guide-count mismatch, else the layout's violation codes
-        (``negative_minimum_spacing``, ``offsets_unsorted``,
-        ``spacing_violation``, ``weights_not_normalized``,
-        ``offset_out_of_range``, guide by guide), else a slot with no antennas.
+        The per-slot arrays, time shares, served users and antenna indices
+        are checked first. Then the first slot with a fault is reported as
+        :func:`build_channel` reports a layout (:func:`first_layout_fault`):
+        a guide-count mismatch, else the layout's violation codes, else a
+        slot with no antennas.
         """
-        n_slots, n_users, n_guides = self.served.size, len(s.users), len(s.waveguides)
-        fractions = self.slot_fractions
-        if self.served.ndim != 1 or fractions.shape != self.served.shape:
-            raise ValueError("one slot fraction is needed per slot")
+        n_slots, n_users = self.served.size, len(s.users)
+        for per_slot, what in ((self.slot_fractions, "slot fraction"),
+                               (self.guides_per_slot, "guide count"),
+                               (self.minimum_spacing_m, "minimum spacing")):
+            if self.served.ndim != 1 or per_slot.shape != self.served.shape:
+                raise ValueError(f"one {what} is needed per slot")
         if not n_slots:
             raise ValueError("schedule has no slots")
+        fractions = self.slot_fractions
         if np.any((fractions <= 0) | (fractions > 1)):
             raise ValueError("slot fractions must lie in (0, 1]")
         total = sum(fractions.tolist())  # summed in slot order, as a Python sum
@@ -119,68 +116,19 @@ class TdmaSchedule:
         if np.any(idle):
             raise ValueError(f"users {np.flatnonzero(idle).tolist()} appear in no slot")
 
-        slot, guide, x, w = self.antenna_slot, self.antenna_guide, self.offsets, self.weights
-        if not (slot.ndim == 1 and slot.shape == guide.shape == x.shape == w.shape):
+        slot, guide = self.antenna_slot, self.antenna_guide
+        if not (slot.ndim == 1 and slot.shape == guide.shape == self.offsets.shape
+                == self.weights.shape):
             raise ValueError("invalid layout: layout_shape_mismatch "
                              "(antenna arrays of different shapes)")
         if np.any((slot < 0) | (slot >= n_slots)):
             raise ValueError(f"antenna slot indices must lie in [0, {n_slots})")
-        if np.any(guide < 0):
-            raise ValueError("antenna guide indices must be nonnegative")
-        spacing = np.broadcast_to(self.minimum_spacing_m, (n_slots,))
-
-        # One group per (slot, guide) layout, antennas in their array order.
-        order = np.lexsort((guide, slot))
-        slot, guide, x, w = slot[order], guide[order], x[order], w[order]
-        first = np.ones(slot.size, dtype=bool)
-        first[1:] = (slot[1:] != slot[:-1]) | (guide[1:] != guide[:-1])
-        group = np.cumsum(first) - 1
-        group_slot = slot[first]
-        n_groups = group_slot.size
-
-        def any_in_group(mask):
-            return np.bincount(group[mask], minlength=n_groups) > 0
-
-        step = np.zeros(slot.size)
-        step[1:] = x[1:] - x[:-1]
-        unsorted = any_in_group(~first & (step < -1e-15))
-        crowded = any_in_group(~first & (step < spacing[slot] - 1e-12)) & ~unsorted
-        # sum of squared weights in array order, as a Python sum adds them
-        unnormalized = np.abs(np.bincount(group, w * w, n_groups) - 1.0) > 1e-9
-        # a guide past the scenario's is reported as a mismatch, not here
-        length = np.array([wg.length_m for wg in s.waveguides] + [np.inf])[
-            np.minimum(guide, n_guides)]
-        out_of_range = any_in_group((x < -1e-12) | (x > length + 1e-12))
-
-        def any_in_slot(mask, slots):
-            return np.bincount(slots[mask], minlength=n_slots) > 0
-
-        mismatched = any_in_slot(guide >= n_guides, slot)
-        if self.guides_per_slot is not None:
-            mismatched |= self.guides_per_slot != n_guides
-        faulty = (mismatched | (spacing < 0) | (np.bincount(slot, minlength=n_slots) == 0)
-                  | any_in_slot(unsorted | crowded | unnormalized | out_of_range, group_slot))
-        if not np.any(faulty):
-            return
-        i = int(np.argmax(faulty))
-        if mismatched[i]:
-            covers = (int(self.guides_per_slot[i]) if self.guides_per_slot is not None
-                      else int(guide[slot == i].max()) + 1)
-            raise ValueError(f"slot {i}: layout covers {covers} waveguides, "
-                             f"scenario has {n_guides}")
-        codes = ["negative_minimum_spacing"] if spacing[i] < 0 else []
-        for k in np.flatnonzero(group_slot == i):
-            if unsorted[k]:
-                codes.append("offsets_unsorted")
-            elif crowded[k]:
-                codes.append("spacing_violation")
-            if unnormalized[k]:
-                codes.append("weights_not_normalized")
-            if out_of_range[k]:
-                codes.append("offset_out_of_range")
-        if codes:
-            raise ValueError(f"slot {i}: invalid layout: " + "; ".join(codes))
-        raise ValueError(f"slot {i}: layout activates no antennas")
+        if np.any((guide < 0) | (guide >= self.guides_per_slot[slot])):
+            raise ValueError("antenna guide indices must lie in [0, their slot's guide count)")
+        fault = first_layout_fault(s, slot, guide, self.offsets, self.weights,
+                                   self.minimum_spacing_m, self.guides_per_slot)
+        if fault is not None:
+            raise ValueError(f"slot {fault[0]}: {fault[1]}")
 
 
 def tdma_rates(s: Scenario, schedule: TdmaSchedule) -> RateReport:

@@ -22,6 +22,7 @@ from .scenario import (
     PinchingLayout,
     Scenario,
     WaveguideSpec,
+    first_layout_fault,
 )
 
 
@@ -159,18 +160,20 @@ class ChannelMatrix:
         return self.gains.shape[1]
 
 
-def _check_layout(s: Scenario, layout: PinchingLayout) -> None:
+def _check_layout(s: Scenario,
+                  layout: PinchingLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raise ``ValueError`` unless ``layout`` fits the scenario's guides and
-    activates at least one antenna."""
-    if len(layout.offsets_per_guide) != len(s.waveguides):
-        raise ValueError(
-            f"layout covers {len(layout.offsets_per_guide)} waveguides, "
-            f"scenario has {len(s.waveguides)}")
-    problems = layout.violations(s.waveguides)
-    if problems:
-        raise ValueError("invalid layout: " + "; ".join(v.code for v in problems))
-    if layout.total_antennas == 0:
-        raise ValueError("layout activates no antennas")
+    activates at least one antenna; else return its antennas.
+
+    The layout is checked as a one-slot schedule by :func:`first_layout_fault`,
+    and its antennas come as :meth:`PinchingLayout.antennas` gives them.
+    """
+    guide, offsets, weights = layout.antennas()
+    fault = first_layout_fault(s, np.zeros(guide.size, np.intp), guide, offsets, weights,
+                               [layout.minimum_spacing_m], [len(layout.offsets_per_guide)])
+    if fault is not None:
+        raise ValueError(fault[1])
+    return guide, offsets, weights
 
 
 def _check_clear_of_users(s: Scenario, guide_idx, offsets) -> None:
@@ -208,14 +211,9 @@ def build_channel(s: Scenario, layout: PinchingLayout, *,
     or sampled once per link from the scenario's LoS model using ``seed``.
     Sampling is reproducible: a fixed seed yields bit-identical channels.
     """
-    _check_layout(s, layout)
+    col, offsets, weights = _check_layout(s, layout)
     users = s.users.positions
-    guide_idx = tuple(g for g, offs in enumerate(layout.offsets_per_guide)
-                      for _ in offs)
-    col = np.asarray(guide_idx)
     on = [col == g for g in range(len(s.waveguides))]
-    offsets = np.asarray([t for offs in layout.offsets_per_guide for t in offs])
-    weights = np.asarray([w for ws in layout.weights_per_guide for w in ws])
     _check_clear_of_users(s, col, offsets)
     shape = (users.shape[0], len(offsets))
 
@@ -238,4 +236,4 @@ def build_channel(s: Scenario, layout: PinchingLayout, *,
     return ChannelMatrix(gains=np.stack([b.sum(axis=1) for b in per_guide], axis=1),
                          per_antenna_breakdown=np.concatenate(per_guide, axis=1),
                          los_states=los,
-                         antenna_guide_index=guide_idx)
+                         antenna_guide_index=tuple(col.tolist()))

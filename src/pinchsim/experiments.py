@@ -370,6 +370,7 @@ def run_tdma_demo(cfg: ExperimentConfig) -> ExperimentTable:
     offsets = np.array([projected_offsets(w, scenario.users.positions)
                         for w in scenario.waveguides])  # (guides, users)
     schedule = TdmaSchedule(served=np.arange(k), slot_fractions=np.full(k, 1.0 / k),
+                            guides_per_slot=np.full(k, m), minimum_spacing_m=np.zeros(k),
                             antenna_slot=np.repeat(np.arange(k), m),
                             antenna_guide=np.tile(np.arange(m), k),
                             offsets=offsets.T.ravel(), weights=np.ones(k * m))

@@ -153,38 +153,28 @@ class PinchingLayout:
     def total_antennas(self) -> int:
         return sum(len(off) for off in self.offsets_per_guide)
 
+    def antennas(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Guide index, offset and weight of every antenna, guide by guide in layout order."""
+        if (len(self.offsets_per_guide) != len(self.weights_per_guide)
+                or any(len(offs) != len(ws) for offs, ws in zip(self.offsets_per_guide,
+                                                                 self.weights_per_guide))):
+            raise ValueError("invalid layout: layout_shape_mismatch")
+        guide = np.repeat(np.arange(len(self.offsets_per_guide)),
+                          [len(offs) for offs in self.offsets_per_guide])
+        offsets = np.array([x for offs in self.offsets_per_guide for x in offs], dtype=float)
+        weights = np.array([w for ws in self.weights_per_guide for w in ws], dtype=float)
+        return guide, offsets, weights
+
     def violations(self, waveguides: Sequence[WaveguideSpec] | None = None) -> list["Violation"]:
         """Check layout invariants; offsets are range-checked when guides are given."""
-        out: list[Violation] = []
-        if len(self.offsets_per_guide) != len(self.weights_per_guide):
-            out.append(Violation("layout_shape_mismatch",
-                                 "offsets and weights have different guide counts"))
-            return out
-        if self.minimum_spacing_m < 0:
-            out.append(Violation("negative_minimum_spacing",
-                                 f"minimum_spacing_m = {self.minimum_spacing_m}"))
-        for g, (offs, ws) in enumerate(zip(self.offsets_per_guide, self.weights_per_guide)):
-            if len(offs) != len(ws):
-                out.append(Violation("layout_shape_mismatch",
-                                     f"guide {g}: {len(offs)} offsets vs {len(ws)} weights"))
-                continue
-            if not offs:
-                continue
-            if any(b - a < -1e-15 for a, b in zip(offs, offs[1:])):
-                out.append(Violation("offsets_unsorted", f"guide {g}: offsets not ascending"))
-            elif any(b - a < self.minimum_spacing_m - 1e-12 for a, b in zip(offs, offs[1:])):
-                out.append(Violation("spacing_violation",
-                                     f"guide {g}: adjacent offsets closer than minimum spacing"))
-            sos = sum(w * w for w in ws)
-            if abs(sos - 1.0) > 1e-9:
-                out.append(Violation("weights_not_normalized",
-                                     f"guide {g}: sum of squared weights = {sos!r}"))
-            if waveguides is not None:
-                length = waveguides[g].length_m
-                if min(offs) < -1e-12 or max(offs) > length + 1e-12:
-                    out.append(Violation("offset_out_of_range",
-                                         f"guide {g}: offsets outside [0, {length}]"))
-        return out
+        try:
+            guide, offsets, weights = self.antennas()
+        except ValueError:
+            return [Violation("layout_shape_mismatch",
+                              "offsets and weights differ in guide count or length")]
+        lengths = None if waveguides is None else [w.length_m for w in waveguides]
+        return layout_violations(np.zeros(guide.size, np.intp), guide, offsets, weights,
+                                 [self.minimum_spacing_m], lengths).get(0, [])
 
 
 @dataclass(frozen=True)
@@ -193,6 +183,92 @@ class Violation:
 
     code: str
     detail: str
+
+
+def layout_violations(slot, guide, offsets, weights, minimum_spacing_m,
+                      lengths=None) -> dict[int, list[Violation]]:
+    """Layout invariant violations of many slots' antennas, found in one vectorized pass.
+
+    Antenna ``a`` is active in slot ``slot[a]`` on guide ``guide[a]``, at
+    ``offsets[a]`` with weight ``weights[a]``. The antennas of one slot and
+    guide form that slot's layout on the guide, in array order.
+    ``minimum_spacing_m`` holds each slot's smallest allowed spacing. Offsets
+    are range-checked against ``lengths`` (one per guide) when it is given;
+    a guide past it is not range-checked. Each faulty slot maps to its
+    violations, in this order: a negative spacing, then guide by guide
+    ``offsets_unsorted`` or else ``spacing_violation``,
+    ``weights_not_normalized`` and ``offset_out_of_range``.
+    """
+    slot, guide = np.asarray(slot, dtype=np.intp), np.asarray(guide, dtype=np.intp)
+    x, w = np.asarray(offsets, dtype=float), np.asarray(weights, dtype=float)
+    spacing = np.asarray(minimum_spacing_m, dtype=float)
+
+    order = np.lexsort((guide, slot))
+    slot, guide, x, w = slot[order], guide[order], x[order], w[order]
+    first = np.ones(slot.size, dtype=bool)
+    first[1:] = (slot[1:] != slot[:-1]) | (guide[1:] != guide[:-1])
+    group = np.cumsum(first) - 1
+    n_groups = int(np.count_nonzero(first))
+
+    def any_in_group(mask):
+        return np.bincount(group[mask], minlength=n_groups) > 0
+
+    step = np.zeros(slot.size)
+    step[1:] = x[1:] - x[:-1]
+    unsorted = any_in_group(~first & (step < -1e-15))
+    crowded = any_in_group(~first & (step < spacing[slot] - 1e-12)) & ~unsorted
+    sos = np.bincount(group, w * w, n_groups)  # summed in array order
+    unnormalized = np.abs(sos - 1.0) > 1e-9
+    out_of_range = np.zeros(n_groups, dtype=bool)
+    if lengths is not None:
+        known = guide < len(lengths)
+        length = np.append(np.asarray(lengths, dtype=float), np.inf)[np.where(known, guide, -1)]
+        out_of_range = any_in_group(known & ((x < -1e-12) | (x > length + 1e-12)))
+
+    found = {int(i): [Violation("negative_minimum_spacing", f"minimum_spacing_m = {spacing[i]}")]
+             for i in np.flatnonzero(spacing < 0)}
+    group_slot, group_guide = slot[first], guide[first]
+    for k in np.flatnonzero(unsorted | crowded | unnormalized | out_of_range):
+        g, out = int(group_guide[k]), found.setdefault(int(group_slot[k]), [])
+        if unsorted[k]:
+            out.append(Violation("offsets_unsorted", f"guide {g}: offsets not ascending"))
+        elif crowded[k]:
+            out.append(Violation("spacing_violation",
+                                 f"guide {g}: adjacent offsets closer than minimum spacing"))
+        if unnormalized[k]:
+            out.append(Violation("weights_not_normalized",
+                                 f"guide {g}: sum of squared weights = {float(sos[k])!r}"))
+        if out_of_range[k]:
+            out.append(Violation("offset_out_of_range",
+                                 f"guide {g}: offsets outside [0, {lengths[g]}]"))
+    return found
+
+
+def first_layout_fault(s: Scenario, slot, guide, offsets, weights, minimum_spacing_m,
+                       guides_per_slot) -> tuple[int, str] | None:
+    """The first slot whose layout does not fit ``s`` and why, or None.
+
+    The antennas and spacings are given as to :func:`layout_violations`;
+    ``guides_per_slot`` is the number of guides each slot's layout is
+    written for. A slot's fault is, whichever comes first: a guide count
+    other than the scenario's, its layout's violation codes, no antennas.
+    """
+    n_guides = len(s.waveguides)
+    guides_per_slot = np.asarray(guides_per_slot)
+    found = layout_violations(slot, guide, offsets, weights, minimum_spacing_m,
+                              [w.length_m for w in s.waveguides])
+    mismatched = guides_per_slot != n_guides
+    faulty = mismatched | (np.bincount(np.asarray(slot, dtype=np.intp),
+                                       minlength=guides_per_slot.size) == 0)
+    faulty[list(found)] = True
+    if not np.any(faulty):
+        return None
+    i = int(np.argmax(faulty))
+    if mismatched[i]:
+        return i, f"layout covers {guides_per_slot[i]} waveguides, scenario has {n_guides}"
+    if i in found:
+        return i, "invalid layout: " + "; ".join(v.code for v in found[i])
+    return i, "layout activates no antennas"
 
 
 class Projection(NamedTuple):

@@ -177,7 +177,7 @@ def load_scenario(path) -> Scenario:
         try:
             node = loader.get_single_node()
             users = _users_node(node)
-            rows = None if users is None else _number_rows(loader, users[1])
+            rows = None if users is None else _number_rows(users[1])
             if rows is not None:
                 # the rest of the mapping; aliases of the whole document still see users
                 node = yaml.MappingNode(node.tag, [p for p in node.value if p is not users],
@@ -219,17 +219,14 @@ def _users_node(node):
     return found[-1] if found else None
 
 
-def _number_rows(loader, node):
+def _number_rows(node):
     """``[x, y, z]`` rows of finite floats read from a users node, or None.
 
-    Only a non-empty sequence of 3-element sequences of int or float
-    scalars is read here. Each value is the one ``construct_document``
-    would give: the loader's own scalar constructor makes it, except that
-    when every value is a plain decimal float such as ``safe_dump`` writes,
-    ``float`` reads them all at once (for those, ``construct_yaml_float``
-    returns ``float(value)``). Anything else (other tags or shapes,
-    non-finite or huge values) gives None and goes through the full
-    construction, whose checks report it.
+    Only a non-empty sequence of 3-element sequences of plain decimal float
+    scalars, as ``save_scenario`` writes them, is read here; for those,
+    ``float(value)`` is what the loader's ``construct_yaml_float`` gives.
+    Anything else (ints, other tags, forms or shapes, overflowing values)
+    gives None and goes through the full construction, whose checks report it.
     """
     if not isinstance(node, yaml.SequenceNode) or node.tag != _TAG + "seq" or not node.value:
         return None
@@ -239,18 +236,9 @@ def _number_rows(loader, node):
                 or len(item.value) != 3):
             return None
         cells += item.value
-    if not all(isinstance(v, yaml.ScalarNode) for v in cells):
+    if not all(isinstance(v, yaml.ScalarNode) and v.tag == _TAG + "float"
+               and _DECIMAL.fullmatch(v.value) for v in cells):
         return None
-    tags = {v.tag for v in cells}
-    if not tags <= {_TAG + "float", _TAG + "int"}:
-        return None
-    if tags == {_TAG + "float"} and all(_DECIMAL.fullmatch(v.value) for v in cells):
-        values = [float(v.value) for v in cells]
-    else:
-        try:
-            values = [float(loader.construct_yaml_float(v) if v.tag == _TAG + "float"
-                            else loader.construct_yaml_int(v)) for v in cells]
-        except (ArithmeticError, LookupError, ValueError):
-            return None  # huge ints, or explicit tags on text no constructor reads
+    values = [float(v.value) for v in cells]
     rows = np.array(values).reshape(-1, 3)
     return rows if np.isfinite(rows).all() else None

@@ -193,6 +193,7 @@ def test_tdma_keeps_the_per_slot_layout_checks(guide_y):
 def array_schedule(**changes):
     """A valid two-slot, two-guide schedule in array form, with ``changes``."""
     fields = dict(served=[0, 1], slot_fractions=[0.5, 0.5],
+                  guides_per_slot=[2, 2], minimum_spacing_m=[0.0, 0.0],
                   antenna_slot=[0, 0, 0, 1], antenna_guide=[0, 0, 1, 1],
                   offsets=[2.0, 4.0, 1.0, 9.5], weights=[0.6, 0.8, 1.0, 1.0])
     fields.update(changes)
@@ -201,7 +202,12 @@ def array_schedule(**changes):
 
 @pytest.mark.parametrize("changes, message", [
     (dict(slot_fractions=[1.0]), "one slot fraction is needed per slot"),
-    (dict(served=[], slot_fractions=[]), "schedule has no slots"),
+    (dict(guides_per_slot=[2]), "one guide count is needed per slot"),
+    (dict(guides_per_slot=2), "one guide count is needed per slot"),
+    (dict(minimum_spacing_m=[0.0]), "one minimum spacing is needed per slot"),
+    (dict(minimum_spacing_m=0.0), "one minimum spacing is needed per slot"),
+    (dict(served=[], slot_fractions=[], guides_per_slot=[], minimum_spacing_m=[]),
+     "schedule has no slots"),
     (dict(slot_fractions=[1.5, -0.5]), r"slot fractions must lie in \(0, 1\]"),
     (dict(slot_fractions=[0.5, 0.4]), "slot fractions sum to 0.9, not 1"),
     (dict(served=[0, 5]), r"unknown users \[5\]"),
@@ -209,11 +215,15 @@ def array_schedule(**changes):
     (dict(served=[1, 1]), r"users \[0\] appear in no slot"),
     (dict(offsets=[2.0, 4.0, 1.0]), "layout_shape_mismatch"),
     (dict(antenna_slot=[0, 0, 0, 2]), r"antenna slot indices must lie in \[0, 2\)"),
-    (dict(antenna_guide=[0, 0, -1, 1]), "antenna guide indices must be nonnegative"),
-    (dict(antenna_guide=[0, 0, 1, 2]), "slot 1: layout covers 3 waveguides, scenario has 2"),
-    (dict(guides_per_slot=[2, 1]), "slot 1: layout covers 1 waveguides, scenario has 2"),
+    (dict(antenna_guide=[0, 0, -1, 1]), r"antenna guide indices must lie in \[0, their slot"),
+    (dict(antenna_guide=[0, 0, 1, 2]), r"antenna guide indices must lie in \[0, their slot"),
+    (dict(guides_per_slot=[2, 1]), r"antenna guide indices must lie in \[0, their slot"),
+    (dict(guides_per_slot=[2, 3], antenna_guide=[0, 0, 1, 2]),
+     "slot 1: layout covers 3 waveguides, scenario has 2"),
+    (dict(guides_per_slot=[2, 1], antenna_guide=[0, 0, 1, 0]),
+     "slot 1: layout covers 1 waveguides, scenario has 2"),
     (dict(offsets=[4.0, 2.0, 1.0, 9.5]), "slot 0: invalid layout: offsets_unsorted$"),
-    (dict(minimum_spacing_m=2.5), "slot 0: invalid layout: spacing_violation$"),
+    (dict(minimum_spacing_m=[2.5, 2.5]), "slot 0: invalid layout: spacing_violation$"),
     (dict(minimum_spacing_m=[0.0, -0.1]), "slot 1: invalid layout: negative_minimum_spacing$"),
     (dict(weights=[0.6, 0.8, 1.0, 0.9]), "slot 1: invalid layout: weights_not_normalized$"),
     (dict(offsets=[2.0, 4.0, 1.0, 16.5]), "slot 1: invalid layout: offset_out_of_range$"),
@@ -250,6 +260,7 @@ def test_slot_fractions_are_summed_in_slot_order():
     n = len(fractions)
     s = make_scenario(np.zeros((n, 3)))
     schedule = TdmaSchedule(served=np.arange(n), slot_fractions=fractions,
+                            guides_per_slot=np.ones(n), minimum_spacing_m=np.zeros(n),
                             antenna_slot=np.arange(n), antenna_guide=np.zeros(n, dtype=int),
                             offsets=np.ones(n), weights=np.ones(n))
     assert abs(float(np.sum(fractions)) - 1.0) <= 1e-12
@@ -265,10 +276,21 @@ def test_array_schedule_rejects_an_antenna_on_a_user():
     ground_guide = WaveguideSpec(feed_point=(0.0, 0.0, 0.0), axis_direction=(0.0, 1.0, 0.0),
                                  length_m=20.0)
     s = make_scenario([(0.0, 5.0, 0.0), (0.0, 7.0, 0.0)], (ground_guide,))
-    schedule = TdmaSchedule(served=[0, 1], slot_fractions=[0.5, 0.5], antenna_slot=[0, 1],
+    schedule = TdmaSchedule(served=[0, 1], slot_fractions=[0.5, 0.5], guides_per_slot=[1, 1],
+                            minimum_spacing_m=[0.0, 0.0], antenna_slot=[0, 1],
                             antenna_guide=[0, 0], offsets=[4.0, 5.0], weights=[1.0, 1.0])
     with pytest.raises(ValueError, match="coincides"):
         tdma_rates(s, schedule)
+
+
+def test_from_layouts_reads_any_iterable_of_slots(guide_y):
+    s = make_scenario([(1.0, 3.0, 0.0), (1.0, 12.0, 0.0)], (guide_y,))
+    slots = ((u, slot_for(guide_y, s.users.positions[u])) for u in range(2))
+    schedule = TdmaSchedule.from_layouts(slots, (0.5, 0.5))
+    assert schedule.served.tolist() == [0, 1]
+    assert schedule.guides_per_slot.tolist() == [1, 1]
+    assert schedule.antenna_slot.tolist() == [0, 1]
+    schedule.validate(s)
 
 
 def test_from_layouts_rejects_a_layout_it_cannot_flatten():
@@ -293,19 +315,47 @@ def slot_layouts(draw):
     return PinchingLayout(offsets, weights, spacing)
 
 
+def reference_layout_fault(s, layout):
+    """The reason build_channel gave for rejecting a layout, checked one
+    antenna at a time as it was before the checks were vectorized, or None."""
+    if len(layout.offsets_per_guide) != len(s.waveguides):
+        return (f"layout covers {len(layout.offsets_per_guide)} waveguides, "
+                f"scenario has {len(s.waveguides)}")
+    codes = ["negative_minimum_spacing"] if layout.minimum_spacing_m < 0 else []
+    for g, (offs, ws) in enumerate(zip(layout.offsets_per_guide, layout.weights_per_guide)):
+        if not offs:
+            continue
+        if any(b - a < -1e-15 for a, b in zip(offs, offs[1:])):
+            codes.append("offsets_unsorted")
+        elif any(b - a < layout.minimum_spacing_m - 1e-12 for a, b in zip(offs, offs[1:])):
+            codes.append("spacing_violation")
+        if abs(sum(w * w for w in ws) - 1.0) > 1e-9:
+            codes.append("weights_not_normalized")
+        length = s.waveguides[g].length_m
+        if min(offs) < -1e-12 or max(offs) > length + 1e-12:
+            codes.append("offset_out_of_range")
+    if codes:
+        return "invalid layout: " + "; ".join(codes)
+    return None if layout.total_antennas else "layout activates no antennas"
+
+
 @settings(max_examples=300, deadline=None)
 @given(layouts=st.lists(slot_layouts(), min_size=1, max_size=4))
 def test_one_pass_validation_reports_as_the_per_slot_checks(layouts):
-    """The first faulty slot and its message, as build_channel's layout check finds them."""
+    """The first faulty slot and its message, as a per-antenna check of each
+    slot finds them, both for a schedule and for build_channel's layout check."""
     users = [(-1.0, -6.0 + k, 0.0) for k in range(len(layouts))]
     s = make_scenario(users, two_guides())
     expected = None
     for i, layout in enumerate(layouts):
+        reason = reference_layout_fault(s, layout)
         try:
             _check_layout(s, layout)
+            assert reason is None
         except ValueError as exc:
-            expected = f"slot {i}: {exc}"
-            break
+            assert str(exc) == reason
+        if reason is not None and expected is None:
+            expected = f"slot {i}: {reason}"
     schedule = TdmaSchedule.from_layouts(tuple(enumerate(layouts)),
                                          (1.0 / len(layouts),) * len(layouts))
     try:

@@ -182,5 +182,20 @@ def test_layout_violations(guide_y):
     assert clean.violations((guide_y,)) == []
 
 
+def test_layout_violations_name_their_guide(guide_y):
+    layout = PinchingLayout(((), (3.0, 1.0), (-1.0,)), ((), (1.0, 1.0), (0.5,)),
+                            minimum_spacing_m=-0.5)
+    assert [(v.code, v.detail) for v in layout.violations((guide_y,) * 3)] == [
+        ("negative_minimum_spacing", "minimum_spacing_m = -0.5"),
+        ("offsets_unsorted", "guide 1: offsets not ascending"),
+        ("weights_not_normalized", "guide 1: sum of squared weights = 2.0"),
+        ("weights_not_normalized", "guide 2: sum of squared weights = 0.25"),
+        ("offset_out_of_range", "guide 2: offsets outside [0, 20.0]"),
+    ]
+    ragged = PinchingLayout(((1.0,), (2.0, 3.0)), ((1.0,), (1.0,)))
+    assert [(v.code, v.detail) for v in ragged.violations()] == [
+        ("layout_shape_mismatch", "offsets and weights differ in guide count or length")]
+
+
 def test_user_set_length():
     assert len(UserSet([(0, 0, 0), (1, 1, 0)])) == 2

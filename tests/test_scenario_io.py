@@ -254,6 +254,9 @@ PREFIXES = ("", "users: [[1.0, 2.0, 0.0]]\n", "early: !!float 'x'\n",
 @example(section="users: [[1.5, -2.0e-05, 0.0], [1, 2, 0]]", prefix="")
 @example(section="users: [[017, 0x1F, 1_0]]", prefix="")
 @example(section="users: [[.nan, 1.0, 0.0]]", prefix="")
+@example(section="users: [[1.0e+999, 1.0, 0.0]]", prefix="")
+@example(section="users: [[1.5, 2.5, 0.0, 3.5], [1.0, 2.0, 0.0, 4.0], [0.5, 0.5, 0.0, 0.5]]",
+         prefix="")
 @example(section=f"users: [[{'9' * 400}, 1.0, 0.0]]", prefix="")
 @example(section='users: [[!!int "1.5", 1.0, 0.0]]', prefix="")
 @example(section='users: [[!!float "1.5\\n2.5", 1.0, 0.0]]', prefix="")
