@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import RateReport, _gains
+from .beamforming import RateReport, _gains, shannon_rate
 from .channel import _check_clear_of_users, link_gains, link_power
 from .placement import (
     PlacementSolution,
@@ -163,7 +163,7 @@ def tdma_rates(s: Scenario, schedule: TdmaSchedule) -> RateReport:
 
     rho = s.transmit_snr
     rates = np.zeros(len(s.users))
-    np.add.at(rates, served, schedule.slot_fractions * np.log2(1.0 + rho * gain2))
+    np.add.at(rates, served, schedule.slot_fractions * shannon_rate(rho * gain2))
     sinr = np.exp2(rates) - 1.0
     return RateReport(sinr, rates, float(rates.sum()), "tdma")
 
@@ -219,7 +219,6 @@ def noma_rates(s: Scenario, H, cluster: NomaCluster, beam,
     gains = {u: float(np.abs(np.conj(G[u]) @ beam) ** 2) for u in cluster.users}
     power = dict(zip(cluster.users, cluster.power_split))
 
-    n = len(cluster.sic_order)
     rate_by_user: dict[int, float] = {}
     sinr_by_user: dict[int, float] = {}
     for t, msg_user in enumerate(cluster.sic_order):
@@ -231,7 +230,7 @@ def noma_rates(s: Scenario, H, cluster: NomaCluster, beam,
             for u in decoders
         )
         sinr_by_user[msg_user] = sinr
-        rate_by_user[msg_user] = float(np.log2(1.0 + sinr))
+        rate_by_user[msg_user] = float(shannon_rate(sinr))
 
     sinr = np.array([sinr_by_user[u] for u in cluster.users])
     rates = np.array([rate_by_user[u] for u in cluster.users])
@@ -267,9 +266,8 @@ def noma_gain_reorder(s: Scenario, cluster_users, target_order,
     users = s.users.positions[list(cluster_users)]
 
     grid = _offset_grid(0.0, w.length_m, res)
-    n = len(grid)
     gains = link_power(s, w, grid[:, None], users[None, :, :])  # (offsets, cluster users)
-    objective = np.log2(1.0 + rho * gains).sum(axis=1)
+    objective = shannon_rate(rho * gains).sum(axis=1)
 
     def ranking(row) -> tuple[int, ...]:
         order = np.argsort(-row, kind="stable")
@@ -280,22 +278,11 @@ def noma_gain_reorder(s: Scenario, cluster_users, target_order,
     group = place_single_for_group(w, users, "sum_rate", s, grid_res=res)
     opt_x = group.layout.offsets_per_guide[0][0]
     if ranking(link_power(s, w, np.array([opt_x]), users)) == target_order:
-        return PlacementSolution(group.layout, group.objective_value, "sum_rate",
-                                 n, True, (group.objective_value,))
+        return group
 
-    ranks = [ranking(gains[i]) for i in range(n)]
-    matches = np.array([r == target_order for r in ranks])
-    if np.any(matches):
-        masked = np.where(matches, objective, -np.inf)
-        i = _argmax_tie_smallest(masked)
-        converged = True
-    else:
-        distances = np.array([_kendall_distance(r, target_order) for r in ranks])
-        best_d = distances.min()
-        masked = np.where(distances == best_d, objective, -np.inf)
-        i = _argmax_tie_smallest(masked)
-        converged = False
-
+    # distance 0 is the requested ranking itself
+    distances = np.array([_kendall_distance(ranking(row), target_order) for row in gains])
+    i = _argmax_tie_smallest(np.where(distances == distances.min(), objective, -np.inf))
     layout = PinchingLayout(((float(grid[i]),),), ((1.0,),))
-    return PlacementSolution(layout, float(objective[i]), "sum_rate", n,
-                             converged, (float(objective[i]),))
+    return PlacementSolution(layout, float(objective[i]), "sum_rate", 1,
+                             bool(distances[i] == 0), (float(objective[i]),))

@@ -21,6 +21,14 @@ class RankDeficiencyError(ValueError):
     """Channel rows too close to linearly dependent for meaningful nulling."""
 
 
+def shannon_rate(sinr, out=None):
+    """The rate law log2(1 + sinr) in bps/Hz; every rate in pinchsim comes from here.
+
+    ``out``, when given, receives the result (``out=sinr`` works in place).
+    """
+    return np.log2(np.add(sinr, 1.0, out=out), out=out)
+
+
 def _gains(H) -> np.ndarray:
     g = H.gains if isinstance(H, ChannelMatrix) else np.asarray(H)
     g = np.asarray(g, dtype=complex)
@@ -60,7 +68,7 @@ class RateReport:
     @classmethod
     def from_sinr(cls, sinr, scheme_label: str) -> "RateReport":
         sinr = np.asarray(sinr, dtype=float)
-        rates = np.log2(1.0 + sinr)
+        rates = shannon_rate(sinr)
         return cls(sinr, rates, float(rates.sum()), scheme_label)
 
 
@@ -113,4 +121,4 @@ def evaluate_rates(H, B: Beamformer, transmit_snr: float,
 def conventional_bound(H, transmit_snr: float) -> np.ndarray:
     """Interference-free single-user rate ceiling log2(1 + snr*|h_i|^2)."""
     G = _gains(H)
-    return np.log2(1.0 + transmit_snr * np.linalg.norm(G, axis=1) ** 2)
+    return shannon_rate(transmit_snr * np.linalg.norm(G, axis=1) ** 2)

@@ -151,14 +151,6 @@ class ChannelMatrix:
     los_states: np.ndarray | None = None
     antenna_guide_index: tuple[int, ...] = ()
 
-    @property
-    def n_users(self) -> int:
-        return self.gains.shape[0]
-
-    @property
-    def n_feeds(self) -> int:
-        return self.gains.shape[1]
-
 
 def _check_layout(s: Scenario,
                   layout: PinchingLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -28,6 +28,7 @@ from .beamforming import (
     conventional_bound,
     evaluate_rates,
     mrc_beamformer,
+    shannon_rate,
     zf_beamformer,
 )
 from .channel import build_channel, free_space_gain, guide_distances, link_power, los_probability
@@ -236,10 +237,10 @@ def run_heatmap(cfg: ExperimentConfig) -> HeatmapResult:
     rng = np.random.default_rng(cfg.seed)
     los = rng.uniform(size=cells.shape[0]) < los_probability(scenario.los_model, d_conv)
     g_conv = free_space_gain(d_conv, lam0, los, penalty)
-    rate_conv = np.log2(1.0 + rho * np.abs(g_conv) ** 2)
+    rate_conv = shannon_rate(rho * np.abs(g_conv) ** 2)
 
     offsets = projected_offsets(w, cells)
-    rate_pinch = np.log2(1.0 + rho * link_power(scenario, w, offsets, cells))
+    rate_pinch = shannon_rate(rho * link_power(scenario, w, offsets, cells))
 
     meta = _metadata(cfg, scenario)
     result = HeatmapResult(cells[:, 0], cells[:, 1], rate_conv, rate_pinch,

@@ -2,11 +2,11 @@
 
 All optimizers are derivative-free: a dense grid scan, then refinement of
 the best cell. The objectives are cheap at desk scale and the phase terms
-make them multimodal, so scans are both robust and reproducible. The
-single-guide optimizers refine by golden section; the multi-waveguide
-descent refines by batched zoom, scoring a few passes of evenly spaced
-candidates at once. Ties within 1e-12 of the best grid value resolve to the
-smallest offset.
+make them multimodal, so scans are both robust and reproducible. One
+refiner, the batched zoom :func:`_zoom_max`, serves the single-guide group
+placement and every step of the multi-waveguide descent: it scores a few
+passes of evenly spaced candidates at once. Ties within 1e-12 of the best
+grid value resolve to the smallest offset.
 
 Placement objectives assume the pinched link is line-of-sight: the premise
 of placing an antenna adjacent to a user is that doing so establishes LoS.
@@ -24,6 +24,7 @@ from .beamforming import (
     RankDeficiencyError,
     evaluate_rates,
     mrc_beamformer,
+    shannon_rate,
     zf_beamformer,
 )
 from .channel import GuidedWave, build_channel, link_gains, link_power
@@ -35,7 +36,6 @@ from .scenario import (
     project_onto_waveguide,
 )
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 TIE_TOL = 1e-12
 BRACKET_TOL_M = 1e-6
 PHASE_TOL_RAD = 1e-6
@@ -46,7 +46,11 @@ OBJECTIVES = ("sum_rate", "max_min_rate", "single_user_rate")
 
 @dataclass(frozen=True, eq=False)
 class PlacementSolution:
-    """Optimized layout with its objective value and convergence record."""
+    """Optimized layout with its objective value and convergence record.
+
+    ``iterations`` counts optimizer cycles: coordinate-descent cycles for
+    the multi-waveguide descent, 1 for the one-pass optimizers.
+    """
 
     layout: PinchingLayout
     objective_value: float
@@ -75,63 +79,14 @@ def _argmax_tie_smallest(values: np.ndarray) -> int:
     return int(np.nonzero(values >= vmax - TIE_TOL)[0][0])
 
 
-def _golden_max(fn, a: float, b: float, bracket_tol: float = BRACKET_TOL_M,
-                max_iter: int = 200):
-    """Golden-section maximization on [a, b]; returns (x, value, evals, converged)."""
-    evals = 0
-    if b - a <= bracket_tol:
-        x = 0.5 * (a + b)
-        return x, fn(x), 1, True
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    evals += 2
-    while b - a > bracket_tol and evals < max_iter:
-        if f2 > f1:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = fn(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = fn(x1)
-        evals += 1
-    if f1 > f2 or (f1 == f2 and x1 < x2):
-        return x1, f1, evals, (b - a) <= bracket_tol
-    return x2, f2, evals, (b - a) <= bracket_tol
-
-
-def maximize_on_segment(fn_batch, lo: float, hi: float, grid_res: float,
-                        bracket_tol: float = BRACKET_TOL_M):
-    """Grid scan at ``grid_res`` plus golden-section refinement in the best cell.
-
-    ``fn_batch`` maps an array of offsets to an array of objective values.
-    Returns (offset, value, evaluations, converged).
-    """
-    grid = _offset_grid(lo, hi, grid_res)
-    n = len(grid)
-    vals = np.asarray(fn_batch(grid), dtype=float)
-    i = _argmax_tie_smallest(vals)
-    step = (hi - lo) / (n - 1)
-    a = max(lo, grid[i] - step)
-    b = min(hi, grid[i] + step)
-
-    def scalar(x):
-        return float(fn_batch(np.asarray([x]))[0])
-
-    xr, fr, extra, converged = _golden_max(scalar, a, b, bracket_tol)
-    if fr > vals[i] or (fr == vals[i] and xr < grid[i]):
-        return float(xr), float(fr), n + extra, converged
-    return float(grid[i]), float(vals[i]), n + extra, converged
-
-
 def _single_antenna_rates(w: WaveguideSpec, users: np.ndarray, s: Scenario,
                           offsets: np.ndarray) -> np.ndarray:
     """LoS rates of every user for one full-power antenna at each offset.
 
-    Returns an (offsets, users) array; a lone antenna's phase is irrelevant.
+    Returns an (..., users) array for offsets of any shape (...); a lone
+    antenna's phase is irrelevant.
     """
-    return np.log2(1.0 + s.transmit_snr * link_power(s, w, offsets[:, None], users[None, :, :]))
+    return shannon_rate(s.transmit_snr * link_power(s, w, offsets[..., None], users))
 
 
 def place_single_for_group(w: WaveguideSpec, users, objective: str,
@@ -139,7 +94,7 @@ def place_single_for_group(w: WaveguideSpec, users, objective: str,
     """Best single-antenna offset for a user group under a rate objective.
 
     ``objective`` is ``sum_rate`` or ``max_min_rate``; the search is a dense
-    grid scan (lambda0/4 by default) refined by golden section until the
+    grid scan (lambda0/4 by default) refined by batched zoom until the
     bracket is narrower than 1e-6 m.
     """
     if objective not in ("sum_rate", "max_min_rate"):
@@ -150,11 +105,14 @@ def place_single_for_group(w: WaveguideSpec, users, objective: str,
     reduce = np.sum if objective == "sum_rate" else np.min
 
     def fn(offs):
-        return reduce(_single_antenna_rates(w, pts, s, offs), axis=1)
+        return reduce(_single_antenna_rates(w, pts, s, offs), axis=-1)
 
-    x, value, evals, converged = maximize_on_segment(fn, 0.0, w.length_m, res)
-    layout = PinchingLayout(((x,),), ((1.0,),))
-    return PlacementSolution(layout, value, objective, evals, converged, (value,))
+    grid = _offset_grid(0.0, w.length_m, res)
+    vals = fn(grid)
+    i = _argmax_tie_smallest(vals)
+    x, value = _zoom_max(lambda rows, xs: fn(xs), grid, [i], [vals[i]], BRACKET_TOL_M)
+    layout = PinchingLayout(((float(x[0]),),), ((1.0,),))
+    return PlacementSolution(layout, float(value[0]), objective, 1, True, (float(value[0]),))
 
 
 def _wrap(phase):
@@ -194,7 +152,7 @@ def _solve_phase_offset(phase_fn, lo: float, hi: float, target: float,
     return float(m), float(min(abs(da), abs(db)))
 
 
-def align_multi_on_guide(w: WaveguideSpec, gw: GuidedWave, user, n_antennas: int,
+def align_multi_on_guide(w: WaveguideSpec, user, n_antennas: int,
                          s: Scenario, min_spacing: float | None = None,
                          phase_candidates: int = 96) -> PlacementSolution:
     """Place n antennas on one guide so their contributions add coherently.
@@ -227,7 +185,7 @@ def align_multi_on_guide(w: WaveguideSpec, gw: GuidedWave, user, n_antennas: int
     proj = project_onto_waveguide(w, user)
     center = min(max(proj.offset, span / 2.0), w.length_m - span / 2.0)
     coarse = center + (np.arange(n_antennas) - (n_antennas - 1) / 2.0) * spacing
-    lamg = gw.guided_wavelength_m
+    lamg = GuidedWave.for_waveguide(s.carrier, w).guided_wavelength_m
     weight = 1.0 / math.sqrt(n_antennas)
 
     def phase_fn(x):
@@ -267,8 +225,8 @@ def align_multi_on_guide(w: WaveguideSpec, gw: GuidedWave, user, n_antennas: int
     agg, offs, miss = best
     layout = PinchingLayout(tuple([tuple(offs)]),
                             tuple([tuple([weight] * n_antennas)]), spacing)
-    rate = float(np.log2(1.0 + s.transmit_snr * agg ** 2))
-    return PlacementSolution(layout, rate, "single_user_rate", len(targets),
+    rate = float(shannon_rate(s.transmit_snr * agg ** 2))
+    return PlacementSolution(layout, rate, "single_user_rate", 1,
                              miss <= PHASE_TOL_RAD, (rate,))
 
 
@@ -332,13 +290,6 @@ def _gram_inverse_diag(m, K: int) -> list:
     return [inv[..., k, k].real for k in range(K)]
 
 
-def _batch_rates(G: np.ndarray, kind: str, transmit_snr: float) -> np.ndarray:
-    """Per-user rates (..., K) for stacked channels (..., K, M) under ZF or MRC."""
-    Mh = np.einsum("...km,...lm->...kl", np.conj(G), G)
-    return np.stack(_gram_rates(lambda k, l: Mh[..., k, l], G.shape[-2], kind,
-                                transmit_snr), axis=-1)
-
-
 def _gram_rates(m, K: int, kind: str, transmit_snr) -> list:
     """Per-user rates, one array per user, from Gram entries m(k, l) = h_k^H h_l.
 
@@ -370,8 +321,7 @@ def _gram_rates(m, K: int, kind: str, transmit_snr) -> list:
         else:
             raise ValueError(f"unknown beamformer kind {kind!r}")
         for x in sinr:
-            x += 1.0
-            np.log2(x, out=x)
+            shannon_rate(x, out=x)
         return sinr
 
 
@@ -418,18 +368,22 @@ def _outer(c: np.ndarray) -> np.ndarray:
     return np.conj(c)[..., :, None, :] * c[..., None, :, :]
 
 
-def _zoom_max(fn, a, b, x0, v0, bracket_tol: float, points: int = ZOOM_POINTS):
-    """Batched zoom refinement of grid maxima (x0, v0) inside brackets [a, b].
+def _zoom_max(fn, grid, idx, v0, bracket_tol: float, points: int = ZOOM_POINTS):
+    """Batched zoom refinement of grid maxima ``grid[idx]``, valued ``v0``.
 
-    Arrays hold one row per state. Each pass scores ``points`` evenly spaced
-    offsets across every open bracket at once, ``fn(rows, xs)`` mapping the
-    open rows and their offsets (rows, points) to values, and shrinks each
-    bracket to one spacing either side of its pass's best offset (exact ties
-    to the smallest), until it is narrower than ``bracket_tol``. Returns the
-    best (x, value) per row; (x0, v0) is kept unless a candidate beats it or
-    ties it at a smaller offset.
+    Arrays hold one row per state. Each row's bracket starts one grid step
+    either side of its maximum, clipped to the grid. Each pass scores
+    ``points`` evenly spaced offsets across every open bracket at once,
+    ``fn(rows, xs)`` mapping the open rows and their offsets (rows, points)
+    to values, and shrinks each bracket to one spacing either side of its
+    pass's best offset (exact ties to the smallest), until it is narrower
+    than ``bracket_tol``. Returns the best (x, value) per row; the grid
+    maximum is kept unless a candidate beats it or ties it at a smaller
+    offset.
     """
-    a, b, x, v = (np.array(t, dtype=float) for t in (a, b, x0, v0))
+    step = grid[1] - grid[0]
+    x, v = grid[np.asarray(idx)], np.array(v0, dtype=float)
+    a, b = np.maximum(grid[0], x - step), np.minimum(grid[-1], x + step)
     # b > a: ends even for bracket_tol <= 0
     rows = np.flatnonzero((b - a > bracket_tol) & (b > a))
     while rows.size:
@@ -495,7 +449,6 @@ def _descend(s: Scenario, transmit_snrs: np.ndarray, kind: str, objective: str,
             if not found:
                 continue
             pos, idx, best = (np.array(t) for t in zip(*found))
-            step = grid[1] - grid[0]
             fz, rho_z = fixed[pos], transmit_snrs[live[pos], None]
 
             def zoom_scores(rows, xs):
@@ -504,9 +457,7 @@ def _descend(s: Scenario, transmit_snrs: np.ndarray, kind: str, objective: str,
                 return _scores(lambda k, l: F[:, k, l, None] + np.conj(c[k]) * c[l],
                                K, kind, objective, rho_z[rows])
 
-            x, v = _zoom_max(zoom_scores, np.maximum(0.0, grid[idx] - step),
-                             np.minimum(s.waveguides[g].length_m, grid[idx] + step),
-                             grid[idx], best, refine_tol)
+            x, v = _zoom_max(zoom_scores, grid, idx, best, refine_tol)
             up = v > value[live[pos]]
             pos, x, v = pos[up], x[up], v[up]
             states = live[pos]

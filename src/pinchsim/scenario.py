@@ -149,10 +149,6 @@ class PinchingLayout:
         )
         return cls(offs, weights, minimum_spacing_m)
 
-    @property
-    def total_antennas(self) -> int:
-        return sum(len(off) for off in self.offsets_per_guide)
-
     def antennas(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Guide index, offset and weight of every antenna, guide by guide in layout order."""
         if (len(self.offsets_per_guide) != len(self.weights_per_guide)
@@ -197,7 +193,8 @@ def layout_violations(slot, guide, offsets, weights, minimum_spacing_m,
     a guide past it is not range-checked. Each faulty slot maps to its
     violations, in this order: a negative spacing, then guide by guide
     ``offsets_unsorted`` or else ``spacing_violation``,
-    ``weights_not_normalized`` and ``offset_out_of_range``.
+    ``weights_not_normalized`` and ``offset_out_of_range``. A NaN weight is
+    not normalized and a NaN offset is out of range.
     """
     slot, guide = np.asarray(slot, dtype=np.intp), np.asarray(guide, dtype=np.intp)
     x, w = np.asarray(offsets, dtype=float), np.asarray(weights, dtype=float)
@@ -218,12 +215,12 @@ def layout_violations(slot, guide, offsets, weights, minimum_spacing_m,
     unsorted = any_in_group(~first & (step < -1e-15))
     crowded = any_in_group(~first & (step < spacing[slot] - 1e-12)) & ~unsorted
     sos = np.bincount(group, w * w, n_groups)  # summed in array order
-    unnormalized = np.abs(sos - 1.0) > 1e-9
+    unnormalized = ~(np.abs(sos - 1.0) <= 1e-9)  # NaN fails these comparisons
     out_of_range = np.zeros(n_groups, dtype=bool)
     if lengths is not None:
         known = guide < len(lengths)
         length = np.append(np.asarray(lengths, dtype=float), np.inf)[np.where(known, guide, -1)]
-        out_of_range = any_in_group(known & ((x < -1e-12) | (x > length + 1e-12)))
+        out_of_range = any_in_group(known & ~((x >= -1e-12) & (x <= length + 1e-12)))
 
     found = {int(i): [Violation("negative_minimum_spacing", f"minimum_spacing_m = {spacing[i]}")]
              for i in np.flatnonzero(spacing < 0)}

@@ -97,29 +97,14 @@ def _scenario_from_dict(data: dict, users) -> Scenario:
                                   f"[-{SNR_DB_LIMIT:g}, {SNR_DB_LIMIT:g}] dB, got {snr_db!r}")
 
     los_raw = data.get("los_model", {}) or {}
-    defaults = LoSModelConfig()
-    known = {"kind", "rho_los_per_m", "nlos_extra_loss_db",
-             "inmo_near_m", "inmo_far_m", "inmo_near_decay_m",
-             "inmo_far_decay_m", "inmo_far_scale"}
-    extra = set(los_raw) - known
+    defaults = dataclasses.asdict(LoSModelConfig())  # every field, in field order
+    extra = set(los_raw) - set(defaults)
     if extra:
         raise ScenarioFormatError(f"los_model: unknown keys {sorted(extra)}")
-    los = LoSModelConfig(
-        kind=str(los_raw.get("kind", defaults.kind)),
-        rho_los_per_m=_number(los_raw.get("rho_los_per_m", defaults.rho_los_per_m),
-                              "los_model.rho_los_per_m"),
-        nlos_extra_loss_db=_number(los_raw.get("nlos_extra_loss_db",
-                                               defaults.nlos_extra_loss_db),
-                                   "los_model.nlos_extra_loss_db"),
-        inmo_near_m=_number(los_raw.get("inmo_near_m", defaults.inmo_near_m), "los_model"),
-        inmo_far_m=_number(los_raw.get("inmo_far_m", defaults.inmo_far_m), "los_model"),
-        inmo_near_decay_m=_number(los_raw.get("inmo_near_decay_m",
-                                              defaults.inmo_near_decay_m), "los_model"),
-        inmo_far_decay_m=_number(los_raw.get("inmo_far_decay_m",
-                                             defaults.inmo_far_decay_m), "los_model"),
-        inmo_far_scale=_number(los_raw.get("inmo_far_scale", defaults.inmo_far_scale),
-                               "los_model"),
-    )
+    los = LoSModelConfig(**{
+        key: str(los_raw.get(key, default)) if key == "kind"
+        else _number(los_raw.get(key, default), f"los_model.{key}")
+        for key, default in defaults.items()})
 
     guides_raw = _require(data, "waveguides", "scenario")
     if not isinstance(guides_raw, list):
@@ -185,7 +170,9 @@ def load_scenario(path) -> Scenario:
             data = None if node is None else loader.construct_document(node)
         finally:
             loader.dispose()
-    except yaml.YAMLError as exc:
+    # an explicit tag on text its constructor cannot read, e.g. !!float "abc",
+    # !!int "" or !!timestamp "x", raises one of the three others
+    except (yaml.YAMLError, ValueError, IndexError, AttributeError) as exc:
         raise ScenarioFormatError(f"{path} is not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioFormatError(f"{path}: top level must be a mapping")

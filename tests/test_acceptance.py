@@ -240,14 +240,13 @@ def test_criterion_08_mimo_comparison_ordering(tmp_path):
            not failures and elapsed < 60.0, detail)
 
 
-def test_criterion_09_phase_alignment_coherence(carrier28, guide_y):
+def test_criterion_09_phase_alignment_coherence(guide_y):
     ok = True
     detail = []
     for user in ((0.0, 7.0, 0.0), (2.0, 12.0, 0.0)):
         s = make_scenario([user], (guide_y,))
-        gw = GuidedWave.for_waveguide(carrier28, guide_y)
         for n in (2, 4):
-            sol = align_multi_on_guide(guide_y, gw, user, n, s)
+            sol = align_multi_on_guide(guide_y, user, n, s)
             H = build_channel(s, sol.layout, los_states=True)
             ratio = abs(H.gains[0, 0]) / coherent_gain_bound(H, 0)
             detail.append(f"n={n}: {ratio:.5f}")

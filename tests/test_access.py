@@ -233,6 +233,8 @@ def array_schedule(**changes):
      "weights_not_normalized$"),
     (dict(antenna_slot=[0, 0, 0, 0], antenna_guide=[0, 0, 1, 1], offsets=[2.0, 4.0, 1.0, 9.5],
           weights=[0.6, 0.8, 0.6, 0.8]), "slot 1: layout activates no antennas"),
+    (dict(offsets=[2.0, 4.0, 1.0, math.nan]), "slot 1: invalid layout: offset_out_of_range$"),
+    (dict(weights=[0.6, math.nan, 1.0, 1.0]), "slot 0: invalid layout: weights_not_normalized$"),
 ])
 def test_array_schedule_rejects(changes, message):
     s = make_scenario([(-1.0, -6.0, 0.0), (3.0, 1.5, 0.0)], two_guides())
@@ -336,7 +338,7 @@ def reference_layout_fault(s, layout):
             codes.append("offset_out_of_range")
     if codes:
         return "invalid layout: " + "; ".join(codes)
-    return None if layout.total_antennas else "layout activates no antennas"
+    return None if layout.antennas()[0].size else "layout activates no antennas"
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pinchsim
 from pinchsim import (
     Beamformer,
     RankDeficiencyError,
@@ -11,6 +14,7 @@ from pinchsim import (
     mrc_beamformer,
     zf_beamformer,
 )
+from pinchsim.beamforming import shannon_rate
 
 
 def random_channel(rng, users, feeds, min_rcond=1e-3):
@@ -195,3 +199,24 @@ def test_evaluate_rates_dimension_mismatch():
     B = mrc_beamformer(np.eye(3, dtype=complex))
     with pytest.raises(ValueError, match="match"):
         evaluate_rates(G, B, 1.0)
+
+
+def test_shannon_rate_is_the_rate_law_in_place_or_not():
+    sinr = np.array([0.0, 1e-8, 1.0, 3.0, 1e12])
+    expected = np.log2(1.0 + sinr)
+    np.testing.assert_array_equal(shannon_rate(sinr), expected)
+    np.testing.assert_array_equal(shannon_rate(sinr, out=sinr), expected)
+    np.testing.assert_array_equal(sinr, expected)
+    assert shannon_rate(3.0) == 2.0
+
+
+def test_rate_law_has_one_home():
+    """No module but beamforming calls log2 or log1p: every rate goes through
+    ``shannon_rate``."""
+    callers = []
+    for path in sorted(Path(pinchsim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "attr", getattr(node, "id", None))
+            if name in ("log2", "log1p") and path.name != "beamforming.py":
+                callers.append(f"{path.name}:{node.lineno}")
+    assert callers == []

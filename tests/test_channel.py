@@ -281,8 +281,11 @@ def test_antenna_user_coincidence_is_an_error():
 
 def test_invalid_layout_is_rejected(guide_y):
     s = make_scenario([(1, 2, 0)], (guide_y,))
-    with pytest.raises(ValueError, match="invalid layout"):
-        build_channel(s, PinchingLayout(((1.0,),), ((0.7,),)), los_states=True)
+    for layout in (PinchingLayout(((1.0,),), ((0.7,),)),
+                   PinchingLayout(((math.nan,),), ((1.0,),)),
+                   PinchingLayout(((1.0,),), ((math.nan,),))):
+        with pytest.raises(ValueError, match="invalid layout"):
+            build_channel(s, layout, los_states=True)
     with pytest.raises(ValueError, match="waveguides"):
         build_channel(s, PinchingLayout(((1.0,), (2.0,)), ((1.0,), (1.0,))),
                       los_states=True)

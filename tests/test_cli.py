@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -59,7 +59,11 @@ def test_numerical_failures_map_to_exit_3(monkeypatch, tmp_path, scenario_file, 
 
 @settings(max_examples=10, deadline=None)
 @given(field=st.sampled_from(["frequency_hz", "transmit_snr_db", "length_m"]),
-       value=st.sampled_from([".nan", ".inf", "-.inf"]))
+       value=st.sampled_from([".nan", ".inf", "-.inf",
+                              '!!float "abc"', '!!int ""', '!!timestamp "x"']))
+@example(field="frequency_hz", value='!!float "abc"')
+@example(field="transmit_snr_db", value='!!int ""')
+@example(field="length_m", value='!!timestamp "x"')
 def test_non_finite_scenario_number_exits_2(tmp_path_factory, field, value):
     tmp = tmp_path_factory.mktemp("nf")
     path = save_scenario(tdma_scenario(), tmp / "scenario.yaml")

@@ -22,7 +22,14 @@ from pinchsim import (
     project_onto_waveguide,
     zf_beamformer,
 )
-from pinchsim.placement import _wrap, maximize_on_segment
+from pinchsim.placement import (
+    BRACKET_TOL_M,
+    _argmax_tie_smallest,
+    _gram_rates,
+    _offset_grid,
+    _wrap,
+    _zoom_max,
+)
 from pinchsim.scenario import UserSet
 from tests.conftest import make_scenario
 
@@ -89,7 +96,7 @@ def test_group_placement_rejects_unknown_objective(guide_y):
         place_single_for_group(guide_y, s.users, "fairness", s)
 
 
-def test_maximize_on_segment_matches_brute_force():
+def test_zoom_max_matches_brute_force():
     rng = np.random.default_rng(17)
     for _ in range(10):
         a, b, c = rng.uniform(-2, 2, 3)
@@ -97,42 +104,44 @@ def test_maximize_on_segment_matches_brute_force():
         def fn(x):
             return np.sin(a * x + b) + 0.3 * np.cos(c * x) - 0.01 * (x - 5) ** 2
 
-        x, v, _, converged = maximize_on_segment(fn, 0.0, 10.0, 0.01)
-        grid = np.arange(0.0, 10.0, 0.001)
-        x_bf = grid[int(np.argmax(fn(grid)))]
-        assert converged
+        # scan, then refine the best cell, as place_single_for_group does
+        grid = _offset_grid(0.0, 10.0, 0.01)
+        vals = fn(grid)
+        i = _argmax_tie_smallest(vals)
+        x, v = _zoom_max(lambda rows, xs: fn(xs), grid, [i], [vals[i]], BRACKET_TOL_M)
+        x, v = x[0], v[0]
+        fine = np.arange(0.0, 10.0, 0.001)
+        x_bf = fine[int(np.argmax(fn(fine)))]
         assert abs(x - x_bf) <= 0.01
+        assert v >= vals[i]
         assert v >= fn(np.asarray([x_bf]))[0] - 1e-9
 
 
 # --- phase alignment --------------------------------------------------------
 
 
-def test_align_single_antenna_degenerates_to_projection(carrier28, guide_y):
+def test_align_single_antenna_degenerates_to_projection(guide_y):
     s = make_scenario([(2.0, 5.0, 0.0)], (guide_y,))
-    gw = GuidedWave.for_waveguide(carrier28, guide_y)
-    sol = align_multi_on_guide(guide_y, gw, (2, 5, 0), 1, s)
+    sol = align_multi_on_guide(guide_y, (2, 5, 0), 1, s)
     assert sol.layout.offsets_per_guide[0][0] == pytest.approx(5.0, abs=1e-9)
     assert sol.converged
 
 
 @pytest.mark.parametrize("n", [2, 4])
-def test_align_reaches_coherent_bound(carrier28, guide_y, n):
+def test_align_reaches_coherent_bound(guide_y, n):
     user = (2.0, 7.0, 0.0)
     s = make_scenario([user], (guide_y,))
-    gw = GuidedWave.for_waveguide(carrier28, guide_y)
-    sol = align_multi_on_guide(guide_y, gw, user, n, s)
+    sol = align_multi_on_guide(guide_y, user, n, s)
     H = build_channel(s, sol.layout, los_states=True)
     bound = coherent_gain_bound(H, 0)
     assert abs(H.gains[0, 0]) >= 0.99 * bound
     assert sol.converged
 
 
-def test_align_equalizes_total_phase_at_foot_point_user(carrier28, guide_y):
+def test_align_equalizes_total_phase_at_foot_point_user(guide_y):
     user = np.array([0.0, 7.0, 0.0])
     s = make_scenario([user], (guide_y,))
-    gw = GuidedWave.for_waveguide(carrier28, guide_y)
-    sol = align_multi_on_guide(guide_y, gw, user, 2, s)
+    sol = align_multi_on_guide(guide_y, user, 2, s)
     offs = np.asarray(sol.layout.offsets_per_guide[0])
     phases = np.angle(link_gains(s, guide_y, offs, user))
     assert abs(_wrap(phases[1] - phases[0])) <= 1e-6
@@ -140,32 +149,29 @@ def test_align_equalizes_total_phase_at_foot_point_user(carrier28, guide_y):
     assert offs[1] - offs[0] >= spacing - 1e-12
 
 
-def test_align_never_loses_to_single_antenna(carrier28, guide_y):
+def test_align_never_loses_to_single_antenna(guide_y):
     rng = np.random.default_rng(23)
-    gw = GuidedWave.for_waveguide(carrier28, guide_y)
     for _ in range(5):
         user = (rng.uniform(-4, 4), rng.uniform(2, 18), 0.0)
         s = make_scenario([user], (guide_y,))
-        single = align_multi_on_guide(guide_y, gw, user, 1, s)
+        single = align_multi_on_guide(guide_y, user, 1, s)
         for n in (2, 3, 4):
-            multi = align_multi_on_guide(guide_y, gw, user, n, s)
+            multi = align_multi_on_guide(guide_y, user, n, s)
             assert multi.objective_value >= single.objective_value - 1e-9
 
 
-def test_align_rejects_infeasible_spacing(carrier28):
+def test_align_rejects_infeasible_spacing():
     stub = WaveguideSpec(feed_point=(0, 0, 3), axis_direction=(0, 1, 0),
                          length_m=0.005)
     s = make_scenario([(0.0, 0.0025, 0.0)], (stub,))
-    gw = GuidedWave.for_waveguide(s.carrier, stub)
     with pytest.raises(ValueError, match="cannot host"):
-        align_multi_on_guide(stub, gw, (0, 0.0025, 0), 4, s)
+        align_multi_on_guide(stub, (0, 0.0025, 0), 4, s)
 
 
-def test_align_layout_is_valid(carrier28, guide_y):
+def test_align_layout_is_valid(guide_y):
     user = (1.0, 9.0, 0.0)
     s = make_scenario([user], (guide_y,))
-    gw = GuidedWave.for_waveguide(carrier28, guide_y)
-    sol = align_multi_on_guide(guide_y, gw, user, 4, s)
+    sol = align_multi_on_guide(guide_y, user, 4, s)
     assert sol.layout.violations((guide_y,)) == []
 
 
@@ -208,7 +214,6 @@ def test_descent_agrees_with_exhaustive_oracle_basin():
     offsets = np.array([o[0] for o in sol.layout.offsets_per_guide])
 
     # coarse exhaustive oracle over all three offsets
-    from pinchsim.placement import _batch_rates
     grid = np.linspace(0.0, 20.0, 41)
     coarse_res = grid[1] - grid[0]
     cols = []
@@ -223,7 +228,9 @@ def test_descent_agrees_with_exhaustive_oracle_basin():
     G[..., 0] = cols[0][:, None, None, :]
     G[..., 1] = cols[1][None, :, None, :]
     G[..., 2] = cols[2][None, None, :, :]
-    obj = _batch_rates(G.reshape(-1, 3, 3), "zf", s.transmit_snr).sum(axis=-1)
+    G = G.reshape(-1, 3, 3)
+    Mh = np.einsum("...km,...lm->...kl", np.conj(G), G)
+    obj = sum(_gram_rates(lambda k, l: Mh[..., k, l], 3, "zf", s.transmit_snr))
     obj = np.where(np.isfinite(obj), obj, -np.inf)
     i1, i2, i3 = np.unravel_index(int(np.argmax(obj)), (41, 41, 41))
     coarse_best = np.array([grid[i1], grid[i2], grid[i3]])

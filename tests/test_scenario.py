@@ -162,7 +162,7 @@ def test_equal_split_weights_are_normalized():
     lay = PinchingLayout.equal_split(((1.0, 2.0, 3.0), (4.0,)))
     for ws in lay.weights_per_guide:
         assert sum(w * w for w in ws) == pytest.approx(1.0, abs=1e-12)
-    assert lay.total_antennas == 4
+    assert lay.antennas()[0].size == 4
 
 
 def test_layout_violations(guide_y):

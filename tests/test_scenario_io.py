@@ -69,6 +69,15 @@ def test_unknown_los_keys_rejected():
                             "waveguides": [], "users": [[0, 0, 0]]})
 
 
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(LoSModelConfig)
+                                 if f.name != "kind"])
+def test_los_number_errors_name_their_field(key):
+    data = scenario_to_dict(presets.tdma_scenario())
+    data["los_model"][key] = "many"
+    with pytest.raises(ScenarioFormatError, match=rf"^los_model\.{key}: expected a number"):
+        scenario_from_dict(data)
+
+
 def test_non_yaml_and_missing_files(tmp_path):
     bad = tmp_path / "broken.yaml"
     bad.write_text("users: [unclosed", encoding="utf-8")
@@ -189,7 +198,7 @@ def reference_load(path):
     build the whole document, then check it with ``scenario_from_dict``."""
     try:
         data = yaml.load(path.read_text(encoding="utf-8"), Loader=scenario_io._SAFE_LOADER)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError, IndexError, AttributeError) as exc:
         raise ScenarioFormatError(f"{path} is not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioFormatError(f"{path}: top level must be a mapping")
@@ -282,7 +291,7 @@ def test_node_tree_users_match_the_full_construction(tmp_path_factory, loader, s
         for load in (reference_load, load_scenario):
             try:
                 outcomes.append(scenario_fields(load(path)))
-            except Exception as exc:  # explicit tags on bad text crash both alike
+            except ScenarioFormatError as exc:  # bad input, tags included, fails both alike
                 outcomes.append((type(exc), str(exc)))
     finally:
         scenario_io._SAFE_LOADER = saved
