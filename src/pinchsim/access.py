@@ -244,8 +244,7 @@ def _kendall_distance(order_a: tuple[int, ...], order_b: tuple[int, ...]) -> int
     return sum(1 for i in range(len(a)) for j in range(i + 1, len(a)) if a[i] > a[j])
 
 
-def noma_gain_reorder(s: Scenario, cluster_users, target_order,
-                      grid_res: float | None = None) -> PlacementSolution:
+def noma_gain_reorder(s: Scenario, cluster_users, target_order) -> PlacementSolution:
     """Find a single-antenna offset realizing a desired channel-gain ranking.
 
     Only meaningful for a single waveguide serving the cluster: moving the
@@ -261,11 +260,10 @@ def noma_gain_reorder(s: Scenario, cluster_users, target_order,
     target_order = tuple(int(u) for u in target_order)
     if sorted(target_order) != sorted(cluster_users):
         raise ValueError("target_order must be a permutation of the cluster users")
-    res = default_grid_res(s) if grid_res is None else grid_res
     rho = s.transmit_snr
     users = s.users.positions[list(cluster_users)]
 
-    grid = _offset_grid(0.0, w.length_m, res)
+    grid = _offset_grid(0.0, w.length_m, default_grid_res(s))
     gains = link_power(s, w, grid[:, None], users[None, :, :])  # (offsets, cluster users)
     objective = shannon_rate(rho * gains).sum(axis=1)
 
@@ -275,7 +273,7 @@ def noma_gain_reorder(s: Scenario, cluster_users, target_order,
 
     # No-op fast path: if the group-optimal offset already ranks as requested,
     # return it untouched.
-    group = place_single_for_group(w, users, "sum_rate", s, grid_res=res)
+    group = place_single_for_group(w, users, "sum_rate", s)
     opt_x = group.layout.offsets_per_guide[0][0]
     if ranking(link_power(s, w, np.array([opt_x]), users)) == target_order:
         return group

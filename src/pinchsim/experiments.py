@@ -292,26 +292,28 @@ def run_compare_mimo(cfg: ExperimentConfig) -> ExperimentTable:
 
     sums = {(rho_db, scheme): 0.0 for rho_db in cfg.snr_sweep_db
             for scheme in COMPARE_SCHEMES}
+    rhos = [10.0 ** (rho_db / 10.0) for rho_db in cfg.snr_sweep_db]
     for drop in range(cfg.drops):
         rng = np.random.default_rng([cfg.seed, drop])
         users = np.column_stack([rng.uniform(xmin, xmax, k),
                                  rng.uniform(ymin, ymax, k),
                                  np.zeros(k)])
         h_conv = _conventional_channel(users, antenna_pos, scenario, rng)
+        beams = {}
+        for scheme, factory in (("conventional_zf", zf_beamformer),
+                                ("conventional_mrc", mrc_beamformer)):
+            try:
+                beams[scheme] = factory(h_conv)
+            except RankDeficiencyError:
+                pass  # degenerate drop counts as zero rate for this scheme
         drop_geometry = dataclasses.replace(scenario, users=UserSet(users))
-        rhos = [10.0 ** (rho_db / 10.0) for rho_db in cfg.snr_sweep_db]
         solutions = optimize_multi_waveguide_sweep(drop_geometry, rhos, "zf", "sum_rate",
                                                    budget=cfg.cd_budget)
         for rho_db, rho, solution in zip(cfg.snr_sweep_db, rhos, solutions):
             sums[rho_db, "conventional_bound"] += float(
                 conventional_bound(h_conv, rho).sum())
-            for scheme, factory in (("conventional_zf", zf_beamformer),
-                                    ("conventional_mrc", mrc_beamformer)):
-                try:
-                    report = evaluate_rates(h_conv, factory(h_conv), rho)
-                    sums[rho_db, scheme] += report.sum_rate_bps_hz
-                except RankDeficiencyError:
-                    pass  # degenerate drop counts as zero rate for this scheme
+            for scheme, beam in beams.items():
+                sums[rho_db, scheme] += evaluate_rates(h_conv, beam, rho).sum_rate_bps_hz
             sums[rho_db, "pinching_zf"] += solution.objective_value
 
     rows = tuple((float(rho_db), scheme, sums[rho_db, scheme] / cfg.drops)

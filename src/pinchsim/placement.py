@@ -1,12 +1,14 @@
 """Pinching-antenna position optimization.
 
-All optimizers are derivative-free: a dense grid scan, then refinement of
-the best cell. The objectives are cheap at desk scale and the phase terms
+The rate optimizers are derivative-free: a dense grid scan, then refinement
+of the best cell. The objectives are cheap at desk scale and the phase terms
 make them multimodal, so scans are both robust and reproducible. One
 refiner, the batched zoom :func:`_zoom_max`, serves the single-guide group
 placement and every step of the multi-waveguide descent: it scores a few
 passes of evenly spaced candidates at once. Ties within 1e-12 of the best
-grid value resolve to the smallest offset.
+grid value resolve to the smallest offset; grid step, tolerances and zoom
+points are module constants. Phase alignment needs no scan: one array
+bisection solves for in-phase offsets.
 
 Placement objectives assume the pinched link is line-of-sight: the premise
 of placing an antenna adjacent to a user is that doing so establishes LoS.
@@ -27,7 +29,7 @@ from .beamforming import (
     shannon_rate,
     zf_beamformer,
 )
-from .channel import GuidedWave, build_channel, link_gains, link_power
+from .channel import GuidedWave, build_channel, guide_distances, link_gains, link_power
 from .scenario import (
     PinchingLayout,
     Scenario,
@@ -40,9 +42,8 @@ TIE_TOL = 1e-12
 BRACKET_TOL_M = 1e-6
 PHASE_TOL_RAD = 1e-6
 ZOOM_POINTS = 65
-
-OBJECTIVES = ("sum_rate", "max_min_rate", "single_user_rate")
-
+DESCENT_TOL = 1e-9  # smallest objective gain of a descent cycle that continues it
+REFINE_TOL_M = 1e-8  # zoom bracket width that ends a descent step's refinement
 
 @dataclass(frozen=True, eq=False)
 class PlacementSolution:
@@ -61,7 +62,8 @@ class PlacementSolution:
 
 
 def place_single_for_user(w: WaveguideSpec, user) -> float:
-    """Offset serving one user best: the clamped projection onto the guide."""
+    """Offset serving one user best on a lossless guide: the clamped
+    projection onto the guide. In-guide loss moves the best offset feedward."""
     return project_onto_waveguide(w, user).offset
 
 
@@ -90,24 +92,22 @@ def _single_antenna_rates(w: WaveguideSpec, users: np.ndarray, s: Scenario,
 
 
 def place_single_for_group(w: WaveguideSpec, users, objective: str,
-                           s: Scenario, grid_res: float | None = None) -> PlacementSolution:
+                           s: Scenario) -> PlacementSolution:
     """Best single-antenna offset for a user group under a rate objective.
 
     ``objective`` is ``sum_rate`` or ``max_min_rate``; the search is a dense
-    grid scan (lambda0/4 by default) refined by batched zoom until the
+    grid scan at lambda0/4 refined by batched zoom until the
     bracket is narrower than 1e-6 m.
     """
     if objective not in ("sum_rate", "max_min_rate"):
         raise ValueError(f"unknown objective {objective!r}")
     pts = users.positions if isinstance(users, UserSet) else np.asarray(users, float).reshape(-1, 3)
-    res = default_grid_res(s) if grid_res is None else grid_res
-
     reduce = np.sum if objective == "sum_rate" else np.min
 
     def fn(offs):
         return reduce(_single_antenna_rates(w, pts, s, offs), axis=-1)
 
-    grid = _offset_grid(0.0, w.length_m, res)
+    grid = _offset_grid(0.0, w.length_m, default_grid_res(s))
     vals = fn(grid)
     i = _argmax_tie_smallest(vals)
     x, value = _zoom_max(lambda rows, xs: fn(xs), grid, [i], [vals[i]], BRACKET_TOL_M)
@@ -119,50 +119,19 @@ def _wrap(phase):
     return np.angle(np.exp(1j * np.asarray(phase)))
 
 
-def _solve_phase_offset(phase_fn, lo: float, hi: float, target: float,
-                        samples: int = 65, tol_rad: float = 1e-9):
-    """Offset in [lo, hi] whose phase matches ``target`` modulo 2*pi.
-
-    Phase is strictly decreasing in the offset, so a wrapped sign change
-    brackets a true root; bisection then drives the residual below
-    ``tol_rad``. Falls back to the least-misaligned sample when the window
-    does not span the target.
-    """
-    xs = np.linspace(lo, hi, samples)
-    delta = _wrap(phase_fn(xs) - target)
-    bracket = None
-    for i in range(samples - 1):
-        if delta[i] >= 0.0 >= delta[i + 1] and delta[i] - delta[i + 1] < np.pi:
-            bracket = (xs[i], xs[i + 1], delta[i], delta[i + 1])
-            break
-    if bracket is None:
-        j = int(np.argmin(np.abs(delta)))
-        return float(xs[j]), float(abs(delta[j]))
-    a, b, da, db = bracket
-    for _ in range(80):
-        m = 0.5 * (a + b)
-        dm = float(_wrap(phase_fn(m) - target))
-        if abs(dm) <= tol_rad:
-            return float(m), abs(dm)
-        if dm > 0:
-            a, da = m, dm
-        else:
-            b, db = m, dm
-    m = a if abs(da) <= abs(db) else b
-    return float(m), float(min(abs(da), abs(db)))
-
-
 def align_multi_on_guide(w: WaveguideSpec, user, n_antennas: int,
-                         s: Scenario, min_spacing: float | None = None,
-                         phase_candidates: int = 96) -> PlacementSolution:
+                         s: Scenario, min_spacing: float | None = None) -> PlacementSolution:
     """Place n antennas on one guide so their contributions add coherently.
 
-    Stage 1 centers a uniformly spaced array (spacing = ``min_spacing``,
-    default lambda0/2) on the user's projection. Stage 2 nudges each offset
-    within half a guided wavelength to equalize every antenna's total phase
-    (in-guide plus free-space) at the user, preserving ordering and spacing;
-    the common target phase is scanned so the chain of per-antenna windows
-    stays feasible.
+    The link's phase lag from offset x to the user, k_g*x + k_0*d(x), rises
+    strictly along the guide, so the offsets where it equals c + 2*pi*m
+    form a comb of teeth at which antennas arrive in phase. One array
+    bisection finds the teeth of 97 combs (96 evenly spaced phases c and
+    the one with a tooth on the user's projection), as many turns of the lag
+    either side of the projection as n antennas can span. From every tooth
+    a chain takes, n - 1 times, the first tooth at least ``min_spacing``
+    (default lambda0/2) past its last; of the chains on the guide, the one
+    with the largest coherent gain wins, and ``ValueError`` says none fits.
     """
     if n_antennas < 1:
         raise ValueError("need at least one antenna")
@@ -182,52 +151,47 @@ def align_multi_on_guide(w: WaveguideSpec, user, n_antennas: int,
             f"waveguide of length {w.length_m} m cannot host {n_antennas} "
             f"antennas at spacing {spacing} m")
 
-    proj = project_onto_waveguide(w, user)
-    center = min(max(proj.offset, span / 2.0), w.length_m - span / 2.0)
-    coarse = center + (np.arange(n_antennas) - (n_antennas - 1) / 2.0) * spacing
-    lamg = GuidedWave.for_waveguide(s.carrier, w).guided_wavelength_m
-    weight = 1.0 / math.sqrt(n_antennas)
+    k0, kg = 2.0 * math.pi / lam0, GuidedWave.for_waveguide(s.carrier, w).wavenumber_rad_per_m
 
-    def phase_fn(x):
-        """Total phase (in-guide plus free-space) at the user, wrapped."""
-        return np.angle(link_gains(s, w, x, user))
+    def lag(x):
+        """Unwrapped phase lag of the link to the user: minus the phase of link_gains."""
+        return kg * x + k0 * guide_distances(w, x, user)
 
-    targets = np.concatenate([
-        phase_fn(coarse),
-        np.linspace(-np.pi, np.pi, phase_candidates, endpoint=False),
-    ])
-
-    best = None
-    for target in targets:
-        offsets = []
-        miss = 0.0
-        feasible = True
-        prev = -np.inf
-        for i, c in enumerate(coarse):
-            lo = max(0.0, c - lamg / 2.0, prev + spacing)
-            hi = min(w.length_m - (n_antennas - 1 - i) * spacing, c + lamg / 2.0)
-            if hi < lo:
-                feasible = False
-                break
-            x, err = _solve_phase_offset(phase_fn, lo, hi, float(target))
-            offsets.append(x)
-            miss = max(miss, err)
-            prev = x
-        if not feasible:
-            continue
-        offs = np.asarray(offsets)
-        agg = float(np.abs(np.sum(link_gains(s, w, offs, user, weight))))
-        if best is None or agg > best[0]:
-            best = (agg, offs, miss)
-
-    if best is None:
+    # As |d'(x)| <= 1, teeth are at least 2*pi/(kg + k0) apart, which bounds
+    # the turns one spacing can take.
+    turns = n_antennas * (1 + int(spacing * (kg + k0) / (2.0 * math.pi)))
+    lag_p = lag(project_onto_waveguide(w, user).offset)
+    combs = np.concatenate([[lag_p], np.linspace(-np.pi, np.pi, 96, endpoint=False)])
+    whole = np.round((lag_p - combs) / (2.0 * np.pi))[:, None] + np.arange(-turns, turns + 1)
+    targets = combs[:, None] + 2.0 * np.pi * whole  # (combs, teeth), rising along a row
+    x, h = np.zeros(targets.shape), w.length_m
+    for _ in range(64):  # x climbs to where lag reaches its target, within 1e-19 * length
+        h /= 2.0
+        x = np.where(lag(x + h) < targets, x + h, x)
+    on_guide = (lag(0.0) <= targets) & (targets <= lag(w.length_m))
+    # NaN marks a tooth off the guide; the extra last column is "no next tooth"
+    teeth = np.pad(np.where(on_guide, x, np.nan), ((0, 0), (0, 1)), constant_values=np.nan)
+    reach = teeth[:, None, :] >= teeth[:, :, None] + spacing
+    reach[:, :, -1] = True
+    step = np.argmax(reach, axis=-1)  # first tooth one spacing past, else the last column
+    idx, chain = np.broadcast_to(np.arange(teeth.shape[1]), teeth.shape), [teeth]
+    for _ in range(n_antennas - 1):  # every chain takes its next step at once
+        idx = np.take_along_axis(step, idx, axis=-1)
+        chain.append(np.take_along_axis(teeth, idx, axis=-1))
+    chains = np.stack(chain, axis=-1).reshape(-1, n_antennas)
+    chains = chains[~np.isnan(chains).any(axis=1)]
+    if not chains.size:
         raise ValueError("no feasible phase-aligned arrangement found")
-    agg, offs, miss = best
-    layout = PinchingLayout(tuple([tuple(offs)]),
-                            tuple([tuple([weight] * n_antennas)]), spacing)
-    rate = float(shannon_rate(s.transmit_snr * agg ** 2))
-    return PlacementSolution(layout, rate, "single_user_rate", 1,
-                             miss <= PHASE_TOL_RAD, (rate,))
+
+    weight = 1.0 / math.sqrt(n_antennas)
+    gains = link_gains(s, w, chains, user, weight)
+    agg = np.abs(gains.sum(axis=-1))
+    best = int(np.argmax(agg))
+    phases = np.angle(gains[best])
+    aligned = bool(np.all(np.abs(_wrap(phases - phases[0])) <= PHASE_TOL_RAD))
+    layout = PinchingLayout((tuple(chains[best]),), ((weight,) * n_antennas,), spacing)
+    rate = float(shannon_rate(s.transmit_snr * agg[best] ** 2))
+    return PlacementSolution(layout, rate, "single_user_rate", 1, aligned, (rate,))
 
 
 def coherent_gain_bound(H, user_index: int = 0) -> float:
@@ -368,12 +332,12 @@ def _outer(c: np.ndarray) -> np.ndarray:
     return np.conj(c)[..., :, None, :] * c[..., None, :, :]
 
 
-def _zoom_max(fn, grid, idx, v0, bracket_tol: float, points: int = ZOOM_POINTS):
+def _zoom_max(fn, grid, idx, v0, bracket_tol: float):
     """Batched zoom refinement of grid maxima ``grid[idx]``, valued ``v0``.
 
     Arrays hold one row per state. Each row's bracket starts one grid step
     either side of its maximum, clipped to the grid. Each pass scores
-    ``points`` evenly spaced offsets across every open bracket at once,
+    ``ZOOM_POINTS`` evenly spaced offsets across every open bracket at once,
     ``fn(rows, xs)`` mapping the open rows and their offsets (rows, points)
     to values, and shrinks each bracket to one spacing either side of its
     pass's best offset (exact ties to the smallest), until it is narrower
@@ -387,33 +351,32 @@ def _zoom_max(fn, grid, idx, v0, bracket_tol: float, points: int = ZOOM_POINTS):
     # b > a: ends even for bracket_tol <= 0
     rows = np.flatnonzero((b - a > bracket_tol) & (b > a))
     while rows.size:
-        xs = np.linspace(a[rows], b[rows], points, axis=-1)
+        xs = np.linspace(a[rows], b[rows], ZOOM_POINTS, axis=-1)
         vals = fn(rows, xs)
         best = np.arange(rows.size), np.argmax(vals, axis=-1)
         xj, vj = xs[best], vals[best]
         better = (vj > v[rows]) | ((vj == v[rows]) & (xj < x[rows]))
         x[rows[better]], v[rows[better]] = xj[better], vj[better]
-        h = (b[rows] - a[rows]) / (points - 1)
+        h = (b[rows] - a[rows]) / (ZOOM_POINTS - 1)
         a[rows], b[rows] = np.maximum(a[rows], xj - h), np.minimum(b[rows], xj + h)
         rows = rows[(b[rows] - a[rows] > bracket_tol) & (b[rows] > a[rows])]
     return x, v
 
 
 def _descend(s: Scenario, transmit_snrs: np.ndarray, kind: str, objective: str,
-             budget: int, grid_res: float | None, tol: float, refine_tol: float):
+             budget: int):
     """Coordinate descent of one state per transmit SNR, stepped in lockstep.
 
     The states share the geometry, the start and the candidate tables: the
     rank-1 Gram terms conj(c_k) c_l of each guide's channel column c at
     every grid offset, candidate axis last (K, K, n) so that each Gram entry
     is a contiguous array. A state leaves the lockstep when a cycle improves
-    it by less than ``tol``. Returns offsets (B, M), traces, cycles and
+    it by less than ``DESCENT_TOL``. Returns offsets (B, M), traces, cycles and
     converged flags per state.
     """
     users = s.users.positions
     K, M, B = users.shape[0], len(s.waveguides), len(transmit_snrs)
-    res = default_grid_res(s) if grid_res is None else grid_res
-    grids = [_offset_grid(0.0, w.length_m, res) for w in s.waveguides]
+    grids = [_offset_grid(0.0, w.length_m, default_grid_res(s)) for w in s.waveguides]
     tables = [_outer(_guide_columns(s, g, grid)) for g, grid in enumerate(grids)]
 
     # Start each antenna at the projection of the user nearest to its guide
@@ -457,7 +420,7 @@ def _descend(s: Scenario, transmit_snrs: np.ndarray, kind: str, objective: str,
                 return _scores(lambda k, l: F[:, k, l, None] + np.conj(c[k]) * c[l],
                                K, kind, objective, rho_z[rows])
 
-            x, v = _zoom_max(zoom_scores, grid, idx, best, refine_tol)
+            x, v = _zoom_max(zoom_scores, grid, idx, best, REFINE_TOL_M)
             up = v > value[live[pos]]
             pos, x, v = pos[up], x[up], v[up]
             states = live[pos]
@@ -467,7 +430,7 @@ def _descend(s: Scenario, transmit_snrs: np.ndarray, kind: str, objective: str,
             for state, vs in zip(states, v):
                 cols[state, :, g] = _guide_columns(s, g, offsets[state, g:g + 1])[:, 0]
                 traces[state].append(float(vs))
-        done = cycle_gain < tol
+        done = cycle_gain < DESCENT_TOL
         converged[live[done]] = True
         live = live[~done]
         if not live.size:
@@ -476,21 +439,20 @@ def _descend(s: Scenario, transmit_snrs: np.ndarray, kind: str, objective: str,
 
 
 def optimize_multi_waveguide_sweep(s: Scenario, transmit_snrs, beamformer_kind: str = "zf",
-                                   objective: str = "sum_rate", budget: int = 10,
-                                   grid_res: float | None = None, tol: float = 1e-9,
-                                   refine_tol: float = 1e-8) -> tuple[PlacementSolution, ...]:
+                                   objective: str = "sum_rate",
+                                   budget: int = 10) -> tuple[PlacementSolution, ...]:
     """Jointly place one antenna per waveguide by coordinate descent, at each
     transmit SNR in ``transmit_snrs`` (linear; ``s.transmit_snr`` is unused).
 
     Cycles over waveguides; each step scans that guide's offset on a dense
-    grid (lambda0/4 by default), then refines the best cell by batched zoom
-    (``_zoom_max``) until the bracket is narrower than ``refine_tol``. Moving
+    grid at lambda0/4, then refines the best cell by batched zoom
+    (``_zoom_max``) until the bracket is narrower than ``REFINE_TOL_M``. Moving
     one antenna changes one channel column, so every candidate's Gram matrix
     is the other guides' fixed part plus the rank-1 outer product of its own
     column, from which the beamformer's rates follow in closed form. Steps
     are accepted only when they improve the objective, so each recorded
     trace is nondecreasing; a descent stops when a full cycle improves it by
-    less than ``tol`` or the cycle budget runs out. Candidates that leave the
+    less than ``DESCENT_TOL`` or the cycle budget runs out. Candidates that leave the
     channel rank-deficient are skipped. Each returned value is re-scored
     through ``build_channel`` and the public beamformers.
 
@@ -509,7 +471,7 @@ def optimize_multi_waveguide_sweep(s: Scenario, transmit_snrs, beamformer_kind: 
         raise ValueError(f"zero-forcing needs users <= waveguides, got {K} > {M}")
     rhos = [float(rho) for rho in transmit_snrs]
     offsets, traces, cycles, converged = _descend(
-        s, np.asarray(rhos), beamformer_kind, objective, budget, grid_res, tol, refine_tol)
+        s, np.asarray(rhos), beamformer_kind, objective, budget)
 
     def public_objective(layout, rho) -> float:
         try:
@@ -527,11 +489,8 @@ def optimize_multi_waveguide_sweep(s: Scenario, transmit_snrs, beamformer_kind: 
 
 
 def optimize_multi_waveguide(s: Scenario, beamformer_kind: str = "zf",
-                             objective: str = "sum_rate", budget: int = 10,
-                             grid_res: float | None = None,
-                             tol: float = 1e-9,
-                             refine_tol: float = 1e-8) -> PlacementSolution:
+                             objective: str = "sum_rate", budget: int = 10) -> PlacementSolution:
     """Jointly place one antenna per waveguide by coordinate descent at
     ``s.transmit_snr``: the one-SNR case of :func:`optimize_multi_waveguide_sweep`."""
     return optimize_multi_waveguide_sweep(s, (s.transmit_snr,), beamformer_kind, objective,
-                                          budget, grid_res, tol, refine_tol)[0]
+                                          budget)[0]

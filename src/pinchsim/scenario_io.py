@@ -96,7 +96,9 @@ def _scenario_from_dict(data: dict, users) -> Scenario:
         raise ScenarioFormatError(f"transmit_snr_db: expected a value in "
                                   f"[-{SNR_DB_LIMIT:g}, {SNR_DB_LIMIT:g}] dB, got {snr_db!r}")
 
-    los_raw = data.get("los_model", {}) or {}
+    los_raw = {} if data.get("los_model") is None else data["los_model"]  # null: defaults
+    if not isinstance(los_raw, dict):
+        raise ScenarioFormatError(f"los_model: expected a mapping, got {type(los_raw).__name__}")
     defaults = dataclasses.asdict(LoSModelConfig())  # every field, in field order
     extra = set(los_raw) - set(defaults)
     if extra:

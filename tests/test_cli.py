@@ -58,17 +58,24 @@ def test_numerical_failures_map_to_exit_3(monkeypatch, tmp_path, scenario_file, 
 
 
 @settings(max_examples=10, deadline=None)
-@given(field=st.sampled_from(["frequency_hz", "transmit_snr_db", "length_m"]),
+@given(field=st.sampled_from(["frequency_hz", "transmit_snr_db", "length_m", "los_model"]),
        value=st.sampled_from([".nan", ".inf", "-.inf",
                               '!!float "abc"', '!!int ""', '!!timestamp "x"']))
 @example(field="frequency_hz", value='!!float "abc"')
 @example(field="transmit_snr_db", value='!!int ""')
 @example(field="length_m", value='!!timestamp "x"')
+@example(field="los_model", value="5")
+@example(field="los_model", value="inmo")
+@example(field="los_model", value="0")
+@example(field="los_model", value="false")
+@example(field="los_model", value="''")
 def test_non_finite_scenario_number_exits_2(tmp_path_factory, field, value):
     tmp = tmp_path_factory.mktemp("nf")
     path = save_scenario(tdma_scenario(), tmp / "scenario.yaml")
     text = path.read_text(encoding="utf-8")
-    text, n = re.subn(rf"^(\s*{field}:) .*$", rf"\1 {value}", text, count=1, flags=re.M)
+    # the key's line and the more indented lines of its section, if any
+    text, n = re.subn(rf"^( *){field}:.*(?:\n\1 .*)*",
+                      lambda m: f"{m[1]}{field}: {value}", text, count=1, flags=re.M)
     assert n == 1
     path.write_text(text, encoding="utf-8")
     code = cli.main(["tdma-demo", "--scenario", str(path), "--out", str(tmp / "out")])

@@ -118,6 +118,28 @@ def test_compare_mimo_small_run(tmp_path):
     assert (tmp_path / "out" / "compare_mimo.csv").exists()
 
 
+def test_compare_mimo_rank_deficient_zf_drop_adds_zero(tmp_path, monkeypatch):
+    from pinchsim import experiments
+    from pinchsim.beamforming import RankDeficiencyError
+
+    cfg = ExperimentConfig(
+        scenario_path=write_preset(tmp_path, compare_scenario()),
+        kind="compare_mimo", out_dir=str(tmp_path / "out"), seed=11,
+        snr_sweep_db=(10.0, 60.0, 110.0), drops=3, cd_budget=2)
+    before = {row[:2]: row[2] for row in run_compare_mimo(cfg).rows}
+    calls = []
+
+    def singular(h):
+        calls.append(h)
+        raise RankDeficiencyError("singular")
+
+    monkeypatch.setattr(experiments, "zf_beamformer", singular)
+    after = {row[:2]: row[2] for row in run_compare_mimo(cfg).rows}
+    assert len(calls) == cfg.drops  # one conventional ZF per drop, for every SNR
+    for key, value in before.items():
+        assert after[key] == (0.0 if key[1] == "conventional_zf" else value)
+
+
 def test_compare_mimo_ordering_emerges_at_high_power(tmp_path):
     # At link budgets where per-link SINR >> 1, optimized pinching placement
     # beats the conventional-array interference-free bound on average.

@@ -127,15 +127,28 @@ def test_align_single_antenna_degenerates_to_projection(guide_y):
     assert sol.converged
 
 
-@pytest.mark.parametrize("n", [2, 4])
-def test_align_reaches_coherent_bound(guide_y, n):
-    user = (2.0, 7.0, 0.0)
-    s = make_scenario([user], (guide_y,))
-    sol = align_multi_on_guide(guide_y, user, n, s)
+ALIGN_GEOMETRIES = {  # name: (changes to the 20 m guide_y, user)
+    "default": ({}, (2.0, 7.0, 0.0)),
+    "past_far_end": ({}, (2.0, 23.0, 0.0)),
+    "before_feed": ({}, (2.0, -3.0, 0.0)),  # tooth gaps below lambda0/2 here
+    "vacuum_core": ({"relative_permittivity": 1.0}, (2.0, 7.0, 0.0)),
+    "lossy": ({"guide_attenuation_np_per_m": 0.08}, (2.0, 7.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("geometry,n", [
+    pytest.param(name, n, id=str(n) if name == "default" else f"{name}-{n}")
+    for name in ALIGN_GEOMETRIES for n in (2, 4, 5, 8, 12)])
+def test_align_reaches_coherent_bound(guide_y, geometry, n):
+    changes, user = ALIGN_GEOMETRIES[geometry]
+    guide = dataclasses.replace(guide_y, **changes)
+    s = make_scenario([user], (guide,))
+    sol = align_multi_on_guide(guide, user, n, s)
     H = build_channel(s, sol.layout, los_states=True)
     bound = coherent_gain_bound(H, 0)
     assert abs(H.gains[0, 0]) >= 0.99 * bound
     assert sol.converged
+    assert sol.layout.violations((guide,)) == []
 
 
 def test_align_equalizes_total_phase_at_foot_point_user(guide_y):
@@ -166,6 +179,12 @@ def test_align_rejects_infeasible_spacing():
     s = make_scenario([(0.0, 0.0025, 0.0)], (stub,))
     with pytest.raises(ValueError, match="cannot host"):
         align_multi_on_guide(stub, (0, 0.0025, 0), 4, s)
+    # 3 antennas span 10.7 mm at lambda0/2, but no two tooth gaps (about
+    # 7.4 mm each) fit on 12 mm
+    short = dataclasses.replace(stub, length_m=0.012)
+    s = make_scenario([(0.0, 0.006, 0.0)], (short,))
+    with pytest.raises(ValueError, match="no feasible phase-aligned arrangement"):
+        align_multi_on_guide(short, (0, 0.006, 0), 3, s)
 
 
 def test_align_layout_is_valid(guide_y):

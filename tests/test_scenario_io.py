@@ -69,6 +69,20 @@ def test_unknown_los_keys_rejected():
                             "waveguides": [], "users": [[0, 0, 0]]})
 
 
+@pytest.mark.parametrize("value", [5, "inmo", 0, False, ""])
+def test_non_mapping_los_model_rejected(value):
+    data = scenario_to_dict(presets.tdma_scenario())
+    data["los_model"] = value
+    with pytest.raises(ScenarioFormatError,
+                       match=rf"^los_model: expected a mapping, got {type(value).__name__}$"):
+        scenario_from_dict(data)
+    defaults = dataclasses.asdict(LoSModelConfig())
+    data["los_model"] = None  # null, like an absent section, means every default
+    assert dataclasses.asdict(scenario_from_dict(data).los_model) == defaults
+    del data["los_model"]
+    assert dataclasses.asdict(scenario_from_dict(data).los_model) == defaults
+
+
 @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(LoSModelConfig)
                                  if f.name != "kind"])
 def test_los_number_errors_name_their_field(key):
