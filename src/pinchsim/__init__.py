@@ -9,7 +9,7 @@ evaluates TDMA/NOMA access schemes on top.
 """
 
 from ._version import __version__
-from .access import NomaCluster, TdmaSchedule, noma_gain_reorder, noma_rates, tdma_rates
+from .access import NomaCluster, TdmaSchedule, noma_rates, tdma_rates
 from .beamforming import (
     Beamformer,
     RankDeficiencyError,
@@ -35,6 +35,7 @@ from .placement import (
     PlacementSolution,
     align_multi_on_guide,
     coherent_gain_bound,
+    noma_gain_reorder,
     optimize_multi_waveguide,
     optimize_multi_waveguide_sweep,
     place_single_for_group,

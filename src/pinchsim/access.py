@@ -14,15 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import RateReport, _gains, shannon_rate
-from .channel import _check_clear_of_users, link_gains, link_power
-from .placement import (
-    PlacementSolution,
-    _argmax_tie_smallest,
-    _offset_grid,
-    default_grid_res,
-    place_single_for_group,
-)
-from .scenario import PinchingLayout, Scenario, first_layout_fault
+from .channel import _check_clear_of_users, link_gains
+from .scenario import Scenario, _check_user_indices, first_layout_fault
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -206,10 +199,12 @@ def noma_rates(s: Scenario, H, cluster: NomaCluster, beam,
     The message decoded at stage t sees interference from the power of all
     later-decoded messages; its rate is the minimum over the SINRs at every
     user that must decode it (its own receiver and all later-stage users).
+    Cluster users must be distinct rows of ``H``.
     """
     cluster.validate()
     rho = s.transmit_snr if transmit_snr is None else float(transmit_snr)
     G = _gains(H)
+    _check_user_indices(cluster.users, G.shape[0])
     beam = np.asarray(beam, dtype=complex).reshape(-1)
     if beam.shape[0] != G.shape[1]:
         raise ValueError(f"beam length {beam.shape[0]} does not match feeds {G.shape[1]}")
@@ -235,52 +230,3 @@ def noma_rates(s: Scenario, H, cluster: NomaCluster, beam,
     sinr = np.array([sinr_by_user[u] for u in cluster.users])
     rates = np.array([rate_by_user[u] for u in cluster.users])
     return RateReport(sinr, rates, float(rates.sum()), "noma")
-
-
-def _kendall_distance(order_a: tuple[int, ...], order_b: tuple[int, ...]) -> int:
-    """Number of user pairs ranked oppositely by the two orders."""
-    pos = {u: i for i, u in enumerate(order_b)}
-    a = [pos[u] for u in order_a]
-    return sum(1 for i in range(len(a)) for j in range(i + 1, len(a)) if a[i] > a[j])
-
-
-def noma_gain_reorder(s: Scenario, cluster_users, target_order) -> PlacementSolution:
-    """Find a single-antenna offset realizing a desired channel-gain ranking.
-
-    Only meaningful for a single waveguide serving the cluster: moving the
-    antenna along the guide reorders the users' effective gains. Among grid
-    offsets achieving the requested ranking (strongest first), the one with
-    the best sum rate wins; if no offset achieves it, the closest ranking by
-    pairwise inversions is returned with ``converged=False``.
-    """
-    if len(s.waveguides) != 1:
-        raise ValueError("gain reordering assumes a single waveguide")
-    w = s.waveguides[0]
-    cluster_users = tuple(int(u) for u in cluster_users)
-    target_order = tuple(int(u) for u in target_order)
-    if sorted(target_order) != sorted(cluster_users):
-        raise ValueError("target_order must be a permutation of the cluster users")
-    rho = s.transmit_snr
-    users = s.users.positions[list(cluster_users)]
-
-    grid = _offset_grid(0.0, w.length_m, default_grid_res(s))
-    gains = link_power(s, w, grid[:, None], users[None, :, :])  # (offsets, cluster users)
-    objective = shannon_rate(rho * gains).sum(axis=1)
-
-    def ranking(row) -> tuple[int, ...]:
-        order = np.argsort(-row, kind="stable")
-        return tuple(cluster_users[i] for i in order)
-
-    # No-op fast path: if the group-optimal offset already ranks as requested,
-    # return it untouched.
-    group = place_single_for_group(w, users, "sum_rate", s)
-    opt_x = group.layout.offsets_per_guide[0][0]
-    if ranking(link_power(s, w, np.array([opt_x]), users)) == target_order:
-        return group
-
-    # distance 0 is the requested ranking itself
-    distances = np.array([_kendall_distance(ranking(row), target_order) for row in gains])
-    i = _argmax_tie_smallest(np.where(distances == distances.min(), objective, -np.inf))
-    layout = PinchingLayout(((float(grid[i]),),), ((1.0,),))
-    return PlacementSolution(layout, float(objective[i]), "sum_rate", 1,
-                             bool(distances[i] == 0), (float(objective[i]),))

@@ -82,6 +82,13 @@ def mrc_beamformer(H) -> Beamformer:
     return Beamformer(G / norms[:, None], np.full(K, 1.0 / K))
 
 
+def _rcond(G) -> np.ndarray:
+    """Reciprocal condition number of the rows of stacked (..., K, M) matrices, K <= M,
+    from svd(conj(G)); 0 where all rows are zero. ZF needs it >= ``ZF_RCOND_LIMIT``."""
+    sv = np.linalg.svd(np.conj(G), compute_uv=False)
+    return np.divide(sv[..., -1], sv[..., 0], out=np.zeros(sv.shape[:-1]), where=sv[..., 0] != 0)
+
+
 def zf_beamformer(H) -> Beamformer:
     """Null inter-user interference via the right pseudo-inverse.
 
@@ -92,12 +99,10 @@ def zf_beamformer(H) -> Beamformer:
     K, M = G.shape
     if K > M:
         raise ValueError(f"zero-forcing needs users <= feeds, got {K} > {M}")
-    A = np.conj(G)
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[0] == 0 or sv[-1] / sv[0] < ZF_RCOND_LIMIT:
-        raise RankDeficiencyError(
-            f"channel rows are rank deficient (rcond = {0 if sv[0] == 0 else sv[-1] / sv[0]:.3e})")
-    P = np.linalg.pinv(A)
+    rcond = _rcond(G)
+    if rcond < ZF_RCOND_LIMIT:
+        raise RankDeficiencyError(f"channel rows are rank deficient (rcond = {rcond:.3e})")
+    P = np.linalg.pinv(np.conj(G))
     norms = np.linalg.norm(P, axis=0)
     return Beamformer((P / norms).T, np.full(K, 1.0 / K))
 

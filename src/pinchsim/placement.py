@@ -4,11 +4,11 @@ The rate optimizers are derivative-free: a dense grid scan, then refinement
 of the best cell. The objectives are cheap at desk scale and the phase terms
 make them multimodal, so scans are both robust and reproducible. One
 refiner, the batched zoom :func:`_zoom_max`, serves the single-guide group
-placement and every step of the multi-waveguide descent: it scores a few
-passes of evenly spaced candidates at once. Ties within 1e-12 of the best
-grid value resolve to the smallest offset; grid step, tolerances and zoom
-points are module constants. Phase alignment needs no scan: one array
-bisection solves for in-phase offsets.
+placement, gain-order steering and every step of the multi-waveguide
+descent: it scores a few passes of evenly spaced candidates at once. Ties
+within 1e-12 of the best grid value resolve to the smallest offset; grid
+step, tolerances and zoom points are module constants. Phase alignment
+needs no scan: one array bisection solves for in-phase offsets.
 
 Placement objectives assume the pinched link is line-of-sight: the premise
 of placing an antenna adjacent to a user is that doing so establishes LoS.
@@ -22,20 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import (
-    RankDeficiencyError,
-    evaluate_rates,
-    mrc_beamformer,
-    shannon_rate,
-    zf_beamformer,
-)
-from .channel import GuidedWave, build_channel, guide_distances, link_gains, link_power
+from .beamforming import ZF_RCOND_LIMIT, _rcond, shannon_rate
+from .channel import GuidedWave, guide_distances, link_gains, link_power
 from .scenario import (
     PinchingLayout,
     Scenario,
     UserSet,
     WaveguideSpec,
+    _check_user_indices,
     project_onto_waveguide,
+    projected_offsets,
 )
 
 TIE_TOL = 1e-12
@@ -62,9 +58,25 @@ class PlacementSolution:
 
 
 def place_single_for_user(w: WaveguideSpec, user) -> float:
-    """Offset serving one user best on a lossless guide: the clamped
-    projection onto the guide. In-guide loss moves the best offset feedward."""
-    return project_onto_waveguide(w, user).offset
+    """Offset serving one user best: the peak of its link power exp(-2*alpha*x)/d(x)^2.
+
+    On a lossless guide that is the clamped projection. Loss pulls the interior
+    peak feedward of the unclamped projection t, to t - 2*alpha*r^2/(1 +
+    sqrt(1 - 4*alpha^2*r^2)) for a user r from the guide's line (none when
+    2*alpha*r >= 1); clipped to the guide, it is compared with the feed,
+    toward which the power rises again.
+    """
+    alpha = w.guide_attenuation_np_per_m
+    if alpha == 0:
+        return float(projected_offsets(w, user))
+    rel = np.asarray(user, dtype=float).reshape(3) - w.feed_point
+    t = float(rel @ w.axis_direction)
+    r2 = float(np.sum((rel - t * w.axis_direction) ** 2))
+    disc = 1.0 - 4.0 * alpha * alpha * r2
+    peak = t - 2.0 * alpha * r2 / (1.0 + math.sqrt(disc)) if disc > 0.0 else 0.0
+    x = np.array([min(max(peak, 0.0), w.length_m), 0.0])
+    power = np.exp(-2.0 * alpha * x) / guide_distances(w, x, user) ** 2
+    return float(x[0]) if power[0] > power[1] else 0.0
 
 
 def default_grid_res(s: Scenario) -> float:
@@ -91,6 +103,15 @@ def _single_antenna_rates(w: WaveguideSpec, users: np.ndarray, s: Scenario,
     return shannon_rate(s.transmit_snr * link_power(s, w, offsets[..., None], users))
 
 
+def _scan_zoom(fn, grid: np.ndarray) -> tuple[float, float]:
+    """Best offset of ``fn`` (offsets (...) -> values (...)) and its value: a scan of
+    ``grid``, then zoom of its best cell until the bracket is narrower than ``BRACKET_TOL_M``."""
+    vals = fn(grid)
+    i = _argmax_tie_smallest(vals)
+    x, value = _zoom_max(lambda rows, xs: fn(xs), grid, [i], [vals[i]], BRACKET_TOL_M)
+    return float(x[0]), float(value[0])
+
+
 def place_single_for_group(w: WaveguideSpec, users, objective: str,
                            s: Scenario) -> PlacementSolution:
     """Best single-antenna offset for a user group under a rate objective.
@@ -103,16 +124,61 @@ def place_single_for_group(w: WaveguideSpec, users, objective: str,
         raise ValueError(f"unknown objective {objective!r}")
     pts = users.positions if isinstance(users, UserSet) else np.asarray(users, float).reshape(-1, 3)
     reduce = np.sum if objective == "sum_rate" else np.min
+    x, value = _scan_zoom(lambda offs: reduce(_single_antenna_rates(w, pts, s, offs), axis=-1),
+                          _offset_grid(0.0, w.length_m, default_grid_res(s)))
+    return PlacementSolution(PinchingLayout(((x,),), ((1.0,),)), value, objective, 1, True,
+                             (value,))
 
-    def fn(offs):
-        return reduce(_single_antenna_rates(w, pts, s, offs), axis=-1)
 
+def _inversions(power: np.ndarray, order) -> np.ndarray:
+    """Kendall distance of each row of gains (..., users), ranked strongest first,
+    from ``order``, a permutation of the columns: the column pairs the gains rank
+    the other way, equal gains ranking the lower column first (a stable sort)."""
+    order = np.asarray(order)
+    i, j = np.triu_indices(order.size, 1)
+    a, b = order[i], order[j]  # order ranks column a above column b
+    pa, pb = power[..., a], power[..., b]
+    return np.count_nonzero((pb > pa) | ((pb == pa) & (b < a)), axis=-1)
+
+
+def noma_gain_reorder(s: Scenario, cluster_users, target_order) -> PlacementSolution:
+    """Find a single-antenna offset realizing a desired channel-gain ranking.
+
+    Only meaningful for a single waveguide serving the cluster: moving the
+    antenna along the guide reorders the users' effective gains. The sum-rate
+    group placement is returned if it ranks the users as requested (strongest
+    first); otherwise the best sum rate among the grid offsets whose ranking
+    is fewest pairwise inversions from the target, refined by zoom under that
+    count, with ``converged=False`` unless the count is 0.
+    """
+    if len(s.waveguides) != 1:
+        raise ValueError("gain reordering assumes a single waveguide")
+    w = s.waveguides[0]
+    cluster_users = tuple(int(u) for u in cluster_users)
+    _check_user_indices(cluster_users, len(s.users))
+    target_order = tuple(int(u) for u in target_order)
+    if sorted(target_order) != sorted(cluster_users):
+        raise ValueError("target_order must be a permutation of the cluster users")
+    users = s.users.positions[list(cluster_users)]
+    order = [cluster_users.index(u) for u in target_order]
+
+    def power(offs):
+        return link_power(s, w, offs[..., None], users)
+
+    group = place_single_for_group(w, users, "sum_rate", s)
+    if _inversions(power(np.array(group.layout.offsets_per_guide[0])), order)[0] == 0:
+        return group
     grid = _offset_grid(0.0, w.length_m, default_grid_res(s))
-    vals = fn(grid)
-    i = _argmax_tie_smallest(vals)
-    x, value = _zoom_max(lambda rows, xs: fn(xs), grid, [i], [vals[i]], BRACKET_TOL_M)
-    layout = PinchingLayout(((float(x[0]),),), ((1.0,),))
-    return PlacementSolution(layout, float(value[0]), objective, 1, True, (float(value[0]),))
+    fewest = _inversions(power(grid), order).min()
+
+    def constrained_sum_rate(offs):
+        p = power(offs)
+        return np.where(_inversions(p, order) == fewest,
+                        shannon_rate(s.transmit_snr * p).sum(axis=-1), -np.inf)
+
+    x, value = _scan_zoom(constrained_sum_rate, grid)
+    return PlacementSolution(PinchingLayout(((x,),), ((1.0,),)), value, "sum_rate", 1,
+                             bool(fewest == 0), (value,))
 
 
 def _wrap(phase):
@@ -127,11 +193,12 @@ def align_multi_on_guide(w: WaveguideSpec, user, n_antennas: int,
     strictly along the guide, so the offsets where it equals c + 2*pi*m
     form a comb of teeth at which antennas arrive in phase. One array
     bisection finds the teeth of 97 combs (96 evenly spaced phases c and
-    the one with a tooth on the user's projection), as many turns of the lag
-    either side of the projection as n antennas can span. From every tooth
-    a chain takes, n - 1 times, the first tooth at least ``min_spacing``
-    (default lambda0/2) past its last; of the chains on the guide, the one
-    with the largest coherent gain wins, and ``ValueError`` says none fits.
+    the one with a tooth on :func:`place_single_for_user`'s offset), as many
+    turns of the lag either side of that offset as n antennas can span.
+    From every tooth a chain takes, n - 1 times, the first tooth at least
+    ``min_spacing`` (default lambda0/2) past its last; of the chains on the
+    guide, the one with the largest coherent gain wins, and ``ValueError``
+    says none fits.
     """
     if n_antennas < 1:
         raise ValueError("need at least one antenna")
@@ -160,7 +227,7 @@ def align_multi_on_guide(w: WaveguideSpec, user, n_antennas: int,
     # As |d'(x)| <= 1, teeth are at least 2*pi/(kg + k0) apart, which bounds
     # the turns one spacing can take.
     turns = n_antennas * (1 + int(spacing * (kg + k0) / (2.0 * math.pi)))
-    lag_p = lag(project_onto_waveguide(w, user).offset)
+    lag_p = lag(place_single_for_user(w, user))
     combs = np.concatenate([[lag_p], np.linspace(-np.pi, np.pi, 96, endpoint=False)])
     whole = np.round((lag_p - combs) / (2.0 * np.pi))[:, None] + np.arange(-turns, turns + 1)
     targets = combs[:, None] + 2.0 * np.pi * whole  # (combs, teeth), rising along a row
@@ -212,8 +279,9 @@ def _gram_inverse_diag(m, K: int) -> list:
     ``m(k, l)`` returns the Gram entries h_k^H h_l, stacked over candidates.
     The closed forms for K <= 3 read only the diagonal and the upper
     triangle; degenerate (non positive definite) matrices produce
-    non-finite or nonpositive entries, and for K > 3 exactly singular ones
-    produce NaN, which callers treat as invalid candidates.
+    non-finite or nonpositive entries. For K > 3, matrices with non-finite
+    entries or a reciprocal condition number below ``ZF_RCOND_LIMIT``
+    produce NaN. Callers treat both as invalid candidates.
     """
     if K == 1:
         return [1.0 / m(0, 0).real]
@@ -247,9 +315,12 @@ def _gram_inverse_diag(m, K: int) -> list:
         det += 2.0 * triple.real
         return [c00 / det, c11 / det, c22 / det]
     Mh = np.stack([np.stack([m(k, l) for l in range(K)], axis=-1) for k in range(K)], axis=-2)
-    # np.linalg.inv raises on the first exactly singular matrix of a stack
+    # A Gram's condition number is its channel's squared, so holding it to
+    # ZF_RCOND_LIMIT is the tightest test double precision can resolve (a
+    # channel at zf_beamformer's limit has a Gram rcond of 1e-20).
     inv = np.full(Mh.shape, np.nan, dtype=complex)
-    regular = np.linalg.det(Mh) != 0
+    regular = np.isfinite(Mh).all(axis=(-2, -1))
+    regular[regular] = _rcond(Mh[regular]) >= ZF_RCOND_LIMIT
     inv[regular] = np.linalg.inv(Mh[regular])
     return [inv[..., k, k].real for k in range(K)]
 
@@ -262,8 +333,7 @@ def _gram_rates(m, K: int, kind: str, transmit_snr) -> list:
     [Mh^{-1}]_ii and matched beams give cross gains |h_j^H w_i|^2 =
     |Mh[j, i]|^2 / Mh[i, i]. ``transmit_snr`` broadcasts against the
     entries. Numerically degenerate candidates come out as NaN; callers map
-    them to -inf objectives. The descent's final value is re-scored through
-    the public beamforming path.
+    them to -inf objectives.
     """
     p = 1.0 / K
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -289,24 +359,14 @@ def _gram_rates(m, K: int, kind: str, transmit_snr) -> list:
         return sinr
 
 
-def _reduce_objective(rates, objective: str):
-    """Reduce per-user rates (a sequence over users) in user order.
-
-    An elementwise fold over the K users is far faster than a reduction
-    along the short last axis of a long stack of candidates.
-    """
-    if objective == "sum_rate":
-        fold = np.add
-    elif objective == "max_min_rate":
-        fold = np.minimum
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
-    return functools.reduce(fold, rates)
-
-
 def _scores(m, K: int, kind: str, objective: str, transmit_snr) -> np.ndarray:
-    """Objective from Gram entries m(k, l), -inf where degenerate."""
-    obj = _reduce_objective(_gram_rates(m, K, kind, transmit_snr), objective)
+    """Objective from Gram entries m(k, l), -inf where degenerate.
+
+    The per-user rates are folded elementwise in user order, far faster than
+    a reduction along the short last axis of a long stack of candidates.
+    """
+    fold = np.add if objective == "sum_rate" else np.minimum
+    obj = functools.reduce(fold, _gram_rates(m, K, kind, transmit_snr))
     return np.where(np.isfinite(obj), obj, -np.inf)
 
 
@@ -371,8 +431,9 @@ def _descend(s: Scenario, transmit_snrs: np.ndarray, kind: str, objective: str,
     rank-1 Gram terms conj(c_k) c_l of each guide's channel column c at
     every grid offset, candidate axis last (K, K, n) so that each Gram entry
     is a contiguous array. A state leaves the lockstep when a cycle improves
-    it by less than ``DESCENT_TOL``. Returns offsets (B, M), traces, cycles and
-    converged flags per state.
+    it by less than ``DESCENT_TOL``. Returns per state the offsets (B, M),
+    traces, cycles, converged flags, final objective values (B,) and final
+    channel columns (B, K, M).
     """
     users = s.users.positions
     K, M, B = users.shape[0], len(s.waveguides), len(transmit_snrs)
@@ -435,7 +496,7 @@ def _descend(s: Scenario, transmit_snrs: np.ndarray, kind: str, objective: str,
         live = live[~done]
         if not live.size:
             break
-    return offsets, traces, cycles, converged
+    return offsets, traces, cycles, converged, value, cols
 
 
 def optimize_multi_waveguide_sweep(s: Scenario, transmit_snrs, beamformer_kind: str = "zf",
@@ -453,8 +514,10 @@ def optimize_multi_waveguide_sweep(s: Scenario, transmit_snrs, beamformer_kind: 
     are accepted only when they improve the objective, so each recorded
     trace is nondecreasing; a descent stops when a full cycle improves it by
     less than ``DESCENT_TOL`` or the cycle budget runs out. Candidates that leave the
-    channel rank-deficient are skipped. Each returned value is re-scored
-    through ``build_channel`` and the public beamformers.
+    channel rank-deficient are skipped. Each returned value is the one the
+    Gram kernel computed for the final layout, so it equals the trace's last
+    entry, except that a zero-forcing layout whose channel rows fail
+    :func:`zf_beamformer`'s rank test scores -inf.
 
     The descents share one geometry and one set of candidate tables, built
     here and freed on return, and are stepped together; each solution equals
@@ -469,23 +532,13 @@ def optimize_multi_waveguide_sweep(s: Scenario, transmit_snrs, beamformer_kind: 
         raise ValueError("need at least one user and one waveguide")
     if beamformer_kind == "zf" and K > M:
         raise ValueError(f"zero-forcing needs users <= waveguides, got {K} > {M}")
-    rhos = [float(rho) for rho in transmit_snrs]
-    offsets, traces, cycles, converged = _descend(
-        s, np.asarray(rhos), beamformer_kind, objective, budget)
-
-    def public_objective(layout, rho) -> float:
-        try:
-            H = build_channel(s, layout, los_states=True)
-            B = zf_beamformer(H) if beamformer_kind == "zf" else mrc_beamformer(H)
-            report = evaluate_rates(H, B, rho)
-        except (RankDeficiencyError, ValueError):
-            return -np.inf
-        return float(_reduce_objective(report.per_user_rate_bps_hz, objective))
-
-    layouts = [_one_per_guide_layout(row) for row in offsets]
-    return tuple(PlacementSolution(layout, public_objective(layout, rho), objective,
+    offsets, traces, cycles, converged, values, cols = _descend(
+        s, np.asarray([float(rho) for rho in transmit_snrs]), beamformer_kind, objective, budget)
+    if beamformer_kind == "zf":
+        values[_rcond(cols) < ZF_RCOND_LIMIT] = -np.inf
+    return tuple(PlacementSolution(_one_per_guide_layout(row), float(v), objective,
                                    int(n), bool(done), tuple(trace))
-                 for layout, rho, n, done, trace in zip(layouts, rhos, cycles, converged, traces))
+                 for row, v, n, done, trace in zip(offsets, values, cycles, converged, traces))
 
 
 def optimize_multi_waveguide(s: Scenario, beamformer_kind: str = "zf",

@@ -75,6 +75,15 @@ class UserSet:
         return self.positions.shape[0]
 
 
+def _check_user_indices(users, n_users: int) -> None:
+    """Raise ``ValueError`` unless ``users`` are distinct indices in [0, n_users)."""
+    unknown = sorted({u for u in users if not 0 <= u < n_users})
+    if unknown:
+        raise ValueError(f"unknown users {unknown}, not in [0, {n_users})")
+    if len(set(users)) != len(users):
+        raise ValueError(f"users {list(users)} repeat an index")
+
+
 @dataclass(frozen=True, eq=False)
 class LoSModelConfig:
     """Line-of-sight probability model and NLoS excess-loss knob.

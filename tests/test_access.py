@@ -12,6 +12,7 @@ from pinchsim import (
     WaveguideSpec,
     build_channel,
     conventional_bound,
+    link_power,
     noma_gain_reorder,
     noma_rates,
     place_single_for_group,
@@ -20,6 +21,8 @@ from pinchsim import (
     tdma_rates,
 )
 from pinchsim.channel import _check_layout
+from pinchsim.placement import _inversions, _offset_grid
+from pinchsim.presets import noma_scenario
 from tests.conftest import make_scenario
 
 LAMBDA0 = 299792458.0 / 28e9
@@ -452,6 +455,14 @@ def test_noma_power_split_must_conserve():
         noma_rates(s, H, NomaCluster((0, 1), (0.5, 0.5), (0, 1)), 2.0 * beam)
 
 
+def test_noma_rates_reject_aliased_user_indices():
+    s, H, beam = noma_setup([(1.0, 4.0, 0.0), (3.0, 14.0, 0.0)])
+    for users, match in (((0, 0), "repeat"), ((0, -1), "unknown users"),
+                         ((0, 2), "unknown users")):
+        with pytest.raises(ValueError, match=match):
+            noma_rates(s, H, NomaCluster(users, (0.5, 0.5), users), beam)
+
+
 def test_noma_boundary_dominates_oma_segment():
     rng = np.random.default_rng(31)
     checked = 0
@@ -530,3 +541,61 @@ def test_reorder_requires_single_waveguide(guide_y):
     s = make_scenario([(1, 5, 0), (2, 6, 0)], (guide_y, other))
     with pytest.raises(ValueError, match="single waveguide"):
         noma_gain_reorder(s, (0, 1), (0, 1))
+
+
+def kendall_reference(row, cluster, target):
+    """Pairs ranked oppositely by the gains (strongest first, stable) and the target."""
+    ranking = [cluster[i] for i in np.argsort(-np.asarray(row), kind="stable")]
+    pos = {u: i for i, u in enumerate(target)}
+    a = [pos[u] for u in ranking]
+    return sum(1 for i in range(len(a)) for j in range(i + 1, len(a)) if a[i] > a[j])
+
+
+def test_inversions_match_kendall_reference():
+    rng = np.random.default_rng(5)
+    for k in (1, 2, 3, 4, 5):
+        power = rng.integers(0, 3, size=(200, k)).astype(float)  # many ties
+        order = rng.permutation(k)
+        cluster = tuple(range(k))
+        expected = [kendall_reference(row, cluster, tuple(order)) for row in power]
+        assert _inversions(power, order).tolist() == expected
+
+
+def test_reorder_refines_the_grid_optimum():
+    rng = np.random.default_rng(2026)
+    refined = 0
+    for case in range(24):
+        k = int(rng.integers(2, 5))
+        angle = rng.uniform(0, 2 * np.pi)
+        w = WaveguideSpec(feed_point=(rng.uniform(-2, 2), rng.uniform(-2, 2), 3.0),
+                          axis_direction=(np.cos(angle), np.sin(angle), 0.0),
+                          length_m=float(rng.uniform(1, 8)), relative_permittivity=2.1,
+                          guide_attenuation_np_per_m=(0.0, 0.08)[case % 2])
+        users = [(rng.uniform(-6, 6), rng.uniform(-6, 6), 0.0) for _ in range(k + 1)]
+        s = make_scenario(users, (w,))
+        cluster = tuple(int(u) for u in rng.permutation(k + 1)[:k])
+        target = tuple(int(u) for u in rng.permutation(cluster))
+        sol = noma_gain_reorder(s, cluster, target)
+
+        # grid only: the best sum rate among the grid offsets closest to the target
+        grid = _offset_grid(0.0, w.length_m, s.carrier.free_space_wavelength_m / 4)
+        power = link_power(s, w, grid[:, None], s.users.positions[list(cluster)])
+        distance = np.array([kendall_reference(row, cluster, target) for row in power])
+        rates = np.log2(1 + s.transmit_snr * power).sum(axis=1)
+        grid_best = rates[distance == distance.min()].max()
+        assert sol.objective_value >= grid_best - 1e-12
+        assert sol.converged == (distance.min() == 0)
+        group = place_single_for_group(w, s.users.positions[list(cluster)], "sum_rate", s)
+        if (sol.layout.offsets_per_guide, sol.objective_value) != (
+                group.layout.offsets_per_guide, group.objective_value):
+            refined += sol.objective_value > grid_best + 1e-9
+    assert refined > 0
+
+
+def test_reorder_rejects_aliased_user_indices():
+    s = noma_scenario()
+    for cluster, target, match in (((0, -1), (-1, 0), "unknown users"),
+                                   ((0, 2), (2, 0), "unknown users"),
+                                   ((0, 0), (0, 0), "repeat")):
+        with pytest.raises(ValueError, match=match):
+            noma_gain_reorder(s, cluster, target)

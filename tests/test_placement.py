@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pinchsim import (
     GuidedWave,
+    RankDeficiencyError,
     WaveguideSpec,
     align_multi_on_guide,
     build_channel,
@@ -15,6 +16,8 @@ from pinchsim import (
     conventional_bound,
     evaluate_rates,
     link_gains,
+    link_power,
+    mrc_beamformer,
     optimize_multi_waveguide,
     optimize_multi_waveguide_sweep,
     place_single_for_group,
@@ -22,6 +25,7 @@ from pinchsim import (
     project_onto_waveguide,
     zf_beamformer,
 )
+from pinchsim.beamforming import ZF_RCOND_LIMIT, _rcond
 from pinchsim.placement import (
     BRACKET_TOL_M,
     _argmax_tie_smallest,
@@ -30,7 +34,7 @@ from pinchsim.placement import (
     _wrap,
     _zoom_max,
 )
-from pinchsim.scenario import UserSet
+from pinchsim.scenario import UserSet, projected_offsets
 from tests.conftest import make_scenario
 
 LAMBDA0 = 299792458.0 / 28e9
@@ -55,6 +59,50 @@ def test_place_single_for_user_is_projection(guide_y):
     # symmetric users each get their own projection offset
     assert place_single_for_user(guide_y, (3, 4, 0)) == pytest.approx(4.0)
     assert place_single_for_user(guide_y, (-3, 4, 0)) == pytest.approx(4.0)
+
+
+def test_place_single_for_user_finds_lossy_peak(guide_y):
+    # a user 5 m from the guide, projecting at 12.0 m: the loss pulls the
+    # peak to 12 - 2*0.08*25/(1 + 0.6) = 9.5 m; at 0.3 Np/m, 2*alpha*r >= 1
+    # and the power falls all along the guide
+    lossy = dataclasses.replace(guide_y, guide_attenuation_np_per_m=0.08)
+    assert place_single_for_user(lossy, (4, 12, 0)) == pytest.approx(9.5, abs=1e-12)
+    steep = dataclasses.replace(guide_y, guide_attenuation_np_per_m=0.3)
+    assert place_single_for_user(steep, (4, 12, 0)) == 0.0
+
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        angle = rng.uniform(0.0, 2 * math.pi)
+        w = WaveguideSpec(feed_point=(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(1, 5)),
+                          axis_direction=(math.cos(angle) * 0.98, math.sin(angle) * 0.98,
+                                          math.sqrt(1 - 0.98 ** 2)),
+                          length_m=rng.uniform(0.5, 20.0), relative_permittivity=2.1,
+                          guide_attenuation_np_per_m=rng.choice([0.0, 0.02, 0.08, 0.3]))
+        # users from before the feed to past the far end
+        t = rng.uniform(-3.0, w.length_m + 3.0)
+        user = w.point_at(0.0) + t * w.axis_direction + rng.uniform(-6, 6, 3)
+        user[2] = 0.0
+        x = place_single_for_user(w, user)
+        if w.guide_attenuation_np_per_m == 0:
+            assert x == projected_offsets(w, user)  # bit for bit
+        s = make_scenario([user], (w,))
+        scanned = place_single_for_group(w, s.users, "sum_rate", s).objective_value
+        rate = math.log2(1 + s.transmit_snr * float(link_power(s, w, x, user)))
+        assert rate >= scanned - 1e-12
+
+
+def test_align_centres_on_lossy_peak(guide_y):
+    lossy = dataclasses.replace(guide_y, guide_attenuation_np_per_m=0.08)
+    user = (4.0, 12.0, 0.0)
+    s = make_scenario([user], (lossy,))
+    single = align_multi_on_guide(lossy, user, 1, s)
+    assert single.layout.offsets_per_guide[0][0] == pytest.approx(9.5, abs=1e-12)
+    assert single.objective_value == pytest.approx(5.6951, abs=1e-4)
+    # the combs centred on the projection reached 6.435 and 8.438 bps/Hz
+    for n, projection_centred in ((2, 6.435), (8, 8.438)):
+        sol = align_multi_on_guide(lossy, user, n, s)
+        assert sol.converged
+        assert sol.objective_value > projection_centred + 0.2
 
 
 def test_group_placement_symmetric_max_min(guide_y):
@@ -321,6 +369,18 @@ def test_descent_with_identical_users_degenerates_gracefully():
     assert sol.objective_value == -np.inf
 
 
+def test_descent_never_steps_on_singular_grams_at_four_users():
+    # two identical users: every 4x4 Gram is singular, though its det is not 0
+    guides = tuple(WaveguideSpec(feed_point=(x, -10.0, 3.0), axis_direction=(0, 1, 0),
+                                 length_m=20.0, relative_permittivity=2.1)
+                   for x in (-6.0, -2.0, 2.0, 6.0))
+    users = [(1.0, 2.0, 0.0), (1.0, 2.0, 0.0), (-3.0, -4.0, 0.0), (4.0, 6.0, 0.0)]
+    s = make_scenario(users, guides)
+    sol = optimize_multi_waveguide(s, "zf", "sum_rate", budget=3)
+    assert sol.trace == (-np.inf,)
+    assert sol.objective_value == -np.inf
+
+
 def test_descent_argument_validation(guide_y):
     s = make_scenario([(1, 1, 0), (2, 2, 0)], (guide_y,))
     with pytest.raises(ValueError, match="users <= waveguides"):
@@ -370,3 +430,33 @@ def test_sweep_equals_one_descent_per_snr(case):
                                           kind, objective, budget)
         assert_same_solution(sol, single)
         assert all(b >= a for a, b in zip(sol.trace, sol.trace[1:]))
+
+
+def public_objective(s, sol, rho, kind, objective):
+    """The descent's objective through build_channel and the public beamformers,
+    and whether the Gram kernel can resolve the layout's channel."""
+    H = build_channel(s, sol.layout, los_states=True)
+    try:
+        B = zf_beamformer(H) if kind == "zf" else mrc_beamformer(H)
+    except RankDeficiencyError:
+        return -np.inf, False
+    rates = evaluate_rates(H, B, rho).per_user_rate_bps_hz
+    # ZF's Gram has the channel's rcond squared; below ZF_RCOND_LIMIT its
+    # inverse has no correct digits (users less than a micrometre apart)
+    resolved = kind == "mrc" or _rcond(H.gains) ** 2 >= ZF_RCOND_LIMIT
+    return (rates.sum() if objective == "sum_rate" else rates.min()), resolved
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sweep_cases())
+def test_descent_value_matches_public_path(case):
+    s, rhos, kind, objective, budget = case
+    for rho, sol in zip(rhos, optimize_multi_waveguide_sweep(s, rhos, kind, objective, budget)):
+        public, resolved = public_objective(s, sol, rho, kind, objective)
+        if public == -np.inf:
+            assert sol.objective_value == -np.inf
+        elif resolved:
+            # log2(1 + sinr) rounds 1 + sinr: up to 1.6e-16 bps/Hz per user and side
+            assert sol.objective_value == pytest.approx(public, rel=1e-12, abs=2e-15)
+        if np.isfinite(sol.objective_value):
+            assert sol.objective_value == sol.trace[-1]
