@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Per-layer timings of the multi-waveguide descent on the ``mimo-sweep`` workload.
+
+Usage, from the root of a checkout::
+
+    python3 scripts/bench_layers.py --parent <rev> --number <n> --repeats 5 --seed 7
+
+Each repeat is one timed ``compare-mimo`` CLI run on the workload's input for the
+seed, BLAS on one thread: link synthesis (``link_gains``) per candidate offset, grid
+scan per lockstep guide step (descent time outside zoom and column synthesis), zoom
+(``_zoom_max``) and descent (``_descend``) per call. Repeats alternate with ``<rev>``
+if given; ``--number`` appends medians and runs to ``"layers"`` in ``BENCH_<n>.json``.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import ROOT, THREAD_VARS, export, git  # noqa: E402
+
+# Run from a checkout's root: one timed CLI run, the timings as the last stdout line.
+PROBE = """\
+import collections, contextlib, io, json, sys, tempfile, time
+from pathlib import Path
+sys.path[:0] = ["src", "perfbench"]
+from pinchsim import cli, placement as P
+from workloads import WORKLOADS
+spent, calls, size = (collections.Counter() for _ in range(3))
+zooms = [0]  # open zoom calls: column synthesis inside a zoom counts as zoom
+def wrap(name, count=lambda args, out: 0):
+    fn = getattr(P, name)
+    def timed(*args):
+        zooms[0] += name == "_zoom_max"
+        t0 = time.perf_counter()
+        out = fn(*args)
+        if name != "_guide_columns" or not zooms[0]:
+            spent[name] += time.perf_counter() - t0
+        zooms[0] -= name == "_zoom_max"
+        calls[name] += 1
+        size[name] += count(args, out)
+        return out
+    setattr(P, name, timed)
+wrap("link_gains", lambda args, out: args[2].size)  # candidate offsets
+wrap("_guide_columns")
+wrap("_zoom_max")
+wrap("_descend", lambda args, out: len(args[0].waveguides) * int(max(out[2])))  # guide steps
+with tempfile.TemporaryDirectory() as tmp:
+    workload = WORKLOADS["mimo-sweep"](int(sys.argv[1]), Path(tmp))
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(list(workload.argv)) != 0:
+            sys.exit("the workload's CLI run failed")
+scan = spent["_descend"] - spent["_zoom_max"] - spent["_guide_columns"]
+print(json.dumps({
+    "link_us_per_candidate": 1e6 * spent["link_gains"] / size["link_gains"],
+    "grid_scan_ms_per_step": 1e3 * scan / size["_descend"],
+    "zoom_ms_per_call": 1e3 * spent["_zoom_max"] / calls["_zoom_max"],
+    "descent_ms_per_call": 1e3 * spent["_descend"] / calls["_descend"]}))
+"""
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", help="git revision of the parent side (default: none)")
+    p.add_argument("--number", type=int, help="write into BENCH_<n>.json")
+    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--seed", type=int, default=7)
+    args = p.parse_args(argv)
+    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
+    with tempfile.TemporaryDirectory() as tmp:
+        checkouts = {"change": ROOT}
+        if args.parent is not None:
+            checkouts["parent"] = export(args.parent, Path(tmp))
+        runs: dict = {side: [] for side in checkouts}
+        for i in range(args.repeats):
+            for side in sorted(runs, reverse=i % 2 == 1):  # change first in even repeats
+                out = subprocess.run([sys.executable, "-c", PROBE, str(args.seed)], env=env,
+                                     cwd=checkouts[side], capture_output=True, text=True, check=True)
+                runs[side].append(json.loads(out.stdout.strip().splitlines()[-1]))
+                print(f"{i + 1}/{args.repeats} {side}: {runs[side][-1]}", flush=True)
+    median = {side: {k: statistics.median(r[k] for r in rs) for k in rs[0]}
+              for side, rs in runs.items()}
+    print(json.dumps(median, indent=2))
+    if args.number is not None:
+        out_path = ROOT / f"BENCH_{args.number}.json"
+        report = json.loads(out_path.read_text()) if out_path.exists() else {"number": args.number}
+        report.setdefault("layers", []).append({
+            "seed": args.seed, "parent": args.parent and git("rev-parse", args.parent),
+            "median": median, "runs": runs})
+        out_path.write_text(json.dumps(report, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -118,12 +118,23 @@ def link_gains(s: Scenario, w: WaveguideSpec, offsets, points, weights=1.0, los=
 
     Free-space gain x (weight x in-guide factor), broadcast as in
     :func:`guide_distances`; ``weights`` and ``los`` broadcast against the
-    result. This is the one place the paper's link law is evaluated.
+    result. This is the one place the paper's link law is evaluated, as a
+    real amplitude times one complex exponential of the loss and the phase
+    lag k_0*d + k_g*x. Every operation is elementwise, so a link's bits do
+    not depend on the shape of the batch it is computed in.
     """
     x = np.asarray(offsets, dtype=float)
-    fs = free_space_gain(guide_distances(w, x, points), s.carrier.free_space_wavelength_m,
-                         los, s.los_model.nlos_extra_loss_db)
-    return fs * (weights * in_guide_factor(w, GuidedWave.for_waveguide(s.carrier, w), x))
+    d = guide_distances(w, x, points)
+    if np.any(d <= 0):
+        raise ValueError("link distance must be positive")
+    lam0 = s.carrier.free_space_wavelength_m
+    k0 = 2.0 * math.pi / lam0
+    kg = 2.0 * math.pi / guided_wavelength(lam0, w.relative_permittivity)
+    amp = weights * lam0 / (4.0 * np.pi * d)
+    if los is not True:
+        penalty = 10.0 ** (-s.los_model.nlos_extra_loss_db / 20.0)
+        amp = np.where(np.asarray(los, dtype=bool), amp, amp * penalty)
+    return amp * np.exp(-w.guide_attenuation_np_per_m * x - 1j * (k0 * d + kg * x))
 
 
 def link_power(s: Scenario, w: WaveguideSpec, offsets, points) -> np.ndarray:

@@ -88,9 +88,9 @@ def _offset_grid(lo: float, hi: float, res: float) -> np.ndarray:
     return np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / res)) + 1))
 
 
-def _argmax_tie_smallest(values: np.ndarray) -> int:
-    vmax = np.max(values)
-    return int(np.nonzero(values >= vmax - TIE_TOL)[0][0])
+def _argmax_tie_smallest(values: np.ndarray):
+    """Index of the maximum along the last axis, ties within ``TIE_TOL`` to the smallest."""
+    return np.argmax(values >= np.max(values, axis=-1, keepdims=True) - TIE_TOL, axis=-1)
 
 
 def _single_antenna_rates(w: WaveguideSpec, users: np.ndarray, s: Scenario,
@@ -273,101 +273,130 @@ def coherent_gain_bound(H, user_index: int = 0) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _gram_inverse_diag(m, K: int) -> list:
-    """Real diagonal of the inverse of Hermitian KxK Gram matrices, per user.
+@functools.cache
+def _pairs(K: int):
+    """Upper-triangle entries (k, l), k <= l, of a KxK Gram, row by row, and
+    which of them are off its diagonal."""
+    k, l = np.triu_indices(K)
+    return k, l, k != l
 
-    ``m(k, l)`` returns the Gram entries h_k^H h_l, stacked over candidates.
-    The closed forms for K <= 3 read only the diagonal and the upper
-    triangle; degenerate (non positive definite) matrices produce
-    non-finite or nonpositive entries. For K > 3, matrices with non-finite
-    entries or a reciprocal condition number below ``ZF_RCOND_LIMIT``
-    produce NaN. Callers treat both as invalid candidates.
+
+def _features(c: np.ndarray) -> np.ndarray:
+    """Real Gram features (K*K, ...) of stacked channel columns c (K, ...): Re of
+    conj(c_k) c_l for every k <= l, then Im for every k < l.
+
+    They are the free entries of a column's rank-1 Gram term, so a Gram's
+    features are the sum of its columns'.
     """
-    if K == 1:
-        return [1.0 / m(0, 0).real]
-    if K == 2:
-        m00, m11 = m(0, 0).real, m(1, 1).real
-        m01 = m(0, 1)
-        det = m00 * m11 - (m01.real ** 2 + m01.imag ** 2)
-        return [m11 / det, m00 / det]
-    if K == 3:
-        # The hot path of the descent's scans: updates are in place to spare
-        # temporaries; each one rounds as the written-out expression would.
-        m00, m11, m22 = m(0, 0).real, m(1, 1).real, m(2, 2).real
-        m01, m02, m12 = m(0, 1), m(0, 2), m(1, 2)
-        a01 = m01.real ** 2
-        a01 += m01.imag ** 2
-        a02 = m02.real ** 2
-        a02 += m02.imag ** 2
-        a12 = m12.real ** 2
-        a12 += m12.imag ** 2
-        c00 = m11 * m22
-        c00 -= a12
-        c11 = m00 * m22
-        c11 -= a02
-        c22 = m00 * m11
-        c22 -= a01
-        det = m00 * c00
-        det -= m11 * a02
-        det -= m22 * a01
-        triple = m01 * m12
-        triple *= np.conj(m02)
-        det += 2.0 * triple.real
-        return [c00 / det, c11 / det, c22 / det]
-    Mh = np.stack([np.stack([m(k, l) for l in range(K)], axis=-1) for k in range(K)], axis=-2)
-    # A Gram's condition number is its channel's squared, so holding it to
-    # ZF_RCOND_LIMIT is the tightest test double precision can resolve (a
-    # channel at zf_beamformer's limit has a Gram rcond of 1e-20).
-    inv = np.full(Mh.shape, np.nan, dtype=complex)
-    regular = np.isfinite(Mh).all(axis=(-2, -1))
-    regular[regular] = _rcond(Mh[regular]) >= ZF_RCOND_LIMIT
-    inv[regular] = np.linalg.inv(Mh[regular])
-    return [inv[..., k, k].real for k in range(K)]
+    k, l, off = _pairs(len(c))
+    t = np.conj(c[k]) * c[l]
+    return np.concatenate([t.real, t.imag[off]])
 
 
-def _gram_rates(m, K: int, kind: str, transmit_snr) -> list:
-    """Per-user rates, one array per user, from Gram entries m(k, l) = h_k^H h_l.
+def _hermitian(f: np.ndarray, K: int) -> np.ndarray:
+    """Hermitian KxK Grams (..., K, K) from their features (..., K*K)."""
+    k, l, off = _pairs(K)
+    m = np.zeros(f.shape[:-1] + (K, K), dtype=complex)
+    m[..., k, l] = f[..., :k.size]
+    m[..., k[off], l[off]] += 1j * f[..., k.size:]
+    m[..., l, k] = np.conj(m[..., k, l])
+    return m
 
-    Each entry is evaluated only when it is read. With unit-norm precoding
-    columns and equal power p = 1/K, zero-forcing gives sinr_i = p * snr /
-    [Mh^{-1}]_ii and matched beams give cross gains |h_j^H w_i|^2 =
-    |Mh[j, i]|^2 / Mh[i, i]. ``transmit_snr`` broadcasts against the
-    entries. Numerically degenerate candidates come out as NaN; callers map
-    them to -inf objectives.
+
+def _zf_map(F: np.ndarray, K: int):
+    """Affine maps from a candidate column's Gram features T to det(F + T) and the
+    cofactors C_kk(F + T), given fixed Gram features F (L, K*K).
+
+    T is rank 1, so det(F + T) = det F + tr(adj(F) T) (matrix determinant
+    lemma), which is affine in T's features. C_kk(F + T) is the same sum over
+    F with row and column k set to the identity's, T with them set to zero.
+    The adjugate entry adj(B)[a, b] is the det of B with row b replaced by the
+    identity's row a, so one batched det gives every coefficient. Returns
+    weights (L, 1+K, K*K) and constants (L, 1+K); row 0 maps to the det, row
+    1+k to C_kk.
     """
-    p = 1.0 / K
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if kind == "zf":
-            sinr = []
-            for d in _gram_inverse_diag(m, K):
-                x = p * transmit_snr / d
-                np.copyto(x, np.nan, where=~(np.isfinite(d) & (d > 0)))
-                sinr.append(x)
-        elif kind == "mrc":
-            diag = [m(i, i).real for i in range(K)]
-            sinr = []
-            for j in range(K):
-                cross = [(z.real ** 2 + z.imag ** 2) / diag[i]
-                         for i, z in enumerate(m(j, i) for i in range(K))]
-                interference = functools.reduce(np.add, cross) - cross[j]
-                sinr.append(p * cross[j] * transmit_snr
-                            / (1.0 + transmit_snr * p * interference))
-        else:
-            raise ValueError(f"unknown beamformer kind {kind!r}")
-        for x in sinr:
-            shannon_rate(x, out=x)
-        return sinr
+    k, l, off = _pairs(K)
+    eye = np.eye(K)
+    bases = np.repeat(_hermitian(F, K)[:, None], 1 + K, axis=1)  # (L, 1+K, K, K)
+    for j in range(K):
+        bases[:, 1 + j, j, :] = bases[:, 1 + j, :, j] = eye[j]
+    minors = np.repeat(bases[:, :, None], 1 + k.size, axis=2)  # (L, 1+K, 1+P, K, K)
+    minors[:, :, 1 + np.arange(k.size), l] = eye[k]
+    dets = np.linalg.det(minors)
+    adj = dets[..., 1:]  # adj(B)[k, l] for k <= l
+    u = np.arange(K)[:, None]
+    adj[:, 1:][:, (k == u) | (l == u)] = 0.0  # C_uu's T has row and column u zeroed
+    # tr(adj T) = sum_k adj_kk T_kk + 2 sum_{k<l} (Re adj_kl Re T_kl + Im adj_kl Im T_kl)
+    weights = np.concatenate([np.where(off, 2.0, 1.0) * adj.real, 2.0 * adj.imag[..., off]],
+                             axis=-1)
+    return weights, dets[..., 0].real
 
 
-def _scores(m, K: int, kind: str, objective: str, transmit_snr) -> np.ndarray:
-    """Objective from Gram entries m(k, l), -inf where degenerate.
+def _resolved(m: np.ndarray) -> np.ndarray:
+    """Whether Hermitian Grams (..., K, K) are finite with a reciprocal condition
+    number lambda_min/lambda_max of at least ``ZF_RCOND_LIMIT``.
 
-    The per-user rates are folded elementwise in user order, far faster than
-    a reduction along the short last axis of a long stack of candidates.
+    A Gram's condition number is its channel's squared, so this is the
+    tightest test double precision can resolve (a channel at
+    :func:`zf_beamformer`'s limit has a Gram rcond of 1e-20).
     """
+    ok = np.isfinite(m).all(axis=(-2, -1))
+    ev = np.linalg.eigvalsh(m[ok])
+    ok[ok] = ev[:, 0] / ev[:, -1] >= ZF_RCOND_LIMIT
+    return ok
+
+
+def _mrc_sinr(g: np.ndarray, K: int, rho: np.ndarray) -> np.ndarray:
+    """Matched-beam SINRs (rows, K, n) from Gram features g (rows, K*K, n) at SNRs
+    rho (rows, 1, 1): unit-norm beams at power p = 1/K give cross gains
+    |h_j^H w_i|^2 = |Gram[j, i]|^2 / Gram[i, i]."""
+    m = _hermitian(np.moveaxis(g, 1, -1), K)  # (rows, n, K, K)
+    cross = (m.real ** 2 + m.imag ** 2) / np.diagonal(m.real, axis1=-2, axis2=-1)[..., None, :]
+    own = np.diagonal(cross, axis1=-2, axis2=-1)
+    interference = functools.reduce(np.add, np.moveaxis(cross, -1, 0)) - own
+    return np.moveaxis(1.0 / K * own * rho / (1.0 + rho * (1.0 / K) * interference), -1, 1)
+
+
+def _scorer(F: np.ndarray, kind: str, objective: str, rho: np.ndarray):
+    """Objective of one guide's candidate antennas for L states, -inf where degenerate.
+
+    ``F`` (L, K*K) holds each state's Gram features without the guide's
+    column, ``rho`` (L,) its transmit SNR. ``score(rows, T)`` gives the
+    objectives (rows, n) of the Grams F + T for candidate features ``T``,
+    (K*K, n) or (rows, K*K, n). Zero-forcing at equal power p = 1/K gives
+    sinr_k = p * rho * det / C_kk from :func:`_zf_map`'s affine map, built
+    once here; a candidate counts where det / C_kk is finite and positive and,
+    for K > 3, where its Gram is :func:`_resolved`. Per-user rates are folded
+    elementwise in user order.
+    """
+    K = math.isqrt(F.shape[-1])
+    if kind == "zf":
+        weights, consts = _zf_map(F, K)
+    elif kind != "mrc":
+        raise ValueError(f"unknown beamformer kind {kind!r}")
     fold = np.add if objective == "sum_rate" else np.minimum
-    obj = functools.reduce(fold, _gram_rates(m, K, kind, transmit_snr))
-    return np.where(np.isfinite(obj), obj, -np.inf)
+
+    def score(rows, T):
+        if T.ndim == 2:  # a shared table, scored state by state: temporaries stay small
+            return np.concatenate([score(rows[i:i + 1], T[None]) for i in range(len(rows))])
+        r = rho[rows, None, None]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if kind == "zf":
+                dc = weights[rows] @ T  # (rows, 1+K, n)
+                dc += consts[rows, :, None]
+                sinr = dc[:, :1] / dc[:, 1:]  # det / C_kk = 1 / [Gram^{-1}]_kk
+                bad = ~(np.isfinite(sinr) & (sinr > 0))
+                if K > 3:
+                    gram = _hermitian(np.moveaxis(F[rows, :, None] + T, 1, -1), K)
+                    bad |= ~_resolved(gram)[:, None]
+                sinr *= 1.0 / K * r
+                sinr[bad] = np.nan
+            else:
+                sinr = _mrc_sinr(F[rows, :, None] + T, K, r)
+            obj = functools.reduce(fold, shannon_rate(sinr, out=sinr).swapaxes(0, 1))
+        return np.where(np.isfinite(obj), obj, -np.inf)
+
+    return score
 
 
 def _one_per_guide_layout(offsets) -> PinchingLayout:
@@ -376,20 +405,10 @@ def _one_per_guide_layout(offsets) -> PinchingLayout:
 
 
 def _guide_columns(s: Scenario, g: int, xs: np.ndarray) -> np.ndarray:
-    """LoS channel columns (K, *xs.shape) of guide g with its antenna at offsets xs.
-
-    The leading length-1 axis of the offsets is kept: numpy's complex
-    multiply takes another kernel, with other rounding, when an operand is
-    broadcast along the inner loop, so the layout fixes the bits.
-    """
+    """LoS channel columns (K, *xs.shape) of guide g with its antenna at offsets xs."""
     users = s.users.positions
-    return link_gains(s, s.waveguides[g], xs[None],
+    return link_gains(s, s.waveguides[g], xs,
                       users.reshape(users.shape[:1] + (1,) * xs.ndim + (3,)))
-
-
-def _outer(c: np.ndarray) -> np.ndarray:
-    """Rank-1 Gram terms of stacked columns: (..., K, n) -> (..., K, K, n)."""
-    return np.conj(c)[..., :, None, :] * c[..., None, :, :]
 
 
 def _zoom_max(fn, grid, idx, v0, bracket_tol: float):
@@ -428,17 +447,23 @@ def _descend(s: Scenario, transmit_snrs: np.ndarray, kind: str, objective: str,
     """Coordinate descent of one state per transmit SNR, stepped in lockstep.
 
     The states share the geometry, the start and the candidate tables: the
-    rank-1 Gram terms conj(c_k) c_l of each guide's channel column c at
-    every grid offset, candidate axis last (K, K, n) so that each Gram entry
-    is a contiguous array. A state leaves the lockstep when a cycle improves
-    it by less than ``DESCENT_TOL``. Returns per state the offsets (B, M),
-    traces, cycles, converged flags, final objective values (B,) and final
-    channel columns (B, K, M).
+    Gram features (:func:`_features`) of each guide's channel column at every
+    grid offset, (K*K, n), candidate axis last so that each feature is a
+    contiguous array. A guide step builds one :func:`_scorer` for all live
+    states, scores every grid offset of every state with it and refines the
+    best cells in one batched zoom. A state leaves the lockstep when a cycle
+    improves it by less than ``DESCENT_TOL``. Returns per state the offsets
+    (B, M), traces, cycles, converged flags, final objective values (B,) and
+    final channel columns (B, K, M).
     """
     users = s.users.positions
     K, M, B = users.shape[0], len(s.waveguides), len(transmit_snrs)
     grids = [_offset_grid(0.0, w.length_m, default_grid_res(s)) for w in s.waveguides]
-    tables = [_outer(_guide_columns(s, g, grid)) for g, grid in enumerate(grids)]
+    tables = [_features(_guide_columns(s, g, grid)) for g, grid in enumerate(grids)]
+
+    def others(c, g):
+        """Gram features (L, K*K) of the columns c (L, K, M) but column g."""
+        return _features(np.delete(c, g, axis=-1).swapaxes(0, 1)).sum(axis=-1).T
 
     # Start each antenna at the projection of the user nearest to its guide
     # (argmin breaks ties to the lower user index).
@@ -446,50 +471,40 @@ def _descend(s: Scenario, transmit_snrs: np.ndarray, kind: str, objective: str,
     for g, w in enumerate(s.waveguides):
         proj = project_onto_waveguide(w, users)
         start[g] = proj.offset[np.argmin(proj.distance)]
-    cols0 = np.concatenate([_guide_columns(s, g, start[g:g + 1]) for g in range(M)],
-                           axis=1)  # (K, M)
-    gram = _outer(cols0).sum(axis=-1)[:, :, None]
-    value = _scores(lambda k, l: gram[k, l], K, kind, objective, transmit_snrs)
+    cols = np.repeat(np.concatenate([_guide_columns(s, g, start[g:g + 1]) for g in range(M)],
+                                    axis=1)[None], B, axis=0)  # (B, K, M)
+    live = np.arange(B)
+    # the start is scored as the last guide's candidate
+    value = _scorer(others(cols, M - 1), kind, objective, transmit_snrs)(
+        live, _features(cols[0, :, M - 1:]))[:, 0]
     traces = [[float(v)] for v in value]
     offsets = np.tile(start, (B, 1))
-    cols = np.repeat(cols0[None], B, axis=0)  # (B, K, M)
     cycles = np.zeros(B, dtype=int)
     converged = np.zeros(B, dtype=bool)
-    live = np.arange(B)
     for _ in range(budget):
         cycles[live] += 1
         cycle_gain = np.zeros(live.size)
         for g in range(M):
-            fixed = _outer(np.delete(cols[live], g, axis=-1)).sum(axis=-1)  # (L, K, K)
-            grid, table = grids[g], tables[g]
-            found = []  # (position in live, grid index, grid value)
-            for r, state in enumerate(live):
-                f = fixed[r]
-                obj = _scores(lambda k, l: f[k, l] + table[k, l], K, kind, objective,
-                              transmit_snrs[state])
-                i = _argmax_tie_smallest(obj)
-                if obj[i] != -np.inf:
-                    found.append((r, i, obj[i]))
-            if not found:
+            score = _scorer(others(cols[live], g), kind, objective, transmit_snrs[live])
+            obj = score(np.arange(live.size), tables[g])  # (L, n)
+            idx = _argmax_tie_smallest(obj)
+            best = np.take_along_axis(obj, idx[:, None], axis=-1)[:, 0]
+            pos = np.flatnonzero(best != -np.inf)
+            if not pos.size:
                 continue
-            pos, idx, best = (np.array(t) for t in zip(*found))
-            fz, rho_z = fixed[pos], transmit_snrs[live[pos], None]
 
             def zoom_scores(rows, xs):
-                c = _guide_columns(s, g, xs)  # (K, rows, points)
-                F = fz[rows]
-                return _scores(lambda k, l: F[:, k, l, None] + np.conj(c[k]) * c[l],
-                               K, kind, objective, rho_z[rows])
+                return score(pos[rows], _features(_guide_columns(s, g, xs)).swapaxes(0, 1))
 
-            x, v = _zoom_max(zoom_scores, grid, idx, best, REFINE_TOL_M)
+            x, v = _zoom_max(zoom_scores, grids[g], idx[pos], best[pos], REFINE_TOL_M)
             up = v > value[live[pos]]
             pos, x, v = pos[up], x[up], v[up]
             states = live[pos]
             cycle_gain[pos] += v - value[states]
             value[states] = v
             offsets[states, g] = x
+            cols[states, :, g] = _guide_columns(s, g, x).T
             for state, vs in zip(states, v):
-                cols[state, :, g] = _guide_columns(s, g, offsets[state, g:g + 1])[:, 0]
                 traces[state].append(float(vs))
         done = cycle_gain < DESCENT_TOL
         converged[live[done]] = True
@@ -509,8 +524,11 @@ def optimize_multi_waveguide_sweep(s: Scenario, transmit_snrs, beamformer_kind: 
     grid at lambda0/4, then refines the best cell by batched zoom
     (``_zoom_max``) until the bracket is narrower than ``REFINE_TOL_M``. Moving
     one antenna changes one channel column, so every candidate's Gram matrix
-    is the other guides' fixed part plus the rank-1 outer product of its own
-    column, from which the beamformer's rates follow in closed form. Steps
+    is the other guides' fixed part F plus the rank-1 term T of its own
+    column. By the matrix determinant lemma the Gram's det and the cofactors
+    that give the diagonal of its inverse are affine in T's K*K real
+    entries: each guide step builds that map once from F's adjugates and
+    scores each state's candidates with one matrix product. Steps
     are accepted only when they improve the objective, so each recorded
     trace is nondecreasing; a descent stops when a full cycle improves it by
     less than ``DESCENT_TOL`` or the cycle budget runs out. Candidates that leave the

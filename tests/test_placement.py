@@ -29,9 +29,12 @@ from pinchsim.beamforming import ZF_RCOND_LIMIT, _rcond
 from pinchsim.placement import (
     BRACKET_TOL_M,
     _argmax_tie_smallest,
-    _gram_rates,
+    _features,
+    _hermitian,
     _offset_grid,
+    _scorer,
     _wrap,
+    _zf_map,
     _zoom_max,
 )
 from pinchsim.scenario import UserSet, projected_offsets
@@ -297,8 +300,11 @@ def test_descent_agrees_with_exhaustive_oracle_basin():
     G[..., 2] = cols[2][None, None, :, :]
     G = G.reshape(-1, 3, 3)
     Mh = np.einsum("...km,...lm->...kl", np.conj(G), G)
-    obj = sum(_gram_rates(lambda k, l: Mh[..., k, l], 3, "zf", s.transmit_snr))
-    obj = np.where(np.isfinite(obj), obj, -np.inf)
+    # ZF with unit-norm columns and power 1/3 each: sinr_k = snr / (3 [Mh^-1]_kk)
+    d = np.linalg.inv(Mh).diagonal(axis1=-2, axis2=-1).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        obj = np.log2(1.0 + s.transmit_snr / (3.0 * d)).sum(axis=-1)
+    obj = np.where(np.isfinite(obj) & (d > 0).all(axis=-1), obj, -np.inf)
     i1, i2, i3 = np.unravel_index(int(np.argmax(obj)), (41, 41, 41))
     coarse_best = np.array([grid[i1], grid[i2], grid[i3]])
 
@@ -367,6 +373,56 @@ def test_descent_with_identical_users_degenerates_gracefully():
     s = three_guide_scenario(users)
     sol = optimize_multi_waveguide(s, "zf", "sum_rate", budget=3)
     assert sol.objective_value == -np.inf
+
+
+def test_descent_mrc_value_is_pinned():
+    # Matched beams read the Gram entries from the same features as zero-forcing.
+    # The value is held to 1e-12 relative, not to its bits: the link law's phase
+    # lag (thousands of radians here) rounds to about 1e-12 rad.
+    s = three_guide_scenario([(-2.0, -4.0, 0.0), (1.0, 2.0, 0.0), (3.0, 4.5, 0.0)])
+    sol = optimize_multi_waveguide(s, "mrc", "sum_rate", budget=4)
+    assert sol.objective_value == pytest.approx(22.53243825613072, rel=1e-12)
+    assert sol.layout.offsets_per_guide == (
+        (5.811163827744999,), (13.819524080390849,), (15.396311469455856,))
+    assert sol.iterations == 4
+    assert len(sol.trace) == 10
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+@pytest.mark.parametrize("extra", [0, 1, 2])
+def test_zf_map_matches_det_and_inverse(K, extra):
+    # extra = 0: K = M guides, so the other guides' Gram F has rank K - 1;
+    # otherwise F has full rank. Candidates whose Gram has a Hadamard ratio
+    # h = det / prod(diag) below 1e-6 are left out. numpy's det and inv are
+    # themselves only good to about eps / h, so both sides are compared at
+    # 1e-12 of the Hadamard scale: |ddet| <= 1e-12 prod(diag), rel 1e-12 / h.
+    rng = np.random.default_rng([K, extra])
+    L, n, M = 3, 200, K + extra
+
+    def columns(*shape):
+        return rng.normal(size=(K,) + shape) + 1j * rng.normal(size=(K,) + shape)
+
+    F = _features(columns(L, M - 1)).sum(axis=-1).T  # (L, K*K)
+    T = _features(columns(n))
+    score = _scorer(F, "zf", "sum_rate", np.full(L, 1e3))
+    # the kernel's bits do not depend on how many states share the product
+    together = score(np.arange(L), np.repeat(T[None], L, axis=0))
+    assert np.array_equal(together, score(np.arange(L), T))
+    for r in range(L):
+        assert np.array_equal(score([r], T[None]), together[r:r + 1])
+
+    weights, consts = _zf_map(F, K)
+    out = weights @ T + consts[:, :, None]  # (L, 1+K, n): det, then C_kk
+    gram = _hermitian(np.moveaxis(F[:, :, None] + T, 1, -1), K)  # (L, n, K, K)
+    scale = np.prod(np.diagonal(gram, axis1=-2, axis2=-1).real, axis=-1)
+    det = np.linalg.det(gram).real
+    h = det / scale
+    keep = h >= 1e-6
+    assert keep.mean() > 0.5
+    assert np.all(np.abs(out[:, 0] - det)[keep] <= 1e-12 * scale[keep])
+    inv_diag = np.linalg.inv(gram).diagonal(axis1=-2, axis2=-1).real
+    ratio = np.moveaxis(out[:, 1:] / out[:, :1], 1, -1) / inv_diag
+    assert np.all((np.abs(ratio - 1.0) * h[..., None])[keep] <= 1e-12)
 
 
 def test_descent_never_steps_on_singular_grams_at_four_users():
