@@ -21,12 +21,10 @@ from .beamforming import (
 )
 from .channel import (
     ChannelMatrix,
-    GuidedWave,
     build_channel,
     free_space_gain,
     guide_distances,
     guided_wavelength,
-    in_guide_factor,
     link_gains,
     link_power,
     los_probability,
@@ -50,7 +48,6 @@ from .scenario import (
     UserSet,
     Violation,
     WaveguideSpec,
-    project_onto_waveguide,
     validate_scenario,
 )
 
@@ -64,13 +61,10 @@ __all__ = [
     "Scenario",
     "PinchingLayout",
     "Violation",
-    "project_onto_waveguide",
     "validate_scenario",
     "guided_wavelength",
-    "GuidedWave",
     "los_probability",
     "free_space_gain",
-    "in_guide_factor",
     "guide_distances",
     "link_gains",
     "link_power",

@@ -55,27 +55,6 @@ class TdmaSchedule:
                             ("offsets", float), ("weights", float)):
             object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
 
-    @classmethod
-    def from_layouts(cls, slots, slot_fractions) -> "TdmaSchedule":
-        """The schedule of ``(user, PinchingLayout)`` slots with these time shares.
-
-        Each layout keeps its guide count and minimum spacing, and its
-        antennas come guide by guide in layout order; the layouts themselves
-        are checked by :meth:`validate`, not here.
-        """
-        slots = tuple(slots)
-        slot, guide, offsets, weights = [], [], [], []
-        for i, (_, layout) in enumerate(slots):
-            g, x, w = layout.antennas()
-            slot += [i] * g.size
-            guide += g.tolist()
-            offsets += x.tolist()
-            weights += w.tolist()
-        return cls(served=[u for u, _ in slots], slot_fractions=slot_fractions,
-                   guides_per_slot=[len(lay.offsets_per_guide) for _, lay in slots],
-                   minimum_spacing_m=[lay.minimum_spacing_m for _, lay in slots],
-                   antenna_slot=slot, antenna_guide=guide, offsets=offsets, weights=weights)
-
     def validate(self, s: Scenario) -> None:
         """Raise ``ValueError`` unless the schedule fits ``s``, in one vectorized pass.
 
@@ -94,10 +73,10 @@ class TdmaSchedule:
         if not n_slots:
             raise ValueError("schedule has no slots")
         fractions = self.slot_fractions
-        if np.any((fractions <= 0) | (fractions > 1)):
+        if not np.all((fractions > 0) & (fractions <= 1)):  # NaN fails the comparisons
             raise ValueError("slot fractions must lie in (0, 1]")
         total = sum(fractions.tolist())  # summed in slot order, as a Python sum
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"slot fractions sum to {total!r}, not 1")
         served = self.served
         unknown = (served < 0) | (served >= n_users)
@@ -184,9 +163,9 @@ class NomaCluster:
             raise ValueError("cluster has no users")
         if len(self.power_split) != len(self.users):
             raise ValueError("one power fraction is needed per cluster user")
-        if any(p <= 0 or p >= 1 for p in self.power_split) and len(self.users) > 1:
+        if len(self.users) > 1 and not all(0 < p < 1 for p in self.power_split):
             raise ValueError("power fractions must lie in (0, 1)")
-        if abs(sum(self.power_split) - 1.0) > 1e-12:
+        if not abs(sum(self.power_split) - 1.0) <= 1e-12:  # NaN fails it
             raise ValueError(f"power split sums to {sum(self.power_split)!r}, not 1")
         if sorted(self.sic_order) != sorted(self.users):
             raise ValueError("sic_order must be a permutation of the cluster users")
@@ -208,7 +187,7 @@ def noma_rates(s: Scenario, H, cluster: NomaCluster, beam,
     beam = np.asarray(beam, dtype=complex).reshape(-1)
     if beam.shape[0] != G.shape[1]:
         raise ValueError(f"beam length {beam.shape[0]} does not match feeds {G.shape[1]}")
-    if abs(np.linalg.norm(beam) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(beam) - 1.0) <= 1e-9:
         raise ValueError("beam must have unit norm")
 
     gains = {u: float(np.abs(np.conj(G[u]) @ beam) ** 2) for u in cluster.users}

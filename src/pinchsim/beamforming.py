@@ -50,9 +50,9 @@ class Beamformer:
         object.__setattr__(self, "vectors", v)
         object.__setattr__(self, "power_allocation", p)
         norms = np.linalg.norm(v, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
+        if not np.all(np.abs(norms - 1.0) <= 1e-12):  # NaN fails these comparisons
             raise ValueError("precoding rows must have unit Euclidean norm")
-        if np.any(p < 0) or p.sum() > 1.0 + 1e-12:
+        if not (np.all(p >= 0) and p.sum() <= 1.0 + 1e-12):
             raise ValueError("power allocation must be nonnegative and sum to <= 1")
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scenario import (
-    CarrierSpec,
     LoSModelConfig,
     PinchingLayout,
     Scenario,
@@ -28,33 +27,23 @@ from .scenario import (
 
 def guided_wavelength(lambda0_m: float, eps_r: float) -> float:
     """Wavelength inside a dielectric guide: lambda0 / sqrt(eps_r)."""
-    if lambda0_m <= 0:
+    if not lambda0_m > 0:  # NaN fails these comparisons
         raise ValueError(f"free-space wavelength must be positive, got {lambda0_m!r}")
-    if eps_r < 1.0:
+    if not eps_r >= 1.0:
         raise ValueError(f"relative permittivity must be >= 1, got {eps_r!r}")
     return lambda0_m / math.sqrt(eps_r)
 
 
-@dataclass(frozen=True, eq=False)
-class GuidedWave:
-    """Guided wavelength and derived wavenumber for one guide/carrier pair."""
-
-    guided_wavelength_m: float
-
-    @property
-    def wavenumber_rad_per_m(self) -> float:
-        return 2.0 * math.pi / self.guided_wavelength_m
-
-    @classmethod
-    def for_waveguide(cls, carrier: CarrierSpec, w: WaveguideSpec) -> "GuidedWave":
-        return cls(guided_wavelength(carrier.free_space_wavelength_m,
-                                     w.relative_permittivity))
+def _wavenumbers(s: Scenario, w: WaveguideSpec) -> tuple[float, float]:
+    """Free-space and in-guide wavenumbers (k_0, k_g) of guide ``w`` in ``s``."""
+    lam0 = s.carrier.free_space_wavelength_m
+    return 2.0 * math.pi / lam0, 2.0 * math.pi / guided_wavelength(lam0, w.relative_permittivity)
 
 
 def los_probability(model: LoSModelConfig, distance):
     """LoS probability at a given distance (scalar or array), in [0, 1]."""
     d = np.asarray(distance, dtype=float)
-    if np.any(d < 0):
+    if not np.all(d >= 0):
         raise ValueError("distance must be nonnegative")
     if model.kind == "always_los":
         p = np.ones_like(d)
@@ -83,22 +72,15 @@ def free_space_gain(distance_m, lambda0_m: float, los=True, nlos_extra_loss_db: 
     Accepts scalars or broadcasting arrays.
     """
     d = np.asarray(distance_m, dtype=float)
-    if np.any(d <= 0):
+    if not np.all(d > 0):
         raise ValueError("link distance must be positive")
-    if lambda0_m <= 0:
+    if not lambda0_m > 0:
         raise ValueError("free-space wavelength must be positive")
     g = lambda0_m / (4.0 * np.pi * d) * np.exp(-2j * np.pi * d / lambda0_m)
     if los is not True:
         penalty = 10.0 ** (-nlos_extra_loss_db / 20.0)
         g = np.where(np.asarray(los, dtype=bool), g, g * penalty)
     return complex(g) if np.ndim(g) == 0 else g
-
-
-def in_guide_factor(w: WaveguideSpec, gw: GuidedWave, offset):
-    """Complex propagation factor from the feed to an offset along the guide."""
-    t = np.asarray(offset, dtype=float)
-    f = np.exp(-1j * gw.wavenumber_rad_per_m * t) * np.exp(-w.guide_attenuation_np_per_m * t)
-    return complex(f) if np.ndim(offset) == 0 else f
 
 
 def guide_distances(w: WaveguideSpec, offsets, points) -> np.ndarray:
@@ -128,8 +110,7 @@ def link_gains(s: Scenario, w: WaveguideSpec, offsets, points, weights=1.0, los=
     if np.any(d <= 0):
         raise ValueError("link distance must be positive")
     lam0 = s.carrier.free_space_wavelength_m
-    k0 = 2.0 * math.pi / lam0
-    kg = 2.0 * math.pi / guided_wavelength(lam0, w.relative_permittivity)
+    k0, kg = _wavenumbers(s, w)
     amp = weights * lam0 / (4.0 * np.pi * d)
     if los is not True:
         penalty = 10.0 ** (-s.los_model.nlos_extra_loss_db / 20.0)
@@ -153,14 +134,12 @@ class ChannelMatrix:
 
     ``gains[k, m]`` aggregates waveguide m's antennas toward user k;
     ``per_antenna_breakdown[k, n]`` holds the weight-inclusive summands
-    (so each aggregate entry is the row-sum of its guide's columns).
-    ``antenna_guide_index`` maps breakdown columns to waveguides.
+    (so each aggregate entry is the row-sum of its guide's columns), whose
+    columns come guide by guide as :meth:`PinchingLayout.antennas` gives them.
     """
 
     gains: np.ndarray
     per_antenna_breakdown: np.ndarray | None = None
-    los_states: np.ndarray | None = None
-    antenna_guide_index: tuple[int, ...] = ()
 
 
 def _check_layout(s: Scenario,
@@ -221,7 +200,7 @@ def build_channel(s: Scenario, layout: PinchingLayout, *,
     shape = (users.shape[0], len(offsets))
 
     if los_states is not None:
-        los = np.broadcast_to(np.asarray(los_states, dtype=bool), shape).copy()
+        los = np.broadcast_to(np.asarray(los_states, dtype=bool), shape)
     elif s.los_model.kind == "always_los":
         los = np.ones(shape, dtype=bool)
     elif seed is not None:
@@ -237,6 +216,4 @@ def build_channel(s: Scenario, layout: PinchingLayout, *,
     per_guide = [link_gains(s, w, offsets[sel], users[:, None, :], weights[sel], los[:, sel])
                  for w, sel in zip(s.waveguides, on)]
     return ChannelMatrix(gains=np.stack([b.sum(axis=1) for b in per_guide], axis=1),
-                         per_antenna_breakdown=np.concatenate(per_guide, axis=1),
-                         los_states=los,
-                         antenna_guide_index=tuple(col.tolist()))
+                         per_antenna_breakdown=np.concatenate(per_guide, axis=1))

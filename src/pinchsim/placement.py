@@ -23,14 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import ZF_RCOND_LIMIT, _rcond, shannon_rate
-from .channel import GuidedWave, guide_distances, link_gains, link_power
+from .channel import _wavenumbers, guide_distances, link_gains, link_power
 from .scenario import (
     PinchingLayout,
     Scenario,
     UserSet,
     WaveguideSpec,
     _check_user_indices,
-    project_onto_waveguide,
     projected_offsets,
 )
 
@@ -218,7 +217,7 @@ def align_multi_on_guide(w: WaveguideSpec, user, n_antennas: int,
             f"waveguide of length {w.length_m} m cannot host {n_antennas} "
             f"antennas at spacing {spacing} m")
 
-    k0, kg = 2.0 * math.pi / lam0, GuidedWave.for_waveguide(s.carrier, w).wavenumber_rad_per_m
+    k0, kg = _wavenumbers(s, w)
 
     def lag(x):
         """Unwrapped phase lag of the link to the user: minus the phase of link_gains."""
@@ -469,8 +468,8 @@ def _descend(s: Scenario, transmit_snrs: np.ndarray, kind: str, objective: str,
     # (argmin breaks ties to the lower user index).
     start = np.empty(M)
     for g, w in enumerate(s.waveguides):
-        proj = project_onto_waveguide(w, users)
-        start[g] = proj.offset[np.argmin(proj.distance)]
+        t = projected_offsets(w, users)
+        start[g] = t[np.argmin(guide_distances(w, t, users))]
     cols = np.repeat(np.concatenate([_guide_columns(s, g, start[g:g + 1]) for g in range(M)],
                                     axis=1)[None], B, axis=0)  # (B, K, M)
     live = np.arange(B)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -203,7 +203,7 @@ def layout_violations(slot, guide, offsets, weights, minimum_spacing_m,
     violations, in this order: a negative spacing, then guide by guide
     ``offsets_unsorted`` or else ``spacing_violation``,
     ``weights_not_normalized`` and ``offset_out_of_range``. A NaN weight is
-    not normalized and a NaN offset is out of range.
+    not normalized, a NaN offset out of range and a NaN spacing negative.
     """
     slot, guide = np.asarray(slot, dtype=np.intp), np.asarray(guide, dtype=np.intp)
     x, w = np.asarray(offsets, dtype=float), np.asarray(weights, dtype=float)
@@ -232,7 +232,7 @@ def layout_violations(slot, guide, offsets, weights, minimum_spacing_m,
         out_of_range = any_in_group(known & ~((x >= -1e-12) & (x <= length + 1e-12)))
 
     found = {int(i): [Violation("negative_minimum_spacing", f"minimum_spacing_m = {spacing[i]}")]
-             for i in np.flatnonzero(spacing < 0)}
+             for i in np.flatnonzero(~(spacing >= 0))}
     group_slot, group_guide = slot[first], guide[first]
     for k in np.flatnonzero(unsorted | crowded | unnormalized | out_of_range):
         g, out = int(group_guide[k]), found.setdefault(int(group_slot[k]), [])
@@ -277,17 +277,11 @@ def first_layout_fault(s: Scenario, slot, guide, offsets, weights, minimum_spaci
     return i, "layout activates no antennas"
 
 
-class Projection(NamedTuple):
-    offset: float | np.ndarray
-    foot_point: np.ndarray
-    distance: float | np.ndarray
-
-
 def projected_offsets(w: WaveguideSpec, p) -> np.ndarray:
     """Offsets of the guide points closest to one point (3,) or many (..., 3).
 
-    The offset along the axis is clamped to [0, length]: the offset of
-    :func:`project_onto_waveguide`, without its foot points and distances.
+    The offset along the axis is clamped to [0, length], so each one's guide
+    point is the distance-minimizing point over the whole finite segment.
     """
     p = np.asarray(p, dtype=float)
     f, a = w.feed_point, w.axis_direction
@@ -296,25 +290,10 @@ def projected_offsets(w: WaveguideSpec, p) -> np.ndarray:
                    + (p[..., 2] - f[2]) * a[2], 0.0, w.length_m)
 
 
-def project_onto_waveguide(w: WaveguideSpec, p) -> Projection:
-    """Closest points of the guide segment to one point (3,) or many (..., 3).
-
-    Offsets are clamped to [0, length], so each foot point is the
-    distance-minimizing point over the whole finite segment. One point gives
-    a float offset and distance; many give arrays of their batch shape.
-    """
-    p = np.asarray(p, dtype=float)
-    f, a = w.feed_point, w.axis_direction
-    t = projected_offsets(w, p)
-    foot = f + t[..., None] * a
-    d = np.linalg.norm(p - foot, axis=-1)
-    if p.ndim == 1:
-        return Projection(float(t), foot, float(d))
-    return Projection(t, foot, d)
-
-
 def validate_scenario(s: Scenario, require_common_height: bool = False) -> list[Violation]:
     """Collect every invariant violation of a scenario (empty list = valid).
+
+    Every check is written so that a NaN fails it.
 
     ``require_common_height`` additionally demands that all waveguides share
     one height, which a conventional-antenna baseline comparison needs to be
@@ -328,18 +307,20 @@ def validate_scenario(s: Scenario, require_common_height: bool = False) -> list[
         out.append(Violation("no_waveguides", "scenario has no waveguides"))
     for i, w in enumerate(s.waveguides):
         norm = float(np.linalg.norm(w.axis_direction))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             out.append(Violation("axis_not_unit",
                                  f"waveguide {i}: |axis| = {norm!r}"))
-        if w.relative_permittivity < 1.0:
+        if not w.relative_permittivity >= 1.0:
             out.append(Violation("permittivity_below_one",
                                  f"waveguide {i}: eps_r = {w.relative_permittivity!r}"))
-        if w.length_m <= 0:
+        if not w.length_m > 0:
             out.append(Violation("nonpositive_length",
                                  f"waveguide {i}: length_m = {w.length_m!r}"))
-        if w.guide_attenuation_np_per_m < 0:
+        if not w.guide_attenuation_np_per_m >= 0:
             out.append(Violation("negative_attenuation",
                                  f"waveguide {i}: attenuation = {w.guide_attenuation_np_per_m!r}"))
+        if not np.isfinite(w.feed_point).all():
+            out.append(Violation("non_finite_feed", f"waveguide {i}: {w.feed_point.tolist()}"))
         # users sit at z = 0, and an antenna on a user has an infinite gain;
         # a straight guide with both ends above that plane stays above it
         feed_z, end_z = float(w.feed_point[2]), float(w.point_at(w.length_m)[2])
@@ -350,16 +331,24 @@ def validate_scenario(s: Scenario, require_common_height: bool = False) -> list[
         out.append(Violation("empty_user_set", "scenario has no users"))
     elif np.any(s.users.positions[:, 2] != 0.0):
         out.append(Violation("user_off_ground", "user z-coordinates must be exactly 0"))
+    if not np.isfinite(s.users.positions).all():
+        out.append(Violation("non_finite_user", "user coordinates must be finite"))
     if not s.transmit_snr > 0:
         out.append(Violation("nonpositive_snr", f"transmit_snr = {s.transmit_snr!r}"))
     m = s.los_model
     if m.kind not in LOS_MODEL_KINDS:
         out.append(Violation("unknown_los_model", f"kind = {m.kind!r}"))
-    if m.rho_los_per_m < 0:
+    if not m.rho_los_per_m >= 0:
         out.append(Violation("negative_los_density", f"rho_los_per_m = {m.rho_los_per_m!r}"))
-    if m.nlos_extra_loss_db < 0:
+    if not m.nlos_extra_loss_db >= 0:
         out.append(Violation("negative_nlos_penalty",
                              f"nlos_extra_loss_db = {m.nlos_extra_loss_db!r}"))
+    if m.kind == "inmo" and not (0 <= m.inmo_near_m <= m.inmo_far_m and m.inmo_near_decay_m > 0
+                                 and m.inmo_far_decay_m > 0 and 0 <= m.inmo_far_scale <= 1):
+        out.append(Violation("bad_inmo_constants",
+                             f"near/far {m.inmo_near_m!r}/{m.inmo_far_m!r} m, decays "
+                             f"{m.inmo_near_decay_m!r}/{m.inmo_far_decay_m!r} m, "
+                             f"far scale {m.inmo_far_scale!r}"))
     if require_common_height and s.waveguides:
         heights = {round(float(w.feed_point[2]), 12) for w in s.waveguides}
         if len(heights) > 1:

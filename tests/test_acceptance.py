@@ -14,18 +14,17 @@ import time
 import numpy as np
 
 from pinchsim import (
-    GuidedWave,
     LoSModelConfig,
     NomaCluster,
     PinchingLayout,
-    TdmaSchedule,
     align_multi_on_guide,
     build_channel,
     coherent_gain_bound,
     conventional_bound,
     evaluate_rates,
+    guide_distances,
     guided_wavelength,
-    in_guide_factor,
+    link_gains,
     los_probability,
     mrc_beamformer,
     noma_rates,
@@ -37,7 +36,7 @@ from pinchsim.experiments import ExperimentConfig, run_compare_mimo, run_heatmap
 from pinchsim.presets import compare_scenario, heatmap_scenario, noma_scenario
 from pinchsim.scenario import WaveguideSpec
 from pinchsim.scenario_io import save_scenario
-from tests.conftest import make_scenario
+from tests.conftest import make_scenario, schedule_from_layouts
 
 LAMBDA0 = 299792458.0 / 28e9
 # Noise floor of the 28 GHz case study that ``compare_scenario`` copies. The
@@ -79,18 +78,22 @@ def test_criterion_02_exponential_los_probability():
            ok and worst <= 1e-12, f"max rel err {worst:.2e}")
 
 
-def test_criterion_03_in_guide_phase_model(carrier28, guide_y):
-    gw = GuidedWave.for_waveguide(carrier28, guide_y)
-    lam_g = gw.guided_wavelength_m
-    rng = np.random.default_rng(3)
-    worst_full, worst_half = 0.0, 0.0
-    for base in rng.uniform(0.0, guide_y.length_m - lam_g, 50):
-        f0 = in_guide_factor(guide_y, gw, base)
-        full = abs(np.angle(in_guide_factor(guide_y, gw, base + lam_g) * np.conj(f0)))
-        half = abs(abs(np.angle(in_guide_factor(guide_y, gw, base + lam_g / 2)
-                                * np.conj(f0))) - math.pi)
-        worst_full = max(worst_full, full)
-        worst_half = max(worst_half, half)
+def test_criterion_03_in_guide_phase_model(guide_y):
+    s = make_scenario([(2.0, 5.0, 0.0)], (guide_y,))
+    user = s.users.positions[0]
+    lam0 = s.carrier.free_space_wavelength_m
+    lam_g = guided_wavelength(lam0, guide_y.relative_permittivity)
+
+    def in_guide(x):
+        """link_gains with its free-space phase k_0*d removed."""
+        return (link_gains(s, guide_y, x, user)
+                * np.exp(1j * (2.0 * math.pi / lam0) * guide_distances(guide_y, x, user)))
+
+    base = np.random.default_rng(3).uniform(0.0, guide_y.length_m - lam_g, 50)
+    f0 = in_guide(base)
+    worst_full = np.max(np.abs(np.angle(in_guide(base + lam_g) * np.conj(f0))))
+    worst_half = np.max(np.abs(np.abs(np.angle(in_guide(base + lam_g / 2) * np.conj(f0)))
+                               - math.pi))
     report(3, "in-guide phase wraps by 2*pi per guided wavelength",
            worst_full <= 1e-9 and worst_half <= 1e-9,
            f"full {worst_full:.2e} rad, half {worst_half:.2e} rad")
@@ -174,7 +177,7 @@ def test_criterion_06_bound_dominance(guide_y):
         offset = rng.uniform(0, guide_y.length_m)
         layout = PinchingLayout(((offset,),), ((1.0,),))
         frac_share = rng.uniform(0.1, 1.0)
-        schedule = TdmaSchedule.from_layouts(((0, layout),) * 2, (frac_share, 1.0 - frac_share))
+        schedule = schedule_from_layouts(((0, layout),) * 2, (frac_share, 1.0 - frac_share))
         rates = tdma_rates(s, schedule).per_user_rate_bps_hz
         H = build_channel(s, layout, los_states=True)
         bound = conventional_bound(H, s.transmit_snr)

@@ -17,13 +17,13 @@ from pinchsim import (
     noma_rates,
     place_single_for_group,
     place_single_for_user,
-    project_onto_waveguide,
     tdma_rates,
 )
 from pinchsim.channel import _check_layout
 from pinchsim.placement import _inversions, _offset_grid
 from pinchsim.presets import noma_scenario
-from tests.conftest import make_scenario
+from pinchsim.scenario import projected_offsets
+from tests.conftest import make_scenario, schedule_from_layouts
 
 LAMBDA0 = 299792458.0 / 28e9
 
@@ -40,18 +40,18 @@ def test_schedule_validation(guide_y):
     one = make_scenario([(1, 1, 0)], (guide_y,))
     two = make_scenario([(1, 1, 0), (2, 2, 0)], (guide_y,))
     with pytest.raises(ValueError, match="sum"):
-        TdmaSchedule.from_layouts(((0, lay),), (0.9,)).validate(one)
+        schedule_from_layouts(((0, lay),), (0.9,)).validate(one)
     with pytest.raises(ValueError, match="unknown users"):
-        TdmaSchedule.from_layouts(((3, lay),), (1.0,)).validate(two)
+        schedule_from_layouts(((3, lay),), (1.0,)).validate(two)
     with pytest.raises(ValueError, match="no slot"):
-        TdmaSchedule.from_layouts(((0, lay),), (1.0,)).validate(two)
-    TdmaSchedule.from_layouts(((0, lay), (1, lay)), (0.5, 0.5)).validate(two)
+        schedule_from_layouts(((0, lay),), (1.0,)).validate(two)
+    schedule_from_layouts(((0, lay), (1, lay)), (0.5, 0.5)).validate(two)
 
 
 def test_single_user_full_slot_hits_conventional_bound(guide_y):
     user = (2.0, 5.0, 0.0)
     s = make_scenario([user], (guide_y,))
-    schedule = TdmaSchedule.from_layouts(((0, slot_for(guide_y, user)),), (1.0,))
+    schedule = schedule_from_layouts(((0, slot_for(guide_y, user)),), (1.0,))
     report = tdma_rates(s, schedule)
     d = math.sqrt(2.0 ** 2 + 3.0 ** 2)
     lam0 = s.carrier.free_space_wavelength_m
@@ -65,7 +65,7 @@ def test_single_user_full_slot_hits_conventional_bound(guide_y):
 def test_symmetric_users_get_equal_rates(guide_y):
     users = [(2.0, 4.0, 0.0), (-2.0, 4.0, 0.0)]
     s = make_scenario(users, (guide_y,))
-    schedule = TdmaSchedule.from_layouts(
+    schedule = schedule_from_layouts(
         ((0, slot_for(guide_y, users[0])), (1, slot_for(guide_y, users[1]))),
         (0.5, 0.5))
     report = tdma_rates(s, schedule)
@@ -77,7 +77,7 @@ def test_replacement_beats_fixed_compromise_on_dumbbell(guide_y):
     # during half the time beats half of what a fixed middle antenna gives.
     users = [(1.0, 3.0, 0.0), (1.0, 17.0, 0.0)]
     s = make_scenario(users, (guide_y,))
-    schedule = TdmaSchedule.from_layouts(
+    schedule = schedule_from_layouts(
         ((0, slot_for(guide_y, users[0])), (1, slot_for(guide_y, users[1]))),
         (0.5, 0.5))
     tdma = tdma_rates(s, schedule)
@@ -93,8 +93,8 @@ def test_growing_a_fraction_never_hurts_that_user(guide_y):
     users = [(1.0, 3.0, 0.0), (1.0, 12.0, 0.0)]
     s = make_scenario(users, (guide_y,))
     slots = ((0, slot_for(guide_y, users[0])), (1, slot_for(guide_y, users[1])))
-    base = tdma_rates(s, TdmaSchedule.from_layouts(slots, (0.5, 0.5)))
-    grown = tdma_rates(s, TdmaSchedule.from_layouts(slots, (2.0 / 3.0, 1.0 / 3.0)))
+    base = tdma_rates(s, schedule_from_layouts(slots, (0.5, 0.5)))
+    grown = tdma_rates(s, schedule_from_layouts(slots, (2.0 / 3.0, 1.0 / 3.0)))
     assert grown.per_user_rate_bps_hz[0] >= base.per_user_rate_bps_hz[0] - 1e-12
     assert grown.per_user_rate_bps_hz[1] <= base.per_user_rate_bps_hz[1] + 1e-12
 
@@ -103,7 +103,7 @@ def test_tdma_report_is_internally_consistent(guide_y):
     users = [(1.0, 3.0, 0.0), (1.0, 12.0, 0.0)]
     s = make_scenario(users, (guide_y,))
     slots = ((0, slot_for(guide_y, users[0])), (1, slot_for(guide_y, users[1])))
-    report = tdma_rates(s, TdmaSchedule.from_layouts(slots, (0.25, 0.75)))
+    report = tdma_rates(s, schedule_from_layouts(slots, (0.25, 0.75)))
     np.testing.assert_allclose(report.per_user_rate_bps_hz,
                                np.log2(1 + report.per_user_sinr), rtol=1e-12)
 
@@ -136,7 +136,7 @@ def test_batched_tdma_matches_per_slot_channels_with_many_antennas():
                                              15.5)))),
     )
     fractions = (0.1, 0.2, 0.3, 0.4)
-    schedule = TdmaSchedule.from_layouts(slots, fractions)
+    schedule = schedule_from_layouts(slots, fractions)
     report = tdma_rates(s, schedule)
     np.testing.assert_allclose(report.per_user_rate_bps_hz, tdma_oracle(s, slots, fractions),
                                rtol=1e-12, atol=0.0)
@@ -149,10 +149,10 @@ def test_batched_tdma_is_exact_with_one_antenna_per_guide():
     guides = s.waveguides
     slots = tuple(
         (u, PinchingLayout.equal_split(
-            tuple((project_onto_waveguide(w, users[u]).offset,) for w in guides)))
+            tuple((projected_offsets(w, users[u]),) for w in guides)))
         for u in (0, 1, 2, 3, 2))
     fractions = (0.25, 0.25, 0.125, 0.25, 0.125)
-    schedule = TdmaSchedule.from_layouts(slots, fractions)
+    schedule = schedule_from_layouts(slots, fractions)
     assert np.array_equal(tdma_rates(s, schedule).per_user_rate_bps_hz,
                           tdma_oracle(s, slots, fractions))
 
@@ -166,7 +166,7 @@ def test_tdma_rejects_an_antenna_on_a_user_it_does_not_serve():
     others = ((1, slot_for(ground_guide, (5.0, 9.0, 0.0))),
               (2, slot_for(ground_guide, (5.0, 15.0, 0.0))))
     fractions = (0.5, 0.25, 0.25)
-    schedule = TdmaSchedule.from_layouts(((0, on_user_1),) + others, fractions)
+    schedule = schedule_from_layouts(((0, on_user_1),) + others, fractions)
     with pytest.raises(ValueError, match="coincides"):
         build_channel(s, on_user_1, los_states=True)
     with pytest.raises(ValueError, match="coincides"):
@@ -175,7 +175,7 @@ def test_tdma_rejects_an_antenna_on_a_user_it_does_not_serve():
     # far enough to pass, as in build_channel.
     near_user_2 = PinchingLayout(((12.0,),), ((1.0,),))
     slots = ((0, near_user_2),) + others
-    schedule = TdmaSchedule.from_layouts(slots, fractions)
+    schedule = schedule_from_layouts(slots, fractions)
     assert np.array_equal(tdma_rates(s, schedule).per_user_rate_bps_hz,
                           tdma_oracle(s, slots, fractions))
 
@@ -190,7 +190,7 @@ def test_tdma_keeps_the_per_slot_layout_checks(guide_y):
     }
     for message, bad in bad_slots.items():
         with pytest.raises(ValueError, match=message):
-            tdma_rates(s, TdmaSchedule.from_layouts(((0, good), (1, bad)), (0.5, 0.5)))
+            tdma_rates(s, schedule_from_layouts(((0, good), (1, bad)), (0.5, 0.5)))
 
 
 def array_schedule(**changes):
@@ -238,6 +238,8 @@ def array_schedule(**changes):
           weights=[0.6, 0.8, 0.6, 0.8]), "slot 1: layout activates no antennas"),
     (dict(offsets=[2.0, 4.0, 1.0, math.nan]), "slot 1: invalid layout: offset_out_of_range$"),
     (dict(weights=[0.6, math.nan, 1.0, 1.0]), "slot 0: invalid layout: weights_not_normalized$"),
+    (dict(slot_fractions=[math.nan, 0.5]), r"slot fractions must lie in \(0, 1\]"),
+    (dict(minimum_spacing_m=[math.nan, 0.0]), "slot 0: invalid layout: negative_minimum_spacing$"),
 ])
 def test_array_schedule_rejects(changes, message):
     s = make_scenario([(-1.0, -6.0, 0.0), (3.0, 1.5, 0.0)], two_guides())
@@ -286,22 +288,6 @@ def test_array_schedule_rejects_an_antenna_on_a_user():
                             antenna_guide=[0, 0], offsets=[4.0, 5.0], weights=[1.0, 1.0])
     with pytest.raises(ValueError, match="coincides"):
         tdma_rates(s, schedule)
-
-
-def test_from_layouts_reads_any_iterable_of_slots(guide_y):
-    s = make_scenario([(1.0, 3.0, 0.0), (1.0, 12.0, 0.0)], (guide_y,))
-    slots = ((u, slot_for(guide_y, s.users.positions[u])) for u in range(2))
-    schedule = TdmaSchedule.from_layouts(slots, (0.5, 0.5))
-    assert schedule.served.tolist() == [0, 1]
-    assert schedule.guides_per_slot.tolist() == [1, 1]
-    assert schedule.antenna_slot.tolist() == [0, 1]
-    schedule.validate(s)
-
-
-def test_from_layouts_rejects_a_layout_it_cannot_flatten():
-    ragged = PinchingLayout(((1.0, 2.0),), ((1.0,),))
-    with pytest.raises(ValueError, match="layout_shape_mismatch"):
-        TdmaSchedule.from_layouts(((0, ragged),), (1.0,))
 
 
 OFFSETS = st.sampled_from([-1e-11, -1e-13, 0.0, 3.0, 3.0 + 1e-13, 3.2, 3.5, 9.0, 16.0,
@@ -361,8 +347,8 @@ def test_one_pass_validation_reports_as_the_per_slot_checks(layouts):
             assert str(exc) == reason
         if reason is not None and expected is None:
             expected = f"slot {i}: {reason}"
-    schedule = TdmaSchedule.from_layouts(tuple(enumerate(layouts)),
-                                         (1.0 / len(layouts),) * len(layouts))
+    schedule = schedule_from_layouts(tuple(enumerate(layouts)),
+                                     (1.0 / len(layouts),) * len(layouts))
     try:
         schedule.validate(s)
         found = None
@@ -381,6 +367,10 @@ def test_cluster_validation():
         NomaCluster((0, 1), (0.6, 0.6), (0, 1)).validate()
     with pytest.raises(ValueError, match="fractions"):
         NomaCluster((0, 1), (1.0, 0.0), (0, 1)).validate()
+    with pytest.raises(ValueError, match="fractions"):
+        NomaCluster((0, 1), (math.nan, 0.5), (0, 1)).validate()
+    with pytest.raises(ValueError, match="sums"):
+        NomaCluster((0,), (math.nan,), (0,)).validate()
     NomaCluster((0,), (1.0,), (0,)).validate()
 
 
@@ -453,6 +443,8 @@ def test_noma_power_split_must_conserve():
         noma_rates(s, H, NomaCluster((0, 1), (0.5, 0.4), (0, 1)), beam)
     with pytest.raises(ValueError, match="unit norm"):
         noma_rates(s, H, NomaCluster((0, 1), (0.5, 0.5), (0, 1)), 2.0 * beam)
+    with pytest.raises(ValueError, match="unit norm"):
+        noma_rates(s, H, NomaCluster((0, 1), (0.5, 0.5), (0, 1)), math.nan * beam)
 
 
 def test_noma_rates_reject_aliased_user_indices():

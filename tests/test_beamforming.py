@@ -192,6 +192,10 @@ def test_beamformer_validation():
         Beamformer(np.array([[2.0, 0.0]]), np.array([1.0]))
     with pytest.raises(ValueError, match="power"):
         Beamformer(np.array([[1.0, 0.0]]), np.array([1.5]))
+    with pytest.raises(ValueError, match="unit"):
+        Beamformer(np.array([[np.nan, 0.0]]), np.array([1.0]))
+    with pytest.raises(ValueError, match="power"):
+        Beamformer(np.eye(2), np.array([np.nan, 0.5]))
 
 
 def test_evaluate_rates_dimension_mismatch():

@@ -7,19 +7,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pinchsim import (
-    GuidedWave,
     LoSModelConfig,
     PinchingLayout,
     WaveguideSpec,
     build_channel,
     free_space_gain,
+    guide_distances,
     guided_wavelength,
-    in_guide_factor,
     link_gains,
     link_power,
     los_probability,
-    project_onto_waveguide,
 )
+from pinchsim.channel import _wavenumbers
+from pinchsim.scenario import projected_offsets
 from tests.conftest import make_scenario
 
 LAMBDA0_28GHZ = 299792458.0 / 28e9
@@ -44,6 +44,10 @@ def test_guided_wavelength_domain_errors():
         guided_wavelength(1.0, 0.9)
     with pytest.raises(ValueError):
         guided_wavelength(0.0, 2.1)
+    with pytest.raises(ValueError):
+        guided_wavelength(1.0, math.nan)
+    with pytest.raises(ValueError):
+        guided_wavelength(math.nan, 2.1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -55,9 +59,13 @@ def test_guided_wavelength_never_exceeds_free_space(f, eps):
     assert abs(lam_g - lam0 / math.sqrt(eps)) <= 1e-12 * lam0
 
 
-def test_guided_wave_wavenumber(carrier28, guide_y):
-    gw = GuidedWave.for_waveguide(carrier28, guide_y)
-    assert gw.wavenumber_rad_per_m == pytest.approx(2 * math.pi / gw.guided_wavelength_m)
+def test_guided_wave_wavenumber(guide_y):
+    s = make_scenario([(2.0, 5.0, 0.0)], (guide_y,))
+    lam0 = s.carrier.free_space_wavelength_m
+    k0, kg = _wavenumbers(s, guide_y)
+    assert k0 == pytest.approx(2 * math.pi / lam0)
+    lam_g = guided_wavelength(lam0, guide_y.relative_permittivity)
+    assert kg == pytest.approx(2 * math.pi / lam_g)
 
 
 # --- LoS probability --------------------------------------------------------
@@ -97,6 +105,8 @@ def test_los_probability_stays_in_unit_interval(d, kind, rho):
 def test_los_probability_rejects_negative_distance():
     with pytest.raises(ValueError):
         los_probability(LoSModelConfig(), -1.0)
+    with pytest.raises(ValueError):
+        los_probability(LoSModelConfig(), [1.0, math.nan])
 
 
 # --- free-space gain --------------------------------------------------------
@@ -132,6 +142,10 @@ def test_free_space_gain_rejects_nonpositive_distance():
         free_space_gain(0.0, LAMBDA0_28GHZ)
     with pytest.raises(ValueError):
         free_space_gain(-1.0, LAMBDA0_28GHZ)
+    with pytest.raises(ValueError):
+        free_space_gain(math.nan, LAMBDA0_28GHZ)
+    with pytest.raises(ValueError):
+        free_space_gain(1.0, math.nan)
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,27 +160,34 @@ def test_doubling_distance_halves_amplitude(d):
 # --- in-guide factor --------------------------------------------------------
 
 
+def in_guide(w, x, user=(2.0, 5.0, 0.0)):
+    """The in-guide factor of link_gains: its gain divided by the free-space
+    factor lambda0/(4*pi*d) * exp(-j*k_0*d)."""
+    s = make_scenario([user], (w,))
+    lam0 = s.carrier.free_space_wavelength_m
+    d = guide_distances(w, x, user)
+    return (link_gains(s, w, x, user) * (4 * math.pi * d / lam0)
+            * np.exp(1j * (2 * math.pi / lam0) * d))
+
+
 def test_in_guide_phase_differences(carrier28, guide_y):
-    gw = GuidedWave.for_waveguide(carrier28, guide_y)
-    lam_g = gw.guided_wavelength_m
+    lam_g = guided_wavelength(carrier28.free_space_wavelength_m, guide_y.relative_permittivity)
     base = 3.7
-    f0 = in_guide_factor(guide_y, gw, base)
-    f_full = in_guide_factor(guide_y, gw, base + lam_g)
-    f_half = in_guide_factor(guide_y, gw, base + lam_g / 2)
+    f0 = in_guide(guide_y, base)
+    f_full = in_guide(guide_y, base + lam_g)
+    f_half = in_guide(guide_y, base + lam_g / 2)
     assert abs(np.angle(f_full * np.conj(f0))) <= 1e-9
     assert abs(abs(np.angle(f_half * np.conj(f0))) - math.pi) <= 1e-9
 
 
-def test_lossless_guide_has_unit_magnitude(carrier28, guide_y):
-    gw = GuidedWave.for_waveguide(carrier28, guide_y)
-    assert abs(in_guide_factor(guide_y, gw, 3.7)) == pytest.approx(1.0, rel=1e-15)
+def test_lossless_guide_has_unit_magnitude(guide_y):
+    assert abs(in_guide(guide_y, 3.7)) == pytest.approx(1.0, rel=1e-15)
 
 
-def test_guide_attenuation_decays_amplitude(carrier28):
+def test_guide_attenuation_decays_amplitude():
     lossy = WaveguideSpec(feed_point=(0, 0, 3), axis_direction=(0, 1, 0),
                           length_m=20.0, guide_attenuation_np_per_m=0.1)
-    gw = GuidedWave.for_waveguide(carrier28, lossy)
-    assert abs(in_guide_factor(lossy, gw, 10.0)) == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert abs(in_guide(lossy, 10.0)) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 # --- channel synthesis ------------------------------------------------------
@@ -181,14 +202,13 @@ def test_single_antenna_at_feed_reduces_to_free_space(guide_y):
 
 
 def test_two_aligned_antennas_add_coherently(carrier28, guide_y):
-    gw = GuidedWave.for_waveguide(carrier28, guide_y)
-    lam_g = gw.guided_wavelength_m
+    lam_g = guided_wavelength(carrier28.free_space_wavelength_m, guide_y.relative_permittivity)
     user = (2.0, 5.0, 0.0)
     s = make_scenario([user], (guide_y,))
-    proj = project_onto_waveguide(guide_y, user)
+    x = projected_offsets(guide_y, user)
     # Symmetric offsets a guided wavelength apart: equal distances, equal
     # in-guide phases mod 2*pi, so the contributions add in phase.
-    offsets = (proj.offset - lam_g / 2, proj.offset + lam_g / 2)
+    offsets = (x - lam_g / 2, x + lam_g / 2)
     layout = PinchingLayout.equal_split((offsets,))
     H = build_channel(s, layout, los_states=True)
     d = np.linalg.norm(np.asarray(user) - guide_y.point_at(offsets[0]))
@@ -199,12 +219,11 @@ def test_two_aligned_antennas_add_coherently(carrier28, guide_y):
 
 
 def test_two_opposed_antennas_cancel(carrier28, guide_y):
-    gw = GuidedWave.for_waveguide(carrier28, guide_y)
-    lam_g = gw.guided_wavelength_m
+    lam_g = guided_wavelength(carrier28.free_space_wavelength_m, guide_y.relative_permittivity)
     user = (2.0, 5.0, 0.0)
     s = make_scenario([user], (guide_y,))
-    proj = project_onto_waveguide(guide_y, user)
-    offsets = (proj.offset - lam_g / 4, proj.offset + lam_g / 4)
+    x = projected_offsets(guide_y, user)
+    offsets = (x - lam_g / 4, x + lam_g / 4)
     layout = PinchingLayout.equal_split((offsets,))
     H = build_channel(s, layout, los_states=True)
     assert abs(H.gains[0, 0]) <= 1e-12
@@ -219,10 +238,11 @@ def test_one_antenna_per_guide_reproduces_factor_product(carrier28, guide_y):
     H = build_channel(s, layout, los_states=True)
     lam0 = s.carrier.free_space_wavelength_m
     for g, w in enumerate(s.waveguides):
-        gw = GuidedWave.for_waveguide(s.carrier, w)
+        k_g = 2 * math.pi / guided_wavelength(lam0, w.relative_permittivity)
+        factor = cmath.exp(-(1j * k_g + w.guide_attenuation_np_per_m) * offsets[g])
         for k, user in enumerate(s.users.positions):
             d = np.linalg.norm(user - w.point_at(offsets[g]))
-            expected = free_space_gain(d, lam0) * in_guide_factor(w, gw, offsets[g])
+            expected = free_space_gain(d, lam0) * factor
             assert H.gains[k, g] == pytest.approx(expected, rel=1e-12)
 
 
@@ -232,7 +252,7 @@ def test_aggregate_matches_breakdown_row_sums(guide_y):
     s = make_scenario([(1, 2, 0), (3, 9, 0)], (guide_y, other))
     layout = PinchingLayout.equal_split(((1.0, 4.0, 7.5), (2.0,)))
     H = build_channel(s, layout, los_states=True)
-    cols = np.asarray(H.antenna_guide_index)
+    cols = layout.antennas()[0]
     for g in range(2):
         np.testing.assert_allclose(
             H.gains[:, g], H.per_antenna_breakdown[:, cols == g].sum(axis=1),
@@ -255,7 +275,7 @@ def test_seeded_los_sampling_is_bit_reproducible(guide_y):
     a = build_channel(s, layout, seed=123)
     b = build_channel(s, layout, seed=123)
     assert np.array_equal(a.gains, b.gains)
-    assert np.array_equal(a.los_states, b.los_states)
+    assert np.array_equal(a.per_antenna_breakdown, b.per_antenna_breakdown)
 
 
 def test_probabilistic_model_requires_seed_or_states(guide_y):
@@ -344,16 +364,16 @@ def test_batched_projection_equals_scalar_calls(w, seed):
     beside = rng.normal(0.0, 3.0, (8, 3))
     beside -= np.outer(beside @ w.axis_direction, w.axis_direction)  # across the guide
     points = w.feed_point + along[:, None] * w.axis_direction + beside
-    batch = project_onto_waveguide(w, points.reshape(4, 2, 3))
-    assert batch.offset.shape == batch.distance.shape == (4, 2)
-    offsets, feet, dists = (batch.offset.ravel(), batch.foot_point.reshape(8, 3),
-                            batch.distance.ravel())
+    batch = points.reshape(4, 2, 3)
+    offsets = projected_offsets(w, batch)
+    dists = guide_distances(w, offsets, batch)
+    assert offsets.shape == dists.shape == (4, 2)
+    offsets, dists = offsets.ravel(), dists.ravel()
     for i, p in enumerate(points):
-        one = project_onto_waveguide(w, p)
-        assert isinstance(one.offset, float) and isinstance(one.distance, float)
-        assert offsets[i] == one.offset
-        assert dists[i] == one.distance
-        assert np.array_equal(feet[i], one.foot_point)
+        one = projected_offsets(w, p)
+        assert isinstance(one, float)
+        assert offsets[i] == one
+        assert dists[i] == guide_distances(w, one, p)
     assert offsets[0] == 0.0 and offsets[1] == w.length_m
     assert 0.0 <= offsets.min() and offsets.max() <= w.length_m
 

@@ -108,6 +108,20 @@ def test_guide_on_users_plane_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "heatmap.csv").exists()
 
 
+@pytest.mark.parametrize("constant, value", [
+    ("inmo_far_scale", 5.0), ("inmo_near_decay_m", -1.0), ("inmo_far_decay_m", 0.0)])
+def test_bad_inmo_constants_exit_2(tmp_path, capsys, constant, value):
+    base = heatmap_scenario(los_kind="inmo")
+    bad = dataclasses.replace(base, los_model=dataclasses.replace(base.los_model,
+                                                                  **{constant: value}))
+    path = save_scenario(bad, tmp_path / "inmo.yaml")
+    code = cli.main(["heatmap", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                     "--grid-res", "0.5"])
+    assert code == cli.EXIT_CONFIG
+    assert "bad_inmo_constants" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "heatmap.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["compare-mimo", "--drops", "1", "--snr-db", "nan"],
     ["compare-mimo", "--drops", "1", "--snr-db", "inf,10"],

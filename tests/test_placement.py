@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinchsim import (
-    GuidedWave,
     RankDeficiencyError,
     WaveguideSpec,
     align_multi_on_guide,
@@ -15,6 +14,7 @@ from pinchsim import (
     coherent_gain_bound,
     conventional_bound,
     evaluate_rates,
+    guided_wavelength,
     link_gains,
     link_power,
     mrc_beamformer,
@@ -22,7 +22,6 @@ from pinchsim import (
     optimize_multi_waveguide_sweep,
     place_single_for_group,
     place_single_for_user,
-    project_onto_waveguide,
     zf_beamformer,
 )
 from pinchsim.beamforming import ZF_RCOND_LIMIT, _rcond
@@ -289,11 +288,11 @@ def test_descent_agrees_with_exhaustive_oracle_basin():
     cols = []
     lam0 = s.carrier.free_space_wavelength_m
     for w in s.waveguides:
-        gw = GuidedWave.for_waveguide(s.carrier, w)
+        k_g = 2 * np.pi / guided_wavelength(lam0, w.relative_permittivity)
         pos = w.feed_point[None, :] + grid[:, None] * w.axis_direction[None, :]
         d = np.linalg.norm(np.asarray(users)[:, None, :] - pos[None, :, :], axis=2)
         amp = lam0 / (4 * np.pi * d) * np.exp(-2j * np.pi * d / lam0)
-        cols.append(amp.T * np.exp(-1j * gw.wavenumber_rad_per_m * grid)[:, None])
+        cols.append(amp.T * np.exp(-1j * k_g * grid)[:, None])
     G = np.zeros((41, 41, 41, 3, 3), dtype=complex)
     G[..., 0] = cols[0][:, None, None, :]
     G[..., 1] = cols[1][None, :, None, :]
@@ -312,8 +311,7 @@ def test_descent_agrees_with_exhaustive_oracle_basin():
     # joint configuration the coarse grid can see, and both optima must sit
     # in the per-user basin around the projections.
     assert sol.objective_value >= obj.max() - 1e-9
-    projections = np.array([project_onto_waveguide(w, u).offset
-                            for w, u in zip(s.waveguides, users)])
+    projections = np.array([projected_offsets(w, u) for w, u in zip(s.waveguides, users)])
     assert np.all(np.abs(offsets - projections) <= 2 * coarse_res)
     assert np.all(np.abs(coarse_best - projections) <= 4 * coarse_res)
 

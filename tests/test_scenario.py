@@ -10,9 +10,10 @@ from pinchsim import (
     PinchingLayout,
     UserSet,
     WaveguideSpec,
-    project_onto_waveguide,
+    guide_distances,
     validate_scenario,
 )
+from pinchsim.scenario import projected_offsets
 from tests.conftest import make_scenario
 
 finite_coord = st.floats(min_value=-50.0, max_value=50.0,
@@ -76,6 +77,42 @@ def test_validate_flags_user_off_ground(guide_y):
     assert codes(validate_scenario(s)) == ["user_off_ground"]
 
 
+@pytest.mark.parametrize("user", [(math.nan, 1.0, 0.0), (1.0, math.nan, 0.0)])
+def test_validate_flags_non_finite_user(guide_y, user):
+    s = make_scenario([(1, 1, 0), user], (guide_y,))
+    assert codes(validate_scenario(s)) == ["non_finite_user"]
+
+
+@pytest.mark.parametrize("change, expected", [
+    (dict(relative_permittivity=math.nan), ["permittivity_below_one"]),
+    (dict(guide_attenuation_np_per_m=math.nan), ["negative_attenuation"]),
+    (dict(axis_direction=(0.0, math.nan, 0.0)), ["axis_not_unit"]),
+    (dict(length_m=math.nan), ["guide_not_above_users", "nonpositive_length"]),
+    (dict(feed_point=(math.nan, 0.0, 3.0)), ["non_finite_feed"]),
+])
+def test_validate_flags_nan_guide_fields(change, expected):
+    fields = dict(feed_point=(0.0, 0.0, 3.0), axis_direction=(0.0, 1.0, 0.0), length_m=20.0)
+    w = WaveguideSpec(**{**fields, **change})
+    assert codes(validate_scenario(make_scenario([(1, 1, 0)], (w,)))) == expected
+
+
+@pytest.mark.parametrize("los, expected", [
+    (dict(los_kind="exponential", rho_los_per_m=math.nan), ["negative_los_density"]),
+    (dict(nlos_extra_loss_db=math.nan), ["negative_nlos_penalty"]),
+    (dict(los_kind="inmo", inmo_far_scale=5.0), ["bad_inmo_constants"]),
+    (dict(los_kind="inmo", inmo_far_scale=-0.1), ["bad_inmo_constants"]),
+    (dict(los_kind="inmo", inmo_near_decay_m=-1.0), ["bad_inmo_constants"]),
+    (dict(los_kind="inmo", inmo_far_decay_m=0.0), ["bad_inmo_constants"]),
+    (dict(los_kind="inmo", inmo_near_m=7.0), ["bad_inmo_constants"]),
+    (dict(los_kind="inmo", inmo_near_m=-0.5), ["bad_inmo_constants"]),
+    (dict(los_kind="inmo", inmo_far_m=math.nan), ["bad_inmo_constants"]),
+    (dict(los_kind="exponential", inmo_far_decay_m=0.0), []),  # unused by this kind
+    (dict(los_kind="inmo"), []),
+])
+def test_validate_flags_nan_and_bad_los_constants(los, expected):
+    assert codes(validate_scenario(make_scenario([(1, 1, 0)], **los))) == expected
+
+
 def test_validate_common_height_only_when_requested(guide_y):
     other = WaveguideSpec(feed_point=(5, 0, 4), axis_direction=(0, 1, 0), length_m=20.0)
     s = make_scenario([(1, 1, 0)], (guide_y, other))
@@ -119,28 +156,33 @@ def brute_force_projection(w, p, resolution=1e-4):
     return offs[i], d[i]
 
 
+def project(w, p):
+    """The projected offset of ``p`` on ``w`` and its distance to ``p``."""
+    t = projected_offsets(w, p)
+    return t, guide_distances(w, t, p)
+
+
 def test_projection_interior_point(guide_y):
-    proj = project_onto_waveguide(guide_y, (2.0, 5.0, 0.0))
-    assert proj.offset == pytest.approx(5.0, abs=1e-12)
-    assert np.allclose(proj.foot_point, [0.0, 5.0, 3.0])
-    assert proj.distance == pytest.approx(math.sqrt(13.0), rel=1e-12)
+    offset, distance = project(guide_y, (2.0, 5.0, 0.0))
+    assert offset == pytest.approx(5.0, abs=1e-12)
+    assert distance == pytest.approx(math.sqrt(13.0), rel=1e-12)
     off_bf, d_bf = brute_force_projection(guide_y, (2.0, 5.0, 0.0))
-    assert abs(proj.offset - off_bf) <= 1e-4
-    assert proj.distance <= d_bf + 1e-12
+    assert abs(offset - off_bf) <= 1e-4
+    assert distance <= d_bf + 1e-12
 
 
 def test_projection_below_feed(guide_y):
-    proj = project_onto_waveguide(guide_y, (0.0, 0.0, 0.0))
-    assert proj.offset == 0.0
-    assert proj.distance == pytest.approx(3.0, rel=1e-12)
+    offset, distance = project(guide_y, (0.0, 0.0, 0.0))
+    assert offset == 0.0
+    assert distance == pytest.approx(3.0, rel=1e-12)
 
 
 def test_projection_clamps_past_far_end(guide_y):
-    proj = project_onto_waveguide(guide_y, (0.0, 25.0, 0.0))
-    assert proj.offset == 20.0
-    assert proj.distance == pytest.approx(math.sqrt(34.0), rel=1e-12)
+    offset, distance = project(guide_y, (0.0, 25.0, 0.0))
+    assert offset == 20.0
+    assert distance == pytest.approx(math.sqrt(34.0), rel=1e-12)
     off_bf, d_bf = brute_force_projection(guide_y, (0.0, 25.0, 0.0))
-    assert abs(proj.offset - off_bf) <= 1e-4
+    assert abs(offset - off_bf) <= 1e-4
 
 
 @settings(max_examples=60, deadline=None)
@@ -149,10 +191,10 @@ def test_projection_beats_random_clamped_points(x, y, z, seed):
     w = WaveguideSpec(feed_point=(0.0, 0.0, 3.0), axis_direction=(0.0, 1.0, 0.0),
                       length_m=20.0)
     p = np.array([x, y, z])
-    proj = project_onto_waveguide(w, p)
+    distance = project(w, p)[1]
     offs = np.random.default_rng(seed).uniform(0.0, w.length_m, 1000)
     pts = w.feed_point[None, :] + offs[:, None] * w.axis_direction[None, :]
-    assert proj.distance <= np.linalg.norm(p[None, :] - pts, axis=1).min() + 1e-12
+    assert distance <= np.linalg.norm(p[None, :] - pts, axis=1).min() + 1e-12
 
 
 # --- layouts --------------------------------------------------------------
