@@ -89,10 +89,14 @@ def guide_distances(w: WaveguideSpec, offsets, points) -> np.ndarray:
     The antenna positions are ``feed_point + offset * axis_direction``;
     offsets and points broadcast, so ``offsets[None, :]`` against
     ``points[:, None, :]`` gives a points-by-offsets matrix.
+    One array per coordinate, with the squares summed left to right as
+    ``np.linalg.norm(..., axis=-1)`` sums them, so the bits are the norm's.
     """
     x = np.asarray(offsets, dtype=float)
-    pos = w.feed_point + x[..., None] * w.axis_direction
-    return np.linalg.norm(np.asarray(points, dtype=float) - pos, axis=-1)
+    p = np.asarray(points, dtype=float)
+    f, a = w.feed_point, w.axis_direction
+    r0, r1, r2 = (p[..., i] - (f[i] + x * a[i]) for i in range(3))
+    return np.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
 
 
 def link_gains(s: Scenario, w: WaveguideSpec, offsets, points, weights=1.0, los=True):

@@ -303,6 +303,8 @@ def validate_scenario(s: Scenario, require_common_height: bool = False) -> list[
     if not s.carrier.frequency_hz > 0:
         out.append(Violation("nonpositive_frequency",
                              f"frequency_hz = {s.carrier.frequency_hz!r}"))
+    elif s.carrier.frequency_hz == math.inf:
+        out.append(Violation("infinite_frequency", "frequency_hz = inf"))
     if not s.waveguides:
         out.append(Violation("no_waveguides", "scenario has no waveguides"))
     for i, w in enumerate(s.waveguides):
@@ -335,6 +337,8 @@ def validate_scenario(s: Scenario, require_common_height: bool = False) -> list[
         out.append(Violation("non_finite_user", "user coordinates must be finite"))
     if not s.transmit_snr > 0:
         out.append(Violation("nonpositive_snr", f"transmit_snr = {s.transmit_snr!r}"))
+    elif s.transmit_snr == math.inf:
+        out.append(Violation("infinite_snr", "transmit_snr = inf"))
     m = s.los_model
     if m.kind not in LOS_MODEL_KINDS:
         out.append(Violation("unknown_los_model", f"kind = {m.kind!r}"))

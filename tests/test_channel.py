@@ -356,6 +356,23 @@ def test_link_kernel_broadcasts_and_matches_closed_form(w, frequency, seed):
 
 
 @settings(max_examples=60, deadline=None)
+@given(w=any_guide(), scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_guide_distances_equal_the_norm_bit_for_bit(w, scale, seed):
+    rng = np.random.default_rng(seed)
+    points = w.feed_point + rng.normal(0.0, scale, (6, 3))
+    offsets = np.clip(rng.uniform(-0.5, 1.5, 5) * scale, 0.0, w.length_m)  # some clamped
+    for x, p in [(offsets[None, :], points[:, None, :]), (offsets, points[:5]),
+                 (offsets[:, None], points[0]), (float(offsets[0]), points),
+                 (offsets.reshape(5, 1, 1), points.reshape(2, 3, 3))]:
+        norm = np.linalg.norm(p - (w.feed_point + np.asarray(x)[..., None] * w.axis_direction),
+                              axis=-1)
+        got = guide_distances(w, x, p)
+        assert got.shape == norm.shape
+        assert np.array_equal(got.view(np.int64), norm.view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
 @given(w=any_guide(), seed=st.integers(0, 2 ** 32 - 1))
 def test_batched_projection_equals_scalar_calls(w, seed):
     rng = np.random.default_rng(seed)

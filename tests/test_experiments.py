@@ -352,6 +352,39 @@ def test_write_csv_float_array_matches_reference(tmp_path_factory, n_rows, n_col
     assert path.read_bytes().decode("utf-8") == expected
 
 
+# 0.0 and -0.0, two NaN payloads of each sign, infinities and subnormals
+POOLED_FLOATS = np.array([0x0, 0x8000000000000000, 0x7FF8000000000000, 0x7FF8000000000001,
+                          0xFFF8000000000000, 0xFFF0000000000001, 0x7FF0000000000000,
+                          0xFFF0000000000000, 0x1, 0x800000000000000F, 0x000FFFFFFFFFFFFF],
+                         dtype=np.uint64).view(np.float64)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_rows=st.sampled_from([_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1]),
+       pools=st.lists(st.lists(st.one_of(st.integers(0, POOLED_FLOATS.size - 1),
+                                         float_cell.map(float)),
+                               min_size=1, max_size=12), min_size=1, max_size=3),
+       distinct_at=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_write_csv_pooled_columns_match_reference(tmp_path_factory, n_rows, pools,
+                                                  distinct_at, seed):
+    """Columns of few distinct values are formatted once per value; one column
+    of all-distinct values shares their template."""
+    rng = np.random.default_rng(seed)
+    columns = []
+    for pool in pools:
+        values = np.array([POOLED_FLOATS[v] if isinstance(v, int) else v for v in pool])
+        columns.append(values[rng.integers(0, values.size, n_rows)])
+    distinct = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-320, 300, n_rows)
+    assert 2 * np.unique(distinct).size > n_rows
+    columns.insert(min(distinct_at, len(columns)), distinct)
+    values = np.column_stack(columns)
+    names = tuple(f"c{j}" for j in range(values.shape[1]))
+    meta = {"seed": seed}
+    path = write_csv(tmp_path_factory.mktemp("csv") / "p.csv", names, values, meta)
+    expected = reference_csv(names, [tuple(row) for row in values], meta)
+    assert path.read_bytes().decode("utf-8") == expected
+
+
 def test_write_csv_rejects_rows_unlike_row_0(tmp_path):
     with pytest.raises(ValueError, match="only floats or only non-floats"):
         write_csv(tmp_path / "m.csv", ("v",), [(1.0,), (10 ** 13,)], {})

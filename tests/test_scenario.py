@@ -72,6 +72,17 @@ def test_validate_flags_nan_or_nonpositive_frequency_and_snr(frequency, snr):
     assert codes(validate_scenario(s)) == ["nonpositive_frequency", "nonpositive_snr"]
 
 
+@pytest.mark.parametrize("frequency, snr, expected", [
+    (math.inf, 1e9, ["infinite_frequency"]),
+    (28e9, math.inf, ["infinite_snr"]),
+])
+def test_validate_flags_infinite_frequency_and_snr(frequency, snr, expected):
+    s = make_scenario([(1, 1, 0)])
+    s = type(s)(carrier=CarrierSpec(frequency), waveguides=s.waveguides, users=s.users,
+                transmit_snr=snr, los_model=s.los_model)
+    assert codes(validate_scenario(s)) == expected
+
+
 def test_validate_flags_user_off_ground(guide_y):
     s = make_scenario([(1, 1, 0.5)], (guide_y,))
     assert codes(validate_scenario(s)) == ["user_off_ground"]
