@@ -5,7 +5,8 @@ Usage, from the root of a checkout::
 
     python3 scripts/bench_layers.py --parent <rev> --number <n> --repeats 5 --seed 7
 
-Each repeat is one timed CLI run per workload on its input for the seed, BLAS on
+Each repeat is, per workload on its input for the seed, one untimed CLI run that
+warms up allocation and caches, then one timed run in the same process, BLAS on
 one thread. The ``compare-mimo`` run gives link synthesis (``link_gains``) per
 candidate offset, grid scan per lockstep guide step (descent time outside zoom and
 column synthesis), zoom (``_zoom_max``) and descent (``_descend``) per call. The
@@ -26,8 +27,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import ROOT, THREAD_VARS, export, git  # noqa: E402
 
-# Each probe runs from a checkout's root: one timed CLI run of its workload, the
-# timings as the last stdout line.
+# Each probe runs from a checkout's root: one untimed CLI run of its workload, then
+# one timed with its wrappers installed, the timings as the last stdout line.
 PRELUDE = """\
 import collections, contextlib, io, json, sys, tempfile, time
 from pathlib import Path
@@ -43,6 +44,7 @@ def run(name):
 """
 
 DESCENT_PROBE = PRELUDE + """\
+run("mimo-sweep")  # warm-up, untimed
 spent, calls, size = (collections.Counter() for _ in range(3))
 zooms = [0]  # open zoom calls: column synthesis inside a zoom counts as zoom
 def wrap(name, count=lambda args, out: 0):
@@ -72,6 +74,7 @@ print(json.dumps({
 """
 
 HEATMAP_PROBE = PRELUDE + """\
+run("heatmap-dense")  # warm-up, untimed
 spent, size = collections.Counter(), collections.Counter()
 def wrap(module, name, key, count):
     fn = getattr(module, name)

@@ -9,6 +9,7 @@ rate is pinned by the worst SINR among the users that must decode it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,22 +191,17 @@ def noma_rates(s: Scenario, H, cluster: NomaCluster, beam,
     if not abs(np.linalg.norm(beam) - 1.0) <= 1e-9:
         raise ValueError("beam must have unit norm")
 
-    gains = {u: float(np.abs(np.conj(G[u]) @ beam) ** 2) for u in cluster.users}
-    power = dict(zip(cluster.users, cluster.power_split))
-
-    rate_by_user: dict[int, float] = {}
-    sinr_by_user: dict[int, float] = {}
-    for t, msg_user in enumerate(cluster.sic_order):
-        p_t = power[msg_user]
-        later = sum(power[v] for v in cluster.sic_order[t + 1:])
-        decoders = cluster.sic_order[t:]
-        sinr = min(
-            gains[u] * p_t * rho / (1.0 + rho * (gains[u] * later))
-            for u in decoders
-        )
-        sinr_by_user[msg_user] = sinr
-        rate_by_user[msg_user] = float(shannon_rate(sinr))
-
-    sinr = np.array([sinr_by_user[u] for u in cluster.users])
-    rates = np.array([rate_by_user[u] for u in cluster.users])
+    order = [cluster.users.index(u) for u in cluster.sic_order]  # stage t decodes order[t]
+    # |h_u^H beam|^2 in decode order, with the bits of a 1-D dot and a scalar square
+    dots = (np.conj(G[list(cluster.users)])[:, None, :] @ beam[:, None])[:, 0, 0]
+    gain = np.float_power(np.abs(dots), 2)[order]
+    power = np.array(cluster.power_split)[order]
+    n = power.size
+    # power of the messages decoded after each stage, summed in decode order
+    later = functools.reduce(np.add, np.triu(np.tile(power, (n, 1)), 1).T)
+    # stage t's SINR (rows) at each user (columns); users from stage t on decode it
+    at = gain * power[:, None] * rho / (1.0 + rho * (gain * later[:, None]))
+    sinr = np.empty(n)
+    sinr[order] = np.where(np.triu(np.ones((n, n), dtype=bool)), at, np.inf).min(axis=1)
+    rates = shannon_rate(sinr)
     return RateReport(sinr, rates, float(rates.sum()), "noma")

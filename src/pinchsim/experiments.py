@@ -324,8 +324,7 @@ def run_compare_mimo(cfg: ExperimentConfig) -> ExperimentTable:
             except RankDeficiencyError:
                 pass  # degenerate drop counts as zero rate for this scheme
         drop_geometry = dataclasses.replace(scenario, users=UserSet(users))
-        solutions = optimize_multi_waveguide_sweep(drop_geometry, rhos, "zf", "sum_rate",
-                                                   budget=cfg.cd_budget)
+        solutions = optimize_multi_waveguide_sweep(drop_geometry, rhos, budget=cfg.cd_budget)
         for rho_db, rho, solution in zip(cfg.snr_sweep_db, rhos, solutions):
             sums[rho_db, "conventional_bound"] += float(
                 conventional_bound(h_conv, rho).sum())

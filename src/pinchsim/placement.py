@@ -8,7 +8,10 @@ placement, gain-order steering and every step of the multi-waveguide
 descent: it scores a few passes of evenly spaced candidates at once. Ties
 within 1e-12 of the best grid value resolve to the smallest offset; grid
 step, tolerances and zoom points are module constants. Phase alignment
-needs no scan: one array bisection solves for in-phase offsets.
+needs no scan: one array bisection solves for in-phase offsets. The
+multi-waveguide descent places antennas jointly with zero-forcing, their only
+precoder, for the ZF sum rate; maximum-ratio beams serve only the
+conventional array baseline in ``experiments``.
 
 Placement objectives assume the pinched link is line-of-sight: the premise
 of placing an antenna adjacent to a user is that doing so establishes LoS.
@@ -345,19 +348,9 @@ def _resolved(m: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _mrc_sinr(g: np.ndarray, K: int, rho: np.ndarray) -> np.ndarray:
-    """Matched-beam SINRs (rows, K, n) from Gram features g (rows, K*K, n) at SNRs
-    rho (rows, 1, 1): unit-norm beams at power p = 1/K give cross gains
-    |h_j^H w_i|^2 = |Gram[j, i]|^2 / Gram[i, i]."""
-    m = _hermitian(np.moveaxis(g, 1, -1), K)  # (rows, n, K, K)
-    cross = (m.real ** 2 + m.imag ** 2) / np.diagonal(m.real, axis1=-2, axis2=-1)[..., None, :]
-    own = np.diagonal(cross, axis1=-2, axis2=-1)
-    interference = functools.reduce(np.add, np.moveaxis(cross, -1, 0)) - own
-    return np.moveaxis(1.0 / K * own * rho / (1.0 + rho * (1.0 / K) * interference), -1, 1)
-
-
-def _scorer(F: np.ndarray, kind: str, objective: str, rho: np.ndarray):
-    """Objective of one guide's candidate antennas for L states, -inf where degenerate.
+def _scorer(F: np.ndarray, rho: np.ndarray):
+    """Zero-forcing sum rate of one guide's candidate antennas for L states, -inf
+    where degenerate.
 
     ``F`` (L, K*K) holds each state's Gram features without the guide's
     column, ``rho`` (L,) its transmit SNR. ``score(rows, T)`` gives the
@@ -365,34 +358,27 @@ def _scorer(F: np.ndarray, kind: str, objective: str, rho: np.ndarray):
     (K*K, n) or (rows, K*K, n). Zero-forcing at equal power p = 1/K gives
     sinr_k = p * rho * det / C_kk from :func:`_zf_map`'s affine map, built
     once here; a candidate counts where det / C_kk is finite and positive and,
-    for K > 3, where its Gram is :func:`_resolved`. Per-user rates are folded
+    for K > 3, where its Gram is :func:`_resolved`. Per-user rates are summed
     elementwise in user order.
     """
     K = math.isqrt(F.shape[-1])
-    if kind == "zf":
-        weights, consts = _zf_map(F, K)
-    elif kind != "mrc":
-        raise ValueError(f"unknown beamformer kind {kind!r}")
-    fold = np.add if objective == "sum_rate" else np.minimum
+    weights, consts = _zf_map(F, K)
 
     def score(rows, T):
         if T.ndim == 2:  # a shared table, scored state by state: temporaries stay small
             return np.concatenate([score(rows[i:i + 1], T[None]) for i in range(len(rows))])
         r = rho[rows, None, None]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if kind == "zf":
-                dc = weights[rows] @ T  # (rows, 1+K, n)
-                dc += consts[rows, :, None]
-                sinr = dc[:, :1] / dc[:, 1:]  # det / C_kk = 1 / [Gram^{-1}]_kk
-                bad = ~(np.isfinite(sinr) & (sinr > 0))
-                if K > 3:
-                    gram = _hermitian(np.moveaxis(F[rows, :, None] + T, 1, -1), K)
-                    bad |= ~_resolved(gram)[:, None]
-                sinr *= 1.0 / K * r
-                sinr[bad] = np.nan
-            else:
-                sinr = _mrc_sinr(F[rows, :, None] + T, K, r)
-            obj = functools.reduce(fold, shannon_rate(sinr, out=sinr).swapaxes(0, 1))
+            dc = weights[rows] @ T  # (rows, 1+K, n)
+            dc += consts[rows, :, None]
+            sinr = dc[:, :1] / dc[:, 1:]  # det / C_kk = 1 / [Gram^{-1}]_kk
+            bad = ~(np.isfinite(sinr) & (sinr > 0))
+            if K > 3:
+                gram = _hermitian(np.moveaxis(F[rows, :, None] + T, 1, -1), K)
+                bad |= ~_resolved(gram)[:, None]
+            sinr *= 1.0 / K * r
+            sinr[bad] = np.nan
+            obj = functools.reduce(np.add, shannon_rate(sinr, out=sinr).swapaxes(0, 1))
         return np.where(np.isfinite(obj), obj, -np.inf)
 
     return score
@@ -441,9 +427,9 @@ def _zoom_max(fn, grid, idx, v0, bracket_tol: float):
     return x, v
 
 
-def _descend(s: Scenario, transmit_snrs: np.ndarray, kind: str, objective: str,
-             budget: int):
-    """Coordinate descent of one state per transmit SNR, stepped in lockstep.
+def _descend(s: Scenario, transmit_snrs: np.ndarray, budget: int):
+    """Zero-forcing sum-rate coordinate descent of one state per transmit SNR,
+    stepped in lockstep.
 
     The states share the geometry, the start and the candidate tables: the
     Gram features (:func:`_features`) of each guide's channel column at every
@@ -474,7 +460,7 @@ def _descend(s: Scenario, transmit_snrs: np.ndarray, kind: str, objective: str,
                                     axis=1)[None], B, axis=0)  # (B, K, M)
     live = np.arange(B)
     # the start is scored as the last guide's candidate
-    value = _scorer(others(cols, M - 1), kind, objective, transmit_snrs)(
+    value = _scorer(others(cols, M - 1), transmit_snrs)(
         live, _features(cols[0, :, M - 1:]))[:, 0]
     traces = [[float(v)] for v in value]
     offsets = np.tile(start, (B, 1))
@@ -484,7 +470,7 @@ def _descend(s: Scenario, transmit_snrs: np.ndarray, kind: str, objective: str,
         cycles[live] += 1
         cycle_gain = np.zeros(live.size)
         for g in range(M):
-            score = _scorer(others(cols[live], g), kind, objective, transmit_snrs[live])
+            score = _scorer(others(cols[live], g), transmit_snrs[live])
             obj = score(np.arange(live.size), tables[g])  # (L, n)
             idx = _argmax_tie_smallest(obj)
             best = np.take_along_axis(obj, idx[:, None], axis=-1)[:, 0]
@@ -513,11 +499,12 @@ def _descend(s: Scenario, transmit_snrs: np.ndarray, kind: str, objective: str,
     return offsets, traces, cycles, converged, value, cols
 
 
-def optimize_multi_waveguide_sweep(s: Scenario, transmit_snrs, beamformer_kind: str = "zf",
-                                   objective: str = "sum_rate",
+def optimize_multi_waveguide_sweep(s: Scenario, transmit_snrs,
                                    budget: int = 10) -> tuple[PlacementSolution, ...]:
-    """Jointly place one antenna per waveguide by coordinate descent, at each
-    transmit SNR in ``transmit_snrs`` (linear; ``s.transmit_snr`` is unused).
+    """Jointly place one antenna per waveguide by coordinate descent for the
+    zero-forcing sum rate at equal per-user power, at each transmit SNR in
+    ``transmit_snrs`` (linear, each finite and positive; ``s.transmit_snr`` is
+    unused). An empty list gives no solutions.
 
     Cycles over waveguides; each step scans that guide's offset on a dense
     grid at lambda0/4, then refines the best cell by batched zoom
@@ -533,34 +520,32 @@ def optimize_multi_waveguide_sweep(s: Scenario, transmit_snrs, beamformer_kind: 
     less than ``DESCENT_TOL`` or the cycle budget runs out. Candidates that leave the
     channel rank-deficient are skipped. Each returned value is the one the
     Gram kernel computed for the final layout, so it equals the trace's last
-    entry, except that a zero-forcing layout whose channel rows fail
+    entry, except that a layout whose channel rows fail
     :func:`zf_beamformer`'s rank test scores -inf.
 
     The descents share one geometry and one set of candidate tables, built
     here and freed on return, and are stepped together; each solution equals
     the one :func:`optimize_multi_waveguide` returns at its SNR.
     """
-    if beamformer_kind not in ("zf", "mrc"):
-        raise ValueError(f"unknown beamformer kind {beamformer_kind!r}")
-    if objective not in ("sum_rate", "max_min_rate"):
-        raise ValueError(f"unknown objective {objective!r}")
     K, M = len(s.users.positions), len(s.waveguides)
     if K == 0 or M == 0:
         raise ValueError("need at least one user and one waveguide")
-    if beamformer_kind == "zf" and K > M:
+    if K > M:
         raise ValueError(f"zero-forcing needs users <= waveguides, got {K} > {M}")
-    offsets, traces, cycles, converged, values, cols = _descend(
-        s, np.asarray([float(rho) for rho in transmit_snrs]), beamformer_kind, objective, budget)
-    if beamformer_kind == "zf":
-        values[_rcond(cols) < ZF_RCOND_LIMIT] = -np.inf
-    return tuple(PlacementSolution(_one_per_guide_layout(row), float(v), objective,
+    rhos = [float(rho) for rho in transmit_snrs]
+    bad = [rho for rho in rhos if not (math.isfinite(rho) and rho > 0)]  # NaN fails both
+    if bad:
+        raise ValueError(f"transmit SNRs must be finite and > 0, got {bad[0]!r}")
+    if not rhos:
+        return ()
+    offsets, traces, cycles, converged, values, cols = _descend(s, np.asarray(rhos), budget)
+    values[_rcond(cols) < ZF_RCOND_LIMIT] = -np.inf
+    return tuple(PlacementSolution(_one_per_guide_layout(row), float(v), "sum_rate",
                                    int(n), bool(done), tuple(trace))
                  for row, v, n, done, trace in zip(offsets, values, cycles, converged, traces))
 
 
-def optimize_multi_waveguide(s: Scenario, beamformer_kind: str = "zf",
-                             objective: str = "sum_rate", budget: int = 10) -> PlacementSolution:
+def optimize_multi_waveguide(s: Scenario, budget: int = 10) -> PlacementSolution:
     """Jointly place one antenna per waveguide by coordinate descent at
     ``s.transmit_snr``: the one-SNR case of :func:`optimize_multi_waveguide_sweep`."""
-    return optimize_multi_waveguide_sweep(s, (s.transmit_snr,), beamformer_kind, objective,
-                                          budget)[0]
+    return optimize_multi_waveguide_sweep(s, (s.transmit_snr,), budget)[0]

@@ -17,7 +17,6 @@ from pinchsim import (
     guided_wavelength,
     link_gains,
     link_power,
-    mrc_beamformer,
     optimize_multi_waveguide,
     optimize_multi_waveguide_sweep,
     place_single_for_group,
@@ -255,16 +254,14 @@ def three_guide_scenario(users, snr_db=100.0):
     return make_scenario(users, guides, snr_db=snr_db)
 
 
-def reevaluate(s, sol, kind="zf", objective="sum_rate"):
+def reevaluate(s, sol):
     H = build_channel(s, sol.layout, los_states=True)
-    report = evaluate_rates(H, zf_beamformer(H), s.transmit_snr)
-    rates = report.per_user_rate_bps_hz
-    return rates.sum() if objective == "sum_rate" else rates.min()
+    return evaluate_rates(H, zf_beamformer(H), s.transmit_snr).sum_rate_bps_hz
 
 
 def test_descent_single_user_single_guide_matches_projection(guide_y):
     s = make_scenario([(2.0, 5.0, 0.0)], (guide_y,))
-    sol = optimize_multi_waveguide(s, "zf", "sum_rate")
+    sol = optimize_multi_waveguide(s)
     x = sol.layout.offsets_per_guide[0][0]
     assert x == pytest.approx(5.0, abs=1e-5)
     H = build_channel(s, sol.layout, los_states=True)
@@ -279,7 +276,7 @@ def test_descent_agrees_with_exhaustive_oracle_basin():
     # users' projections; coordinate descent must find the same basin.
     users = [(-10 / 3 + 0.1, -2.0, 0.0), (0.05, 1.0, 0.0), (10 / 3 - 0.08, 3.0, 0.0)]
     s = three_guide_scenario(users)
-    sol = optimize_multi_waveguide(s, "zf", "sum_rate", budget=25)
+    sol = optimize_multi_waveguide(s, budget=25)
     offsets = np.array([o[0] for o in sol.layout.offsets_per_guide])
 
     # coarse exhaustive oracle over all three offsets
@@ -319,7 +316,7 @@ def test_descent_agrees_with_exhaustive_oracle_basin():
 def test_descent_trace_is_monotone_and_value_consistent():
     users = [(-2.0, -4.0, 0.0), (1.0, 2.0, 0.0), (3.0, 4.5, 0.0)]
     s = three_guide_scenario(users)
-    sol = optimize_multi_waveguide(s, "zf", "sum_rate", budget=25)
+    sol = optimize_multi_waveguide(s, budget=25)
     assert all(b >= a for a, b in zip(sol.trace, sol.trace[1:]))
     assert sol.converged
     assert abs(sol.objective_value - sol.trace[-1]) <= 1e-9
@@ -339,51 +336,35 @@ def assert_same_solution(a, b):
 def test_descent_is_deterministic():
     users = [(-1.0, -3.0, 0.0), (2.0, 6.0, 0.0), (0.5, 8.0, 0.0)]
     s = three_guide_scenario(users)
-    a = optimize_multi_waveguide(s, "zf", "sum_rate")
-    b = optimize_multi_waveguide(s, "zf", "sum_rate")
+    a = optimize_multi_waveguide(s)
+    b = optimize_multi_waveguide(s)
     assert a.layout.offsets_per_guide == b.layout.offsets_per_guide
     assert a.objective_value == b.objective_value
     assert a.trace == b.trace
     # the same descent stepped inside a sweep gives the same solution
     rhos = (s.transmit_snr / 1e3, s.transmit_snr)
-    assert_same_solution(optimize_multi_waveguide_sweep(s, rhos, "zf", "sum_rate")[1], a)
-
-
-def test_descent_max_min_objective_runs():
-    users = [(-2.0, -4.0, 0.0), (1.0, 2.0, 0.0)]
-    s = three_guide_scenario(users)
-    sol = optimize_multi_waveguide(s, "zf", "max_min_rate", budget=4)
-    H = build_channel(s, sol.layout, los_states=True)
-    rates = evaluate_rates(H, zf_beamformer(H), s.transmit_snr).per_user_rate_bps_hz
-    assert sol.objective_value == pytest.approx(rates.min(), rel=1e-9)
-
-
-def test_descent_mrc_objective_runs():
-    users = [(-2.0, -4.0, 0.0), (1.0, 2.0, 0.0)]
-    s = three_guide_scenario(users)
-    sol = optimize_multi_waveguide(s, "mrc", "sum_rate", budget=4)
-    assert np.isfinite(sol.objective_value)
-    assert all(b >= a for a, b in zip(sol.trace, sol.trace[1:]))
+    assert_same_solution(optimize_multi_waveguide_sweep(s, rhos)[1], a)
 
 
 def test_descent_with_identical_users_degenerates_gracefully():
     users = [(1.0, 2.0, 0.0), (1.0, 2.0, 0.0)]
     s = three_guide_scenario(users)
-    sol = optimize_multi_waveguide(s, "zf", "sum_rate", budget=3)
+    sol = optimize_multi_waveguide(s, budget=3)
     assert sol.objective_value == -np.inf
 
 
-def test_descent_mrc_value_is_pinned():
-    # Matched beams read the Gram entries from the same features as zero-forcing.
-    # The value is held to 1e-12 relative, not to its bits: the link law's phase
-    # lag (thousands of radians here) rounds to about 1e-12 rad.
+def test_descent_zf_value_is_pinned():
+    # A budget-limited descent, pinned so that a change to the kernel, the scan or
+    # the zoom shows. The value is held to 1e-12 relative, not to its bits: the
+    # link law's phase lag (thousands of radians here) rounds to about 1e-12 rad.
     s = three_guide_scenario([(-2.0, -4.0, 0.0), (1.0, 2.0, 0.0), (3.0, 4.5, 0.0)])
-    sol = optimize_multi_waveguide(s, "mrc", "sum_rate", budget=4)
-    assert sol.objective_value == pytest.approx(22.53243825613072, rel=1e-12)
+    sol = optimize_multi_waveguide(s, budget=4)
+    assert sol.objective_value == pytest.approx(25.423279650986387, rel=1e-12)
     assert sol.layout.offsets_per_guide == (
-        (5.811163827744999,), (13.819524080390849,), (15.396311469455856,))
+        (6.300674293995924,), (12.30228478188688,), (13.712335115326548,))
     assert sol.iterations == 4
-    assert len(sol.trace) == 10
+    assert len(sol.trace) == 12
+    assert not sol.converged
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
@@ -402,7 +383,7 @@ def test_zf_map_matches_det_and_inverse(K, extra):
 
     F = _features(columns(L, M - 1)).sum(axis=-1).T  # (L, K*K)
     T = _features(columns(n))
-    score = _scorer(F, "zf", "sum_rate", np.full(L, 1e3))
+    score = _scorer(F, np.full(L, 1e3))
     # the kernel's bits do not depend on how many states share the product
     together = score(np.arange(L), np.repeat(T[None], L, axis=0))
     assert np.array_equal(together, score(np.arange(L), T))
@@ -430,7 +411,7 @@ def test_descent_never_steps_on_singular_grams_at_four_users():
                    for x in (-6.0, -2.0, 2.0, 6.0))
     users = [(1.0, 2.0, 0.0), (1.0, 2.0, 0.0), (-3.0, -4.0, 0.0), (4.0, 6.0, 0.0)]
     s = make_scenario(users, guides)
-    sol = optimize_multi_waveguide(s, "zf", "sum_rate", budget=3)
+    sol = optimize_multi_waveguide(s, budget=3)
     assert sol.trace == (-np.inf,)
     assert sol.objective_value == -np.inf
 
@@ -438,20 +419,20 @@ def test_descent_never_steps_on_singular_grams_at_four_users():
 def test_descent_argument_validation(guide_y):
     s = make_scenario([(1, 1, 0), (2, 2, 0)], (guide_y,))
     with pytest.raises(ValueError, match="users <= waveguides"):
-        optimize_multi_waveguide(s, "zf", "sum_rate")
-    with pytest.raises(ValueError, match="beamformer"):
-        optimize_multi_waveguide(s, "dirty", "sum_rate")
-    with pytest.raises(ValueError, match="objective"):
-        optimize_multi_waveguide(s, "mrc", "throughput")
+        optimize_multi_waveguide(s)
     s3 = three_guide_scenario([(1, 1, 0)])
-    (swept,) = optimize_multi_waveguide_sweep(s3, [s3.transmit_snr], "zf", "sum_rate")
-    assert_same_solution(swept, optimize_multi_waveguide(s3, "zf", "sum_rate"))
+    (swept,) = optimize_multi_waveguide_sweep(s3, [s3.transmit_snr])
+    assert_same_solution(swept, optimize_multi_waveguide(s3))
+    assert optimize_multi_waveguide_sweep(s3, []) == ()
+    for bad in (math.nan, math.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match=f"finite and > 0, got {bad!r}"):
+            optimize_multi_waveguide_sweep(s3, [s3.transmit_snr, bad])
 
 
 @st.composite
 def sweep_cases(draw):
     """Random geometry with K <= M <= 4 short guides above the users, an SNR list
-    that may repeat, a beamformer and an objective; users may coincide."""
+    that may repeat and a budget; users may coincide."""
     m = draw(st.integers(1, 4))
     k = draw(st.integers(1, m))
     coord = st.floats(-2.0, 2.0, allow_nan=False)
@@ -469,44 +450,41 @@ def sweep_cases(draw):
     snr_db = draw(st.lists(st.sampled_from([0.0, 30.0, 60.0, 90.0, 110.0]),
                            min_size=1, max_size=4))
     return (make_scenario(users, guides), [10.0 ** (v / 10.0) for v in snr_db],
-            draw(st.sampled_from(["zf", "mrc"])),
-            draw(st.sampled_from(["sum_rate", "max_min_rate"])), draw(st.integers(1, 4)))
+            draw(st.integers(1, 4)))
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=sweep_cases())
 def test_sweep_equals_one_descent_per_snr(case):
-    s, rhos, kind, objective, budget = case
-    swept = optimize_multi_waveguide_sweep(s, rhos, kind, objective, budget)
+    s, rhos, budget = case
+    swept = optimize_multi_waveguide_sweep(s, rhos, budget)
     assert len(swept) == len(rhos)
     for rho, sol in zip(rhos, swept):
-        single = optimize_multi_waveguide(dataclasses.replace(s, transmit_snr=rho),
-                                          kind, objective, budget)
+        single = optimize_multi_waveguide(dataclasses.replace(s, transmit_snr=rho), budget)
         assert_same_solution(sol, single)
         assert all(b >= a for a, b in zip(sol.trace, sol.trace[1:]))
 
 
-def public_objective(s, sol, rho, kind, objective):
-    """The descent's objective through build_channel and the public beamformers,
+def public_objective(s, sol, rho):
+    """The descent's ZF sum rate through build_channel and the public beamformer,
     and whether the Gram kernel can resolve the layout's channel."""
     H = build_channel(s, sol.layout, los_states=True)
     try:
-        B = zf_beamformer(H) if kind == "zf" else mrc_beamformer(H)
+        B = zf_beamformer(H)
     except RankDeficiencyError:
         return -np.inf, False
-    rates = evaluate_rates(H, B, rho).per_user_rate_bps_hz
     # ZF's Gram has the channel's rcond squared; below ZF_RCOND_LIMIT its
     # inverse has no correct digits (users less than a micrometre apart)
-    resolved = kind == "mrc" or _rcond(H.gains) ** 2 >= ZF_RCOND_LIMIT
-    return (rates.sum() if objective == "sum_rate" else rates.min()), resolved
+    resolved = _rcond(H.gains) ** 2 >= ZF_RCOND_LIMIT
+    return evaluate_rates(H, B, rho).sum_rate_bps_hz, resolved
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=sweep_cases())
 def test_descent_value_matches_public_path(case):
-    s, rhos, kind, objective, budget = case
-    for rho, sol in zip(rhos, optimize_multi_waveguide_sweep(s, rhos, kind, objective, budget)):
-        public, resolved = public_objective(s, sol, rho, kind, objective)
+    s, rhos, budget = case
+    for rho, sol in zip(rhos, optimize_multi_waveguide_sweep(s, rhos, budget)):
+        public, resolved = public_objective(s, sol, rho)
         if public == -np.inf:
             assert sol.objective_value == -np.inf
         elif resolved:
