@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
-"""Per-layer timings of the ``mimo-sweep`` descent and the ``heatmap-dense`` map.
+"""Per-layer timings of the ``mimo-sweep`` descent, the ``heatmap-dense`` map and
+the ``tdma-crowd`` scenario load.
 
 Usage, from the root of a checkout::
 
     python3 scripts/bench_layers.py --parent <rev> --number <n> --repeats 5 --seed 7
 
-Each repeat is, per workload on its input for the seed, one untimed CLI run that
-warms up allocation and caches, then one timed run in the same process, BLAS on
-one thread. The ``compare-mimo`` run gives link synthesis (``link_gains``) per
-candidate offset, grid scan per lockstep guide step (descent time outside zoom and
-column synthesis), zoom (``_zoom_max``) and descent (``_descend``) per call. The
-``heatmap`` run gives ``write_csv`` per cell and ``guide_distances`` per link.
-Repeats alternate with ``<rev>`` if given; ``--number`` appends medians and runs to
-``"layers"`` in ``BENCH_<n>.json``.
+Each repeat runs one probe process per workload on its input for the seed, BLAS on
+one thread. A probe makes one untimed run that warms up allocation and caches, then
+several timed runs in the same process, and reports the median of each timing over
+them. The ``compare-mimo`` runs give link synthesis (``link_gains``) per candidate
+offset, grid scan per lockstep guide step (descent time outside zoom and column
+synthesis), zoom (``_zoom_max``) and descent (``_descend``) per call. The
+``heatmap`` runs give ``write_csv`` per cell and ``guide_distances`` per link. The
+``tdma-crowd`` probe times ``load_scenario`` on that workload's scenario file, per
+user, and takes ``tracemalloc``'s peak over one untimed load. Repeats alternate
+with ``<rev>`` if given; ``--number`` appends the medians over repeats and every
+repeat's values to ``"layers"`` in ``BENCH_<n>.json``.
 """
 
 import argparse
@@ -27,13 +31,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import ROOT, THREAD_VARS, export, git  # noqa: E402
 
-# Each probe runs from a checkout's root: one untimed CLI run of its workload, then
-# one timed with its wrappers installed, the timings as the last stdout line.
+# Each probe runs from a checkout's root: one untimed run of its workload, then
+# several timed ones with its wrappers installed; the medians of their timings
+# are the last stdout line.
 PRELUDE = """\
-import collections, contextlib, io, json, sys, tempfile, time
+import collections, contextlib, io, json, statistics, sys, tempfile, time, tracemalloc
 from pathlib import Path
 sys.path[:0] = ["src", "perfbench"]
-from pinchsim import channel, cli, experiments, placement as P
+from pinchsim import channel, cli, experiments, placement as P, scenario_io
 from workloads import WORKLOADS
 def run(name):
     with tempfile.TemporaryDirectory() as tmp:
@@ -41,6 +46,9 @@ def run(name):
         with contextlib.redirect_stdout(io.StringIO()):
             if cli.main(list(workload.argv)) != 0:
                 sys.exit("the workload's CLI run failed")
+def report(measure, runs=5):
+    timings = [measure() for _ in range(runs)]
+    print(json.dumps({key: statistics.median(t[key] for t in timings) for key in timings[0]}))
 """
 
 DESCENT_PROBE = PRELUDE + """\
@@ -64,13 +72,17 @@ wrap("link_gains", lambda args, out: args[2].size)  # candidate offsets
 wrap("_guide_columns")
 wrap("_zoom_max")
 wrap("_descend", lambda args, out: len(args[0].waveguides) * int(max(out[2])))  # guide steps
-run("mimo-sweep")
-scan = spent["_descend"] - spent["_zoom_max"] - spent["_guide_columns"]
-print(json.dumps({
-    "link_us_per_candidate": 1e6 * spent["link_gains"] / size["link_gains"],
-    "grid_scan_ms_per_step": 1e3 * scan / size["_descend"],
-    "zoom_ms_per_call": 1e3 * spent["_zoom_max"] / calls["_zoom_max"],
-    "descent_ms_per_call": 1e3 * spent["_descend"] / calls["_descend"]}))
+def measure():
+    for counter in (spent, calls, size):
+        counter.clear()
+    run("mimo-sweep")
+    scan = spent["_descend"] - spent["_zoom_max"] - spent["_guide_columns"]
+    return {
+        "link_us_per_candidate": 1e6 * spent["link_gains"] / size["link_gains"],
+        "grid_scan_ms_per_step": 1e3 * scan / size["_descend"],
+        "zoom_ms_per_call": 1e3 * spent["_zoom_max"] / calls["_zoom_max"],
+        "descent_ms_per_call": 1e3 * spent["_descend"] / calls["_descend"]}
+report(measure)
 """
 
 HEATMAP_PROBE = PRELUDE + """\
@@ -88,10 +100,31 @@ def wrap(module, name, key, count):
 wrap(experiments, "write_csv", "write_csv", lambda args, out: len(args[2]))  # a row per grid cell
 for module in (experiments, channel):  # run_heatmap's own call, and link_power's
     wrap(module, "guide_distances", "guide_distances", lambda args, out: out.size)
-run("heatmap-dense")
-print(json.dumps({
-    "write_csv_us_per_cell": 1e6 * spent["write_csv"] / size["write_csv"],
-    "guide_distances_ns_per_link": 1e9 * spent["guide_distances"] / size["guide_distances"]}))
+def measure():
+    spent.clear()
+    size.clear()
+    run("heatmap-dense")
+    return {
+        "write_csv_us_per_cell": 1e6 * spent["write_csv"] / size["write_csv"],
+        "guide_distances_ns_per_link": 1e9 * spent["guide_distances"] / size["guide_distances"]}
+report(measure)
+"""
+
+LOAD_PROBE = PRELUDE + """\
+with tempfile.TemporaryDirectory() as tmp:
+    workload = WORKLOADS["tdma-crowd"](int(sys.argv[1]), Path(tmp))
+    path = Path(workload.argv[workload.argv.index("--scenario") + 1])
+    users = len(scenario_io.load_scenario(path).users)  # warm-up, untimed
+    tracemalloc.start()
+    scenario_io.load_scenario(path)
+    peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    tracemalloc.stop()
+    def measure():
+        t0 = time.perf_counter()
+        scenario_io.load_scenario(path)
+        return {"load_us_per_user": 1e6 * (time.perf_counter() - t0) / users,
+                "load_tracemalloc_peak_mb": peak_mb}
+    report(measure, runs=25)
 """
 
 
@@ -111,7 +144,7 @@ def main(argv=None) -> int:
         for i in range(args.repeats):
             for side in sorted(runs, reverse=i % 2 == 1):  # change first in even repeats
                 run = {}
-                for probe in (DESCENT_PROBE, HEATMAP_PROBE):
+                for probe in (DESCENT_PROBE, HEATMAP_PROBE, LOAD_PROBE):
                     out = subprocess.run([sys.executable, "-c", probe, str(args.seed)], env=env,
                                          cwd=checkouts[side], capture_output=True, text=True,
                                          check=True)

@@ -5,10 +5,15 @@ Scenario files are YAML trees with nested ``carrier`` / ``waveguides`` /
 Hz for frequencies, dB for the transmit SNR (converted to linear in memory).
 Every number must be finite (``.nan`` and ``.inf`` are rejected). Files are
 parsed with libyaml's safe loader when PyYAML has it, else with PyYAML's
-pure-Python safe loader; both yield the same data. A ``users`` list of
-``[x, y, z]`` number rows is read straight from the parsed node tree into
-an array; any other ``users`` value is built and checked like the rest of
-the file, with the same values and error messages either way.
+pure-Python safe loader; both yield the same data. The users of a saved
+file are read from its text, not parsed: after a column-0 ``users:`` line,
+each user is a column-0 block row ``- - x`` / ``  - y`` / ``  - z`` of plain
+decimal floats (``1.5``, ``-2.0e-05``), as ``save_scenario`` writes them.
+The rest of the file is parsed with ``users: []`` in their place, and the
+rows are taken only where that parse shows they are the top-level ``users``
+value. Any other ``users`` value, flow rows like ``- [x, y, z]`` included,
+is parsed, built and checked with the rest of the file, with the same
+values and error messages either way.
 
 Example::
 
@@ -159,26 +164,16 @@ def load_scenario(path) -> Scenario:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioFormatError(f"cannot read scenario file {path}: {exc}") from exc
+    saved = _read_saved_users(text)
+    if saved is not None:
+        return _scenario_from_dict(*saved)
     try:
-        loader = _SAFE_LOADER(text)  # the pure-Python one checks the text here
-        try:
-            node = loader.get_single_node()
-            users = _users_node(node)
-            rows = None if users is None else _number_rows(users[1])
-            if rows is not None:
-                # the rest of the mapping; aliases of the whole document still see users
-                node = yaml.MappingNode(node.tag, [p for p in node.value if p is not users],
-                                        node.start_mark, node.end_mark, node.flow_style)
-            data = None if node is None else loader.construct_document(node)
-        finally:
-            loader.dispose()
-    # an explicit tag on text its constructor cannot read, e.g. !!float "abc",
-    # !!int "" or !!timestamp "x", raises one of the three others
-    except (yaml.YAMLError, ValueError, IndexError, AttributeError) as exc:
+        data = yaml.load(text, Loader=_SAFE_LOADER)  # the pure-Python one checks the text
+    except _LOAD_ERRORS as exc:
         raise ScenarioFormatError(f"{path} is not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioFormatError(f"{path}: top level must be a mapping")
-    return _scenario_from_dict(data, rows)
+    return _scenario_from_dict(data, None)
 
 
 def save_scenario(s: Scenario, path) -> Path:
@@ -189,9 +184,55 @@ def save_scenario(s: Scenario, path) -> Path:
 
 
 _TAG = "tag:yaml.org,2002:"
+# an explicit tag on text its constructor cannot read, e.g. !!float "abc",
+# !!int "" or !!timestamp "x", raises one of the three others
+_LOAD_ERRORS = (yaml.YAMLError, ValueError, IndexError, AttributeError)
 # A plain decimal float: it matches YAML 1.1's float pattern and none of its
 # special forms (underscores, sexagesimal, .inf, .nan).
-_DECIMAL = re.compile(r"-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?")
+_DECIMAL = r"-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?"
+# One users row as save_scenario writes it: a column-0 block sequence of three.
+_ROW = re.compile(f"- - {_DECIMAL}\n  - {_DECIMAL}\n  - {_DECIMAL}\n")
+
+
+def _read_saved_users(text):
+    """``(data, rows)`` of a file whose users are saved rows, or None.
+
+    The rows are the run of ``_ROW`` lines after the last column-0 ``users:``
+    line, read by one ``np.fromstring``: ``float``'s value for every decimal,
+    as the loader's ``construct_yaml_float`` gives. The text with that key
+    and its rows swapped for ``users: []`` is composed, and the rows are
+    taken only if this ``[]`` is the value of the last ``users`` key of a
+    block mapping at the top level: the text around them then means what it
+    means in the whole file, since a line that would continue the rows cannot
+    follow ``[]`` there. Anything else, non-finite rows and errors in the
+    rest included, gives None; the whole file is then loaded, so values and
+    error messages always come from the full construction.
+    """
+    start = text.rfind("\nusers:\n") + 1
+    if not text.startswith("users:\n", start):
+        return None
+    pos = body = start + len("users:\n")
+    while (row := _ROW.match(text, pos)) is not None:
+        pos = row.end()
+    if pos == body:
+        return None
+    rows = np.fromstring(text[body:pos].replace("- ", " "), sep=" ").reshape(-1, 3)
+    if not np.isfinite(rows).all():
+        return None
+    empty = start + len("users: ")  # where the placeholder's [] starts
+    try:
+        loader = _SAFE_LOADER(text[:start] + "users: []" + text[pos - 1:])
+        try:
+            node = loader.get_single_node()
+            users = _users_node(node)
+            if (users is None or node.flow_style
+                    or (users[1].start_mark.index, users[1].end_mark.index) != (empty, empty + 2)):
+                return None
+            return loader.construct_document(node), rows
+        finally:
+            loader.dispose()
+    except _LOAD_ERRORS:
+        return None
 
 
 def _users_node(node):
@@ -206,28 +247,3 @@ def _users_node(node):
     found = [pair for pair in node.value if isinstance(pair[0], yaml.ScalarNode)
              and pair[0].tag == _TAG + "str" and pair[0].value == "users"]
     return found[-1] if found else None
-
-
-def _number_rows(node):
-    """``[x, y, z]`` rows of finite floats read from a users node, or None.
-
-    Only a non-empty sequence of 3-element sequences of plain decimal float
-    scalars, as ``save_scenario`` writes them, is read here; for those,
-    ``float(value)`` is what the loader's ``construct_yaml_float`` gives.
-    Anything else (ints, other tags, forms or shapes, overflowing values)
-    gives None and goes through the full construction, whose checks report it.
-    """
-    if not isinstance(node, yaml.SequenceNode) or node.tag != _TAG + "seq" or not node.value:
-        return None
-    cells = []
-    for item in node.value:
-        if (not isinstance(item, yaml.SequenceNode) or item.tag != _TAG + "seq"
-                or len(item.value) != 3):
-            return None
-        cells += item.value
-    if not all(isinstance(v, yaml.ScalarNode) and v.tag == _TAG + "float"
-               and _DECIMAL.fullmatch(v.value) for v in cells):
-        return None
-    values = [float(v.value) for v in cells]
-    rows = np.array(values).reshape(-1, 3)
-    return rows if np.isfinite(rows).all() else None

@@ -35,7 +35,7 @@ from pinchsim.placement import (
     _zf_map,
     _zoom_max,
 )
-from pinchsim.scenario import UserSet, projected_offsets
+from pinchsim.scenario import projected_offsets
 from tests.conftest import make_scenario
 
 LAMBDA0 = 299792458.0 / 28e9

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,8 +209,8 @@ def test_every_scenario_field_survives_save_and_load(tmp_path_factory, s):
 
 
 def reference_load(path):
-    """``load_scenario`` as it was before users were read from the node tree:
-    build the whole document, then check it with ``scenario_from_dict``."""
+    """``load_scenario`` with no fast path: build the whole document, then
+    check it with ``scenario_from_dict``."""
     try:
         data = yaml.load(path.read_text(encoding="utf-8"), Loader=scenario_io._SAFE_LOADER)
     except (yaml.YAMLError, ValueError, IndexError, AttributeError) as exc:
@@ -288,8 +289,8 @@ PREFIXES = ("", "users: [[1.0, 2.0, 0.0]]\n", "early: !!float 'x'\n",
 @example(section="users: [[!!float [1], 1.0, 0.0]]", prefix="")
 @example(section="users: [[0.5, 0.5, 0.0]]", prefix=PREFIXES[1])
 @example(section="users: [[!!int '', 1.0, 0.0]]", prefix=PREFIXES[2])
-def test_node_tree_users_match_the_full_construction(tmp_path_factory, loader, section,
-                                                     prefix):
+def test_users_sections_match_the_full_construction(tmp_path_factory, loader, section,
+                                                    prefix):
     """The loader gives the scenario, or the error, of building the whole
     document and checking it with ``scenario_from_dict``."""
     data = scenario_to_dict(presets.tdma_scenario())
@@ -297,6 +298,13 @@ def test_node_tree_users_match_the_full_construction(tmp_path_factory, loader, s
     text = prefix + yaml.safe_dump(data, sort_keys=False) + section + "\n"
     path = tmp_path_factory.mktemp("users") / "s.yaml"
     path.write_text(text, encoding="utf-8")
+    reference, loaded = load_both_ways(path, loader)
+    assert loaded == reference
+
+
+def load_both_ways(path, loader):
+    """The scenario fields, or the error, that ``reference_load`` and
+    ``load_scenario`` give for ``path`` under ``loader``."""
     saved = scenario_io._SAFE_LOADER
     if loader == "pure-python":
         scenario_io._SAFE_LOADER = yaml.SafeLoader
@@ -309,7 +317,7 @@ def test_node_tree_users_match_the_full_construction(tmp_path_factory, loader, s
                 outcomes.append((type(exc), str(exc)))
     finally:
         scenario_io._SAFE_LOADER = saved
-    assert outcomes[0] == outcomes[1]
+    return outcomes
 
 
 def test_users_of_a_merged_or_self_aliased_document_are_its_own(tmp_path):
@@ -322,3 +330,175 @@ def test_users_of_a_merged_or_self_aliased_document_are_its_own(tmp_path):
         path.write_text(t, encoding="utf-8")
         assert scenario_fields(load_scenario(path)) == scenario_fields(reference_load(path))
         assert load_scenario(path).users.positions.tolist() == data["users"]
+
+
+def saved_head():
+    """``tdma_scenario()`` as data without users, and as the text saved for it."""
+    data = scenario_to_dict(presets.tdma_scenario())
+    del data["users"]
+    return data, yaml.safe_dump(data, sort_keys=False)
+
+
+# Near misses of the form save_scenario writes. The fast reader must give the
+# full construction's scenario or error for each; those in FAST keep the form
+# and must be read by it.
+MUTATIONS = ("crlf", "comment", "extra", "tab", "cell", "before", "after", "not_last",
+             "quoted", "document_end", "next_document", "anchor")
+FAST = {"crlf", "before", "not_last", "document_end", "anchor"}
+
+
+@st.composite
+def saved_texts(draw):
+    """Text of a saved scenario and the mutations drawn into it."""
+    head = saved_head()[1]
+    rows = draw(st.lists(POINTS, min_size=1, max_size=4))
+    block = yaml.safe_dump({"users": [list(r) for r in rows]}).splitlines(keepends=True)
+    mutations = draw(st.lists(st.sampled_from(MUTATIONS), max_size=3, unique=True))
+    tail = ""
+    if "comment" in mutations:  # between two rows, or after the last
+        block.insert(1 + 3 * draw(st.integers(1, len(rows))), "# a note\n")
+    if "extra" in mutations:  # a 4th cell or a deeper line after the last row
+        block.append(draw(st.sampled_from(["  - 1.5\n", "    - 1.5\n", "   x: 1.5\n"])))
+    if "cell" in mutations:
+        i = draw(st.integers(1, 3 * len(rows)))
+        cell = draw(st.sampled_from(["1", "-7", "1e3", "1.5E+3", ".inf", "-.inf", ".nan",
+                                     "1.0e+999", "-1.0e+999", "1_0.5", "1.0 # c", "!!float 2.5",
+                                     "'1.5'", "&a 1.5"]))
+        block[i] = block[i][:block[i].rindex("- ") + 2] + cell + "\n"
+    if "tab" in mutations:  # after a dash, which YAML accepts, or as indentation
+        i = draw(st.integers(1, 3 * len(rows)))
+        old, new = draw(st.sampled_from([("- ", "-\t"), ("  ", "\t"), ("", "\t")]))
+        block[i] = block[i].replace(old, new, 1)
+    block = "".join(block)
+    other = draw(st.sampled_from(["users: [[9.0, 9.0, 0.0]]\n",
+                                  "users:\n- - 9.0\n  - 9.0\n  - 0.0\n"]))
+    if "before" in mutations:
+        head = other + head
+    if "after" in mutations:
+        tail += other
+    if "quoted" in mutations:  # the rows once more, inside a multi-line quoted scalar
+        quote = draw(st.sampled_from(['"', "'"]))
+        tail += f"note: {quote}x\n{block}{quote}\n"
+    text = head + block + tail
+    if "not_last" in mutations:
+        at = head.index("waveguides:")
+        text = head[:at] + block + head[at:] + tail
+    if "anchor" in mutations:
+        text = "&doc\n" + text + "again: *doc\n"
+    if "document_end" in mutations:
+        text += "...\n"
+    if "next_document" in mutations:
+        text += draw(st.sampled_from(["---\n", "--- {}\n"]))
+    if "crlf" in mutations:
+        text = text.replace("\n", "\r\n")
+    return text, set(mutations)
+
+
+@pytest.mark.parametrize("loader", ["default", "pure-python"])
+@settings(max_examples=200, deadline=None)
+@given(saved=saved_texts())
+def test_saved_rows_and_near_misses_match_the_full_construction(tmp_path_factory, loader,
+                                                                saved):
+    text, mutations = saved
+    path = tmp_path_factory.mktemp("saved") / "s.yaml"
+    path.write_bytes(text.encode("utf-8"))  # no newline translation: CRLF stays
+    reference, loaded = load_both_ways(path, loader)
+    assert repr(loaded) == repr(reference)  # repr tells -0.0 from 0.0
+    if mutations <= FAST:
+        assert isinstance(reference, dict)
+        assert scenario_io._read_saved_users(path.read_text(encoding="utf-8")) is not None
+
+
+def near_misses():
+    """Named texts around save_scenario's form, each with whether the fast
+    reader takes it."""
+    data, head = saved_head()
+    block = "users:\n- - 1.5\n  - -2.0e-05\n  - 0.0\n- - -3.25\n  - 4.0\n  - -0.0\n"
+    other = "users:\n- - 9.0\n  - 9.0\n  - 0.0\n"
+    flow_head = yaml.safe_dump(data, sort_keys=False, default_flow_style=True, width=10 ** 6)
+    cases = {
+        "saved": (head + block, True),
+        "crlf": ((head + block).replace("\n", "\r\n"), True),
+        "comment_between_rows": (head + block.replace("- - -3.25", "# note\n- - -3.25"), False),
+        "comment_after_rows": (head + block + "# note\n", True),
+        "fourth_cell": (head + block + "  - 1.5\n", False),
+        "deeper_line": (head + block + "    - 1.5\n", False),
+        "deeper_key": (head + block + "   x: 1.5\n", False),
+        "dash_key_after": (head + block + "-5: x\n", True),
+        "tab_after_dash": (head + block.replace("  - 4.0", "  -\t4.0"), False),
+        "tab_indent": (head + block.replace("  - 4.0", "\t- 4.0"), False),
+        "users_before_flow": ("users: [[9.0, 9.0, 0.0]]\n" + head + block, True),
+        "users_before_block": (other + head + block, True),
+        "users_after_flow": (head + block + "users: [[9.0, 9.0, 0.0]]\n", False),
+        "users_after_block": (head + block + other, True),
+        "users_not_last": (block + head, True),
+        "nested_users_after": (head + block + "extra:\n  users:\n  - - 9.0\n", True),
+        "rows_in_quoted_scalar": (head + other + 'note: "x\n' + block + '"\n', False),
+        "rows_in_quoted_scalar_then_empty_users": (
+            head + 'note: "x\n' + block + '"\nusers: []\n', False),
+        "document_end": (head + block + "...\n", True),
+        "next_document": (head + block + "---\n", False),
+        "next_flow_document": (head + block + "--- {}\n", False),
+        "document_anchor": ("&doc\n" + head + block + "again: *doc\n", True),
+        "flow_root": (flow_head[:-2] + ",\n" + block + "}\n", False),
+        "no_rows": (head + "users:\nnote: 1\n", False),
+    }
+    for cell in ("1", "017", "1e3", "1.0e3", "1e+3", "1.5E+3", ".inf", "1.0e+999",
+                 "-1.0e+999", "1_0.5", "4.0 # c", "!!float 4.0"):
+        cases[f"cell {cell}"] = (head + block.replace("  - 4.0", "  - " + cell), False)
+    return cases
+
+
+@pytest.mark.parametrize("loader", ["default", "pure-python"])
+@pytest.mark.parametrize("name", list(near_misses()))
+def test_near_misses_of_the_saved_form_match_the_full_construction(tmp_path, loader, name):
+    text, fast = near_misses()[name]
+    path = tmp_path / "s.yaml"
+    path.write_bytes(text.encode("utf-8"))
+    reference, loaded = load_both_ways(path, loader)
+    assert repr(loaded) == repr(reference)  # repr tells -0.0 from 0.0
+    read = scenario_io._read_saved_users(path.read_text(encoding="utf-8"))
+    assert (read is not None) == fast
+
+
+class CountingLoader(scenario_io._SAFE_LOADER):
+    """The loader, counting the implicit tag resolutions it makes (one per scalar)."""
+
+    calls = 0
+
+    def resolve(self, kind, value, implicit):
+        CountingLoader.calls += 1
+        return super().resolve(kind, value, implicit)
+
+
+def test_saved_users_are_read_without_a_resolver_call_per_scalar(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    users = np.column_stack([rng.uniform(-5, 5, 2000), rng.uniform(-10, 10, 2000),
+                             np.where(rng.random(2000) < 0.5, 0.0, -0.0)])
+    s = dataclasses.replace(presets.tdma_scenario(), users=UserSet(users))
+    path = save_scenario(s, tmp_path / "crowd.yaml")
+    monkeypatch.setattr(scenario_io, "_SAFE_LOADER", CountingLoader)
+    CountingLoader.calls = 0
+    loaded = load_scenario(path).users.positions
+    assert loaded.view(np.int64).tolist() == users.view(np.int64).tolist()  # -0.0 included
+    assert 0 < CountingLoader.calls < 100
+    CountingLoader.calls = 0  # the counter does see every scalar of a full construction
+    reference_load(path)
+    assert CountingLoader.calls > 6000
+
+
+def test_one_numpy_pass_reads_decimals_as_float_does():
+    rng = np.random.default_rng(11)
+    values = rng.integers(-2 ** 63, 2 ** 63, 200_000, dtype=np.int64).view(np.float64)
+    values = values[np.isfinite(values)]
+    # each value as yaml.safe_dump writes it (SafeRepresenter.represent_float),
+    # and long decimals that are no shortest repr
+    texts = [t.replace("e", ".0e", 1) if "." not in t else t
+             for t in map(repr, values.tolist())]
+    digits = rng.integers(0, 10 ** 18, (2_000, 2)).tolist()
+    exponents = rng.integers(0, 330, 2_000).tolist()
+    texts += [f"{a}.{b}e-{c}" for (a, b), c in zip(digits, exponents)]
+    assert all(re.fullmatch(scenario_io._DECIMAL, t) for t in texts)
+    read = np.fromstring(" ".join(texts), sep=" ")
+    assert read.view(np.int64).tolist() == np.array([float(t) for t in texts]).view(
+        np.int64).tolist()
