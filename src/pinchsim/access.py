@@ -16,33 +16,23 @@ import numpy as np
 
 from .beamforming import RateReport, _gains, shannon_rate
 from .channel import _check_clear_of_users, link_gains
-from .scenario import Scenario, _check_user_indices, first_layout_fault
-
-
-def _frozen(values, dtype) -> np.ndarray:
-    a = np.array(values, dtype=dtype)
-    a.flags.writeable = False
-    return a
+from .scenario import Scenario, _check_user_indices, _freeze, first_layout_fault
 
 
 @dataclass(frozen=True, eq=False)
 class TdmaSchedule:
-    """Ordered service slots and their activated antennas, as flat arrays.
+    """Ordered service slots and their activated antennas, as flat read-only arrays.
 
     Slot ``i`` serves user ``served[i]`` for a time share
-    ``slot_fractions[i]``. Like a :class:`PinchingLayout`, its layout is
-    written for ``guides_per_slot[i]`` guides, which must be the scenario's
-    guide count, and allows no spacing below ``minimum_spacing_m[i]``.
-    Antenna ``a`` is active in slot ``antenna_slot[a]`` on guide
-    ``antenna_guide[a]`` (below its slot's guide count), at ``offsets[a]``
-    meters from that guide's feed with power-split weight ``weights[a]``.
-    The antennas of one slot and guide form that slot's layout on the
-    guide, in array order.
+    ``slot_fractions[i]``, and its layout allows no spacing below
+    ``minimum_spacing_m[i]``. Antenna ``a`` is active in slot
+    ``antenna_slot[a]``; the antennas of one slot form its
+    :class:`PinchingLayout`, with guide ``antenna_guide[a]``, offset
+    ``offsets[a]`` and weight ``weights[a]``, in array order.
     """
 
     served: np.ndarray
     slot_fractions: np.ndarray
-    guides_per_slot: np.ndarray
     minimum_spacing_m: np.ndarray
     antenna_slot: np.ndarray
     antenna_guide: np.ndarray
@@ -50,24 +40,20 @@ class TdmaSchedule:
     weights: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("served", np.intp), ("slot_fractions", float),
-                            ("guides_per_slot", np.intp), ("minimum_spacing_m", float),
-                            ("antenna_slot", np.intp), ("antenna_guide", np.intp),
-                            ("offsets", float), ("weights", float)):
-            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        _freeze(self, served=np.intp, slot_fractions=float, minimum_spacing_m=float,
+                antenna_slot=np.intp, antenna_guide=np.intp, offsets=float, weights=float)
 
     def validate(self, s: Scenario) -> None:
         """Raise ``ValueError`` unless the schedule fits ``s``, in one vectorized pass.
 
-        The per-slot arrays, time shares, served users and antenna indices
-        are checked first. Then the first slot with a fault is reported as
-        :func:`build_channel` reports a layout (:func:`first_layout_fault`):
-        a guide-count mismatch, else the layout's violation codes, else a
-        slot with no antennas.
+        The per-slot arrays, time shares and served users are checked first.
+        Then every slot's antennas go through the check :func:`build_channel`
+        runs on one layout (:func:`first_layout_fault`), and the first slot
+        with a fault is reported: its layout's violation codes, else a slot
+        with no antennas.
         """
         n_slots, n_users = self.served.size, len(s.users)
         for per_slot, what in ((self.slot_fractions, "slot fraction"),
-                               (self.guides_per_slot, "guide count"),
                                (self.minimum_spacing_m, "minimum spacing")):
             if self.served.ndim != 1 or per_slot.shape != self.served.shape:
                 raise ValueError(f"one {what} is needed per slot")
@@ -88,18 +74,8 @@ class TdmaSchedule:
         idle[served] = False
         if np.any(idle):
             raise ValueError(f"users {np.flatnonzero(idle).tolist()} appear in no slot")
-
-        slot, guide = self.antenna_slot, self.antenna_guide
-        if not (slot.ndim == 1 and slot.shape == guide.shape == self.offsets.shape
-                == self.weights.shape):
-            raise ValueError("invalid layout: layout_shape_mismatch "
-                             "(antenna arrays of different shapes)")
-        if np.any((slot < 0) | (slot >= n_slots)):
-            raise ValueError(f"antenna slot indices must lie in [0, {n_slots})")
-        if np.any((guide < 0) | (guide >= self.guides_per_slot[slot])):
-            raise ValueError("antenna guide indices must lie in [0, their slot's guide count)")
-        fault = first_layout_fault(s, slot, guide, self.offsets, self.weights,
-                                   self.minimum_spacing_m, self.guides_per_slot)
+        fault = first_layout_fault(s, self.antenna_slot, self.antenna_guide, self.offsets,
+                                   self.weights, self.minimum_spacing_m)
         if fault is not None:
             raise ValueError(f"slot {fault[0]}: {fault[1]}")
 

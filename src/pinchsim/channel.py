@@ -137,29 +137,13 @@ class ChannelMatrix:
     """Users-by-feeds complex gains plus the per-antenna breakdown.
 
     ``gains[k, m]`` aggregates waveguide m's antennas toward user k;
-    ``per_antenna_breakdown[k, n]`` holds the weight-inclusive summands
-    (so each aggregate entry is the row-sum of its guide's columns), whose
-    columns come guide by guide as :meth:`PinchingLayout.antennas` gives them.
+    ``per_antenna_breakdown[k, a]`` holds the weight-inclusive summand of the
+    layout's antenna a (so each aggregate entry is the row-sum of its guide's
+    columns), with columns in the layout's array order.
     """
 
     gains: np.ndarray
     per_antenna_breakdown: np.ndarray | None = None
-
-
-def _check_layout(s: Scenario,
-                  layout: PinchingLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raise ``ValueError`` unless ``layout`` fits the scenario's guides and
-    activates at least one antenna; else return its antennas.
-
-    The layout is checked as a one-slot schedule by :func:`first_layout_fault`,
-    and its antennas come as :meth:`PinchingLayout.antennas` gives them.
-    """
-    guide, offsets, weights = layout.antennas()
-    fault = first_layout_fault(s, np.zeros(guide.size, np.intp), guide, offsets, weights,
-                               [layout.minimum_spacing_m], [len(layout.offsets_per_guide)])
-    if fault is not None:
-        raise ValueError(fault[1])
-    return guide, offsets, weights
 
 
 def _check_clear_of_users(s: Scenario, guide_idx, offsets) -> None:
@@ -196,8 +180,13 @@ def build_channel(s: Scenario, layout: PinchingLayout, *,
     (users, antennas) boolean array, e.g. ``True`` to force LoS everywhere)
     or sampled once per link from the scenario's LoS model using ``seed``.
     Sampling is reproducible: a fixed seed yields bit-identical channels.
+    The layout is checked as a one-slot schedule by :func:`first_layout_fault`.
     """
-    col, offsets, weights = _check_layout(s, layout)
+    col, offsets, weights = layout.guide, layout.offsets, layout.weights
+    fault = first_layout_fault(s, np.zeros(col.size, np.intp), col, offsets, weights,
+                               [layout.minimum_spacing_m])
+    if fault is not None:
+        raise ValueError(fault[1])
     users = s.users.positions
     on = [col == g for g in range(len(s.waveguides))]
     _check_clear_of_users(s, col, offsets)
@@ -208,8 +197,9 @@ def build_channel(s: Scenario, layout: PinchingLayout, *,
     elif s.los_model.kind == "always_los":
         los = np.ones(shape, dtype=bool)
     elif seed is not None:
-        dist = np.concatenate([guide_distances(w, offsets[sel], users[:, None, :])
-                               for w, sel in zip(s.waveguides, on)], axis=1)
+        dist = np.empty(shape)
+        for w, sel in zip(s.waveguides, on):
+            dist[:, sel] = guide_distances(w, offsets[sel], users[:, None, :])
         rng = np.random.default_rng(seed)
         los = rng.uniform(size=shape) < los_probability(s.los_model, dist)
     else:
@@ -217,7 +207,9 @@ def build_channel(s: Scenario, layout: PinchingLayout, *,
             "LoS sampling needs a seed (or pass explicit los_states) when the "
             f"LoS model is probabilistic ({s.los_model.kind!r})")
 
-    per_guide = [link_gains(s, w, offsets[sel], users[:, None, :], weights[sel], los[:, sel])
-                 for w, sel in zip(s.waveguides, on)]
-    return ChannelMatrix(gains=np.stack([b.sum(axis=1) for b in per_guide], axis=1),
-                         per_antenna_breakdown=np.concatenate(per_guide, axis=1))
+    breakdown = np.empty(shape, dtype=complex)
+    for w, sel in zip(s.waveguides, on):
+        breakdown[:, sel] = link_gains(s, w, offsets[sel], users[:, None, :], weights[sel],
+                                       los[:, sel])
+    return ChannelMatrix(gains=np.stack([breakdown[:, sel].sum(axis=1) for sel in on], axis=1),
+                         per_antenna_breakdown=breakdown)

@@ -128,7 +128,7 @@ def place_single_for_group(w: WaveguideSpec, users, objective: str,
     reduce = np.sum if objective == "sum_rate" else np.min
     x, value = _scan_zoom(lambda offs: reduce(_single_antenna_rates(w, pts, s, offs), axis=-1),
                           _offset_grid(0.0, w.length_m, default_grid_res(s)))
-    return PlacementSolution(PinchingLayout(((x,),), ((1.0,),)), value, objective, 1, True,
+    return PlacementSolution(PinchingLayout([0], [x], [1.0]), value, objective, 1, True,
                              (value,))
 
 
@@ -168,7 +168,7 @@ def noma_gain_reorder(s: Scenario, cluster_users, target_order) -> PlacementSolu
         return link_power(s, w, offs[..., None], users)
 
     group = place_single_for_group(w, users, "sum_rate", s)
-    if _inversions(power(np.array(group.layout.offsets_per_guide[0])), order)[0] == 0:
+    if _inversions(power(group.layout.offsets), order)[0] == 0:
         return group
     grid = _offset_grid(0.0, w.length_m, default_grid_res(s))
     fewest = _inversions(power(grid), order).min()
@@ -179,7 +179,7 @@ def noma_gain_reorder(s: Scenario, cluster_users, target_order) -> PlacementSolu
                         shannon_rate(s.transmit_snr * p).sum(axis=-1), -np.inf)
 
     x, value = _scan_zoom(constrained_sum_rate, grid)
-    return PlacementSolution(PinchingLayout(((x,),), ((1.0,),)), value, "sum_rate", 1,
+    return PlacementSolution(PinchingLayout([0], [x], [1.0]), value, "sum_rate", 1,
                              bool(fewest == 0), (value,))
 
 
@@ -210,7 +210,7 @@ def align_multi_on_guide(w: WaveguideSpec, user, n_antennas: int,
 
     if n_antennas == 1:
         x = place_single_for_user(w, user)
-        layout = PinchingLayout(((x,),), ((1.0,),), spacing)
+        layout = PinchingLayout([0], [x], [1.0], spacing)
         rate = float(_single_antenna_rates(w, user[None, :], s, np.asarray([x]))[0, 0])
         return PlacementSolution(layout, rate, "single_user_rate", 1, True, (rate,))
 
@@ -258,7 +258,7 @@ def align_multi_on_guide(w: WaveguideSpec, user, n_antennas: int,
     best = int(np.argmax(agg))
     phases = np.angle(gains[best])
     aligned = bool(np.all(np.abs(_wrap(phases - phases[0])) <= PHASE_TOL_RAD))
-    layout = PinchingLayout((tuple(chains[best]),), ((weight,) * n_antennas,), spacing)
+    layout = PinchingLayout([0] * n_antennas, chains[best], [weight] * n_antennas, spacing)
     rate = float(shannon_rate(s.transmit_snr * agg[best] ** 2))
     return PlacementSolution(layout, rate, "single_user_rate", 1, aligned, (rate,))
 
@@ -384,11 +384,6 @@ def _scorer(F: np.ndarray, rho: np.ndarray):
     return score
 
 
-def _one_per_guide_layout(offsets) -> PinchingLayout:
-    return PinchingLayout(tuple((float(x),) for x in offsets),
-                          tuple((1.0,) for _ in offsets))
-
-
 def _guide_columns(s: Scenario, g: int, xs: np.ndarray) -> np.ndarray:
     """LoS channel columns (K, *xs.shape) of guide g with its antenna at offsets xs."""
     users = s.users.positions
@@ -499,6 +494,22 @@ def _descend(s: Scenario, transmit_snrs: np.ndarray, budget: int):
     return offsets, traces, cycles, converged, value, cols
 
 
+def _qr_zf_sum_rates(cols: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Zero-forcing sum rates at equal power p = 1/K of channels (B, K, M) at
+    transmit SNRs ``rho`` (B,), by one batched QR of their conjugate
+    transposes (B, M, K) = Q R.
+
+    The Gram is then R^H R, so diag(Gram^-1) is the squared row norms of R^-1
+    and sinr_k = p * rho / [Gram^-1]_kk, accurate to about eps / (channel
+    rcond) where the determinant-lemma kernel gets eps / (Gram rcond).
+    """
+    K = cols.shape[1]
+    r_inv = np.linalg.inv(np.linalg.qr(np.conj(cols).swapaxes(-2, -1), mode="r"))
+    sinr = 1.0 / (r_inv.real ** 2 + r_inv.imag ** 2).sum(axis=-1)
+    sinr *= 1.0 / K * rho[:, None]
+    return functools.reduce(np.add, shannon_rate(sinr, out=sinr).T)
+
+
 def optimize_multi_waveguide_sweep(s: Scenario, transmit_snrs,
                                    budget: int = 10) -> tuple[PlacementSolution, ...]:
     """Jointly place one antenna per waveguide by coordinate descent for the
@@ -518,10 +529,12 @@ def optimize_multi_waveguide_sweep(s: Scenario, transmit_snrs,
     are accepted only when they improve the objective, so each recorded
     trace is nondecreasing; a descent stops when a full cycle improves it by
     less than ``DESCENT_TOL`` or the cycle budget runs out. Candidates that leave the
-    channel rank-deficient are skipped. Each returned value is the one the
-    Gram kernel computed for the final layout, so it equals the trace's last
-    entry, except that a layout whose channel rows fail
-    :func:`zf_beamformer`'s rank test scores -inf.
+    channel rank-deficient are skipped. A final layout whose channel rows fail
+    :func:`zf_beamformer`'s rank test scores -inf. Any other final value is
+    recomputed by :func:`_qr_zf_sum_rates`, which keeps the digits the
+    kernel loses to an ill-conditioned Gram, and replaces the trace's last
+    entry. Earlier entries that the kernel's rounding left above it are
+    lowered to it, so the trace stays nondecreasing.
 
     The descents share one geometry and one set of candidate tables, built
     here and freed on return, and are stepped together; each solution equals
@@ -538,10 +551,16 @@ def optimize_multi_waveguide_sweep(s: Scenario, transmit_snrs,
         raise ValueError(f"transmit SNRs must be finite and > 0, got {bad[0]!r}")
     if not rhos:
         return ()
-    offsets, traces, cycles, converged, values, cols = _descend(s, np.asarray(rhos), budget)
+    snrs = np.asarray(rhos)
+    offsets, traces, cycles, converged, values, cols = _descend(s, snrs, budget)
     values[_rcond(cols) < ZF_RCOND_LIMIT] = -np.inf
-    return tuple(PlacementSolution(_one_per_guide_layout(row), float(v), "sum_rate",
-                                   int(n), bool(done), tuple(trace))
+    final = np.flatnonzero(np.isfinite(values))
+    values[final] = _qr_zf_sum_rates(cols[final], snrs[final])
+    for i in final:
+        v = float(values[i])
+        traces[i] = [min(t, v) for t in traces[i][:-1]] + [v]
+    return tuple(PlacementSolution(PinchingLayout(np.arange(M), row, np.ones(M)), float(v),
+                                   "sum_rate", int(n), bool(done), tuple(trace))
                  for row, v, n, done, trace in zip(offsets, values, cycles, converged, traces))
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -123,63 +122,34 @@ class Scenario:
         object.__setattr__(self, "waveguides", tuple(self.waveguides))
 
 
+def _freeze(obj, **dtypes) -> None:
+    """Set each named field of the frozen dataclass ``obj`` to a read-only array of its dtype."""
+    for name, dtype in dtypes.items():
+        a = np.array(getattr(obj, name), dtype=dtype)
+        a.flags.writeable = False
+        object.__setattr__(obj, name, a)
+
+
 @dataclass(frozen=True, eq=False)
 class PinchingLayout:
-    """Activated pinching-antenna state: offsets and power-split weights.
+    """Activated pinching antennas as flat read-only arrays, one entry per antenna.
 
-    One sequence of offsets (meters from the feed) and one of weights per
-    waveguide; each guide's weight vector must have unit sum of squares so
-    total radiated power is independent of the antenna count.
+    Antenna ``a`` sits on guide ``guide[a]``, ``offsets[a]`` meters from its
+    feed, with power-split weight ``weights[a]``. The antennas of one guide
+    form that guide's layout, in array order: offsets ascend at least
+    ``minimum_spacing_m`` apart, and the weights have unit sum of squares so
+    total radiated power is independent of the antenna count. A guide may
+    have no antennas. :func:`first_layout_fault` checks a layout as its one
+    slot.
     """
 
-    offsets_per_guide: tuple[tuple[float, ...], ...]
-    weights_per_guide: tuple[tuple[float, ...], ...]
+    guide: np.ndarray
+    offsets: np.ndarray
+    weights: np.ndarray
     minimum_spacing_m: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "offsets_per_guide",
-            tuple(tuple(float(x) for x in off) for off in self.offsets_per_guide),
-        )
-        object.__setattr__(
-            self,
-            "weights_per_guide",
-            tuple(tuple(float(w) for w in ws) for ws in self.weights_per_guide),
-        )
-
-    @classmethod
-    def equal_split(cls, offsets_per_guide, minimum_spacing_m: float = 0.0) -> "PinchingLayout":
-        """Layout with the symmetric 1/sqrt(N) power split on every guide."""
-        offs = tuple(tuple(float(x) for x in off) for off in offsets_per_guide)
-        weights = tuple(
-            tuple(1.0 / math.sqrt(len(off)) for _ in off) if off else ()
-            for off in offs
-        )
-        return cls(offs, weights, minimum_spacing_m)
-
-    def antennas(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Guide index, offset and weight of every antenna, guide by guide in layout order."""
-        if (len(self.offsets_per_guide) != len(self.weights_per_guide)
-                or any(len(offs) != len(ws) for offs, ws in zip(self.offsets_per_guide,
-                                                                 self.weights_per_guide))):
-            raise ValueError("invalid layout: layout_shape_mismatch")
-        guide = np.repeat(np.arange(len(self.offsets_per_guide)),
-                          [len(offs) for offs in self.offsets_per_guide])
-        offsets = np.array([x for offs in self.offsets_per_guide for x in offs], dtype=float)
-        weights = np.array([w for ws in self.weights_per_guide for w in ws], dtype=float)
-        return guide, offsets, weights
-
-    def violations(self, waveguides: Sequence[WaveguideSpec] | None = None) -> list["Violation"]:
-        """Check layout invariants; offsets are range-checked when guides are given."""
-        try:
-            guide, offsets, weights = self.antennas()
-        except ValueError:
-            return [Violation("layout_shape_mismatch",
-                              "offsets and weights differ in guide count or length")]
-        lengths = None if waveguides is None else [w.length_m for w in waveguides]
-        return layout_violations(np.zeros(guide.size, np.intp), guide, offsets, weights,
-                                 [self.minimum_spacing_m], lengths).get(0, [])
+        _freeze(self, guide=np.intp, offsets=float, weights=float)
 
 
 @dataclass(frozen=True)
@@ -191,15 +161,15 @@ class Violation:
 
 
 def layout_violations(slot, guide, offsets, weights, minimum_spacing_m,
-                      lengths=None) -> dict[int, list[Violation]]:
+                      lengths) -> dict[int, list[Violation]]:
     """Layout invariant violations of many slots' antennas, found in one vectorized pass.
 
     Antenna ``a`` is active in slot ``slot[a]`` on guide ``guide[a]``, at
     ``offsets[a]`` with weight ``weights[a]``. The antennas of one slot and
     guide form that slot's layout on the guide, in array order.
-    ``minimum_spacing_m`` holds each slot's smallest allowed spacing. Offsets
-    are range-checked against ``lengths`` (one per guide) when it is given;
-    a guide past it is not range-checked. Each faulty slot maps to its
+    ``minimum_spacing_m`` holds each slot's smallest allowed spacing, and
+    ``lengths`` each guide's length, against which offsets are range-checked;
+    every guide index must lie in [0, len(lengths)). Each faulty slot maps to its
     violations, in this order: a negative spacing, then guide by guide
     ``offsets_unsorted`` or else ``spacing_violation``,
     ``weights_not_normalized`` and ``offset_out_of_range``. A NaN weight is
@@ -225,11 +195,8 @@ def layout_violations(slot, guide, offsets, weights, minimum_spacing_m,
     crowded = any_in_group(~first & (step < spacing[slot] - 1e-12)) & ~unsorted
     sos = np.bincount(group, w * w, n_groups)  # summed in array order
     unnormalized = ~(np.abs(sos - 1.0) <= 1e-9)  # NaN fails these comparisons
-    out_of_range = np.zeros(n_groups, dtype=bool)
-    if lengths is not None:
-        known = guide < len(lengths)
-        length = np.append(np.asarray(lengths, dtype=float), np.inf)[np.where(known, guide, -1)]
-        out_of_range = any_in_group(known & ~((x >= -1e-12) & (x <= length + 1e-12)))
+    length = np.asarray(lengths, dtype=float)[guide]
+    out_of_range = any_in_group(~((x >= -1e-12) & (x <= length + 1e-12)))
 
     found = {int(i): [Violation("negative_minimum_spacing", f"minimum_spacing_m = {spacing[i]}")]
              for i in np.flatnonzero(~(spacing >= 0))}
@@ -250,28 +217,34 @@ def layout_violations(slot, guide, offsets, weights, minimum_spacing_m,
     return found
 
 
-def first_layout_fault(s: Scenario, slot, guide, offsets, weights, minimum_spacing_m,
-                       guides_per_slot) -> tuple[int, str] | None:
-    """The first slot whose layout does not fit ``s`` and why, or None.
+def first_layout_fault(s: Scenario, slot, guide, offsets, weights,
+                       minimum_spacing_m) -> tuple[int, str] | None:
+    """The first slot whose layout does not fit ``s`` and why, or None: the one
+    check of antenna arrays, for a schedule's slots and for a lone layout.
 
-    The antennas and spacings are given as to :func:`layout_violations`;
-    ``guides_per_slot`` is the number of guides each slot's layout is
-    written for. A slot's fault is, whichever comes first: a guide count
-    other than the scenario's, its layout's violation codes, no antennas.
+    The antennas and spacings are given as to :func:`layout_violations`.
+    ``ValueError`` is raised unless the four antenna arrays are 1-D of one
+    shape, each slot index lies in [0, len(minimum_spacing_m)) and each guide
+    index in [0, len(s.waveguides)). A slot's fault is then its layout's
+    violation codes, else that it has no antennas.
     """
-    n_guides = len(s.waveguides)
-    guides_per_slot = np.asarray(guides_per_slot)
+    slot, guide = np.asarray(slot, dtype=np.intp), np.asarray(guide, dtype=np.intp)
+    n_slots, n_guides = np.size(minimum_spacing_m), len(s.waveguides)
+    if not (slot.ndim == 1 and slot.shape == guide.shape == np.shape(offsets)
+            == np.shape(weights)):
+        raise ValueError("invalid layout: layout_shape_mismatch "
+                         "(antenna arrays of different shapes)")
+    if np.any((slot < 0) | (slot >= n_slots)):
+        raise ValueError(f"antenna slot indices must lie in [0, {n_slots})")
+    if np.any((guide < 0) | (guide >= n_guides)):
+        raise ValueError(f"antenna guide indices must lie in [0, {n_guides})")
     found = layout_violations(slot, guide, offsets, weights, minimum_spacing_m,
                               [w.length_m for w in s.waveguides])
-    mismatched = guides_per_slot != n_guides
-    faulty = mismatched | (np.bincount(np.asarray(slot, dtype=np.intp),
-                                       minlength=guides_per_slot.size) == 0)
+    faulty = np.bincount(slot, minlength=n_slots) == 0
     faulty[list(found)] = True
     if not np.any(faulty):
         return None
     i = int(np.argmax(faulty))
-    if mismatched[i]:
-        return i, f"layout covers {guides_per_slot[i]} waveguides, scenario has {n_guides}"
     if i in found:
         return i, "invalid layout: " + "; ".join(v.code for v in found[i])
     return i, "layout activates no antennas"

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from pinchsim import (
     CarrierSpec,
     LoSModelConfig,
+    PinchingLayout,
     Scenario,
     TdmaSchedule,
     UserSet,
@@ -46,23 +49,33 @@ def simple_scenario(guide_y):
     return make_scenario([(2.0, 5.0, 0.0)], (guide_y,))
 
 
+def per_guide_layout(offsets_per_guide, weights_per_guide=None,
+                     minimum_spacing_m=0.0) -> PinchingLayout:
+    """The flat layout of these offsets, guide by guide in order.
+
+    Each guide's weights default to the equal 1/sqrt(N) power split over its
+    N antennas; given weights are not checked against the offsets here.
+    """
+    if weights_per_guide is None:
+        weights_per_guide = [[1.0 / math.sqrt(len(offs)) for _ in offs]
+                             for offs in offsets_per_guide]
+    return PinchingLayout(guide=[g for g, offs in enumerate(offsets_per_guide) for _ in offs],
+                          offsets=[x for offs in offsets_per_guide for x in offs],
+                          weights=[w for ws in weights_per_guide for w in ws],
+                          minimum_spacing_m=minimum_spacing_m)
+
+
 def schedule_from_layouts(slots, slot_fractions) -> TdmaSchedule:
     """The schedule of ``(user, PinchingLayout)`` slots with these time shares.
 
-    Each layout keeps its guide count and minimum spacing, and its antennas
-    come guide by guide in layout order; the layouts themselves are checked
-    by :meth:`TdmaSchedule.validate`, not here.
+    Each slot keeps its layout's arrays and minimum spacing; the layouts are
+    checked by :meth:`TdmaSchedule.validate`, not here.
     """
-    slots = tuple(slots)
-    slot, guide, offsets, weights = [], [], [], []
-    for i, (_, layout) in enumerate(slots):
-        g, x, w = layout.antennas()
-        slot += [i] * g.size
-        guide += g.tolist()
-        offsets += x.tolist()
-        weights += w.tolist()
+    layouts = [layout for _, layout in slots]
     return TdmaSchedule(served=[u for u, _ in slots], slot_fractions=slot_fractions,
-                        guides_per_slot=[len(lay.offsets_per_guide) for _, lay in slots],
-                        minimum_spacing_m=[lay.minimum_spacing_m for _, lay in slots],
-                        antenna_slot=slot, antenna_guide=guide, offsets=offsets,
-                        weights=weights)
+                        minimum_spacing_m=[lay.minimum_spacing_m for lay in layouts],
+                        antenna_slot=np.repeat(np.arange(len(layouts)),
+                                               [lay.guide.size for lay in layouts]),
+                        antenna_guide=np.concatenate([lay.guide for lay in layouts]),
+                        offsets=np.concatenate([lay.offsets for lay in layouts]),
+                        weights=np.concatenate([lay.weights for lay in layouts]))

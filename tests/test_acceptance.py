@@ -175,7 +175,7 @@ def test_criterion_06_bound_dominance(guide_y):
         user = (rng.uniform(-4, 4), rng.uniform(0, 20), 0.0)
         s = make_scenario([user], (guide_y,), snr_db=rng.uniform(0, 110))
         offset = rng.uniform(0, guide_y.length_m)
-        layout = PinchingLayout(((offset,),), ((1.0,),))
+        layout = PinchingLayout([0], [offset], [1.0])
         frac_share = rng.uniform(0.1, 1.0)
         schedule = schedule_from_layouts(((0, layout),) * 2, (frac_share, 1.0 - frac_share))
         rates = tdma_rates(s, schedule).per_user_rate_bps_hz
@@ -323,7 +323,7 @@ def test_criterion_11_oracle_equivalence():
         s = make_scenario(users, (guide,), snr_db=rng.uniform(20, 110))
         objective = "sum_rate" if rng.uniform() < 0.5 else "max_min_rate"
         sol = place_single_for_group(guide, s.users, objective, s)
-        x = sol.layout.offsets_per_guide[0][0]
+        x = sol.layout.offsets[0]
 
         # independent dense scan at four times the optimizer's resolution
         lam0 = s.carrier.free_space_wavelength_m

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,17 +20,16 @@ from pinchsim import (
     place_single_for_user,
     tdma_rates,
 )
-from pinchsim.channel import _check_layout
 from pinchsim.placement import _inversions, _offset_grid
 from pinchsim.presets import noma_scenario
 from pinchsim.scenario import projected_offsets
-from tests.conftest import make_scenario, schedule_from_layouts
+from tests.conftest import make_scenario, per_guide_layout, schedule_from_layouts
 
 LAMBDA0 = 299792458.0 / 28e9
 
 
 def slot_for(guide, user):
-    return PinchingLayout(((place_single_for_user(guide, user),),), ((1.0,),))
+    return PinchingLayout([0], [place_single_for_user(guide, user)], [1.0])
 
 
 # --- TDMA -------------------------------------------------------------------
@@ -129,11 +129,10 @@ def test_batched_tdma_matches_per_slot_channels_with_many_antennas():
     users = [(-1.0, -6.0, 0.0), (3.0, 1.5, 0.0), (0.5, 7.0, 0.0)]
     s = make_scenario(users, two_guides(), snr_db=110.0)
     slots = (
-        (0, PinchingLayout(((2.0, 4.0, 4.5), (1.0, 6.0)), ((0.6, 0.0, 0.8), (0.8, 0.6)))),
-        (1, PinchingLayout.equal_split(((9.0, 11.5, 12.0, 19.0), (9.5,)))),
-        (2, PinchingLayout.equal_split(((16.0, 17.0), (14.0, 15.0, 15.9)))),
-        (1, PinchingLayout.equal_split(((), (3.0, 8.0, 9.5, 10.0, 12.5, 13.0, 14.0, 15.0,
-                                             15.5)))),
+        (0, per_guide_layout(((2.0, 4.0, 4.5), (1.0, 6.0)), ((0.6, 0.0, 0.8), (0.8, 0.6)))),
+        (1, per_guide_layout(((9.0, 11.5, 12.0, 19.0), (9.5,)))),
+        (2, per_guide_layout(((16.0, 17.0), (14.0, 15.0, 15.9)))),
+        (1, per_guide_layout(((), (3.0, 8.0, 9.5, 10.0, 12.5, 13.0, 14.0, 15.0, 15.5)))),
     )
     fractions = (0.1, 0.2, 0.3, 0.4)
     schedule = schedule_from_layouts(slots, fractions)
@@ -148,8 +147,9 @@ def test_batched_tdma_is_exact_with_one_antenna_per_guide():
     s = make_scenario(users, two_guides())
     guides = s.waveguides
     slots = tuple(
-        (u, PinchingLayout.equal_split(
-            tuple((projected_offsets(w, users[u]),) for w in guides)))
+        (u, PinchingLayout(np.arange(len(guides)),
+                           [projected_offsets(w, users[u]) for w in guides],
+                           np.ones(len(guides))))
         for u in (0, 1, 2, 3, 2))
     fractions = (0.25, 0.25, 0.125, 0.25, 0.125)
     schedule = schedule_from_layouts(slots, fractions)
@@ -162,7 +162,7 @@ def test_tdma_rejects_an_antenna_on_a_user_it_does_not_serve():
                                  length_m=20.0)
     s = make_scenario([(1.0, 5.0, 0.0), (0.0, 7.0, 0.0), (0.0, 12.0 + 1e-7, 0.0)],
                       (ground_guide,))
-    on_user_1 = PinchingLayout(((7.0,),), ((1.0,),))
+    on_user_1 = PinchingLayout([0], [7.0], [1.0])
     others = ((1, slot_for(ground_guide, (5.0, 9.0, 0.0))),
               (2, slot_for(ground_guide, (5.0, 15.0, 0.0))))
     fractions = (0.5, 0.25, 0.25)
@@ -173,7 +173,7 @@ def test_tdma_rejects_an_antenna_on_a_user_it_does_not_serve():
         tdma_rates(s, schedule)
     # An antenna 1e-7 m from user 2 is near enough to be tested pairwise,
     # far enough to pass, as in build_channel.
-    near_user_2 = PinchingLayout(((12.0,),), ((1.0,),))
+    near_user_2 = PinchingLayout([0], [12.0], [1.0])
     slots = ((0, near_user_2),) + others
     schedule = schedule_from_layouts(slots, fractions)
     assert np.array_equal(tdma_rates(s, schedule).per_user_rate_bps_hz,
@@ -184,9 +184,9 @@ def test_tdma_keeps_the_per_slot_layout_checks(guide_y):
     s = make_scenario([(1.0, 3.0, 0.0), (1.0, 12.0, 0.0)], (guide_y,))
     good = slot_for(guide_y, (1.0, 3.0, 0.0))
     bad_slots = {
-        "waveguides": PinchingLayout(((3.0,), (4.0,)), ((1.0,), (1.0,))),
-        "offset_out_of_range": PinchingLayout(((25.0,),), ((1.0,),)),
-        "no antennas": PinchingLayout(((),), ((),)),
+        r"guide indices must lie in \[0, 1\)": PinchingLayout([0, 1], [3.0, 4.0], [1.0, 1.0]),
+        "offset_out_of_range": PinchingLayout([0], [25.0], [1.0]),
+        "no antennas": PinchingLayout([], [], []),
     }
     for message, bad in bad_slots.items():
         with pytest.raises(ValueError, match=message):
@@ -196,7 +196,7 @@ def test_tdma_keeps_the_per_slot_layout_checks(guide_y):
 def array_schedule(**changes):
     """A valid two-slot, two-guide schedule in array form, with ``changes``."""
     fields = dict(served=[0, 1], slot_fractions=[0.5, 0.5],
-                  guides_per_slot=[2, 2], minimum_spacing_m=[0.0, 0.0],
+                  minimum_spacing_m=[0.0, 0.0],
                   antenna_slot=[0, 0, 0, 1], antenna_guide=[0, 0, 1, 1],
                   offsets=[2.0, 4.0, 1.0, 9.5], weights=[0.6, 0.8, 1.0, 1.0])
     fields.update(changes)
@@ -205,11 +205,9 @@ def array_schedule(**changes):
 
 @pytest.mark.parametrize("changes, message", [
     (dict(slot_fractions=[1.0]), "one slot fraction is needed per slot"),
-    (dict(guides_per_slot=[2]), "one guide count is needed per slot"),
-    (dict(guides_per_slot=2), "one guide count is needed per slot"),
     (dict(minimum_spacing_m=[0.0]), "one minimum spacing is needed per slot"),
     (dict(minimum_spacing_m=0.0), "one minimum spacing is needed per slot"),
-    (dict(served=[], slot_fractions=[], guides_per_slot=[], minimum_spacing_m=[]),
+    (dict(served=[], slot_fractions=[], minimum_spacing_m=[]),
      "schedule has no slots"),
     (dict(slot_fractions=[1.5, -0.5]), r"slot fractions must lie in \(0, 1\]"),
     (dict(slot_fractions=[0.5, 0.4]), "slot fractions sum to 0.9, not 1"),
@@ -218,13 +216,8 @@ def array_schedule(**changes):
     (dict(served=[1, 1]), r"users \[0\] appear in no slot"),
     (dict(offsets=[2.0, 4.0, 1.0]), "layout_shape_mismatch"),
     (dict(antenna_slot=[0, 0, 0, 2]), r"antenna slot indices must lie in \[0, 2\)"),
-    (dict(antenna_guide=[0, 0, -1, 1]), r"antenna guide indices must lie in \[0, their slot"),
-    (dict(antenna_guide=[0, 0, 1, 2]), r"antenna guide indices must lie in \[0, their slot"),
-    (dict(guides_per_slot=[2, 1]), r"antenna guide indices must lie in \[0, their slot"),
-    (dict(guides_per_slot=[2, 3], antenna_guide=[0, 0, 1, 2]),
-     "slot 1: layout covers 3 waveguides, scenario has 2"),
-    (dict(guides_per_slot=[2, 1], antenna_guide=[0, 0, 1, 0]),
-     "slot 1: layout covers 1 waveguides, scenario has 2"),
+    (dict(antenna_guide=[0, 0, -1, 1]), r"antenna guide indices must lie in \[0, 2\)$"),
+    (dict(antenna_guide=[0, 0, 1, 2]), r"antenna guide indices must lie in \[0, 2\)$"),
     (dict(offsets=[4.0, 2.0, 1.0, 9.5]), "slot 0: invalid layout: offsets_unsorted$"),
     (dict(minimum_spacing_m=[2.5, 2.5]), "slot 0: invalid layout: spacing_violation$"),
     (dict(minimum_spacing_m=[0.0, -0.1]), "slot 1: invalid layout: negative_minimum_spacing$"),
@@ -248,6 +241,17 @@ def test_array_schedule_rejects(changes, message):
         tdma_rates(s, array_schedule(**changes))
 
 
+def test_array_schedule_slot_may_leave_a_guide_without_antennas():
+    # slot 1's one antenna sits on guide 0, so guide 1 is idle in that slot
+    s = make_scenario([(-1.0, -6.0, 0.0), (3.0, 1.5, 0.0)], two_guides())
+    rates = tdma_rates(s, array_schedule(antenna_guide=[0, 0, 1, 0])).per_user_rate_bps_hz
+    assert rates[0] == tdma_rates(s, array_schedule()).per_user_rate_bps_hz[0]
+    H = build_channel(s, PinchingLayout([0], [9.5], [1.0]), los_states=True)
+    assert not H.gains[:, 1].any()
+    expected = 0.5 * math.log2(1.0 + s.transmit_snr * abs(H.gains[1, 0]) ** 2)
+    assert rates[1] == pytest.approx(expected, rel=1e-12)
+
+
 def test_array_schedule_antennas_may_come_in_any_slot_order():
     # each (slot, guide) layout keeps the order its antennas have in the arrays
     s = make_scenario([(-1.0, -6.0, 0.0), (3.0, 1.5, 0.0)], two_guides())
@@ -267,7 +271,7 @@ def test_slot_fractions_are_summed_in_slot_order():
     n = len(fractions)
     s = make_scenario(np.zeros((n, 3)))
     schedule = TdmaSchedule(served=np.arange(n), slot_fractions=fractions,
-                            guides_per_slot=np.ones(n), minimum_spacing_m=np.zeros(n),
+                            minimum_spacing_m=np.zeros(n),
                             antenna_slot=np.arange(n), antenna_guide=np.zeros(n, dtype=int),
                             offsets=np.ones(n), weights=np.ones(n))
     assert abs(float(np.sum(fractions)) - 1.0) <= 1e-12
@@ -283,7 +287,7 @@ def test_array_schedule_rejects_an_antenna_on_a_user():
     ground_guide = WaveguideSpec(feed_point=(0.0, 0.0, 0.0), axis_direction=(0.0, 1.0, 0.0),
                                  length_m=20.0)
     s = make_scenario([(0.0, 5.0, 0.0), (0.0, 7.0, 0.0)], (ground_guide,))
-    schedule = TdmaSchedule(served=[0, 1], slot_fractions=[0.5, 0.5], guides_per_slot=[1, 1],
+    schedule = TdmaSchedule(served=[0, 1], slot_fractions=[0.5, 0.5],
                             minimum_spacing_m=[0.0, 0.0], antenna_slot=[0, 1],
                             antenna_guide=[0, 0], offsets=[4.0, 5.0], weights=[1.0, 1.0])
     with pytest.raises(ValueError, match="coincides"):
@@ -296,29 +300,33 @@ OFFSETS = st.sampled_from([-1e-11, -1e-13, 0.0, 3.0, 3.0 + 1e-13, 3.2, 3.5, 9.0,
 
 @st.composite
 def slot_layouts(draw):
+    """One slot's offsets and weights per guide, for up to 3 guides, and its
+    minimum spacing."""
     guides = draw(st.sampled_from([1, 2, 2, 2, 3]))
     offsets = [draw(st.lists(OFFSETS, max_size=3)) for _ in range(guides)]
     spacing = draw(st.sampled_from([0.0, 0.0, 0.4, -0.1]))
     if draw(st.booleans()):
-        return PinchingLayout.equal_split(offsets, spacing)
-    weights = [[draw(st.sampled_from([1.0, 0.6, 0.8, 0.5, math.sqrt(0.5)])) for _ in offs]
-               for offs in offsets]
-    return PinchingLayout(offsets, weights, spacing)
+        weights = [[1.0 / math.sqrt(len(offs)) for _ in offs] for offs in offsets]
+    else:
+        weights = [[draw(st.sampled_from([1.0, 0.6, 0.8, 0.5, math.sqrt(0.5)])) for _ in offs]
+                   for offs in offsets]
+    return offsets, weights, spacing
 
 
-def reference_layout_fault(s, layout):
-    """The reason build_channel gave for rejecting a layout, checked one
-    antenna at a time as it was before the checks were vectorized, or None."""
-    if len(layout.offsets_per_guide) != len(s.waveguides):
-        return (f"layout covers {len(layout.offsets_per_guide)} waveguides, "
-                f"scenario has {len(s.waveguides)}")
-    codes = ["negative_minimum_spacing"] if layout.minimum_spacing_m < 0 else []
-    for g, (offs, ws) in enumerate(zip(layout.offsets_per_guide, layout.weights_per_guide)):
+def reference_layout_fault(s, offsets, weights, spacing):
+    """The reason build_channel gives for rejecting the layout of these per-guide
+    offsets and weights, checked one antenna at a time as it was before the
+    checks were vectorized, or None."""
+    n_guides = len(s.waveguides)
+    if any(offsets[n_guides:]):
+        return f"antenna guide indices must lie in [0, {n_guides})"
+    codes = ["negative_minimum_spacing"] if spacing < 0 else []
+    for g, (offs, ws) in enumerate(zip(offsets, weights)):
         if not offs:
             continue
         if any(b - a < -1e-15 for a, b in zip(offs, offs[1:])):
             codes.append("offsets_unsorted")
-        elif any(b - a < layout.minimum_spacing_m - 1e-12 for a, b in zip(offs, offs[1:])):
+        elif any(b - a < spacing - 1e-12 for a, b in zip(offs, offs[1:])):
             codes.append("spacing_violation")
         if abs(sum(w * w for w in ws) - 1.0) > 1e-9:
             codes.append("weights_not_normalized")
@@ -327,26 +335,27 @@ def reference_layout_fault(s, layout):
             codes.append("offset_out_of_range")
     if codes:
         return "invalid layout: " + "; ".join(codes)
-    return None if layout.antennas()[0].size else "layout activates no antennas"
+    return None if any(offsets) else "layout activates no antennas"
 
 
 @settings(max_examples=300, deadline=None)
-@given(layouts=st.lists(slot_layouts(), min_size=1, max_size=4))
-def test_one_pass_validation_reports_as_the_per_slot_checks(layouts):
+@given(slots=st.lists(slot_layouts(), min_size=1, max_size=4))
+def test_one_pass_validation_reports_as_the_per_slot_checks(slots):
     """The first faulty slot and its message, as a per-antenna check of each
-    slot finds them, both for a schedule and for build_channel's layout check."""
-    users = [(-1.0, -6.0 + k, 0.0) for k in range(len(layouts))]
+    slot finds them, both for a schedule and for build_channel. A guide index
+    out of range in any slot is reported before every slot's layout fault."""
+    users = [(-1.0, -6.0 + k, 0.0) for k in range(len(slots))]
     s = make_scenario(users, two_guides())
-    expected = None
-    for i, layout in enumerate(layouts):
-        reason = reference_layout_fault(s, layout)
+    layouts = [per_guide_layout(*slot) for slot in slots]
+    reasons = [reference_layout_fault(s, *slot) for slot in slots]
+    for layout, reason in zip(layouts, reasons):
         try:
-            _check_layout(s, layout)
+            build_channel(s, layout, los_states=True)
             assert reason is None
         except ValueError as exc:
             assert str(exc) == reason
-        if reason is not None and expected is None:
-            expected = f"slot {i}: {reason}"
+    expected = ([r for r in reasons if r is not None and r.startswith("antenna guide")]
+                + [f"slot {i}: {r}" for i, r in enumerate(reasons) if r is not None] + [None])
     schedule = schedule_from_layouts(tuple(enumerate(layouts)),
                                      (1.0 / len(layouts),) * len(layouts))
     try:
@@ -354,7 +363,23 @@ def test_one_pass_validation_reports_as_the_per_slot_checks(layouts):
         found = None
     except ValueError as exc:
         found = str(exc)
-    assert found == expected
+    assert found == expected[0]
+
+
+def test_layout_and_schedule_arrays_are_read_only():
+    offsets = np.array([1.0, 2.0])
+    layout = PinchingLayout([0, 0], offsets, [0.6, 0.8])
+    offsets[0] = 5.0  # the layout holds its own copy
+    assert layout.offsets.tolist() == [1.0, 2.0]
+    schedule = schedule_from_layouts(((0, layout),), (1.0,))
+    for held, names in ((layout, ("guide", "offsets", "weights")),
+                        (schedule, ("served", "slot_fractions", "minimum_spacing_m",
+                                    "antenna_slot", "antenna_guide", "offsets", "weights"))):
+        for name in names:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(held, name)[0] = 0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(held, name, np.zeros(1))
 
 
 # --- NOMA -------------------------------------------------------------------
@@ -505,7 +530,7 @@ def test_reorder_both_orders_achievable_along_guide(guide_y):
     for target in ((0, 1), (1, 0)):
         sol = noma_gain_reorder(s, (0, 1), target)
         assert sol.converged
-        x = sol.layout.offsets_per_guide[0][0]
+        x = sol.layout.offsets[0]
         d = np.linalg.norm(np.asarray(users) - guide_y.point_at(x)[None, :], axis=1)
         ranking = tuple(np.argsort(d, kind="stable"))
         assert ranking == target
@@ -520,12 +545,12 @@ def test_reorder_is_noop_when_target_already_holds(guide_y):
     users = [(1.0, 5.0, 0.0), (4.0, 9.0, 0.0)]
     s = make_scenario(users, (guide_y,))
     group = place_single_for_group(guide_y, s.users, "sum_rate", s)
-    x_opt = group.layout.offsets_per_guide[0][0]
+    x_opt = group.layout.offsets[0]
     d = np.linalg.norm(np.asarray(users) - guide_y.point_at(x_opt)[None, :], axis=1)
     current = tuple(np.argsort(d, kind="stable"))
     sol = noma_gain_reorder(s, (0, 1), current)
     assert sol.converged
-    assert sol.layout.offsets_per_guide[0][0] == x_opt
+    assert sol.layout.offsets[0] == x_opt
 
 
 def test_reorder_requires_single_waveguide(guide_y):
@@ -578,8 +603,8 @@ def test_reorder_refines_the_grid_optimum():
         assert sol.objective_value >= grid_best - 1e-12
         assert sol.converged == (distance.min() == 0)
         group = place_single_for_group(w, s.users.positions[list(cluster)], "sum_rate", s)
-        if (sol.layout.offsets_per_guide, sol.objective_value) != (
-                group.layout.offsets_per_guide, group.objective_value):
+        if (sol.layout.offsets.tolist(), sol.objective_value) != (
+                group.layout.offsets.tolist(), group.objective_value):
             refined += sol.objective_value > grid_best + 1e-9
     assert refined > 0
 

@@ -20,7 +20,7 @@ from pinchsim import (
 )
 from pinchsim.channel import _wavenumbers
 from pinchsim.scenario import projected_offsets
-from tests.conftest import make_scenario
+from tests.conftest import make_scenario, per_guide_layout
 
 LAMBDA0_28GHZ = 299792458.0 / 28e9
 
@@ -195,7 +195,7 @@ def test_guide_attenuation_decays_amplitude():
 
 def test_single_antenna_at_feed_reduces_to_free_space(guide_y):
     s = make_scenario([(0.0, 0.0, 0.0)], (guide_y,))
-    layout = PinchingLayout(((0.0,),), ((1.0,),))
+    layout = PinchingLayout([0], [0.0], [1.0])
     H = build_channel(s, layout, los_states=True)
     expected = free_space_gain(3.0, s.carrier.free_space_wavelength_m)
     assert H.gains[0, 0] == pytest.approx(expected, rel=1e-12)
@@ -209,7 +209,7 @@ def test_two_aligned_antennas_add_coherently(carrier28, guide_y):
     # Symmetric offsets a guided wavelength apart: equal distances, equal
     # in-guide phases mod 2*pi, so the contributions add in phase.
     offsets = (x - lam_g / 2, x + lam_g / 2)
-    layout = PinchingLayout.equal_split((offsets,))
+    layout = per_guide_layout((offsets,))
     H = build_channel(s, layout, los_states=True)
     d = np.linalg.norm(np.asarray(user) - guide_y.point_at(offsets[0]))
     expected = math.sqrt(2.0) * s.carrier.free_space_wavelength_m / (4 * math.pi * d)
@@ -224,7 +224,7 @@ def test_two_opposed_antennas_cancel(carrier28, guide_y):
     s = make_scenario([user], (guide_y,))
     x = projected_offsets(guide_y, user)
     offsets = (x - lam_g / 4, x + lam_g / 4)
-    layout = PinchingLayout.equal_split((offsets,))
+    layout = per_guide_layout((offsets,))
     H = build_channel(s, layout, los_states=True)
     assert abs(H.gains[0, 0]) <= 1e-12
 
@@ -234,7 +234,7 @@ def test_one_antenna_per_guide_reproduces_factor_product(carrier28, guide_y):
                           length_m=20.0, guide_attenuation_np_per_m=0.02)
     s = make_scenario([(1.0, 2.0, 0.0), (3.0, 9.0, 0.0)], (guide_y, other))
     offsets = (6.25, 11.5)
-    layout = PinchingLayout(((offsets[0],), (offsets[1],)), ((1.0,), (1.0,)))
+    layout = PinchingLayout([0, 1], offsets, [1.0, 1.0])
     H = build_channel(s, layout, los_states=True)
     lam0 = s.carrier.free_space_wavelength_m
     for g, w in enumerate(s.waveguides):
@@ -250,13 +250,40 @@ def test_aggregate_matches_breakdown_row_sums(guide_y):
     other = WaveguideSpec(feed_point=(4.0, 0.0, 3.0), axis_direction=(0, 1, 0),
                           length_m=20.0)
     s = make_scenario([(1, 2, 0), (3, 9, 0)], (guide_y, other))
-    layout = PinchingLayout.equal_split(((1.0, 4.0, 7.5), (2.0,)))
+    layout = per_guide_layout(((1.0, 4.0, 7.5), (2.0,)))
     H = build_channel(s, layout, los_states=True)
-    cols = layout.antennas()[0]
     for g in range(2):
         np.testing.assert_allclose(
-            H.gains[:, g], H.per_antenna_breakdown[:, cols == g].sum(axis=1),
+            H.gains[:, g], H.per_antenna_breakdown[:, layout.guide == g].sum(axis=1),
             rtol=1e-12)
+
+
+def test_layout_may_leave_a_guide_without_antennas(guide_y):
+    other = WaveguideSpec(feed_point=(4.0, 0.0, 3.0), axis_direction=(0, 1, 0),
+                          length_m=20.0)
+    users = [(1, 2, 0), (3, 9, 0)]
+    s = make_scenario(users, (guide_y, other))
+    for g, guide in enumerate((guide_y, other)):
+        H = build_channel(s, PinchingLayout([g], [6.5], [1.0]), los_states=True)
+        alone = build_channel(make_scenario(users, (guide,)), PinchingLayout([0], [6.5], [1.0]),
+                              los_states=True)
+        assert np.array_equal(H.gains[:, g], alone.gains[:, 0])
+        assert not H.gains[:, 1 - g].any()
+
+
+def test_breakdown_columns_follow_the_layout_array_order(guide_y):
+    other = WaveguideSpec(feed_point=(4.0, 0.0, 3.0), axis_direction=(0, 1, 0),
+                          length_m=20.0)
+    s = make_scenario([(1, 2, 0), (3, 9, 0)], (guide_y, other))
+    by_guide = per_guide_layout(((1.0, 4.0, 7.5), (2.0,)))
+    order = [3, 0, 1, 2]  # guide 1's antenna first, guide 0's stay in their order
+    mixed = PinchingLayout(by_guide.guide[order], by_guide.offsets[order],
+                           by_guide.weights[order])
+    los = np.array([[True, False, True, True], [False, True, True, False]])
+    a = build_channel(s, by_guide, los_states=los)
+    b = build_channel(s, mixed, los_states=los[:, order])
+    assert np.array_equal(b.per_antenna_breakdown, a.per_antenna_breakdown[:, order])
+    assert np.array_equal(b.gains, a.gains)
 
 
 def test_coherent_triangle_bound(guide_y):
@@ -264,14 +291,14 @@ def test_coherent_triangle_bound(guide_y):
     s = make_scenario([(2.5, 4.0, 0.0)], (guide_y,))
     for _ in range(25):
         offs = tuple(sorted(rng.uniform(0, 20, size=3)))
-        H = build_channel(s, PinchingLayout.equal_split((offs,)), los_states=True)
+        H = build_channel(s, per_guide_layout((offs,)), los_states=True)
         bound = np.sum(np.abs(H.per_antenna_breakdown[0]))
         assert abs(H.gains[0, 0]) <= bound + 1e-15
 
 
 def test_seeded_los_sampling_is_bit_reproducible(guide_y):
     s = make_scenario([(1, 2, 0), (4, 15, 0)], (guide_y,), los_kind="inmo")
-    layout = PinchingLayout.equal_split(((3.0, 8.0),))
+    layout = per_guide_layout(((3.0, 8.0),))
     a = build_channel(s, layout, seed=123)
     b = build_channel(s, layout, seed=123)
     assert np.array_equal(a.gains, b.gains)
@@ -280,7 +307,7 @@ def test_seeded_los_sampling_is_bit_reproducible(guide_y):
 
 def test_probabilistic_model_requires_seed_or_states(guide_y):
     s = make_scenario([(1, 2, 0)], (guide_y,), los_kind="inmo")
-    layout = PinchingLayout(((3.0,),), ((1.0,),))
+    layout = PinchingLayout([0], [3.0], [1.0])
     with pytest.raises(ValueError, match="seed"):
         build_channel(s, layout)
     H = build_channel(s, layout, los_states=[[False]])
@@ -294,21 +321,23 @@ def test_antenna_user_coincidence_is_an_error():
     ground_guide = WaveguideSpec(feed_point=(0, 0, 0), axis_direction=(0, 1, 0),
                                  length_m=20.0)
     s = make_scenario([(0.0, 5.0, 0.0)], (ground_guide,))
-    layout = PinchingLayout(((5.0,),), ((1.0,),))
+    layout = PinchingLayout([0], [5.0], [1.0])
     with pytest.raises(ValueError, match="coincides"):
         build_channel(s, layout, los_states=True)
 
 
 def test_invalid_layout_is_rejected(guide_y):
     s = make_scenario([(1, 2, 0)], (guide_y,))
-    for layout in (PinchingLayout(((1.0,),), ((0.7,),)),
-                   PinchingLayout(((math.nan,),), ((1.0,),)),
-                   PinchingLayout(((1.0,),), ((math.nan,),))):
+    for layout in (PinchingLayout([0], [1.0], [0.7]),
+                   PinchingLayout([0], [math.nan], [1.0]),
+                   PinchingLayout([0], [1.0], [math.nan]),
+                   PinchingLayout([0], [1.0, 2.0], [1.0])):
         with pytest.raises(ValueError, match="invalid layout"):
             build_channel(s, layout, los_states=True)
-    with pytest.raises(ValueError, match="waveguides"):
-        build_channel(s, PinchingLayout(((1.0,), (2.0,)), ((1.0,), (1.0,))),
-                      los_states=True)
+    for guide in (1, -1):
+        with pytest.raises(ValueError, match=r"guide indices must lie in \[0, 1\)"):
+            build_channel(s, PinchingLayout([0, guide], [1.0, 2.0], [1.0, 1.0]),
+                          los_states=True)
 
 
 # --- link kernel ------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pinchsim import (
@@ -30,15 +30,22 @@ from pinchsim.placement import (
     _features,
     _hermitian,
     _offset_grid,
+    _qr_zf_sum_rates,
     _scorer,
     _wrap,
     _zf_map,
     _zoom_max,
 )
-from pinchsim.scenario import projected_offsets
+from pinchsim.scenario import first_layout_fault, projected_offsets
 from tests.conftest import make_scenario
 
 LAMBDA0 = 299792458.0 / 28e9
+
+
+def layout_fault(s, layout):
+    """Why ``layout`` does not fit ``s`` as a one-slot schedule, or None."""
+    return first_layout_fault(s, np.zeros(layout.guide.size, np.intp), layout.guide,
+                              layout.offsets, layout.weights, [layout.minimum_spacing_m])
 
 
 def group_rates_oracle(w, users, s, offsets):
@@ -97,7 +104,7 @@ def test_align_centres_on_lossy_peak(guide_y):
     user = (4.0, 12.0, 0.0)
     s = make_scenario([user], (lossy,))
     single = align_multi_on_guide(lossy, user, 1, s)
-    assert single.layout.offsets_per_guide[0][0] == pytest.approx(9.5, abs=1e-12)
+    assert single.layout.offsets[0] == pytest.approx(9.5, abs=1e-12)
     assert single.objective_value == pytest.approx(5.6951, abs=1e-4)
     # the combs centred on the projection reached 6.435 and 8.438 bps/Hz
     for n, projection_centred in ((2, 6.435), (8, 8.438)):
@@ -110,7 +117,7 @@ def test_group_placement_symmetric_max_min(guide_y):
     users = [(2.0, 3.0, 0.0), (2.0, 7.0, 0.0)]
     s = make_scenario(users, (guide_y,))
     sol = place_single_for_group(guide_y, s.users, "max_min_rate", s)
-    x = sol.layout.offsets_per_guide[0][0]
+    x = sol.layout.offsets[0]
     assert x == pytest.approx(5.0, abs=1e-5)
     assert sol.converged
     rates = group_rates_oracle(guide_y, users, s, [x])[0]
@@ -122,7 +129,7 @@ def test_group_placement_sum_rate_favors_near_user(guide_y):
     users = [(1.0, 3.0, 0.0), (4.5, 12.0, 0.0)]
     s = make_scenario(users, (guide_y,))
     sol = place_single_for_group(guide_y, s.users, "sum_rate", s)
-    x = sol.layout.offsets_per_guide[0][0]
+    x = sol.layout.offsets[0]
     assert abs(x - 3.0) < abs(x - 12.0)
     # independent dense scan confirms the argmax basin
     grid = np.arange(0.0, 20.0, LAMBDA0 / 16)
@@ -135,7 +142,7 @@ def test_group_placement_sum_rate_favors_near_user(guide_y):
 def test_group_placement_single_user_degenerates_to_projection(guide_y):
     s = make_scenario([(2.0, 5.0, 0.0)], (guide_y,))
     sol = place_single_for_group(guide_y, s.users, "sum_rate", s)
-    assert sol.layout.offsets_per_guide[0][0] == pytest.approx(
+    assert sol.layout.offsets[0] == pytest.approx(
         place_single_for_user(guide_y, (2, 5, 0)), abs=1e-5)
 
 
@@ -172,7 +179,7 @@ def test_zoom_max_matches_brute_force():
 def test_align_single_antenna_degenerates_to_projection(guide_y):
     s = make_scenario([(2.0, 5.0, 0.0)], (guide_y,))
     sol = align_multi_on_guide(guide_y, (2, 5, 0), 1, s)
-    assert sol.layout.offsets_per_guide[0][0] == pytest.approx(5.0, abs=1e-9)
+    assert sol.layout.offsets[0] == pytest.approx(5.0, abs=1e-9)
     assert sol.converged
 
 
@@ -197,14 +204,14 @@ def test_align_reaches_coherent_bound(guide_y, geometry, n):
     bound = coherent_gain_bound(H, 0)
     assert abs(H.gains[0, 0]) >= 0.99 * bound
     assert sol.converged
-    assert sol.layout.violations((guide,)) == []
+    assert layout_fault(s, sol.layout) is None
 
 
 def test_align_equalizes_total_phase_at_foot_point_user(guide_y):
     user = np.array([0.0, 7.0, 0.0])
     s = make_scenario([user], (guide_y,))
     sol = align_multi_on_guide(guide_y, user, 2, s)
-    offs = np.asarray(sol.layout.offsets_per_guide[0])
+    offs = sol.layout.offsets
     phases = np.angle(link_gains(s, guide_y, offs, user))
     assert abs(_wrap(phases[1] - phases[0])) <= 1e-6
     spacing = sol.layout.minimum_spacing_m
@@ -240,7 +247,7 @@ def test_align_layout_is_valid(guide_y):
     user = (1.0, 9.0, 0.0)
     s = make_scenario([user], (guide_y,))
     sol = align_multi_on_guide(guide_y, user, 4, s)
-    assert sol.layout.violations((guide_y,)) == []
+    assert layout_fault(s, sol.layout) is None
 
 
 # --- multi-waveguide coordinate descent -------------------------------------
@@ -262,7 +269,7 @@ def reevaluate(s, sol):
 def test_descent_single_user_single_guide_matches_projection(guide_y):
     s = make_scenario([(2.0, 5.0, 0.0)], (guide_y,))
     sol = optimize_multi_waveguide(s)
-    x = sol.layout.offsets_per_guide[0][0]
+    x = sol.layout.offsets[0]
     assert x == pytest.approx(5.0, abs=1e-5)
     H = build_channel(s, sol.layout, los_states=True)
     assert sol.objective_value == pytest.approx(
@@ -277,7 +284,7 @@ def test_descent_agrees_with_exhaustive_oracle_basin():
     users = [(-10 / 3 + 0.1, -2.0, 0.0), (0.05, 1.0, 0.0), (10 / 3 - 0.08, 3.0, 0.0)]
     s = three_guide_scenario(users)
     sol = optimize_multi_waveguide(s, budget=25)
-    offsets = np.array([o[0] for o in sol.layout.offsets_per_guide])
+    offsets = sol.layout.offsets
 
     # coarse exhaustive oracle over all three offsets
     grid = np.linspace(0.0, 20.0, 41)
@@ -321,11 +328,35 @@ def test_descent_trace_is_monotone_and_value_consistent():
     assert sol.converged
     assert abs(sol.objective_value - sol.trace[-1]) <= 1e-9
     assert abs(sol.objective_value - reevaluate(s, sol)) <= 1e-9
-    assert sol.layout.violations(s.waveguides) == []
+    assert layout_fault(s, sol.layout) is None
+
+
+def test_qr_zf_sum_rates_match_the_public_beamformer():
+    rng = np.random.default_rng(5)
+    for K, M in ((1, 1), (1, 3), (2, 2), (3, 4)):
+        cols = rng.normal(size=(6, K, M)) + 1j * rng.normal(size=(6, K, M))
+        rho = 10.0 ** rng.uniform(0.0, 11.0, size=6)
+        got = _qr_zf_sum_rates(cols, rho)
+        assert got.shape == (6,)
+        for G, r, value in zip(cols, rho, got):
+            public = evaluate_rates(G, zf_beamformer(G), r).sum_rate_bps_hz
+            assert value == pytest.approx(public, rel=1e-12)
+
+
+def test_qr_zf_sum_rates_keep_digits_of_ill_conditioned_channels():
+    # G^H = Q R with R = [[1, 1], [0, t]]: rcond about t / 2, and
+    # diag((G G^H)^-1) = row norms of R^-1 = (1 + 1/t^2, 1/t^2) exactly
+    t, rho = 1e-6, 1e13
+    q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 2))
+                        + 1j * np.random.default_rng(4).normal(size=(3, 2)))
+    G = (q @ np.array([[1.0, 1.0], [0.0, t]])).conj().T
+    expected = sum(math.log2(1.0 + 0.5 * rho / d) for d in (1.0 + t ** -2, t ** -2))
+    # a channel rcond of t loses about eps / t of relative accuracy
+    assert _qr_zf_sum_rates(G[None], np.array([rho]))[0] == pytest.approx(expected, rel=1e-9)
 
 
 def assert_same_solution(a, b):
-    assert a.layout.offsets_per_guide == b.layout.offsets_per_guide
+    assert np.array_equal(a.layout.offsets, b.layout.offsets)
     assert a.objective_value == b.objective_value
     assert a.objective_kind == b.objective_kind
     assert a.iterations == b.iterations
@@ -338,7 +369,7 @@ def test_descent_is_deterministic():
     s = three_guide_scenario(users)
     a = optimize_multi_waveguide(s)
     b = optimize_multi_waveguide(s)
-    assert a.layout.offsets_per_guide == b.layout.offsets_per_guide
+    assert np.array_equal(a.layout.offsets, b.layout.offsets)
     assert a.objective_value == b.objective_value
     assert a.trace == b.trace
     # the same descent stepped inside a sweep gives the same solution
@@ -360,8 +391,8 @@ def test_descent_zf_value_is_pinned():
     s = three_guide_scenario([(-2.0, -4.0, 0.0), (1.0, 2.0, 0.0), (3.0, 4.5, 0.0)])
     sol = optimize_multi_waveguide(s, budget=4)
     assert sol.objective_value == pytest.approx(25.423279650986387, rel=1e-12)
-    assert sol.layout.offsets_per_guide == (
-        (6.300674293995924,), (12.30228478188688,), (13.712335115326548,))
+    assert sol.layout.offsets.tolist() == [6.300674293995924, 12.30228478188688,
+                                           13.712335115326548]
     assert sol.iterations == 4
     assert len(sol.trace) == 12
     assert not sol.converged
@@ -481,6 +512,12 @@ def public_objective(s, sol, rho):
 
 @settings(max_examples=60, deadline=None)
 @given(case=sweep_cases())
+# users 1e-5 m apart under four guides: a Gram rcond of 2.9e-7, at which the
+# Gram kernel's own value is 3.3e-10 off the public path's
+@example(case=(make_scenario([(0.0, 0.0, 0.0), (0.0, 1e-5, 0.0)],
+                             [WaveguideSpec((0.0, y, 2.0), (1.0, 0.0, 0.0), 1.0)
+                              for y in (1.0, 0.0, 0.0, 0.0)]),
+               [1e9], 1))
 def test_descent_value_matches_public_path(case):
     s, rhos, budget = case
     for rho, sol in zip(rhos, optimize_multi_waveguide_sweep(s, rhos, budget)):

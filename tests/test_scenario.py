@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from pinchsim import (
     CarrierSpec,
-    PinchingLayout,
     UserSet,
     WaveguideSpec,
     guide_distances,
     validate_scenario,
 )
-from pinchsim.scenario import projected_offsets
+from pinchsim.scenario import first_layout_fault, layout_violations, projected_offsets
 from tests.conftest import make_scenario
 
 finite_coord = st.floats(min_value=-50.0, max_value=50.0,
@@ -211,43 +210,37 @@ def test_projection_beats_random_clamped_points(x, y, z, seed):
 # --- layouts --------------------------------------------------------------
 
 
-def test_equal_split_weights_are_normalized():
-    lay = PinchingLayout.equal_split(((1.0, 2.0, 3.0), (4.0,)))
-    for ws in lay.weights_per_guide:
-        assert sum(w * w for w in ws) == pytest.approx(1.0, abs=1e-12)
-    assert lay.antennas()[0].size == 4
+def one_layout_violations(guide, offsets, weights, minimum_spacing_m=0.0, lengths=(20.0,)):
+    """(code, detail) of each violation of one layout's antenna arrays."""
+    found = layout_violations(np.zeros(len(guide), np.intp), guide, offsets, weights,
+                              [minimum_spacing_m], lengths)
+    return [(v.code, v.detail) for v in found.get(0, [])]
 
 
-def test_layout_violations(guide_y):
-    unsorted_ = PinchingLayout(((2.0, 1.0),), ((0.8, 0.6),))
-    assert "offsets_unsorted" in [v.code for v in unsorted_.violations()]
+def test_layout_violations():
+    def codes(*layout, **kwargs):
+        return [code for code, _ in one_layout_violations(*layout, **kwargs)]
 
-    cramped = PinchingLayout(((1.0, 1.001),), ((0.8, 0.6),), minimum_spacing_m=0.01)
-    assert "spacing_violation" in [v.code for v in cramped.violations()]
-
-    lopsided = PinchingLayout(((1.0,),), ((0.5,),))
-    assert "weights_not_normalized" in [v.code for v in lopsided.violations()]
-
-    outside = PinchingLayout(((25.0,),), ((1.0,),))
-    assert "offset_out_of_range" in [v.code for v in outside.violations((guide_y,))]
-
-    clean = PinchingLayout.equal_split(((1.0, 2.0),), minimum_spacing_m=0.5)
-    assert clean.violations((guide_y,)) == []
+    assert "offsets_unsorted" in codes([0, 0], [2.0, 1.0], [0.8, 0.6])
+    assert "spacing_violation" in codes([0, 0], [1.0, 1.001], [0.8, 0.6], 0.01)
+    assert "weights_not_normalized" in codes([0], [1.0], [0.5])
+    assert "offset_out_of_range" in codes([0], [25.0], [1.0])
+    assert codes([0, 0], [1.0, 2.0], [math.sqrt(0.5)] * 2, 0.5) == []
 
 
 def test_layout_violations_name_their_guide(guide_y):
-    layout = PinchingLayout(((), (3.0, 1.0), (-1.0,)), ((), (1.0, 1.0), (0.5,)),
-                            minimum_spacing_m=-0.5)
-    assert [(v.code, v.detail) for v in layout.violations((guide_y,) * 3)] == [
+    assert one_layout_violations([1, 1, 2], [3.0, 1.0, -1.0], [1.0, 1.0, 0.5], -0.5,
+                                 (20.0,) * 3) == [
         ("negative_minimum_spacing", "minimum_spacing_m = -0.5"),
         ("offsets_unsorted", "guide 1: offsets not ascending"),
         ("weights_not_normalized", "guide 1: sum of squared weights = 2.0"),
         ("weights_not_normalized", "guide 2: sum of squared weights = 0.25"),
         ("offset_out_of_range", "guide 2: offsets outside [0, 20.0]"),
     ]
-    ragged = PinchingLayout(((1.0,), (2.0, 3.0)), ((1.0,), (1.0,)))
-    assert [(v.code, v.detail) for v in ragged.violations()] == [
-        ("layout_shape_mismatch", "offsets and weights differ in guide count or length")]
+    # antenna arrays of different lengths fail the shared check's shape test
+    s = make_scenario([(1.0, 2.0, 0.0)], (guide_y,) * 2)
+    with pytest.raises(ValueError, match="invalid layout: layout_shape_mismatch"):
+        first_layout_fault(s, [0, 0, 0], [0, 1, 1], [1.0, 2.0, 3.0], [1.0, 1.0], [0.0])
 
 
 def test_user_set_length():
