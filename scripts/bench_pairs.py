@@ -16,8 +16,11 @@ end-to-end metric of ``BENCHMARK.json``: every run's value, each side's
 median and quartiles, and the pairs the change won (ties count for
 neither side). It also holds the sha256 of the CSV that one CLI run writes
 on each side, on the input that side's own ``perfbench/workloads.py``
-builds from the seed, and whether the two match. Invocations with the same ``--number`` add to the existing
-file: each workload and seed holds the list of its series, in run order.
+builds from the seed, and whether the two match; the same for the CSV's
+body (every line after the ``#`` metadata line, whose ``config_digest``
+moves whenever the digest's definition does), with both metadata lines.
+Invocations with the same ``--number`` add to the existing file: each
+workload and seed holds the list of its series, in run order.
 """
 
 from __future__ import annotations
@@ -35,10 +38,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
-# Run from a checkout's root: one CLI run on the workload's input, then the
-# sha256 of its CSV as the last stdout line.
+# Run from a checkout's root: one CLI run on the workload's input, then a
+# JSON line with the sha256 of its CSV and of its body, and its metadata line.
 CSV_HASH_CODE = """\
-import hashlib, sys, tempfile
+import hashlib, json, sys, tempfile
 from pathlib import Path
 sys.path[:0] = ["src", "perfbench"]
 from pinchsim import cli
@@ -47,7 +50,11 @@ with tempfile.TemporaryDirectory() as tmp:
     workload = WORKLOADS[sys.argv[1]](int(sys.argv[2]), Path(tmp))
     if cli.main(list(workload.argv)) != 0:
         sys.exit("the workload's CLI run failed")
-    print(hashlib.sha256(workload.csv.read_bytes()).hexdigest())
+    data = workload.csv.read_bytes()
+    meta, body = data.split(b"\\n", 1)
+    print(json.dumps({"sha256": hashlib.sha256(data).hexdigest(),
+                      "body_sha256": hashlib.sha256(body).hexdigest(),
+                      "metadata": meta.decode()}))
 """
 
 
@@ -97,12 +104,13 @@ def run_once(side: str, checkout: Path, args: argparse.Namespace) -> dict:
     return result
 
 
-def csv_sha256(checkout: Path, args: argparse.Namespace) -> str:
-    """sha256 of the CSV of one CLI run of the workload in ``checkout``."""
+def csv_hashes(checkout: Path, args: argparse.Namespace) -> dict:
+    """sha256 of the CSV of one CLI run of the workload in ``checkout``, of
+    its body, and its metadata line."""
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
     done = subprocess.run([sys.executable, "-c", CSV_HASH_CODE, args.workload, str(args.seed)],
                           cwd=checkout, env=env, capture_output=True, text=True, check=True)
-    return done.stdout.strip().splitlines()[-1]
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def spread(values: list) -> dict:
@@ -148,21 +156,27 @@ def main(argv=None) -> int:
     runs: dict = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
         checkouts = {"parent": export(args.parent, Path(tmp)), "change": ROOT}
-        hashes = {side: csv_sha256(checkouts[side], args) for side in checkouts}
-        print(f"csv sha256: parent {hashes['parent']}, change {hashes['change']}", flush=True)
+        hashes = {side: csv_hashes(checkouts[side], args) for side in checkouts}
+        for key in ("sha256", "body_sha256", "metadata"):
+            print(f"csv {key}: parent {hashes['parent'][key]}, "
+                  f"change {hashes['change'][key]}", flush=True)
         for i in range(args.pairs):
             print(f"pair {i + 1}/{args.pairs}", flush=True)
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 runs[side].append(run_once(side, checkouts[side], args))
     summary = summarize(runs, end_to_end)
-    summary["csv_sha256"] = {**hashes, "match": hashes["parent"] == hashes["change"]}
+    for key in ("sha256", "body_sha256"):
+        sides = {side: hashes[side][key] for side in hashes}
+        summary[f"csv_{key}"] = {**sides, "match": sides["parent"] == sides["change"]}
+    summary["csv_metadata"] = {side: hashes[side]["metadata"] for side in hashes}
     report["results"].setdefault(args.workload, {}).setdefault(str(args.seed), []).append(summary)
     out_path.write_text(json.dumps(report, indent=2) + "\n")
     for name, m in summary["metrics"].items():
         print(f"{name}: {m['parent']['median']:.6g} -> {m['change']['median']:.6g} "
               f"(change wins {m['change_wins']}/{summary['pairs']})")
-    print(f"csv sha256 match: {summary['csv_sha256']['match']}")
+    print(f"csv sha256 match: {summary['csv_sha256']['match']}, "
+          f"body sha256 match: {summary['csv_body_sha256']['match']}")
     return 0
 
 

@@ -16,7 +16,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ from .beamforming import (
 from .channel import build_channel, free_space_gain, guide_distances, link_power, los_probability
 from .placement import optimize_multi_waveguide_sweep, place_single_for_group
 from .scenario import Scenario, UserSet, projected_offsets, validate_scenario
-from .scenario_io import SNR_DB_LIMIT, load_scenario, scenario_to_dict
+from .scenario_io import SNR_DB_LIMIT, _scenario_settings, load_scenario
 
 EXPERIMENT_KINDS = ("heatmap", "compare_mimo", "noma_region", "tdma_demo")
 COMPARE_SCHEMES = ("conventional_zf", "conventional_mrc", "conventional_bound",
@@ -114,13 +114,17 @@ def config_digest(cfg: ExperimentConfig, scenario: Scenario) -> str:
 
     File locations are excluded: the resolved scenario content is hashed
     instead of its path, so identical runs written to different directories
-    produce identical digests (and identical output bytes).
+    produce identical digests (and identical output bytes). The users enter
+    as the sha256 of their positions' bytes (C order, little-endian float64),
+    which tells every bit apart, -0.0 from 0.0 included.
     """
     fields = dataclasses.asdict(cfg)
     fields.pop("scenario_path")
     fields.pop("out_dir")
+    users = np.ascontiguousarray(scenario.users.positions, dtype="<f8")
     payload = {"config": fields,
-               "scenario": scenario_to_dict(scenario),
+               "scenario": {**_scenario_settings(scenario),
+                            "users": hashlib.sha256(users).hexdigest()},
                "version": __version__}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -140,6 +144,25 @@ _CHUNK_ROWS = 8192  # rows formatted per write: bounds the memory of one chunk
 
 def _cell_kinds(row) -> tuple[bool, ...]:
     return tuple(isinstance(v, float) for v in row)
+
+
+def _check_cell_kinds(chunk, start: int, kinds: tuple[bool, ...]) -> None:
+    """Raise ``ValueError`` naming the first row of ``chunk`` (numbered from
+    ``start``) whose cell kinds are not ``kinds``.
+
+    One length check and one ``isinstance`` pass per column clear a good
+    chunk; only a failed one is scanned row by row for the row to name.
+    """
+    if set(map(len, chunk)) == {len(kinds)} and all(
+            all(map(isinstance, col, repeat(float))) if k
+            else not any(map(isinstance, col, repeat(float)))
+            for col, k in zip(zip(*chunk), kinds)):
+        return
+    for i, row in enumerate(chunk, start):
+        if _cell_kinds(row) != kinds:
+            raise ValueError(
+                f"row {i} does not match the cell kinds of row 0: "
+                "each column must hold only floats or only non-floats")
 
 
 def write_csv(path, columns, rows, metadata: dict) -> Path:
@@ -196,11 +219,7 @@ def write_csv(path, columns, rows, metadata: dict) -> Path:
                         cells[:, j] = text[np.searchsorted(bits, chunk[:, j].view(np.int64))]
                     cells = cells.ravel().tolist()
                 else:
-                    for i, row in enumerate(chunk, start):
-                        if _cell_kinds(row) != kinds:
-                            raise ValueError(
-                                f"row {i} does not match the cell kinds of row 0: "
-                                "each column must hold only floats or only non-floats")
+                    _check_cell_kinds(chunk, start, kinds)
                     cells = list(chain.from_iterable(chunk))
                 fh.write((line * len(chunk)) % tuple(cells))
         os.replace(tmp, path)

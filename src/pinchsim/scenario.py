@@ -123,9 +123,17 @@ class Scenario:
 
 
 def _freeze(obj, **dtypes) -> None:
-    """Set each named field of the frozen dataclass ``obj`` to a read-only array of its dtype."""
+    """Set each named field of the frozen dataclass ``obj`` to a read-only array of its dtype.
+
+    An ``np.intp`` field takes integers, integral floats such as 1.0
+    included; any other value (1.9, NaN, inf) raises ``ValueError``.
+    """
     for name, dtype in dtypes.items():
-        a = np.array(getattr(obj, name), dtype=dtype)
+        given = np.asarray(getattr(obj, name))
+        with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
+            a = given.astype(dtype)
+        if dtype is np.intp and given.dtype.kind not in "biu" and not np.array_equal(a, given):
+            raise ValueError(f"{name} must hold integers, got {given[a != given].tolist()}")
         a.flags.writeable = False
         object.__setattr__(obj, name, a)
 

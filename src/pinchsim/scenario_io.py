@@ -139,7 +139,8 @@ def _scenario_from_dict(data: dict, users) -> Scenario:
                     transmit_snr=10.0 ** (snr_db / 10.0), los_model=los)
 
 
-def scenario_to_dict(s: Scenario) -> dict:
+def _scenario_settings(s: Scenario) -> dict:
+    """``scenario_to_dict(s)`` without its ``users``."""
     return {
         "carrier": {"frequency_hz": s.carrier.frequency_hz},
         "transmit_snr_db": 10.0 * math.log10(s.transmit_snr),
@@ -154,8 +155,11 @@ def scenario_to_dict(s: Scenario) -> dict:
             }
             for w in s.waveguides
         ],
-        "users": s.users.positions.tolist(),
     }
+
+
+def scenario_to_dict(s: Scenario) -> dict:
+    return {**_scenario_settings(s), "users": s.users.positions.tolist()}
 
 
 def load_scenario(path) -> Scenario:
@@ -191,15 +195,19 @@ _LOAD_ERRORS = (yaml.YAMLError, ValueError, IndexError, AttributeError)
 # special forms (underscores, sexagesimal, .inf, .nan).
 _DECIMAL = r"-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?"
 # One users row as save_scenario writes it: a column-0 block sequence of three.
-_ROW = re.compile(f"- - {_DECIMAL}\n  - {_DECIMAL}\n  - {_DECIMAL}\n")
+_ROW = f"- - {_DECIMAL}\n  - {_DECIMAL}\n  - {_DECIMAL}\n"
+# Up to 256 rows per match: a fraction of the calls of one per row, with the
+# match state of a bounded repeat (an unbounded one holds every row's)
+_ROWS = re.compile(f"(?:{_ROW}){{1,256}}")
 
 
 def _read_saved_users(text):
     """``(data, rows)`` of a file whose users are saved rows, or None.
 
     The rows are the run of ``_ROW`` lines after the last column-0 ``users:``
-    line, read by one ``np.fromstring``: ``float``'s value for every decimal,
-    as the loader's ``construct_yaml_float`` gives. The text with that key
+    line, matched in blocks of up to 256 and read by one ``np.fromstring``:
+    ``float``'s value for every decimal, as the loader's
+    ``construct_yaml_float`` gives. The text with that key
     and its rows swapped for ``users: []`` is composed, and the rows are
     taken only if this ``[]`` is the value of the last ``users`` key of a
     block mapping at the top level: the text around them then means what it
@@ -212,8 +220,8 @@ def _read_saved_users(text):
     if not text.startswith("users:\n", start):
         return None
     pos = body = start + len("users:\n")
-    while (row := _ROW.match(text, pos)) is not None:
-        pos = row.end()
+    while (block := _ROWS.match(text, pos)) is not None:
+        pos = block.end()
     if pos == body:
         return None
     rows = np.fromstring(text[body:pos].replace("- ", " "), sep=" ").reshape(-1, 3)

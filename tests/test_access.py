@@ -382,6 +382,24 @@ def test_layout_and_schedule_arrays_are_read_only():
                 setattr(held, name, np.zeros(1))
 
 
+@pytest.mark.parametrize("value", [1.9, math.nan, math.inf])
+def test_layout_guides_are_integers(value):
+    # a cast to an integer would truncate 1.9 to guide 1, a guide the caller did not name
+    with pytest.raises(ValueError, match=r"^guide must hold integers, got \["):
+        PinchingLayout([value, 0], [1.0, 2.0], [0.6, 0.8])
+    assert PinchingLayout(np.array([1.0, 0.0]), [1.0, 2.0], [0.6, 0.8]).guide.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("value", [1.9, math.nan, math.inf])
+@pytest.mark.parametrize("field", ["served", "antenna_slot", "antenna_guide"])
+def test_schedule_indices_are_integers(field, value):
+    given = getattr(array_schedule(), field).tolist()
+    with pytest.raises(ValueError, match=rf"^{field} must hold integers, got \["):
+        array_schedule(**{field: [value] + given[1:]})
+    integral = getattr(array_schedule(**{field: np.array(given, dtype=float)}), field)
+    assert integral.dtype == np.intp and integral.tolist() == given
+
+
 # --- NOMA -------------------------------------------------------------------
 
 

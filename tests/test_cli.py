@@ -180,8 +180,12 @@ def test_cli_runs_are_reproducible(tmp_path, scenario_file):
     assert hashes[0] == hashes[1]
 
 
-# sha256 of this run's CSV before the descent stepped a drop's SNR sweep as one batch
-PINNED_SWEEP_SHA256 = "b2f40c98a9bbe2b996db63f2a5ab05e5b7df6e0abfc0dd173751c4f9a65e2bf3"
+# sha256 of this run's CSV, and of its rows alone (every line after the
+# metadata line, whose config digest moved when it began to hash the users by
+# their bytes); the rows have held since the descent stepped a drop's SNR
+# sweep as one batch
+PINNED_SWEEP_SHA256 = "53dd116c48f4aaf951612ce9d2fe4b1e2bc1c11224e561247e431f24e6eea91d"
+PINNED_SWEEP_BODY_SHA256 = "daeec202ba1658b4cbac96bc6b0b76fb26c6f807bdc66b591c497aa0a0d21b09"
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -194,8 +198,9 @@ def test_compare_mimo_sweep_csv_is_pinned(tmp_path, threads):
                            "--snr-db", "90,100,110", "--drops", "2", "--budget", "4"],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    digest = hashlib.sha256((out / "compare_mimo.csv").read_bytes()).hexdigest()
-    assert digest == PINNED_SWEEP_SHA256
+    data = (out / "compare_mimo.csv").read_bytes()
+    assert hashlib.sha256(data.split(b"\n", 1)[1]).hexdigest() == PINNED_SWEEP_BODY_SHA256
+    assert hashlib.sha256(data).hexdigest() == PINNED_SWEEP_SHA256
 
 
 def test_compare_mimo_default_sweep_is_the_case_study():
@@ -203,8 +208,11 @@ def test_compare_mimo_default_sweep_is_the_case_study():
     assert cli.config_from_args(args).snr_sweep_db == (90.0, 100.0, 110.0, 120.0)
 
 
-# sha256 of this run's CSV before TDMA schedules held their antennas as arrays
-PINNED_TDMA_CROWD_SHA256 = "c32af1557f22ebaee514f961fc7b1a5b24e7e556f169e7e81c6a2a99e2dd8a17"
+# sha256 of this run's CSV, and of its rows alone (every line after the
+# metadata line); the rows have held since before TDMA schedules held their
+# antennas as arrays
+PINNED_TDMA_CROWD_SHA256 = "70870402e3ecaec15d5b933ac5016e4878c4e031f0c14b41864f6ac5df130eef"
+PINNED_TDMA_CROWD_BODY_SHA256 = "f9ec660bff73dd39262ff0252db081db7ac0936d853b646e3004b07d45755e18"
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -220,5 +228,6 @@ def test_tdma_demo_crowd_csv_is_pinned(tmp_path, threads):
                            "--scenario", path, "--out", str(out), "--seed", "3"],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    digest = hashlib.sha256((out / "tdma_demo.csv").read_bytes()).hexdigest()
-    assert digest == PINNED_TDMA_CROWD_SHA256
+    data = (out / "tdma_demo.csv").read_bytes()
+    assert hashlib.sha256(data.split(b"\n", 1)[1]).hexdigest() == PINNED_TDMA_CROWD_BODY_SHA256
+    assert hashlib.sha256(data).hexdigest() == PINNED_TDMA_CROWD_SHA256

@@ -11,6 +11,7 @@ from pinchsim.experiments import (
     _CHUNK_ROWS,
     ConfigError,
     ExperimentConfig,
+    config_digest,
     run_compare_mimo,
     run_experiment,
     run_heatmap,
@@ -24,7 +25,8 @@ from pinchsim.presets import (
     noma_scenario,
     tdma_scenario,
 )
-from pinchsim.scenario_io import save_scenario
+from pinchsim.scenario import UserSet
+from pinchsim.scenario_io import load_scenario, save_scenario
 
 
 def write_preset(tmp_path, scenario, name="scenario.yaml"):
@@ -261,6 +263,29 @@ def test_seed_changes_sampled_output(tmp_path):
     assert texts[0] != texts[1]
 
 
+def test_config_digest_tells_every_user_bit_apart():
+    cfg = ExperimentConfig(scenario_path="s.yaml", kind="tdma_demo", out_dir="out")
+    users = np.array([[1.5, -2.0, 0.0], [0.25, 3.0, 0.0], [-4.0, 1.0, 0.0]])
+    moved = users.copy()
+    moved[1, 0] = np.nextafter(moved[1, 0], np.inf)  # one ulp
+    signed = users.copy()
+    signed[0, 2] = -0.0
+    swapped = users[[1, 0, 2]]
+    digests = [config_digest(cfg, dataclasses.replace(tdma_scenario(), users=UserSet(u)))
+               for u in (users, moved, signed, swapped)]
+    assert len(set(digests)) == 4
+
+
+def test_config_digest_ignores_where_the_scenario_is_saved(tmp_path):
+    digests = set()
+    for path in (tmp_path / "a" / "s.yaml", tmp_path / "b.yaml"):
+        save_scenario(tdma_scenario(), path)
+        cfg = ExperimentConfig(scenario_path=str(path), kind="tdma_demo",
+                               out_dir=str(path.parent / "out"))
+        digests.add(config_digest(cfg, load_scenario(path)))
+    assert len(digests) == 1
+
+
 # --- CSV writer -------------------------------------------------------------
 
 HEATMAP_COLUMNS = ("x_m", "y_m", "rate_conventional_bps_hz", "rate_pinching_bps_hz")
@@ -367,6 +392,40 @@ def test_write_csv_rejects_rows_unlike_row_0(tmp_path):
     with pytest.raises(ValueError, match="float64"):
         write_csv(tmp_path / "m.csv", ("v",), np.ones((2, 1), dtype=np.float32), {})
     assert list(tmp_path.iterdir()) == []
+
+
+def crowd_rows(n=_CHUNK_ROWS + 20):
+    """``run_tdma_demo``'s row form: a str, an int and two floats."""
+    return [("tdma", i, 0.5 * i, 1.0 / (i + 1)) for i in range(n)]
+
+
+@pytest.mark.parametrize("bad", [3, _CHUNK_ROWS + 8])
+def test_write_csv_names_the_first_row_with_a_str_among_floats(tmp_path, bad):
+    rows = crowd_rows()
+    rows[bad] = ("tdma", bad, "x", 0.5)
+    rows[bad + 2] = ("tdma", bad + 2, 0.5, "y")
+    with pytest.raises(ValueError, match=f"^row {bad} does not match"):
+        write_csv(tmp_path / "m.csv", ("a", "b", "c", "d"), rows, {})
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cells", [("tdma", 5, 1.0), ("tdma", 5, 1.0, 2.0, 3.0),
+                                   ("tdma", 5, 1, 2.0), ("tdma", 5, 1.0, True),
+                                   ("tdma", 5.0, 1.0, 2.0), ("tdma", np.float64(5), 1.0, 2.0)])
+def test_write_csv_names_a_row_of_other_length_or_kinds(tmp_path, cells):
+    rows = crowd_rows(40)
+    rows[5] = cells
+    with pytest.raises(ValueError, match="^row 5 does not match"):
+        write_csv(tmp_path / "m.csv", ("a", "b", "c", "d"), rows, {})
+
+
+def test_write_csv_reads_numpy_float64_cells_as_floats(tmp_path):
+    rows = [(s, u, np.float64(x), y) for s, u, x, y in crowd_rows(40)]
+    rows[7] = ("tdma", 7, np.float64(-0.0), np.float64(1 / 3))
+    path = write_csv(tmp_path / "f.csv", ("a", "b", "c", "d"), rows, {"seed": 1})
+    assert path.read_text(encoding="utf-8") == reference_csv(("a", "b", "c", "d"), rows,
+                                                             {"seed": 1})
+    assert path.read_text(encoding="utf-8").splitlines()[9] == "tdma,7,-0,0.333333333333"
 
 
 def test_heatmap_csv_matches_reference(tmp_path):

@@ -461,6 +461,39 @@ def test_near_misses_of_the_saved_form_match_the_full_construction(tmp_path, loa
     assert (read is not None) == fast
 
 
+def saved_crowd(tmp_path, n_users):
+    """A saved scenario of ``n_users`` seeded users, some at z = -0.0, and its users."""
+    rng = np.random.default_rng(n_users)
+    users = np.column_stack([rng.uniform(-5, 5, n_users), rng.uniform(-10, 10, n_users),
+                             np.where(rng.random(n_users) < 0.5, 0.0, -0.0)])
+    s = dataclasses.replace(presets.tdma_scenario(), users=UserSet(users))
+    return save_scenario(s, tmp_path / "crowd.yaml"), users
+
+
+@pytest.mark.parametrize("n_users", [1, 255, 256, 257, 512, 513])
+def test_saved_rows_are_read_across_block_boundaries(tmp_path, n_users):
+    path, users = saved_crowd(tmp_path, n_users)
+    read = scenario_io._read_saved_users(path.read_text(encoding="utf-8"))
+    assert read is not None
+    assert read[1].view(np.int64).tolist() == users.view(np.int64).tolist()
+    loaded = load_scenario(path)
+    assert repr(scenario_fields(loaded)) == repr(scenario_fields(reference_load(path)))
+    assert loaded.users.positions.view(np.int64).tolist() == users.view(np.int64).tolist()
+
+
+def test_a_fourth_cell_after_row_257_takes_the_full_construction(tmp_path):
+    path, _ = saved_crowd(tmp_path, 300)
+    head, rows = path.read_text(encoding="utf-8").split("\nusers:\n")
+    lines = rows.splitlines(keepends=True)
+    lines.insert(3 * 257, "  - 1.5\n")  # row 257 is the first of the second block
+    path.write_text(head + "\nusers:\n" + "".join(lines), encoding="utf-8")
+    assert scenario_io._read_saved_users(path.read_text(encoding="utf-8")) is None
+    reference, loaded = load_both_ways(path, "default")
+    assert loaded == reference
+    assert reference[0] is ScenarioFormatError
+    assert reference[1].startswith("users[256]: expected [x, y, z], got [")
+
+
 class CountingLoader(scenario_io._SAFE_LOADER):
     """The loader, counting the implicit tag resolutions it makes (one per scalar)."""
 
