@@ -10,8 +10,10 @@ Each repeat runs one probe process per workload on its input for the seed, BLAS 
 one thread. A probe makes one untimed run that warms up allocation and caches, then
 several timed runs in the same process, and reports the median of each timing over
 them. The ``compare-mimo`` runs give link synthesis (``link_gains``) per candidate
-offset, grid scan per lockstep guide step (descent time outside zoom and column
-synthesis), zoom (``_zoom_max``) and descent (``_descend``) per call. The
+offset; grid scan (descent time outside zoom and column synthesis) and zoom
+(``_zoom_max``) per state-step, one guide step of one descent state, which stays
+comparable however many states one ``_descend`` call steps in lockstep; and
+descent (``_descend``) per state. The
 ``heatmap`` runs give ``write_csv`` per cell and ``guide_distances`` per link. The
 ``tdma-crowd`` probe times ``load_scenario`` on that workload's scenario file, per
 user, and takes ``tracemalloc``'s peak over one untimed load. Repeats alternate
@@ -53,9 +55,9 @@ def report(measure, runs=5):
 
 DESCENT_PROBE = PRELUDE + """\
 run("mimo-sweep")  # warm-up, untimed
-spent, calls, size = (collections.Counter() for _ in range(3))
+spent, size = collections.Counter(), collections.Counter()
 zooms = [0]  # open zoom calls: column synthesis inside a zoom counts as zoom
-def wrap(name, count=lambda args, out: 0):
+def wrap(name, count=lambda args, out: {}):
     fn = getattr(P, name)
     def timed(*args):
         zooms[0] += name == "_zoom_max"
@@ -64,24 +66,25 @@ def wrap(name, count=lambda args, out: 0):
         if name != "_guide_columns" or not zooms[0]:
             spent[name] += time.perf_counter() - t0
         zooms[0] -= name == "_zoom_max"
-        calls[name] += 1
-        size[name] += count(args, out)
+        size.update(count(args, out))
         return out
     setattr(P, name, timed)
-wrap("link_gains", lambda args, out: args[2].size)  # candidate offsets
+wrap("link_gains", lambda args, out: {"candidates": args[2].size})
 wrap("_guide_columns")
 wrap("_zoom_max")
-wrap("_descend", lambda args, out: len(args[0].waveguides) * int(max(out[2])))  # guide steps
+# out[2] holds each state's cycles, and each cycle steps every guide once
+wrap("_descend", lambda args, out: {"states": len(out[2]),
+                                    "state_steps": len(args[0].waveguides) * int(out[2].sum())})
 def measure():
-    for counter in (spent, calls, size):
-        counter.clear()
+    spent.clear()
+    size.clear()
     run("mimo-sweep")
     scan = spent["_descend"] - spent["_zoom_max"] - spent["_guide_columns"]
     return {
-        "link_us_per_candidate": 1e6 * spent["link_gains"] / size["link_gains"],
-        "grid_scan_ms_per_step": 1e3 * scan / size["_descend"],
-        "zoom_ms_per_call": 1e3 * spent["_zoom_max"] / calls["_zoom_max"],
-        "descent_ms_per_call": 1e3 * spent["_descend"] / calls["_descend"]}
+        "link_us_per_candidate": 1e6 * spent["link_gains"] / size["candidates"],
+        "grid_scan_ms_per_state_step": 1e3 * scan / size["state_steps"],
+        "zoom_ms_per_state_step": 1e3 * spent["_zoom_max"] / size["state_steps"],
+        "descent_ms_per_state": 1e3 * spent["_descend"] / size["states"]}
 report(measure)
 """
 

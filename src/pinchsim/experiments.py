@@ -32,8 +32,8 @@ from .beamforming import (
     zf_beamformer,
 )
 from .channel import build_channel, free_space_gain, guide_distances, link_power, los_probability
-from .placement import optimize_multi_waveguide_sweep, place_single_for_group
-from .scenario import Scenario, UserSet, projected_offsets, validate_scenario
+from .placement import _sweep_drops, place_single_for_group
+from .scenario import Scenario, projected_offsets, validate_scenario
 from .scenario_io import SNR_DB_LIMIT, _scenario_settings, load_scenario
 
 EXPERIMENT_KINDS = ("heatmap", "compare_mimo", "noma_region", "tdma_demo")
@@ -329,12 +329,15 @@ def run_compare_mimo(cfg: ExperimentConfig) -> ExperimentTable:
     sums = {(rho_db, scheme): 0.0 for rho_db in cfg.snr_sweep_db
             for scheme in COMPARE_SCHEMES}
     rhos = [10.0 ** (rho_db / 10.0) for rho_db in cfg.snr_sweep_db]
+    users, h_convs = np.empty((cfg.drops, k, 3)), []
     for drop in range(cfg.drops):
         rng = np.random.default_rng([cfg.seed, drop])
-        users = np.column_stack([rng.uniform(xmin, xmax, k),
-                                 rng.uniform(ymin, ymax, k),
-                                 np.zeros(k)])
-        h_conv = _conventional_channel(users, antenna_pos, scenario, rng)
+        users[drop] = np.column_stack([rng.uniform(xmin, xmax, k),
+                                       rng.uniform(ymin, ymax, k),
+                                       np.zeros(k)])
+        h_convs.append(_conventional_channel(users[drop], antenna_pos, scenario, rng))
+    placed = _sweep_drops(scenario, users, np.asarray(rhos), cfg.cd_budget)
+    for h_conv, solutions in zip(h_convs, placed):
         beams = {}
         for scheme, factory in (("conventional_zf", zf_beamformer),
                                 ("conventional_mrc", mrc_beamformer)):
@@ -342,8 +345,6 @@ def run_compare_mimo(cfg: ExperimentConfig) -> ExperimentTable:
                 beams[scheme] = factory(h_conv)
             except RankDeficiencyError:
                 pass  # degenerate drop counts as zero rate for this scheme
-        drop_geometry = dataclasses.replace(scenario, users=UserSet(users))
-        solutions = optimize_multi_waveguide_sweep(drop_geometry, rhos, budget=cfg.cd_budget)
         for rho_db, rho, solution in zip(cfg.snr_sweep_db, rhos, solutions):
             sums[rho_db, "conventional_bound"] += float(
                 conventional_bound(h_conv, rho).sum())

@@ -42,6 +42,7 @@ PHASE_TOL_RAD = 1e-6
 ZOOM_POINTS = 65
 DESCENT_TOL = 1e-9  # smallest objective gain of a descent cycle that continues it
 REFINE_TOL_M = 1e-8  # zoom bracket width that ends a descent step's refinement
+TABLE_BYTES_IN_FLIGHT = 4 << 20  # candidate-table bytes of the drops one descent steps
 
 @dataclass(frozen=True, eq=False)
 class PlacementSolution:
@@ -354,41 +355,53 @@ def _scorer(F: np.ndarray, rho: np.ndarray):
 
     ``F`` (L, K*K) holds each state's Gram features without the guide's
     column, ``rho`` (L,) its transmit SNR. ``score(rows, T)`` gives the
-    objectives (rows, n) of the Grams F + T for candidate features ``T``,
-    (K*K, n) or (rows, K*K, n). Zero-forcing at equal power p = 1/K gives
-    sinr_k = p * rho * det / C_kk from :func:`_zf_map`'s affine map, built
-    once here; a candidate counts where det / C_kk is finite and positive and,
-    for K > 3, where its Gram is :func:`_resolved`. Per-user rates are summed
-    elementwise in user order.
+    objectives (rows, n) of the Grams F + T for candidate features ``T``
+    (rows, K*K, n), one matrix product per state. Zero-forcing at equal power
+    p = 1/K gives sinr_k = p * rho * det / C_kk from :func:`_zf_map`'s affine
+    map, built once here; a candidate counts where det / C_kk is finite and
+    positive and, for K > 3, where its Gram is :func:`_resolved`. Per-user
+    rates are summed elementwise in user order.
     """
     K = math.isqrt(F.shape[-1])
     weights, consts = _zf_map(F, K)
 
     def score(rows, T):
-        if T.ndim == 2:  # a shared table, scored state by state: temporaries stay small
-            return np.concatenate([score(rows[i:i + 1], T[None]) for i in range(len(rows))])
         r = rho[rows, None, None]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             dc = weights[rows] @ T  # (rows, 1+K, n)
             dc += consts[rows, :, None]
-            sinr = dc[:, :1] / dc[:, 1:]  # det / C_kk = 1 / [Gram^{-1}]_kk
-            bad = ~(np.isfinite(sinr) & (sinr > 0))
+            # det / C_kk = 1 / [Gram^{-1}]_kk, over the cofactors' rows
+            sinr = np.divide(dc[:, :1], dc[:, 1:], out=dc[:, 1:])
+            bad = ~((sinr > 0) & (sinr < np.inf))
             if K > 3:
                 gram = _hermitian(np.moveaxis(F[rows, :, None] + T, 1, -1), K)
                 bad |= ~_resolved(gram)[:, None]
             sinr *= 1.0 / K * r
-            sinr[bad] = np.nan
+            np.copyto(sinr, np.nan, where=bad)
             obj = functools.reduce(np.add, shannon_rate(sinr, out=sinr).swapaxes(0, 1))
-        return np.where(np.isfinite(obj), obj, -np.inf)
+        np.copyto(obj, -np.inf, where=~np.isfinite(obj))
+        return obj
 
     return score
 
 
-def _guide_columns(s: Scenario, g: int, xs: np.ndarray) -> np.ndarray:
-    """LoS channel columns (K, *xs.shape) of guide g with its antenna at offsets xs."""
-    users = s.users.positions
-    return link_gains(s, s.waveguides[g], xs,
-                      users.reshape(users.shape[:1] + (1,) * xs.ndim + (3,)))
+def _guide_columns(s: Scenario, g: int, xs: np.ndarray, users: np.ndarray) -> np.ndarray:
+    """LoS channel columns (K, *xs.shape) of guide g with its antenna at offsets xs,
+    toward users (*lead, K, 3): ``lead``, a leading part of xs.shape, gives each
+    row of offsets its own users."""
+    lead = users.shape[:-2]
+    return link_gains(s, s.waveguides[g], xs, np.moveaxis(users, -2, 0).reshape(
+        users.shape[-2:-1] + lead + (1,) * (xs.ndim - len(lead)) + (3,)))
+
+
+def _zoom_offsets(a: np.ndarray, b: np.ndarray):
+    """``ZOOM_POINTS`` offsets (rows, points) evenly spaced from a to b (rows,),
+    and their spacing h (rows,): k*h + a for k < ZOOM_POINTS - 1, then b, the
+    bits of ``np.linspace(a, b, ZOOM_POINTS, axis=-1)`` wherever h > 0."""
+    h = (b - a) / (ZOOM_POINTS - 1)
+    xs = np.arange(ZOOM_POINTS, dtype=float) * h[:, None] + a[:, None]
+    xs[:, -1] = b
+    return xs, h
 
 
 def _zoom_max(fn, grid, idx, v0, bracket_tol: float):
@@ -410,36 +423,58 @@ def _zoom_max(fn, grid, idx, v0, bracket_tol: float):
     # b > a: ends even for bracket_tol <= 0
     rows = np.flatnonzero((b - a > bracket_tol) & (b > a))
     while rows.size:
-        xs = np.linspace(a[rows], b[rows], ZOOM_POINTS, axis=-1)
+        ar, br = a[rows], b[rows]
+        xs, h = _zoom_offsets(ar, br)
         vals = fn(rows, xs)
         best = np.arange(rows.size), np.argmax(vals, axis=-1)
         xj, vj = xs[best], vals[best]
         better = (vj > v[rows]) | ((vj == v[rows]) & (xj < x[rows]))
         x[rows[better]], v[rows[better]] = xj[better], vj[better]
-        h = (b[rows] - a[rows]) / (ZOOM_POINTS - 1)
-        a[rows], b[rows] = np.maximum(a[rows], xj - h), np.minimum(b[rows], xj + h)
+        a[rows], b[rows] = np.maximum(ar, xj - h), np.minimum(br, xj + h)
         rows = rows[(b[rows] - a[rows] > bracket_tol) & (b[rows] > a[rows])]
     return x, v
 
 
-def _descend(s: Scenario, transmit_snrs: np.ndarray, budget: int):
-    """Zero-forcing sum-rate coordinate descent of one state per transmit SNR,
-    stepped in lockstep.
+def _grids(s: Scenario) -> list[np.ndarray]:
+    """Each guide's grid of candidate offsets for the descent."""
+    return [_offset_grid(0.0, w.length_m, default_grid_res(s)) for w in s.waveguides]
 
-    The states share the geometry, the start and the candidate tables: the
-    Gram features (:func:`_features`) of each guide's channel column at every
-    grid offset, (K*K, n), candidate axis last so that each feature is a
-    contiguous array. A guide step builds one :func:`_scorer` for all live
-    states, scores every grid offset of every state with it and refines the
-    best cells in one batched zoom. A state leaves the lockstep when a cycle
-    improves it by less than ``DESCENT_TOL``. Returns per state the offsets
-    (B, M), traces, cycles, converged flags, final objective values (B,) and
-    final channel columns (B, K, M).
+
+def _table(s: Scenario, g: int, grid: np.ndarray, users: np.ndarray) -> np.ndarray:
+    """Gram features (K*K, n) of guide g's columns toward users (K, 3) at the n
+    offsets of ``grid``, synthesized 1024 offsets at a time so that the
+    temporaries stay small beside the tables."""
+    table = np.empty((users.shape[0] ** 2, grid.size))
+    for j in range(0, grid.size, 1024):
+        table[:, j:j + 1024] = _features(_guide_columns(s, g, grid[j:j + 1024], users))
+    return table
+
+
+def _descend(s: Scenario, users: np.ndarray, transmit_snrs: np.ndarray, budget: int):
+    """Zero-forcing sum-rate coordinate descent of one state per (drop, transmit
+    SNR), stepped in lockstep.
+
+    ``users`` (D, K, 3) holds the drops' user positions under ``s``'s guides;
+    the states are drop-major, one per SNR of ``transmit_snrs`` (B,) in each
+    drop. A drop's states share its start and its candidate tables: the Gram
+    features (:func:`_features`) of each guide's channel column at every grid
+    offset, (K*K, n), candidate axis last so that each feature is a contiguous
+    array. A guide step builds one :func:`_scorer` for all live states, scans
+    each state's grid against its drop's table, keeping only the best cell,
+    and refines the best cells of all states in one batched zoom. A state
+    leaves the lockstep when a cycle improves it by less than
+    ``DESCENT_TOL``. Returns per state the offsets (D*B, M), traces, cycles,
+    converged flags, final objective values (D*B,) and final channel columns
+    (D*B, K, M).
     """
-    users = s.users.positions
-    K, M, B = users.shape[0], len(s.waveguides), len(transmit_snrs)
-    grids = [_offset_grid(0.0, w.length_m, default_grid_res(s)) for w in s.waveguides]
-    tables = [_features(_guide_columns(s, g, grid)) for g, grid in enumerate(grids)]
+    D, K = users.shape[:2]
+    M, B = len(s.waveguides), len(transmit_snrs)
+    grids = _grids(s)
+    tables = [[_table(s, g, grid, drop_users) for g, grid in enumerate(grids)]
+              for drop_users in users]
+    state_users = np.repeat(users, B, axis=0)  # (D*B, K, 3)
+    drop = np.repeat(np.arange(D), B)
+    rho = np.tile(transmit_snrs, D)
 
     def others(c, g):
         """Gram features (L, K*K) of the columns c (L, K, M) but column g."""
@@ -447,34 +482,40 @@ def _descend(s: Scenario, transmit_snrs: np.ndarray, budget: int):
 
     # Start each antenna at the projection of the user nearest to its guide
     # (argmin breaks ties to the lower user index).
-    start = np.empty(M)
-    for g, w in enumerate(s.waveguides):
-        t = projected_offsets(w, users)
-        start[g] = t[np.argmin(guide_distances(w, t, users))]
-    cols = np.repeat(np.concatenate([_guide_columns(s, g, start[g:g + 1]) for g in range(M)],
-                                    axis=1)[None], B, axis=0)  # (B, K, M)
-    live = np.arange(B)
+    start = np.empty((D, M))
+    for d, g in np.ndindex(D, M):
+        t = projected_offsets(s.waveguides[g], users[d])
+        start[d, g] = t[np.argmin(guide_distances(s.waveguides[g], t, users[d]))]
+    cols = np.repeat(np.stack([_guide_columns(s, g, start[:, g], users) for g in range(M)],
+                              axis=-1).swapaxes(0, 1), B, axis=0)  # (D*B, K, M)
+    live = np.arange(D * B)
     # the start is scored as the last guide's candidate
-    value = _scorer(others(cols, M - 1), transmit_snrs)(
-        live, _features(cols[0, :, M - 1:]))[:, 0]
+    last = _features(cols[:, :, M - 1:].swapaxes(0, 1)).swapaxes(0, 1)
+    value = _scorer(others(cols, M - 1), rho)(live, last)[:, 0]
     traces = [[float(v)] for v in value]
-    offsets = np.tile(start, (B, 1))
-    cycles = np.zeros(B, dtype=int)
-    converged = np.zeros(B, dtype=bool)
+    offsets = np.repeat(start, B, axis=0)
+    cycles = np.zeros(D * B, dtype=int)
+    converged = np.zeros(D * B, dtype=bool)
     for _ in range(budget):
         cycles[live] += 1
         cycle_gain = np.zeros(live.size)
         for g in range(M):
-            score = _scorer(others(cols[live], g), transmit_snrs[live])
-            obj = score(np.arange(live.size), tables[g])  # (L, n)
-            idx = _argmax_tie_smallest(obj)
-            best = np.take_along_axis(obj, idx[:, None], axis=-1)[:, 0]
+            score = _scorer(others(cols[live], g), rho[live])
+            rows = np.arange(live.size)  # the scorer's rows: live states
+            idx = np.empty(live.size, dtype=int)
+            best = np.empty(live.size)
+            for i, d in enumerate(drop[live]):  # one (1, n) objective row at a time
+                obj = score(rows[i:i + 1], tables[d][g][None])[0]
+                idx[i] = _argmax_tie_smallest(obj)
+                best[i] = obj[idx[i]]
             pos = np.flatnonzero(best != -np.inf)
             if not pos.size:
                 continue
 
-            def zoom_scores(rows, xs):
-                return score(pos[rows], _features(_guide_columns(s, g, xs)).swapaxes(0, 1))
+            def zoom_scores(open_rows, xs):
+                states = pos[open_rows]
+                return score(states, _features(_guide_columns(
+                    s, g, xs, state_users[live[states]])).swapaxes(0, 1))
 
             x, v = _zoom_max(zoom_scores, grids[g], idx[pos], best[pos], REFINE_TOL_M)
             up = v > value[live[pos]]
@@ -483,7 +524,7 @@ def _descend(s: Scenario, transmit_snrs: np.ndarray, budget: int):
             cycle_gain[pos] += v - value[states]
             value[states] = v
             offsets[states, g] = x
-            cols[states, :, g] = _guide_columns(s, g, x).T
+            cols[states, :, g] = _guide_columns(s, g, x, state_users[states]).T
             for state, vs in zip(states, v):
                 traces[state].append(float(vs))
         done = cycle_gain < DESCENT_TOL
@@ -536,7 +577,7 @@ def optimize_multi_waveguide_sweep(s: Scenario, transmit_snrs,
     entry. Earlier entries that the kernel's rounding left above it are
     lowered to it, so the trace stays nondecreasing.
 
-    The descents share one geometry and one set of candidate tables, built
+    The descents share one user drop and one set of candidate tables, built
     here and freed on return, and are stepped together; each solution equals
     the one :func:`optimize_multi_waveguide` returns at its SNR.
     """
@@ -551,17 +592,36 @@ def optimize_multi_waveguide_sweep(s: Scenario, transmit_snrs,
         raise ValueError(f"transmit SNRs must be finite and > 0, got {bad[0]!r}")
     if not rhos:
         return ()
-    snrs = np.asarray(rhos)
-    offsets, traces, cycles, converged, values, cols = _descend(s, snrs, budget)
-    values[_rcond(cols) < ZF_RCOND_LIMIT] = -np.inf
-    final = np.flatnonzero(np.isfinite(values))
-    values[final] = _qr_zf_sum_rates(cols[final], snrs[final])
-    for i in final:
-        v = float(values[i])
-        traces[i] = [min(t, v) for t in traces[i][:-1]] + [v]
-    return tuple(PlacementSolution(PinchingLayout(np.arange(M), row, np.ones(M)), float(v),
-                                   "sum_rate", int(n), bool(done), tuple(trace))
-                 for row, v, n, done, trace in zip(offsets, values, cycles, converged, traces))
+    return _sweep_drops(s, s.users.positions[None], np.asarray(rhos), budget)[0]
+
+
+def _sweep_drops(s: Scenario, users: np.ndarray, snrs: np.ndarray,
+                 budget: int) -> list[tuple[PlacementSolution, ...]]:
+    """:func:`optimize_multi_waveguide_sweep` of each drop of users (D, K, 3) under
+    ``s``'s guides at the SNRs ``snrs`` (B,), which it takes as checked.
+
+    Drops pass through :func:`_descend` in groups, as many per group as keep
+    the candidate tables in flight within ``TABLE_BYTES_IN_FLIGHT`` (at least
+    one). Every state's bits are those of its own one-drop sweep.
+    """
+    K, M, B = users.shape[1], len(s.waveguides), len(snrs)
+    drop_bytes = 8 * K * K * sum(grid.size for grid in _grids(s))
+    group = max(1, TABLE_BYTES_IN_FLIGHT // drop_bytes)
+    solutions = []
+    for first in range(0, len(users), group):
+        chunk = users[first:first + group]
+        offsets, traces, cycles, converged, values, cols = _descend(s, chunk, snrs, budget)
+        values[_rcond(cols) < ZF_RCOND_LIMIT] = -np.inf
+        final = np.flatnonzero(np.isfinite(values))
+        values[final] = _qr_zf_sum_rates(cols[final], np.tile(snrs, len(chunk))[final])
+        for i in final:
+            v = float(values[i])
+            traces[i] = [min(t, v) for t in traces[i][:-1]] + [v]
+        states = [PlacementSolution(PinchingLayout(np.arange(M), row, np.ones(M)), float(v),
+                                    "sum_rate", int(n), bool(done), tuple(trace))
+                  for row, v, n, done, trace in zip(offsets, values, cycles, converged, traces)]
+        solutions += [tuple(states[i:i + B]) for i in range(0, len(states), B)]
+    return solutions
 
 
 def optimize_multi_waveguide(s: Scenario, budget: int = 10) -> PlacementSolution:

@@ -141,6 +141,35 @@ def test_compare_mimo_rank_deficient_zf_drop_adds_zero(tmp_path, monkeypatch):
         assert after[key] == (0.0 if key[1] == "conventional_zf" else value)
 
 
+@pytest.mark.parametrize("drops", [1, 2, 3, 5])
+def test_compare_mimo_drop_groups_match_one_sweep_per_drop(tmp_path, monkeypatch, drops):
+    from pinchsim import experiments, optimize_multi_waveguide_sweep, placement
+
+    cfg = ExperimentConfig(
+        scenario_path=write_preset(tmp_path, compare_scenario()),
+        kind="compare_mimo", out_dir=str(tmp_path / "grouped"), seed=5,
+        snr_sweep_db=(0.0, 60.0, 120.0), drops=drops, cd_budget=3)
+    descend, groups = placement._descend, []
+
+    def counted(s, users, *rest):
+        groups.append(len(users))
+        return descend(s, users, *rest)
+
+    monkeypatch.setattr(placement, "_descend", counted)
+    run_compare_mimo(cfg)
+    # the preset's candidate tables let two drops share a lockstep; an odd tail steps alone
+    assert groups == [2] * (drops // 2) + [1] * (drops % 2)
+
+    def one_sweep_per_drop(s, users, snrs, budget):
+        return [optimize_multi_waveguide_sweep(dataclasses.replace(s, users=UserSet(u)),
+                                               snrs, budget) for u in users]
+
+    monkeypatch.setattr(experiments, "_sweep_drops", one_sweep_per_drop)
+    run_compare_mimo(dataclasses.replace(cfg, out_dir=str(tmp_path / "reference")))
+    assert ((tmp_path / "grouped" / "compare_mimo.csv").read_bytes()
+            == (tmp_path / "reference" / "compare_mimo.csv").read_bytes())
+
+
 def test_compare_mimo_ordering_emerges_at_high_power(tmp_path):
     # At link budgets where per-link SINR >> 1, optimized pinching placement
     # beats the conventional-array interference-free bound on average.

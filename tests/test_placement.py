@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pinchsim import (
     RankDeficiencyError,
+    UserSet,
     WaveguideSpec,
     align_multi_on_guide,
     build_channel,
@@ -21,20 +22,24 @@ from pinchsim import (
     optimize_multi_waveguide_sweep,
     place_single_for_group,
     place_single_for_user,
+    placement,
     zf_beamformer,
 )
 from pinchsim.beamforming import ZF_RCOND_LIMIT, _rcond
 from pinchsim.placement import (
     BRACKET_TOL_M,
+    ZOOM_POINTS,
     _argmax_tie_smallest,
     _features,
     _hermitian,
     _offset_grid,
     _qr_zf_sum_rates,
     _scorer,
+    _sweep_drops,
     _wrap,
     _zf_map,
     _zoom_max,
+    _zoom_offsets,
 )
 from pinchsim.scenario import first_layout_fault, projected_offsets
 from tests.conftest import make_scenario
@@ -171,6 +176,21 @@ def test_zoom_max_matches_brute_force():
         assert abs(x - x_bf) <= 0.01
         assert v >= vals[i]
         assert v >= fn(np.asarray([x_bf]))[0] - 1e-9
+
+
+def test_zoom_offsets_are_the_bits_of_linspace():
+    # 20,000 random brackets, half of them 1 to 7 ulps wide, and one whose
+    # b - a rounds so that a + 64 h misses b
+    rng = np.random.default_rng(23)
+    a = rng.uniform(-40.0, 40.0, 20_000)
+    width = np.where(rng.random(a.size) < 0.5,
+                     rng.integers(1, 8, a.size) * np.spacing(np.abs(a)),
+                     10.0 ** rng.uniform(-12.0, 0.0, a.size))
+    a, b = np.append(a, 0.000941), np.append(a + width, 0.009)
+    assert np.all(b > a)
+    assert (b[-1] - a[-1]) + a[-1] != b[-1]
+    xs, _ = _zoom_offsets(a, b)
+    assert np.array_equal(xs, np.linspace(a, b, ZOOM_POINTS, axis=-1))
 
 
 # --- phase alignment --------------------------------------------------------
@@ -417,7 +437,6 @@ def test_zf_map_matches_det_and_inverse(K, extra):
     score = _scorer(F, np.full(L, 1e3))
     # the kernel's bits do not depend on how many states share the product
     together = score(np.arange(L), np.repeat(T[None], L, axis=0))
-    assert np.array_equal(together, score(np.arange(L), T))
     for r in range(L):
         assert np.array_equal(score([r], T[None]), together[r:r + 1])
 
@@ -460,6 +479,62 @@ def test_descent_argument_validation(guide_y):
             optimize_multi_waveguide_sweep(s3, [s3.transmit_snr, bad])
 
 
+def short_guides(*xs):
+    return tuple(WaveguideSpec(feed_point=(x, -0.5, 3.0), axis_direction=(0, 1, 0),
+                               length_m=1.0, relative_permittivity=2.1) for x in xs)
+
+
+# Drops stepped in one lockstep. Two users under two guides at 0 dB: A's first
+# cycle gains less than DESCENT_TOL, so it converges in cycle 1; B spends its
+# budget of 4 cycles; C's identical users get a finite value from the kernel's
+# rounding, but its final layout fails the rank test and scores -inf. Four
+# users under four guides: D's two identical users leave no candidate a
+# resolved Gram, so each of D's guide steps has no finite candidate, while E
+# steps.
+PAIR_GUIDES, QUAD_GUIDES = short_guides(-1.0, 1.0), short_guides(-1.5, -0.5, 0.5, 1.5)
+GROUP_A = [(1.84, 0.42, 0.0), (0.06, 1.33, 0.0)]
+GROUP_B = [(-0.04, 1.95, 0.0), (-1.27, 1.85, 0.0)]
+GROUP_C = [(0.5, 0.5, 0.0), (0.5, 0.5, 0.0)]
+GROUP_D = [(0.2, 0.1, 0.0), (0.2, 0.1, 0.0), (-1.0, 0.3, 0.0), (1.0, 0.6, 0.0)]
+GROUP_E = [(-1.2, 0.1, 0.0), (-0.4, 0.9, 0.0), (0.6, -0.3, 0.0), (1.3, 0.4, 0.0)]
+
+
+def assert_drops_match_one_sweep_each(s, drops, rhos, budget):
+    """``_sweep_drops`` steps the drops (user lists) under ``s``'s guides
+    together; each drop's solutions must equal, bit for bit, its own
+    :func:`optimize_multi_waveguide_sweep`, which the function returns."""
+    grouped = _sweep_drops(s, np.asarray(drops, dtype=float), np.asarray(rhos), budget)
+    singles = [optimize_multi_waveguide_sweep(dataclasses.replace(s, users=UserSet(users)),
+                                              rhos, budget) for users in drops]
+    assert len(grouped) == len(singles)
+    for solutions, references in zip(grouped, singles):
+        assert len(solutions) == len(references)
+        for sol, ref in zip(solutions, references):
+            assert_same_solution(sol, ref)
+    return singles
+
+
+def test_grouped_descent_steps_mixed_drops_as_one_sweep_each(monkeypatch):
+    descend, calls = placement._descend, []
+
+    def counted(s, users, *rest):
+        calls.append(len(users))
+        return descend(s, users, *rest)
+
+    monkeypatch.setattr(placement, "_descend", counted)
+    s = make_scenario(GROUP_A, PAIR_GUIDES)
+    (a,), (b,), (c,) = assert_drops_match_one_sweep_each(s, [GROUP_A, GROUP_B, GROUP_C], [1.0], 4)
+    assert a.iterations == 1 and a.converged and math.isfinite(a.objective_value)
+    assert b.iterations == 4 and not b.converged
+    assert math.isfinite(c.trace[-1]) and c.objective_value == -np.inf
+    s = make_scenario(GROUP_D, QUAD_GUIDES)
+    (d,), (e,) = assert_drops_match_one_sweep_each(s, [GROUP_D, GROUP_E], [1e6], 3)
+    assert d.trace == (-np.inf,) and d.objective_value == -np.inf
+    assert len(e.trace) > 1
+    # one lockstep per case, then one per drop for the references
+    assert calls == [3, 1, 1, 1, 2, 1, 1]
+
+
 @st.composite
 def sweep_cases(draw):
     """Random geometry with K <= M <= 4 short guides above the users, an SNR list
@@ -494,6 +569,27 @@ def test_sweep_equals_one_descent_per_snr(case):
         single = optimize_multi_waveguide(dataclasses.replace(s, transmit_snr=rho), budget)
         assert_same_solution(sol, single)
         assert all(b >= a for a, b in zip(sol.trace, sol.trace[1:]))
+
+
+@st.composite
+def drop_cases(draw):
+    """A :func:`sweep_cases` geometry and budget with 1-3 drops of its users'
+    count, and 1-3 SNRs from 0 to 120 dB."""
+    s, _, budget = draw(sweep_cases())
+    coord = st.floats(-2.0, 2.0, allow_nan=False)
+    user = st.tuples(coord, coord, st.just(0.0))
+    k = len(s.users)
+    drops = [s.users.positions.tolist()] + draw(
+        st.lists(st.lists(user, min_size=k, max_size=k), max_size=2))
+    snr_db = draw(st.lists(st.floats(0.0, 120.0), min_size=1, max_size=3))
+    return s, drops, [10.0 ** (v / 10.0) for v in snr_db], budget
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=drop_cases())
+@example(case=(make_scenario(GROUP_D, QUAD_GUIDES), [GROUP_D], [1e6], 2))  # no step has a candidate
+def test_grouped_descent_equals_one_sweep_per_drop(case):
+    assert_drops_match_one_sweep_each(*case)
 
 
 def public_objective(s, sol, rho):
