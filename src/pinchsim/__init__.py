@@ -34,7 +34,6 @@ from .placement import (
     align_multi_on_guide,
     coherent_gain_bound,
     noma_gain_reorder,
-    optimize_multi_waveguide,
     optimize_multi_waveguide_sweep,
     place_single_for_group,
     place_single_for_user,
@@ -82,7 +81,6 @@ __all__ = [
     "place_single_for_group",
     "align_multi_on_guide",
     "coherent_gain_bound",
-    "optimize_multi_waveguide",
     "optimize_multi_waveguide_sweep",
     "TdmaSchedule",
     "NomaCluster",

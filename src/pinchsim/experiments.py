@@ -4,8 +4,10 @@ Every run is deterministic given (config, seed): random user drops use one
 seeded stream per experiment with per-drop substreams derived by counter,
 grid cells consume draws in index order, and result files are written in a
 fixed order with fixed formatting, so identical inputs yield byte-identical
-outputs. Each CSV starts with one ``#`` metadata line embedding the config
-digest and seed.
+outputs. Every runner returns an :class:`ExperimentTable` whose rows are one
+1-D structured array, a field per CSV column, and writes it as
+``<out_dir>/<kind>.csv`` through :func:`write_csv`. Each CSV starts with one
+``#`` metadata line embedding the config digest and seed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -88,24 +89,14 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class HeatmapResult:
-    """Per-cell rates over the grid plus run metadata."""
-
-    x_m: np.ndarray
-    y_m: np.ndarray
-    rate_conventional: np.ndarray
-    rate_pinching: np.ndarray
-    n_x: int
-    n_y: int
-    metadata: dict
-
-
-@dataclass(frozen=True, eq=False)
 class ExperimentTable:
-    """Generic tabular result: column names, rows, metadata."""
+    """One experiment's result, as written to its CSV: the column names, the
+    rows as a 1-D structured array with one field per column (its dtype gives
+    the column's kind, e.g. ``table.rows["x_m"]``) and the metadata line's
+    fields."""
 
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    rows: np.ndarray
     metadata: dict
 
 
@@ -142,66 +133,43 @@ def _metadata(cfg: ExperimentConfig, scenario: Scenario) -> dict:
 _CHUNK_ROWS = 8192  # rows formatted per write: bounds the memory of one chunk
 
 
-def _cell_kinds(row) -> tuple[bool, ...]:
-    return tuple(isinstance(v, float) for v in row)
-
-
-def _check_cell_kinds(chunk, start: int, kinds: tuple[bool, ...]) -> None:
-    """Raise ``ValueError`` naming the first row of ``chunk`` (numbered from
-    ``start``) whose cell kinds are not ``kinds``.
-
-    One length check and one ``isinstance`` pass per column clear a good
-    chunk; only a failed one is scanned row by row for the row to name.
-    """
-    if set(map(len, chunk)) == {len(kinds)} and all(
-            all(map(isinstance, col, repeat(float))) if k
-            else not any(map(isinstance, col, repeat(float)))
-            for col, k in zip(zip(*chunk), kinds)):
-        return
-    for i, row in enumerate(chunk, start):
-        if _cell_kinds(row) != kinds:
-            raise ValueError(
-                f"row {i} does not match the cell kinds of row 0: "
-                "each column must hold only floats or only non-floats")
-
-
 def write_csv(path, columns, rows, metadata: dict) -> Path:
     """Write a ``#`` metadata line, the header and ``rows`` to ``path``.
 
-    ``rows`` is a sequence of tuples or a ``(rows, columns)`` float64 array.
-    Float cells are written as ``%.12g`` and other cells as ``str``, through
-    one ``%``-template per table, so each column must hold only floats or
-    only non-floats (``ValueError`` otherwise). An array column with at most
-    half as many distinct bit patterns as cells has each value formatted once
-    and enters the template as ``%s`` of those strings. Rows are formatted in
-    chunks into a temporary file next to ``path``, renamed onto it once
-    complete: a failed write leaves no partial CSV and any earlier file as
-    it was.
+    ``rows`` is a 1-D structured array with one field per column, named as
+    in ``columns``; the field's dtype gives the column's kind. Float64 cells
+    are written as ``%.12g``; integer, bool and str cells as ``str``. Any
+    other input raises ``ValueError`` before a file is created. A float64
+    column with at most half as many distinct bit patterns as rows has each
+    value formatted once and enters the row template as ``%s`` of those
+    strings. Rows are formatted in chunks into a temporary file next to
+    ``path``, renamed onto it once complete: a failed write leaves no partial
+    CSV and any earlier file as it was.
     """
     path = Path(path)
-    n = len(columns)
-    texts = {}  # column -> (its sorted distinct bit patterns, their strings)
-    if isinstance(rows, np.ndarray):
-        if rows.dtype != np.float64 or rows.ndim != 2 or rows.shape[1] != n:
-            raise ValueError(f"array rows must be float64 of shape (rows, {n}), "
-                             f"got {rows.dtype} {rows.shape}")
-        for j in range(n):
-            # bit patterns keep 0.0 and -0.0, and NaN payloads, apart; a sort
-            # finds them several times faster than np.unique's hash table
-            ordered = np.sort(rows[:, j].view(np.int64))
-            first = np.ones(ordered.shape, dtype=bool)
-            first[1:] = ordered[1:] != ordered[:-1]
-            if 2 * np.count_nonzero(first) <= len(rows):
-                bits = ordered[first]
-                texts[j] = bits, np.array(
-                    ["%.12g" % v for v in bits.view(np.float64).tolist()], dtype=object)
-        kinds = tuple(j not in texts for j in range(n))
-    else:
-        kinds = _cell_kinds(rows[0]) if len(rows) else (True,) * n
-        if len(kinds) != n:
-            raise ValueError(f"row 0 has {len(kinds)} cells for {n} columns")
+    columns = tuple(columns)
+    fields = rows.dtype.fields if isinstance(rows, np.ndarray) and rows.ndim == 1 else None
+    if (not fields or rows.dtype.names != columns
+            or not all(dt == np.float64 or dt.kind in "iubU" for dt, *_ in fields.values())):
+        got = rows.dtype if isinstance(rows, np.ndarray) else type(rows).__name__
+        raise ValueError(f"rows must be a 1-D structured array of float64, integer, bool "
+                         f"and str fields named {columns}, got {got}")
+    texts = {}  # float64 column -> (its sorted distinct bit patterns, their strings)
+    for j, name in enumerate(columns):
+        if rows.dtype[name] != np.float64:
+            continue
+        # bit patterns keep 0.0 and -0.0, and NaN payloads, apart; a sort
+        # finds them several times faster than np.unique's hash table
+        ordered = np.sort(rows[name].view(np.int64))
+        first = np.ones(ordered.shape, dtype=bool)
+        first[1:] = ordered[1:] != ordered[:-1]
+        if 2 * np.count_nonzero(first) <= len(rows):
+            bits = ordered[first]
+            texts[j] = bits, np.array(
+                ["%.12g" % v for v in bits.view(np.float64).tolist()], dtype=object)
     # "%.12g" % v == format(v, ".12g") for a float and "%s" % v == str(v)
-    line = ",".join("%.12g" if k else "%s" for k in kinds) + "\n"
+    line = ",".join("%.12g" if rows.dtype[j] == np.float64 and j not in texts else "%s"
+                    for j in range(len(columns))) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     # "x" creates the file with the mode write_text would give it, unlike
     # tempfile's 0o600; the random name keeps concurrent writers apart
@@ -213,19 +181,30 @@ def write_csv(path, columns, rows, metadata: dict) -> Path:
             fh.write(",".join(columns) + "\n")
             for start in range(0, len(rows), _CHUNK_ROWS):
                 chunk = rows[start:start + _CHUNK_ROWS]
-                if isinstance(chunk, np.ndarray):
-                    cells = chunk.astype(object)
-                    for j, (bits, text) in texts.items():
-                        cells[:, j] = text[np.searchsorted(bits, chunk[:, j].view(np.int64))]
-                    cells = cells.ravel().tolist()
-                else:
-                    _check_cell_kinds(chunk, start, kinds)
-                    cells = list(chain.from_iterable(chunk))
-                fh.write((line * len(chunk)) % tuple(cells))
+                cells = np.empty((len(chunk), len(columns)), dtype=object)
+                for j, name in enumerate(columns):
+                    if j in texts:
+                        bits, text = texts[j]
+                        cells[:, j] = text[np.searchsorted(bits, chunk[name].view(np.int64))]
+                    else:
+                        cells[:, j] = chunk[name]  # as Python floats, ints, bools and strs
+                fh.write((line * len(chunk)) % tuple(cells.ravel().tolist()))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
     return path
+
+
+def _write_table(cfg: ExperimentConfig, scenario: Scenario, **columns) -> ExperimentTable:
+    """Write ``columns`` (name -> 1-D array, in CSV order) as one structured
+    array to ``<out_dir>/<kind>.csv`` and return it as a table."""
+    values = [np.asarray(v) for v in columns.values()]
+    rows = np.empty(len(values[0]), dtype=[(name, v.dtype) for name, v in zip(columns, values)])
+    for name, v in zip(columns, values):
+        rows[name] = v
+    table = ExperimentTable(rows.dtype.names, rows, _metadata(cfg, scenario))
+    write_csv(Path(cfg.out_dir) / f"{cfg.kind}.csv", table.columns, rows, table.metadata)
+    return table
 
 
 def _load_validated(cfg: ExperimentConfig, require_common_height=False) -> Scenario:
@@ -246,7 +225,7 @@ def _grid_axis(lo: float, hi: float, res: float, name: str) -> np.ndarray:
     return np.linspace(lo, hi, int(round(steps)) + 1)
 
 
-def run_heatmap(cfg: ExperimentConfig) -> HeatmapResult:
+def run_heatmap(cfg: ExperimentConfig) -> ExperimentTable:
     """Rate-vs-location maps for a fixed conventional antenna and a pinched one.
 
     One user per grid cell: the conventional antenna sits at the waveguide's
@@ -278,13 +257,8 @@ def run_heatmap(cfg: ExperimentConfig) -> HeatmapResult:
     offsets = projected_offsets(w, cells)
     rate_pinch = shannon_rate(rho * link_power(scenario, w, offsets, cells))
 
-    meta = _metadata(cfg, scenario)
-    result = HeatmapResult(cells[:, 0], cells[:, 1], rate_conv, rate_pinch,
-                           len(xs), len(ys), meta)
-    write_csv(Path(cfg.out_dir) / "heatmap.csv",
-              ("x_m", "y_m", "rate_conventional_bps_hz", "rate_pinching_bps_hz"),
-              np.column_stack([cells[:, 0], cells[:, 1], rate_conv, rate_pinch]), meta)
-    return result
+    return _write_table(cfg, scenario, x_m=cells[:, 0], y_m=cells[:, 1],
+                        rate_conventional_bps_hz=rate_conv, rate_pinching_bps_hz=rate_pinch)
 
 
 def conventional_array_positions(scenario: Scenario) -> np.ndarray:
@@ -352,12 +326,10 @@ def run_compare_mimo(cfg: ExperimentConfig) -> ExperimentTable:
                 sums[rho_db, scheme] += evaluate_rates(h_conv, beam, rho).sum_rate_bps_hz
             sums[rho_db, "pinching_zf"] += solution.objective_value
 
-    rows = tuple((float(rho_db), scheme, sums[rho_db, scheme] / cfg.drops)
-                 for rho_db in cfg.snr_sweep_db for scheme in COMPARE_SCHEMES)
-    meta = _metadata(cfg, scenario)
-    table = ExperimentTable(("rho_db", "scheme", "mean_sum_rate_bps_hz"), rows, meta)
-    write_csv(Path(cfg.out_dir) / "compare_mimo.csv", table.columns, rows, meta)
-    return table
+    keys = [(rho_db, scheme) for rho_db in cfg.snr_sweep_db for scheme in COMPARE_SCHEMES]
+    return _write_table(cfg, scenario, rho_db=[float(rho_db) for rho_db, _ in keys],
+                        scheme=[scheme for _, scheme in keys],
+                        mean_sum_rate_bps_hz=[sums[key] / cfg.drops for key in keys])
 
 
 def run_noma_region(cfg: ExperimentConfig) -> ExperimentTable:
@@ -379,21 +351,14 @@ def run_noma_region(cfg: ExperimentConfig) -> ExperimentTable:
 
     alphas = np.arange(cfg.alpha_step, 1.0, cfg.alpha_step)
     beam = np.ones(1, dtype=complex)
-    rows = []
-    for alpha in alphas:
+    rates = np.empty((len(alphas), 2))  # weak, strong
+    for i, alpha in enumerate(alphas):
         cluster = NomaCluster(users=(weak, strong),
                               power_split=(1.0 - float(alpha), float(alpha)),
                               sic_order=(weak, strong))
-        report = noma_rates(scenario, H, cluster, beam)
-        rate_weak = float(report.per_user_rate_bps_hz[0])
-        rate_strong = float(report.per_user_rate_bps_hz[1])
-        rows.append((float(alpha), rate_weak, rate_strong, rate_weak + rate_strong))
-
-    meta = _metadata(cfg, scenario)
-    table = ExperimentTable(("alpha", "rate_weak_bps_hz", "rate_strong_bps_hz",
-                             "sum_rate_bps_hz"), tuple(rows), meta)
-    write_csv(Path(cfg.out_dir) / "noma_region.csv", table.columns, rows, meta)
-    return table
+        rates[i] = noma_rates(scenario, H, cluster, beam).per_user_rate_bps_hz
+    return _write_table(cfg, scenario, alpha=alphas, rate_weak_bps_hz=rates[:, 0],
+                        rate_strong_bps_hz=rates[:, 1], sum_rate_bps_hz=rates[:, 0] + rates[:, 1])
 
 
 def run_tdma_demo(cfg: ExperimentConfig) -> ExperimentTable:
@@ -415,14 +380,13 @@ def run_tdma_demo(cfg: ExperimentConfig) -> ExperimentTable:
                             offsets=offsets.T.ravel(), weights=np.ones(k * m))
     report = tdma_rates(scenario, schedule)
 
-    rows = tuple(
-        (report.scheme_label, u, 10.0 * math.log10(sinr) if sinr > 0 else float("-inf"), rate)
-        for u, (sinr, rate) in enumerate(zip(report.per_user_sinr.tolist(),
-                                             report.per_user_rate_bps_hz.tolist())))
-    meta = _metadata(cfg, scenario)
-    table = ExperimentTable(("scheme", "user", "sinr_db", "rate_bps_hz"), rows, meta)
-    write_csv(Path(cfg.out_dir) / "tdma_demo.csv", table.columns, rows, meta)
-    return table
+    sinr = report.per_user_sinr
+    sinr_db = np.full(k, -np.inf)
+    served = sinr > 0
+    # math.log10 per user, not np.log10: the CSV keeps the libm digits
+    sinr_db[served] = 10.0 * np.fromiter(map(math.log10, sinr[served].tolist()), float)
+    return _write_table(cfg, scenario, scheme=np.full(k, report.scheme_label), user=np.arange(k),
+                        sinr_db=sinr_db, rate_bps_hz=report.per_user_rate_bps_hz)
 
 
 def run_experiment(cfg: ExperimentConfig):

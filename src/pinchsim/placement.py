@@ -578,8 +578,8 @@ def optimize_multi_waveguide_sweep(s: Scenario, transmit_snrs,
     lowered to it, so the trace stays nondecreasing.
 
     The descents share one user drop and one set of candidate tables, built
-    here and freed on return, and are stepped together; each solution equals
-    the one :func:`optimize_multi_waveguide` returns at its SNR.
+    here and freed on return, and are stepped together. The descents do not
+    interact: each solution's bits are those of a sweep of its SNR alone.
     """
     K, M = len(s.users.positions), len(s.waveguides)
     if K == 0 or M == 0:
@@ -622,9 +622,3 @@ def _sweep_drops(s: Scenario, users: np.ndarray, snrs: np.ndarray,
                   for row, v, n, done, trace in zip(offsets, values, cycles, converged, traces)]
         solutions += [tuple(states[i:i + B]) for i in range(0, len(states), B)]
     return solutions
-
-
-def optimize_multi_waveguide(s: Scenario, budget: int = 10) -> PlacementSolution:
-    """Jointly place one antenna per waveguide by coordinate descent at
-    ``s.transmit_snr``: the one-SNR case of :func:`optimize_multi_waveguide_sweep`."""
-    return optimize_multi_waveguide_sweep(s, (s.transmit_snr,), budget)[0]

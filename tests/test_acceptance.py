@@ -199,8 +199,10 @@ def test_criterion_07_heatmap_structure(tmp_path):
     result = run_heatmap(cfg)
     elapsed = time.perf_counter() - start
 
-    pinch = result.rate_pinching.reshape(result.n_x, result.n_y)
-    conv = result.rate_conventional.reshape(result.n_x, result.n_y)
+    rows = result.rows
+    shape = np.unique(rows["x_m"]).size, np.unique(rows["y_m"]).size
+    pinch = rows["rate_pinching_bps_hz"].reshape(shape)
+    conv = rows["rate_conventional_bps_hz"].reshape(shape)
     axis_dev = float(np.max(pinch.max(axis=1) - pinch.min(axis=1)))
     dominated = bool(np.all(pinch >= conv - 1e-12))
     monotone = bool(np.all(np.diff(conv, axis=1) <= 1e-12))

@@ -180,6 +180,19 @@ def test_cli_runs_are_reproducible(tmp_path, scenario_file):
     assert hashes[0] == hashes[1]
 
 
+def run_cli_csv(tmp_path, threads, scenario, argv, name) -> bytes:
+    """The CSV ``name`` of one ``pinchsim`` run in a fresh interpreter with
+    ``threads`` BLAS threads."""
+    path = str(save_scenario(scenario, tmp_path / "scenario.yaml"))
+    out = tmp_path / "out"
+    env = dict(os.environ, OMP_NUM_THREADS=str(threads), OPENBLAS_NUM_THREADS=str(threads))
+    proc = subprocess.run([sys.executable, "-m", "pinchsim.cli", argv[0], "--scenario", path,
+                           "--out", str(out), *argv[1:]],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return (out / name).read_bytes()
+
+
 # sha256 of this run's CSV, and of its rows alone (every line after the
 # metadata line, whose config digest moved when it began to hash the users by
 # their bytes); the rows have held since the descent stepped a drop's SNR
@@ -190,15 +203,9 @@ PINNED_SWEEP_BODY_SHA256 = "daeec202ba1658b4cbac96bc6b0b76fb26c6f807bdc66b591c49
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_compare_mimo_sweep_csv_is_pinned(tmp_path, threads):
-    path = str(save_scenario(compare_scenario(), tmp_path / "compare.yaml"))
-    out = tmp_path / "out"
-    env = dict(os.environ, OMP_NUM_THREADS=str(threads), OPENBLAS_NUM_THREADS=str(threads))
-    proc = subprocess.run([sys.executable, "-m", "pinchsim.cli", "compare-mimo",
-                           "--scenario", path, "--out", str(out), "--seed", "3",
-                           "--snr-db", "90,100,110", "--drops", "2", "--budget", "4"],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    data = (out / "compare_mimo.csv").read_bytes()
+    data = run_cli_csv(tmp_path, threads, compare_scenario(),
+                       ["compare-mimo", "--seed", "3", "--snr-db", "90,100,110",
+                        "--drops", "2", "--budget", "4"], "compare_mimo.csv")
     assert hashlib.sha256(data.split(b"\n", 1)[1]).hexdigest() == PINNED_SWEEP_BODY_SHA256
     assert hashlib.sha256(data).hexdigest() == PINNED_SWEEP_SHA256
 
@@ -221,13 +228,31 @@ def test_tdma_demo_crowd_csv_is_pinned(tmp_path, threads):
     users = np.column_stack([rng.uniform(-5.0, 5.0, 300), rng.uniform(-10.0, 10.0, 300),
                              np.zeros(300)])
     crowd = dataclasses.replace(tdma_scenario(), users=UserSet(users))
-    path = str(save_scenario(crowd, tmp_path / "crowd.yaml"))
-    out = tmp_path / "out"
-    env = dict(os.environ, OMP_NUM_THREADS=str(threads), OPENBLAS_NUM_THREADS=str(threads))
-    proc = subprocess.run([sys.executable, "-m", "pinchsim.cli", "tdma-demo",
-                           "--scenario", path, "--out", str(out), "--seed", "3"],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    data = (out / "tdma_demo.csv").read_bytes()
+    data = run_cli_csv(tmp_path, threads, crowd, ["tdma-demo", "--seed", "3"], "tdma_demo.csv")
     assert hashlib.sha256(data.split(b"\n", 1)[1]).hexdigest() == PINNED_TDMA_CROWD_BODY_SHA256
     assert hashlib.sha256(data).hexdigest() == PINNED_TDMA_CROWD_SHA256
+
+
+# sha256 of these runs' CSVs, and of their rows alone (every line after the
+# metadata line), computed with the writer that still took tuple rows and
+# float64 matrices, before every table became one structured array: the one
+# heatmap and NOMA outputs that no other test pins byte for byte
+PINNED_HEATMAP_SHA256 = "418ab65d7dcdc7a623576aef843b720e2b11b400ef03e86325f62979ea019c94"
+PINNED_HEATMAP_BODY_SHA256 = "d8136f65130970faf0c4bb66a9727f3c62baa07dbd606f59e434b5676f676f7e"
+PINNED_NOMA_SHA256 = "4d5f0548172d4ddc0a99e9dab918d4a07f4527196d4449887f97e7f0c92fbf3a"
+PINNED_NOMA_BODY_SHA256 = "dfb2acacd12a27db801a0611892dda118e07ca9d12e3473179644f716539799a"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_heatmap_csv_is_pinned(tmp_path, threads):
+    data = run_cli_csv(tmp_path, threads, heatmap_scenario(),
+                       ["heatmap", "--grid-res", "0.25", "--seed", "3"], "heatmap.csv")
+    assert hashlib.sha256(data.split(b"\n", 1)[1]).hexdigest() == PINNED_HEATMAP_BODY_SHA256
+    assert hashlib.sha256(data).hexdigest() == PINNED_HEATMAP_SHA256
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_noma_region_csv_is_pinned(tmp_path, threads):
+    data = run_cli_csv(tmp_path, threads, noma_scenario(), ["noma-region"], "noma_region.csv")
+    assert hashlib.sha256(data.split(b"\n", 1)[1]).hexdigest() == PINNED_NOMA_BODY_SHA256
+    assert hashlib.sha256(data).hexdigest() == PINNED_NOMA_SHA256

@@ -61,16 +61,16 @@ def test_config_validation(tmp_path):
 
 def test_heatmap_structure(tmp_path):
     cfg = heatmap_cfg(tmp_path)
-    result = run_heatmap(cfg)
-    nx, ny = result.n_x, result.n_y
+    rows = run_heatmap(cfg).rows
+    nx, ny = np.unique(rows["x_m"]).size, np.unique(rows["y_m"]).size
     assert nx == ny == 21
-    x = result.x_m.reshape(nx, ny)
-    y = result.y_m.reshape(nx, ny)
+    x = rows["x_m"].reshape(nx, ny)
+    y = rows["y_m"].reshape(nx, ny)
     assert x.min() == -5.0 and x.max() == 5.0
     assert y.min() == -5.0 and y.max() == 5.0
 
-    pinch = result.rate_pinching.reshape(nx, ny)
-    conv = result.rate_conventional.reshape(nx, ny)
+    pinch = rows["rate_pinching_bps_hz"].reshape(nx, ny)
+    conv = rows["rate_conventional_bps_hz"].reshape(nx, ny)
     # pinched antenna tracks the user along the guide: rate constant in y
     assert np.max(pinch.max(axis=1) - pinch.min(axis=1)) <= 1e-9
     # always_los scenario: pinching can only shorten the link
@@ -127,7 +127,7 @@ def test_compare_mimo_rank_deficient_zf_drop_adds_zero(tmp_path, monkeypatch):
         scenario_path=write_preset(tmp_path, compare_scenario()),
         kind="compare_mimo", out_dir=str(tmp_path / "out"), seed=11,
         snr_sweep_db=(10.0, 60.0, 110.0), drops=3, cd_budget=2)
-    before = {row[:2]: row[2] for row in run_compare_mimo(cfg).rows}
+    before = {row[:2]: row[2] for row in run_compare_mimo(cfg).rows.tolist()}
     calls = []
 
     def singular(h):
@@ -135,7 +135,7 @@ def test_compare_mimo_rank_deficient_zf_drop_adds_zero(tmp_path, monkeypatch):
         raise RankDeficiencyError("singular")
 
     monkeypatch.setattr(experiments, "zf_beamformer", singular)
-    after = {row[:2]: row[2] for row in run_compare_mimo(cfg).rows}
+    after = {row[:2]: row[2] for row in run_compare_mimo(cfg).rows.tolist()}
     assert len(calls) == cfg.drops  # one conventional ZF per drop, for every SNR
     for key, value in before.items():
         assert after[key] == (0.0 if key[1] == "conventional_zf" else value)
@@ -331,149 +331,115 @@ def reference_csv(columns, rows, metadata) -> str:
     return "\n".join(lines) + "\n"
 
 
-float_cell = st.one_of(st.floats(), st.floats().map(np.float64),
-                       st.sampled_from(SPECIAL_FLOATS))
-CELLS = {
-    "float": float_cell,
-    "int": st.integers(-10 ** 15, 10 ** 15),
-    "str": st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
-}
-
-
-@st.composite
-def tuple_tables(draw):
-    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=5))
-    rows = draw(st.lists(st.tuples(*(CELLS[k] for k in kinds)), max_size=30))
-    return tuple(f"{k}{j}" for j, k in enumerate(kinds)), rows
-
-
-@settings(max_examples=200, deadline=None)
-@given(table=tuple_tables())
-def test_write_csv_tuple_rows_match_reference(tmp_path_factory, table):
-    columns, rows = table
-    meta = {"experiment": "t", "seed": 3}
-    path = write_csv(tmp_path_factory.mktemp("csv") / "t.csv", columns, rows, meta)
-    assert path.read_bytes().decode("utf-8") == reference_csv(columns, rows, meta)
-
-
-@settings(max_examples=30, deadline=None)
-@given(n_rows=st.sampled_from([0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1]),
-       n_cols=st.integers(1, 4),
-       pool=st.lists(float_cell.map(float), min_size=1, max_size=12),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_write_csv_float_array_matches_reference(tmp_path_factory, n_rows, n_cols,
-                                                 pool, seed):
-    rng = np.random.default_rng(seed)
-    values = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(
-        -320, 300, (n_rows, n_cols))
-    special = rng.uniform(size=values.shape) < 0.3
-    values[special] = rng.choice(np.array(pool), size=int(special.sum()))
-    columns = tuple(f"c{j}" for j in range(n_cols))
-    meta = {"seed": seed}
-    path = write_csv(tmp_path_factory.mktemp("csv") / "a.csv", columns, values, meta)
-    # the reference sees np.float64 scalars, as the rows of zipped columns did
-    expected = reference_csv(columns, [tuple(row) for row in values], meta)
-    assert path.read_bytes().decode("utf-8") == expected
-
-
 # 0.0 and -0.0, two NaN payloads of each sign, infinities and subnormals
 POOLED_FLOATS = np.array([0x0, 0x8000000000000000, 0x7FF8000000000000, 0x7FF8000000000001,
                           0xFFF8000000000000, 0xFFF0000000000001, 0x7FF0000000000000,
                           0xFFF0000000000000, 0x1, 0x800000000000000F, 0x000FFFFFFFFFFFFF],
                          dtype=np.uint64).view(np.float64)
 
+# each field kind's pool of values; rows draw from it, so a float pool of a few
+# values over many rows is a column of few distinct values
+FLOAT_POOL = st.lists(st.one_of(st.integers(0, POOLED_FLOATS.size - 1).map(POOLED_FLOATS.take),
+                                st.floats(), st.sampled_from(SPECIAL_FLOATS)),
+                      min_size=1, max_size=12)
+POOLS = {
+    "float": FLOAT_POOL,
+    "distinct": FLOAT_POOL,  # float64, mostly distinct: every value is formatted in place
+    "int": st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=12),
+    "bool": st.just([False, True]),
+    "str": st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+                    min_size=1, max_size=12),
+}
 
-@settings(max_examples=20, deadline=None)
-@given(n_rows=st.sampled_from([_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1]),
-       pools=st.lists(st.lists(st.one_of(st.integers(0, POOLED_FLOATS.size - 1),
-                                         float_cell.map(float)),
-                               min_size=1, max_size=12), min_size=1, max_size=3),
-       distinct_at=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
-def test_write_csv_pooled_columns_match_reference(tmp_path_factory, n_rows, pools,
-                                                  distinct_at, seed):
-    """Columns of few distinct values are formatted once per value; one column
-    of all-distinct values shares their template."""
+
+def structured(names, arrays):
+    rows = np.empty(len(arrays[0]), dtype=[(n, a.dtype) for n, a in zip(names, arrays)])
+    for name, array in zip(names, arrays):
+        rows[name] = array
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_rows=st.sampled_from([0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1]),
+       fields=st.lists(st.one_of(*(st.tuples(st.just(k), pool) for k, pool in POOLS.items())),
+                       min_size=1, max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_write_csv_matches_reference(tmp_path_factory, n_rows, fields, seed):
     rng = np.random.default_rng(seed)
-    columns = []
-    for pool in pools:
-        values = np.array([POOLED_FLOATS[v] if isinstance(v, int) else v for v in pool])
-        columns.append(values[rng.integers(0, values.size, n_rows)])
-    distinct = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-320, 300, n_rows)
-    assert 2 * np.unique(distinct).size > n_rows
-    columns.insert(min(distinct_at, len(columns)), distinct)
-    values = np.column_stack(columns)
-    names = tuple(f"c{j}" for j in range(values.shape[1]))
-    meta = {"seed": seed}
-    path = write_csv(tmp_path_factory.mktemp("csv") / "p.csv", names, values, meta)
-    expected = reference_csv(names, [tuple(row) for row in values], meta)
-    assert path.read_bytes().decode("utf-8") == expected
+    arrays = []
+    for kind, pool in fields:
+        if kind == "distinct":
+            values = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-320, 300, n_rows)
+            special = rng.uniform(size=n_rows) < 0.3
+            values[special] = rng.choice(np.array(pool), size=int(special.sum()))
+            assert n_rows == 0 or 2 * np.unique(values).size > n_rows
+        else:
+            values = np.array(pool, dtype={"float": float, "int": np.int64}.get(kind))
+            values = values[rng.integers(0, values.size, n_rows)]
+        arrays.append(values)
+    names = tuple(f"{kind}{j}" for j, (kind, _) in enumerate(fields))
+    rows = structured(names, arrays)
+    meta = {"experiment": "t", "seed": seed}
+    path = write_csv(tmp_path_factory.mktemp("csv") / "t.csv", names, rows, meta)
+    # the reference sees the rows as tuples of Python floats, ints, bools and strs
+    assert path.read_bytes().decode("utf-8") == reference_csv(names, rows.tolist(), meta)
 
 
-def test_write_csv_rejects_rows_unlike_row_0(tmp_path):
-    with pytest.raises(ValueError, match="only floats or only non-floats"):
-        write_csv(tmp_path / "m.csv", ("v",), [(1.0,), (10 ** 13,)], {})
-    with pytest.raises(ValueError, match="only floats or only non-floats"):
-        write_csv(tmp_path / "m.csv", ("v",), [(10 ** 13,), (1.0,)], {})
-    with pytest.raises(ValueError, match="row 1 "):
-        write_csv(tmp_path / "m.csv", ("a", "b"), [(1.0, 2.0), (3.0,)], {})
-    with pytest.raises(ValueError, match="row 0 has 1 cells for 2 columns"):
-        write_csv(tmp_path / "m.csv", ("a", "b"), [(3.0,), (1.0, 2.0)], {})
-    with pytest.raises(ValueError, match="float64"):
-        write_csv(tmp_path / "m.csv", ("v",), np.ones((2, 1), dtype=np.float32), {})
+@pytest.mark.parametrize("rows", [
+    np.array([(1.0,)], dtype=[("v", object)]),
+    np.ones(2, dtype=[("v", np.float32)]),
+    np.ones(2, dtype=[("v", complex)]),
+    np.ones(2, dtype=[("v", ">f8")]),
+    np.ones(2, dtype=[("v", "S3")]),
+    np.ones(2, dtype=[("v", "M8[s]")]),
+    np.ones(2, dtype=[("v", float, (2,))]),
+    np.ones((2, 1), dtype=[("v", float)]),
+    np.ones(2, dtype=[("w", float)]),
+    np.ones(2, dtype=[("v", float), ("w", float)]),
+    np.ones(2),
+    np.ones((2, 1)),
+    [(1.0,), (2.0,)],
+], ids=["object", "float32", "complex", "big-endian", "bytes", "datetime", "subarray",
+        "2-D", "other-name", "extra-field", "unstructured", "2-D-float64", "tuples"])
+def test_write_csv_rejects_other_tables_before_any_file(tmp_path, rows):
+    with pytest.raises(ValueError, match="1-D structured array"):
+        write_csv(tmp_path / "out" / "m.csv", ("v",), rows, {})
     assert list(tmp_path.iterdir()) == []
-
-
-def crowd_rows(n=_CHUNK_ROWS + 20):
-    """``run_tdma_demo``'s row form: a str, an int and two floats."""
-    return [("tdma", i, 0.5 * i, 1.0 / (i + 1)) for i in range(n)]
-
-
-@pytest.mark.parametrize("bad", [3, _CHUNK_ROWS + 8])
-def test_write_csv_names_the_first_row_with_a_str_among_floats(tmp_path, bad):
-    rows = crowd_rows()
-    rows[bad] = ("tdma", bad, "x", 0.5)
-    rows[bad + 2] = ("tdma", bad + 2, 0.5, "y")
-    with pytest.raises(ValueError, match=f"^row {bad} does not match"):
-        write_csv(tmp_path / "m.csv", ("a", "b", "c", "d"), rows, {})
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("cells", [("tdma", 5, 1.0), ("tdma", 5, 1.0, 2.0, 3.0),
-                                   ("tdma", 5, 1, 2.0), ("tdma", 5, 1.0, True),
-                                   ("tdma", 5.0, 1.0, 2.0), ("tdma", np.float64(5), 1.0, 2.0)])
-def test_write_csv_names_a_row_of_other_length_or_kinds(tmp_path, cells):
-    rows = crowd_rows(40)
-    rows[5] = cells
-    with pytest.raises(ValueError, match="^row 5 does not match"):
-        write_csv(tmp_path / "m.csv", ("a", "b", "c", "d"), rows, {})
-
-
-def test_write_csv_reads_numpy_float64_cells_as_floats(tmp_path):
-    rows = [(s, u, np.float64(x), y) for s, u, x, y in crowd_rows(40)]
-    rows[7] = ("tdma", 7, np.float64(-0.0), np.float64(1 / 3))
-    path = write_csv(tmp_path / "f.csv", ("a", "b", "c", "d"), rows, {"seed": 1})
-    assert path.read_text(encoding="utf-8") == reference_csv(("a", "b", "c", "d"), rows,
-                                                             {"seed": 1})
-    assert path.read_text(encoding="utf-8").splitlines()[9] == "tdma,7,-0,0.333333333333"
 
 
 def test_heatmap_csv_matches_reference(tmp_path):
     cfg = heatmap_cfg(tmp_path, scenario_path=write_preset(
         tmp_path, heatmap_scenario(los_kind="inmo")))
-    result = run_heatmap(cfg)
-    rows = list(zip(result.x_m, result.y_m, result.rate_conventional, result.rate_pinching))
+    table = run_heatmap(cfg)
     text = (tmp_path / "out" / "heatmap.csv").read_bytes().decode("utf-8")
-    assert text == reference_csv(HEATMAP_COLUMNS, rows, result.metadata)
+    assert text == reference_csv(HEATMAP_COLUMNS, table.rows.tolist(), table.metadata)
 
 
-def test_failed_write_keeps_earlier_csv(tmp_path):
+def test_failed_write_keeps_earlier_csv(tmp_path, monkeypatch):
+    from pinchsim import experiments
+
     run_heatmap(heatmap_cfg(tmp_path))
     out = tmp_path / "out"
     before = (out / "heatmap.csv").read_bytes()
-    bad = _CHUNK_ROWS + 2  # fails after the first chunk is written
-    rows = [(float(i),) * 4 for i in range(_CHUNK_ROWS + 5)]
-    rows[bad] = (1.0, 2.0, 3.0, 4)
-    with pytest.raises(ValueError, match=f"row {bad} "):
+    rows = structured(HEATMAP_COLUMNS, [np.arange(_CHUNK_ROWS + 5.0)] * 4)
+    writes = []
+
+    def open_failing_after_first_chunk(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write = fh.write
+
+        def write_three_then_fail(text):  # the metadata line, the header, one chunk
+            if len(writes) == 3:
+                raise OSError("disk full")
+            writes.append(text)
+            return write(text)
+
+        fh.write = write_three_then_fail
+        return fh
+
+    monkeypatch.setattr(experiments, "open", open_failing_after_first_chunk, raising=False)
+    with pytest.raises(OSError, match="disk full"):
         write_csv(out / "heatmap.csv", HEATMAP_COLUMNS, rows, {"seed": 0})
+    assert writes[2].count("\n") == _CHUNK_ROWS
     assert (out / "heatmap.csv").read_bytes() == before
     assert [p.name for p in out.iterdir()] == ["heatmap.csv"]

@@ -18,7 +18,6 @@ from pinchsim import (
     guided_wavelength,
     link_gains,
     link_power,
-    optimize_multi_waveguide,
     optimize_multi_waveguide_sweep,
     place_single_for_group,
     place_single_for_user,
@@ -288,7 +287,7 @@ def reevaluate(s, sol):
 
 def test_descent_single_user_single_guide_matches_projection(guide_y):
     s = make_scenario([(2.0, 5.0, 0.0)], (guide_y,))
-    sol = optimize_multi_waveguide(s)
+    sol = optimize_multi_waveguide_sweep(s, (s.transmit_snr,))[0]
     x = sol.layout.offsets[0]
     assert x == pytest.approx(5.0, abs=1e-5)
     H = build_channel(s, sol.layout, los_states=True)
@@ -303,7 +302,7 @@ def test_descent_agrees_with_exhaustive_oracle_basin():
     # users' projections; coordinate descent must find the same basin.
     users = [(-10 / 3 + 0.1, -2.0, 0.0), (0.05, 1.0, 0.0), (10 / 3 - 0.08, 3.0, 0.0)]
     s = three_guide_scenario(users)
-    sol = optimize_multi_waveguide(s, budget=25)
+    sol = optimize_multi_waveguide_sweep(s, (s.transmit_snr,), 25)[0]
     offsets = sol.layout.offsets
 
     # coarse exhaustive oracle over all three offsets
@@ -343,7 +342,7 @@ def test_descent_agrees_with_exhaustive_oracle_basin():
 def test_descent_trace_is_monotone_and_value_consistent():
     users = [(-2.0, -4.0, 0.0), (1.0, 2.0, 0.0), (3.0, 4.5, 0.0)]
     s = three_guide_scenario(users)
-    sol = optimize_multi_waveguide(s, budget=25)
+    sol = optimize_multi_waveguide_sweep(s, (s.transmit_snr,), 25)[0]
     assert all(b >= a for a, b in zip(sol.trace, sol.trace[1:]))
     assert sol.converged
     assert abs(sol.objective_value - sol.trace[-1]) <= 1e-9
@@ -387,8 +386,8 @@ def assert_same_solution(a, b):
 def test_descent_is_deterministic():
     users = [(-1.0, -3.0, 0.0), (2.0, 6.0, 0.0), (0.5, 8.0, 0.0)]
     s = three_guide_scenario(users)
-    a = optimize_multi_waveguide(s)
-    b = optimize_multi_waveguide(s)
+    a = optimize_multi_waveguide_sweep(s, (s.transmit_snr,))[0]
+    b = optimize_multi_waveguide_sweep(s, (s.transmit_snr,))[0]
     assert np.array_equal(a.layout.offsets, b.layout.offsets)
     assert a.objective_value == b.objective_value
     assert a.trace == b.trace
@@ -400,7 +399,7 @@ def test_descent_is_deterministic():
 def test_descent_with_identical_users_degenerates_gracefully():
     users = [(1.0, 2.0, 0.0), (1.0, 2.0, 0.0)]
     s = three_guide_scenario(users)
-    sol = optimize_multi_waveguide(s, budget=3)
+    sol = optimize_multi_waveguide_sweep(s, (s.transmit_snr,), 3)[0]
     assert sol.objective_value == -np.inf
 
 
@@ -409,7 +408,7 @@ def test_descent_zf_value_is_pinned():
     # the zoom shows. The value is held to 1e-12 relative, not to its bits: the
     # link law's phase lag (thousands of radians here) rounds to about 1e-12 rad.
     s = three_guide_scenario([(-2.0, -4.0, 0.0), (1.0, 2.0, 0.0), (3.0, 4.5, 0.0)])
-    sol = optimize_multi_waveguide(s, budget=4)
+    sol = optimize_multi_waveguide_sweep(s, (s.transmit_snr,), 4)[0]
     assert sol.objective_value == pytest.approx(25.423279650986387, rel=1e-12)
     assert sol.layout.offsets.tolist() == [6.300674293995924, 12.30228478188688,
                                            13.712335115326548]
@@ -461,7 +460,7 @@ def test_descent_never_steps_on_singular_grams_at_four_users():
                    for x in (-6.0, -2.0, 2.0, 6.0))
     users = [(1.0, 2.0, 0.0), (1.0, 2.0, 0.0), (-3.0, -4.0, 0.0), (4.0, 6.0, 0.0)]
     s = make_scenario(users, guides)
-    sol = optimize_multi_waveguide(s, budget=3)
+    sol = optimize_multi_waveguide_sweep(s, (s.transmit_snr,), 3)[0]
     assert sol.trace == (-np.inf,)
     assert sol.objective_value == -np.inf
 
@@ -469,10 +468,10 @@ def test_descent_never_steps_on_singular_grams_at_four_users():
 def test_descent_argument_validation(guide_y):
     s = make_scenario([(1, 1, 0), (2, 2, 0)], (guide_y,))
     with pytest.raises(ValueError, match="users <= waveguides"):
-        optimize_multi_waveguide(s)
+        optimize_multi_waveguide_sweep(s, (s.transmit_snr,))
     s3 = three_guide_scenario([(1, 1, 0)])
     (swept,) = optimize_multi_waveguide_sweep(s3, [s3.transmit_snr])
-    assert_same_solution(swept, optimize_multi_waveguide(s3))
+    assert_same_solution(swept, optimize_multi_waveguide_sweep(s3, (s3.transmit_snr,))[0])
     assert optimize_multi_waveguide_sweep(s3, []) == ()
     for bad in (math.nan, math.inf, -1.0, 0.0):
         with pytest.raises(ValueError, match=f"finite and > 0, got {bad!r}"):
@@ -566,7 +565,7 @@ def test_sweep_equals_one_descent_per_snr(case):
     swept = optimize_multi_waveguide_sweep(s, rhos, budget)
     assert len(swept) == len(rhos)
     for rho, sol in zip(rhos, swept):
-        single = optimize_multi_waveguide(dataclasses.replace(s, transmit_snr=rho), budget)
+        (single,) = optimize_multi_waveguide_sweep(s, (rho,), budget)
         assert_same_solution(sol, single)
         assert all(b >= a for a, b in zip(sol.trace, sol.trace[1:]))
 
