@@ -349,40 +349,134 @@ def _resolved(m: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _scorer(F: np.ndarray, rho: np.ndarray):
+def _zf_law(F: np.ndarray, T: np.ndarray, dc: np.ndarray, snr: np.ndarray,
+            peaks: bool = False) -> np.ndarray:
+    """The exact law: zero-forcing sum rates (rows, n) of candidate features ``T``
+    (rows, K*K, n) beside fixed features ``F`` (rows, K*K), -inf where degenerate.
+
+    ``dc`` (rows, 1+K, n) holds the candidates' det and cofactors C_kk from
+    :func:`_zf_map`'s map, and is overwritten; ``snr`` (rows, 1, 1) is the
+    per-user SNR rho/K of equal power. Then sinr_k = snr * det / C_kk, and a
+    candidate counts where det / C_kk is positive (NaN and inf end up
+    non-finite) and, for K > 3, where its Gram is :func:`_resolved`. Per-user
+    rates are summed elementwise in user order. With ``peaks``, the rank test
+    runs only on each row's first maximum, which falls to -inf and yields to
+    the next until one passes: the first maximum and its value are the eager
+    law's, and only they are.
+    """
+    K = dc.shape[1] - 1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # det / C_kk = 1 / [Gram^{-1}]_kk, over the cofactors' rows
+        sinr = np.divide(dc[:, :1], dc[:, 1:], out=dc[:, 1:])
+        bad = sinr <= 0
+        if K > 3 and not peaks:
+            bad |= ~_resolved(_hermitian(np.moveaxis(F[:, :, None] + T, 1, -1), K))[:, None]
+        sinr *= snr
+        np.copyto(sinr, np.nan, where=bad)
+        obj = functools.reduce(np.add, shannon_rate(sinr, out=sinr).swapaxes(0, 1))
+    np.copyto(obj, -np.inf, where=~np.isfinite(obj))
+    rows = np.arange(len(obj)) if K > 3 and peaks else ()
+    while len(rows):
+        j = np.argmax(obj[rows], axis=-1)
+        fail = ~_resolved(_hermitian(F[rows] + T[rows, :, j], K)) & (obj[rows, j] > -np.inf)
+        rows, j = rows[fail], j[fail]
+        obj[rows, j] = -np.inf
+    return obj
+
+
+# A window keeps the candidates whose product bound is within this factor of the
+# best, 2^-1e-9 wider than the TIE_TOL band of the objective, its log2
+WINDOW = 2.0 ** -(TIE_TOL + 1e-9)
+
+
+def _scorer(F: np.ndarray, rho: np.ndarray, work: np.ndarray | None = None):
     """Zero-forcing sum rate of one guide's candidate antennas for L states, -inf
-    where degenerate.
+    where degenerate: the functions ``score`` and ``scan``.
 
     ``F`` (L, K*K) holds each state's Gram features without the guide's
-    column, ``rho`` (L,) its transmit SNR. ``score(rows, T)`` gives the
-    objectives (rows, n) of the Grams F + T for candidate features ``T``
-    (rows, K*K, n), one matrix product per state. Zero-forcing at equal power
-    p = 1/K gives sinr_k = p * rho * det / C_kk from :func:`_zf_map`'s affine
-    map, built once here; a candidate counts where det / C_kk is finite and
-    positive and, for K > 3, where its Gram is :func:`_resolved`. Per-user
-    rates are summed elementwise in user order.
+    column, ``rho`` (L,) its transmit SNR. Zero-forcing at equal power p =
+    1/K gives sinr_k = p * rho * det / C_kk from :func:`_zf_map`'s affine map,
+    built once here, and :func:`_zf_law` turns them into rates.
+    ``score(rows, T)`` gives the objectives (rows, n) of the Grams F + T for
+    candidate features ``T`` (rows, K*K, n), one matrix product per state.
+
+    ``scan(i, table)`` gives state i's best candidate of a grid table (K*K,
+    n) as (index, value), ties within ``TIE_TOL`` to the smallest index: the
+    bits of :func:`_argmax_tie_smallest` over ``score([i], table[None])``.
+    Its matrix product and the bound below go into ``work``, a flat array of
+    at least (K + 4) * n floats. The log-free product bound p = prod_k (C_kk +
+    rho/K * det) / C_kk equals prod_k (1 + sinr_k), whose log2 is the
+    objective, and is at least 1 wherever the exact law counts a candidate.
+    The exact law runs only on the window of candidates with p >= max(p) *
+    ``WINDOW``. A candidate outside it has an objective below log2 of that
+    threshold plus eps, the rounding gap between log2 p and the summed logs
+    (64*K ulps of the objective), so the window's tie-smallest argmax is the
+    row's once its best value clears that line by ``TIE_TOL``. If it does not,
+    for example when the window's winners are rank-deficient, the window's
+    candidates leave the bound and the next window is scanned; once no
+    candidate left has p >= 1, none counts. If p has no finite maximum
+    (overflow, NaN), or four windows pass uncertified, the exact law scores
+    the whole row.
     """
     K = math.isqrt(F.shape[-1])
     weights, consts = _zf_map(F, K)
+    snr = 1.0 / K * rho
 
-    def score(rows, T):
-        r = rho[rows, None, None]
+    def score(rows, T, peaks=False):
+        dc = weights[rows] @ T  # (rows, 1+K, n)
+        dc += consts[rows, :, None]
+        return _zf_law(F[rows], T, dc, snr[rows, None, None], peaks)
+
+    def scan(i, table):
+        n = table.shape[-1]
+        dc = np.matmul(weights[i], table, out=work[:(1 + K) * n].reshape(1 + K, n))
+        dc += consts[i, :, None]
+        p, x = work[(1 + K) * n:(3 + K) * n].reshape(2, n)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            dc = weights[rows] @ T  # (rows, 1+K, n)
-            dc += consts[rows, :, None]
-            # det / C_kk = 1 / [Gram^{-1}]_kk, over the cofactors' rows
-            sinr = np.divide(dc[:, :1], dc[:, 1:], out=dc[:, 1:])
-            bad = ~((sinr > 0) & (sinr < np.inf))
-            if K > 3:
-                gram = _hermitian(np.moveaxis(F[rows, :, None] + T, 1, -1), K)
-                bad |= ~_resolved(gram)[:, None]
-            sinr *= 1.0 / K * r
-            np.copyto(sinr, np.nan, where=bad)
-            obj = functools.reduce(np.add, shannon_rate(sinr, out=sinr).swapaxes(0, 1))
-        np.copyto(obj, -np.inf, where=~np.isfinite(obj))
-        return obj
+            for k in range(1, 1 + K):  # 1 + sinr_k, in the exact law's steps
+                f = np.divide(dc[0], dc[k], out=p if k == 1 else x)
+                f *= snr[i]
+                f += 1.0
+                if k > 1:
+                    p *= f
+        windows, values, best = [], [], -math.inf
+        for _ in range(4):
+            top = float(p.max())
+            if not top < math.inf:  # overflow, or NaN
+                break
+            if not top >= 1.0:  # no candidate left can count
+                return _window_best(windows, values)
+            line = top * WINDOW
+            w = (p >= line).nonzero()[0]
+            windows.append(w)
+            values.append(_zf_law(F[i:i + 1], table[:, w][None], dc[:, w][None],
+                                  snr[i:i + 1, None, None])[0])
+            best = max(best, float(values[-1].max()))
+            # the certificate in the bound's terms: 2^(best - TIE_TOL - eps) > line
+            clear = best - TIE_TOL - 16 * K * math.ulp(max(1.0, best))
+            if clear >= 1024.0 or 2.0 ** clear > line:
+                return _window_best(windows, values)
+            p[w] = -np.inf
+        obj = _zf_law(F[i:i + 1], table[None], dc[None], snr[i:i + 1, None, None])[0]
+        j = _argmax_tie_smallest(obj)
+        return j, obj[j]
 
-    return score
+    return score, scan
+
+
+def _window_best(windows, values):
+    """Tie-smallest argmax (index, value) over the scanned windows' candidates,
+    (0, -inf) if none counts, as :func:`_argmax_tie_smallest` gives for a row
+    of -inf."""
+    if not windows:
+        return 0, -np.inf
+    idx, vals = windows[0], values[0]
+    if len(windows) > 1:  # indices in order, as one window holds them
+        idx, vals = np.concatenate(windows), np.concatenate(values)
+        order = np.argsort(idx)
+        idx, vals = idx[order], vals[order]
+    j = _argmax_tie_smallest(vals) if vals.size > 1 else 0
+    return (idx[j], vals[j]) if vals[j] != -np.inf else (0, -np.inf)
 
 
 def _guide_columns(s: Scenario, g: int, xs: np.ndarray, users: np.ndarray) -> np.ndarray:
@@ -470,6 +564,7 @@ def _descend(s: Scenario, users: np.ndarray, transmit_snrs: np.ndarray, budget: 
     D, K = users.shape[:2]
     M, B = len(s.waveguides), len(transmit_snrs)
     grids = _grids(s)
+    work = np.empty((K + 3) * max(grid.size for grid in grids))  # for each scan
     tables = [[_table(s, g, grid, drop_users) for g, grid in enumerate(grids)]
               for drop_users in users]
     state_users = np.repeat(users, B, axis=0)  # (D*B, K, 3)
@@ -491,7 +586,7 @@ def _descend(s: Scenario, users: np.ndarray, transmit_snrs: np.ndarray, budget: 
     live = np.arange(D * B)
     # the start is scored as the last guide's candidate
     last = _features(cols[:, :, M - 1:].swapaxes(0, 1)).swapaxes(0, 1)
-    value = _scorer(others(cols, M - 1), rho)(live, last)[:, 0]
+    value = _scorer(others(cols, M - 1), rho)[0](live, last)[:, 0]
     traces = [[float(v)] for v in value]
     offsets = np.repeat(start, B, axis=0)
     cycles = np.zeros(D * B, dtype=int)
@@ -500,22 +595,20 @@ def _descend(s: Scenario, users: np.ndarray, transmit_snrs: np.ndarray, budget: 
         cycles[live] += 1
         cycle_gain = np.zeros(live.size)
         for g in range(M):
-            score = _scorer(others(cols[live], g), rho[live])
-            rows = np.arange(live.size)  # the scorer's rows: live states
+            score, scan = _scorer(others(cols[live], g), rho[live], work)
             idx = np.empty(live.size, dtype=int)
             best = np.empty(live.size)
-            for i, d in enumerate(drop[live]):  # one (1, n) objective row at a time
-                obj = score(rows[i:i + 1], tables[d][g][None])[0]
-                idx[i] = _argmax_tie_smallest(obj)
-                best[i] = obj[idx[i]]
+            for i, d in enumerate(drop[live]):  # the scorer's rows: live states
+                idx[i], best[i] = scan(i, tables[d][g])
             pos = np.flatnonzero(best != -np.inf)
             if not pos.size:
                 continue
+            # the zoomed states' users, in link_gains' broadcast shape (K, rows, 1, 3)
+            zoom_users = np.ascontiguousarray(np.moveaxis(state_users[live[pos]], 1, 0)[:, :, None])
 
             def zoom_scores(open_rows, xs):
-                states = pos[open_rows]
-                return score(states, _features(_guide_columns(
-                    s, g, xs, state_users[live[states]])).swapaxes(0, 1))
+                c = link_gains(s, s.waveguides[g], xs, zoom_users[:, open_rows])
+                return score(pos[open_rows], _features(c).swapaxes(0, 1), peaks=True)
 
             x, v = _zoom_max(zoom_scores, grids[g], idx[pos], best[pos], REFINE_TOL_M)
             up = v > value[live[pos]]

@@ -433,11 +433,14 @@ def test_zf_map_matches_det_and_inverse(K, extra):
 
     F = _features(columns(L, M - 1)).sum(axis=-1).T  # (L, K*K)
     T = _features(columns(n))
-    score = _scorer(F, np.full(L, 1e3))
-    # the kernel's bits do not depend on how many states share the product
+    score, scan = _scorer(F, np.full(L, 1e3), np.empty((K + 3) * n))
+    # the kernel's bits do not depend on how many states share the product,
+    # and a state's window scan finds the eager argmax of its row
     together = score(np.arange(L), np.repeat(T[None], L, axis=0))
     for r in range(L):
         assert np.array_equal(score([r], T[None]), together[r:r + 1])
+        j = _argmax_tie_smallest(together[r])
+        assert scan(r, T) == (j, together[r, j])
 
     weights, consts = _zf_map(F, K)
     out = weights @ T + consts[:, :, None]  # (L, 1+K, n): det, then C_kk
@@ -451,6 +454,102 @@ def test_zf_map_matches_det_and_inverse(K, extra):
     inv_diag = np.linalg.inv(gram).diagonal(axis1=-2, axis2=-1).real
     ratio = np.moveaxis(out[:, 1:] / out[:, :1], 1, -1) / inv_diag
     assert np.all((np.abs(ratio - 1.0) * h[..., None])[keep] <= 1e-12)
+
+
+PLANTS = ("tie", "near_tie", "nan", "negative", "zero", "shadow")
+
+
+@st.composite
+def planted_tables(draw):
+    """A scorer's fixed features F (2, K*K) from M - 1 random columns per state,
+    K*K x n candidate features of random unit-scale columns with planted cells,
+    and a transmit SNR. Plants: ``tie`` copies a column to a smaller index,
+    ``near_tie`` puts a copy scaled by 1 + 1e-15 there (a value within
+    ``TIE_TOL``), ``nan`` a NaN cell, ``negative`` the negated features of a
+    column (det / C_kk can fall below 0 while the product bound is large),
+    ``zero`` a zero column, ``shadow`` a column's features times -1e6, whose
+    bound is near the column's limit as it grows but whose Gram has a
+    negative eigenvalue (unresolved for K = 4). ``invalid`` negates every
+    column."""
+    K = draw(st.integers(1, 4))
+    M = K + draw(st.integers(0, 1))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def columns(*shape):
+        return rng.normal(size=(K,) + shape) + 1j * rng.normal(size=(K,) + shape)
+
+    F = _features(columns(2, M - 1)).sum(axis=-1).T if M > 1 else np.zeros((2, K * K))
+    c = columns(n)
+    T = _features(c)
+    for plant, at in draw(st.lists(st.tuples(st.sampled_from(PLANTS), st.integers(0, n - 1)),
+                                   max_size=4)):
+        src = draw(st.integers(at, n - 1))
+        if plant == "tie":
+            T[:, at] = T[:, src]
+        elif plant == "near_tie":
+            T[:, at] = _features(c[:, src] * (1 + 1e-15))
+        elif plant == "nan":
+            T[draw(st.integers(0, K * K - 1)), at] = np.nan
+        elif plant == "negative":
+            T[:, at] = -T[:, at]
+        elif plant == "zero":
+            T[:, at] = 0.0
+        else:
+            T[:, at] = -1e6 * T[:, src]
+    if draw(st.booleans()):
+        T = -T  # invalid: no candidate of a full-rank F counts
+    snr_db = draw(st.sampled_from([0.0, 30.0, 90.0, 120.0, 3000.0]))
+    return F, T, 10.0 ** (snr_db / 10.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=planted_tables())
+def test_window_scan_is_the_eager_argmax(case):
+    F, T, rho = case
+    K, n = math.isqrt(F.shape[-1]), T.shape[-1]
+    score, scan = _scorer(F, np.full(2, rho), np.empty((K + 3) * n))
+    for i in range(2):
+        obj = score([i], T[None])[0]
+        j = _argmax_tie_smallest(obj)
+        assert scan(i, T) == (j, obj[j])
+        # the zoom's law, rank-tested at its maxima: the first maximum is the eager one
+        peaks = score([i], T[None], peaks=True)[0]
+        assert peaks.argmax() == obj.argmax() and peaks.max() == obj.max()
+
+
+def test_window_scan_takes_the_next_window_or_the_full_row(monkeypatch):
+    # K = 4: the bound's best candidate, the best column's features times -1e6,
+    # has a Gram with a negative eigenvalue, so a second window is scanned; a
+    # NaN cell, or a 3000 dB SNR that overflows the bound, leaves the exact law
+    # the whole row
+    rng = np.random.default_rng(5)
+    K, n = 4, 50
+
+    def columns(*shape):
+        return rng.normal(size=(K,) + shape) + 1j * rng.normal(size=(K,) + shape)
+
+    F = _features(columns(1, K)).sum(axis=-1).T
+    T = _features(columns(n))
+    T[:, 7] = -1e6 * T[:, _argmax_tie_smallest(_scorer(F, np.array([1e9]))[0]([0], T[None])[0])]
+    law, sizes = placement._zf_law, []
+
+    def counted(F, T, dc, snr, *peaks):
+        sizes.append(T.shape[-1])
+        return law(F, T, dc, snr, *peaks)
+
+    monkeypatch.setattr(placement, "_zf_law", counted)
+    nan_cell = T.copy()
+    nan_cell[0, 3] = np.nan
+    for table, rho, full in ((T, 1e9, False), (nan_cell, 1e9, True), (T, 1e300, True)):
+        score, scan = _scorer(F, np.array([rho]), np.empty((K + 3) * n))
+        obj = score([0], table[None])[0]
+        j = _argmax_tie_smallest(obj)
+        sizes.clear()
+        assert scan(0, table) == (j, obj[j])
+        assert (sizes[-1] == n) == full
+        if not full:
+            assert obj[7] == -np.inf and j != 7 and len(sizes) == 2
 
 
 def test_descent_never_steps_on_singular_grams_at_four_users():
