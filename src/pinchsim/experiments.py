@@ -139,10 +139,10 @@ def write_csv(path, columns, rows, metadata: dict) -> Path:
     ``rows`` is a 1-D structured array with one field per column, named as
     in ``columns``; the field's dtype gives the column's kind. Float64 cells
     are written as ``%.12g``; integer, bool and str cells as ``str``. Any
-    other input raises ``ValueError`` before a file is created. A float64
-    column with at most half as many distinct bit patterns as rows has each
-    value formatted once and enters the row template as ``%s`` of those
-    strings. Rows are formatted in chunks into a temporary file next to
+    other input raises ``ValueError`` before a file is created. A column with
+    at most half as many distinct values as rows (float64 columns by bit
+    pattern) has each value formatted once and enters the row template as
+    ``%s`` of those strings. Rows are formatted in chunks into a temporary file next to
     ``path``, renamed onto it once complete: a failed write leaves no partial
     CSV and any earlier file as it was.
     """
@@ -154,21 +154,25 @@ def write_csv(path, columns, rows, metadata: dict) -> Path:
         got = rows.dtype if isinstance(rows, np.ndarray) else type(rows).__name__
         raise ValueError(f"rows must be a 1-D structured array of float64, integer, bool "
                          f"and str fields named {columns}, got {got}")
-    texts = {}  # float64 column -> (its sorted distinct bit patterns, their strings)
+    floats = [rows.dtype[name] == np.float64 for name in columns]
+
+    def keys(j, values):
+        # bit patterns keep 0.0 and -0.0, and NaN payloads, apart
+        return values.view(np.int64) if floats[j] else values
+
+    texts = {}  # column -> (its sorted distinct keys, their strings)
     for j, name in enumerate(columns):
-        if rows.dtype[name] != np.float64:
-            continue
-        # bit patterns keep 0.0 and -0.0, and NaN payloads, apart; a sort
-        # finds them several times faster than np.unique's hash table
-        ordered = np.sort(rows[name].view(np.int64))
+        # a sort finds the distinct values several times faster than np.unique's hash table
+        ordered = np.sort(keys(j, rows[name]))
         first = np.ones(ordered.shape, dtype=bool)
         first[1:] = ordered[1:] != ordered[:-1]
         if 2 * np.count_nonzero(first) <= len(rows):
-            bits = ordered[first]
-            texts[j] = bits, np.array(
-                ["%.12g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+            distinct = ordered[first]
+            values = distinct.view(np.float64) if floats[j] else distinct
+            fmt = "%.12g" if floats[j] else "%s"
+            texts[j] = distinct, np.array([fmt % v for v in values.tolist()], dtype=object)
     # "%.12g" % v == format(v, ".12g") for a float and "%s" % v == str(v)
-    line = ",".join("%.12g" if rows.dtype[j] == np.float64 and j not in texts else "%s"
+    line = ",".join("%.12g" if floats[j] and j not in texts else "%s"
                     for j in range(len(columns))) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     # "x" creates the file with the mode write_text would give it, unlike
@@ -184,8 +188,8 @@ def write_csv(path, columns, rows, metadata: dict) -> Path:
                 cells = np.empty((len(chunk), len(columns)), dtype=object)
                 for j, name in enumerate(columns):
                     if j in texts:
-                        bits, text = texts[j]
-                        cells[:, j] = text[np.searchsorted(bits, chunk[name].view(np.int64))]
+                        distinct, text = texts[j]
+                        cells[:, j] = text[np.searchsorted(distinct, keys(j, chunk[name]))]
                     else:
                         cells[:, j] = chunk[name]  # as Python floats, ints, bools and strs
                 fh.write((line * len(chunk)) % tuple(cells.ravel().tolist()))
