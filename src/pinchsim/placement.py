@@ -389,7 +389,7 @@ def _zf_law(F: np.ndarray, T: np.ndarray, dc: np.ndarray, snr: np.ndarray,
 WINDOW = 2.0 ** -(TIE_TOL + 1e-9)
 
 
-def _scorer(F: np.ndarray, rho: np.ndarray, work: np.ndarray | None = None):
+def _scorer(F: np.ndarray, rho: np.ndarray):
     """Zero-forcing sum rate of one guide's candidate antennas for L states, -inf
     where degenerate: the functions ``score`` and ``scan``.
 
@@ -402,9 +402,8 @@ def _scorer(F: np.ndarray, rho: np.ndarray, work: np.ndarray | None = None):
 
     ``scan(i, table)`` gives state i's best candidate of a grid table (K*K,
     n) as (index, value), ties within ``TIE_TOL`` to the smallest index: the
-    bits of :func:`_argmax_tie_smallest` over ``score([i], table[None])``.
-    Its matrix product and the bound below go into ``work``, a flat array of
-    at least (K + 4) * n floats. The log-free product bound p = prod_k (C_kk +
+    bits of :func:`_argmax_tie_smallest` over ``score([i], table[None])``,
+    from the same matrix product. The log-free product bound p = prod_k (C_kk +
     rho/K * det) / C_kk equals prod_k (1 + sinr_k), whose log2 is the
     objective, and is at least 1 wherever the exact law counts a candidate.
     The exact law runs only on the window of candidates with p >= max(p) *
@@ -428,10 +427,9 @@ def _scorer(F: np.ndarray, rho: np.ndarray, work: np.ndarray | None = None):
         return _zf_law(F[rows], T, dc, snr[rows, None, None], peaks)
 
     def scan(i, table):
-        n = table.shape[-1]
-        dc = np.matmul(weights[i], table, out=work[:(1 + K) * n].reshape(1 + K, n))
+        dc = weights[i] @ table  # (1+K, n)
         dc += consts[i, :, None]
-        p, x = work[(1 + K) * n:(3 + K) * n].reshape(2, n)
+        p, x = np.empty((2, table.shape[-1]))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for k in range(1, 1 + K):  # 1 + sinr_k, in the exact law's steps
                 f = np.divide(dc[0], dc[k], out=p if k == 1 else x)
@@ -564,7 +562,6 @@ def _descend(s: Scenario, users: np.ndarray, transmit_snrs: np.ndarray, budget: 
     D, K = users.shape[:2]
     M, B = len(s.waveguides), len(transmit_snrs)
     grids = _grids(s)
-    work = np.empty((K + 3) * max(grid.size for grid in grids))  # for each scan
     tables = [[_table(s, g, grid, drop_users) for g, grid in enumerate(grids)]
               for drop_users in users]
     state_users = np.repeat(users, B, axis=0)  # (D*B, K, 3)
@@ -595,7 +592,7 @@ def _descend(s: Scenario, users: np.ndarray, transmit_snrs: np.ndarray, budget: 
         cycles[live] += 1
         cycle_gain = np.zeros(live.size)
         for g in range(M):
-            score, scan = _scorer(others(cols[live], g), rho[live], work)
+            score, scan = _scorer(others(cols[live], g), rho[live])
             idx = np.empty(live.size, dtype=int)
             best = np.empty(live.size)
             for i, d in enumerate(drop[live]):  # the scorer's rows: live states

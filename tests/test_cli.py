@@ -83,7 +83,7 @@ def test_non_finite_scenario_number_exits_2(tmp_path_factory, field, value):
     assert not (tmp / "out" / "tdma_demo.csv").exists()
 
 
-@pytest.mark.parametrize("snr_db", ["4000.0", "-4000.0"])
+@pytest.mark.parametrize("snr_db", ["4000.0", "-4000.0", "3000.5", "-3000.5"])
 def test_out_of_range_scenario_snr_exits_2(tmp_path, capsys, snr_db):
     path = save_scenario(tdma_scenario(), tmp_path / "scenario.yaml")
     text, n = re.subn(r"^(\s*transmit_snr_db:) .*$", rf"\1 {snr_db}",
@@ -94,6 +94,18 @@ def test_out_of_range_scenario_snr_exits_2(tmp_path, capsys, snr_db):
     assert cli.main(["tdma-demo", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
     assert not (out / "tdma_demo.csv").exists()
+
+
+@pytest.mark.parametrize("snr_db", ["3000.0", "-3000.0"])
+def test_scenario_snr_at_the_range_edge_is_accepted(tmp_path, snr_db):
+    path = save_scenario(tdma_scenario(), tmp_path / "scenario.yaml")
+    text, n = re.subn(r"^(\s*transmit_snr_db:) .*$", rf"\1 {snr_db}",
+                      path.read_text(encoding="utf-8"), count=1, flags=re.M)
+    assert n == 1
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["tdma-demo", "--scenario", str(path), "--out", str(out)]) == 0
+    assert (out / "tdma_demo.csv").exists()
 
 
 def test_guide_on_users_plane_exits_2(tmp_path, capsys):

@@ -177,6 +177,15 @@ def test_zoom_max_matches_brute_force():
         assert v >= fn(np.asarray([x_bf]))[0] - 1e-9
 
 
+def test_zoom_max_resolves_exact_ties_to_the_smaller_offset():
+    # every candidate ties: each pass's first offset, the bracket's lower end,
+    # ties the kept one at a smaller offset and replaces it, so the grid
+    # maximum's bracket ends at its lower edge, one grid step down
+    grid = _offset_grid(0.0, 1.0, 0.1)
+    x, v = _zoom_max(lambda rows, xs: np.zeros(xs.shape), grid, [4, 0], [0.0, 0.0], 1e-6)
+    assert x.tolist() == [grid[3], grid[0]] and v.tolist() == [0.0, 0.0]
+
+
 def test_zoom_offsets_are_the_bits_of_linspace():
     # 20,000 random brackets, half of them 1 to 7 ulps wide, and one whose
     # b - a rounds so that a + 64 h misses b
@@ -433,7 +442,7 @@ def test_zf_map_matches_det_and_inverse(K, extra):
 
     F = _features(columns(L, M - 1)).sum(axis=-1).T  # (L, K*K)
     T = _features(columns(n))
-    score, scan = _scorer(F, np.full(L, 1e3), np.empty((K + 3) * n))
+    score, scan = _scorer(F, np.full(L, 1e3))
     # the kernel's bits do not depend on how many states share the product,
     # and a state's window scan finds the eager argmax of its row
     together = score(np.arange(L), np.repeat(T[None], L, axis=0))
@@ -508,7 +517,7 @@ def planted_tables(draw):
 def test_window_scan_is_the_eager_argmax(case):
     F, T, rho = case
     K, n = math.isqrt(F.shape[-1]), T.shape[-1]
-    score, scan = _scorer(F, np.full(2, rho), np.empty((K + 3) * n))
+    score, scan = _scorer(F, np.full(2, rho))
     for i in range(2):
         obj = score([i], T[None])[0]
         j = _argmax_tie_smallest(obj)
@@ -542,7 +551,7 @@ def test_window_scan_takes_the_next_window_or_the_full_row(monkeypatch):
     nan_cell = T.copy()
     nan_cell[0, 3] = np.nan
     for table, rho, full in ((T, 1e9, False), (nan_cell, 1e9, True), (T, 1e300, True)):
-        score, scan = _scorer(F, np.array([rho]), np.empty((K + 3) * n))
+        score, scan = _scorer(F, np.array([rho]))
         obj = score([0], table[None])[0]
         j = _argmax_tie_smallest(obj)
         sizes.clear()

@@ -228,6 +228,15 @@ def test_layout_violations():
     assert codes([0, 0], [1.0, 2.0], [math.sqrt(0.5)] * 2, 0.5) == []
 
 
+@pytest.mark.parametrize("inside_m, crowded", [(1e-3, True), (0.5e-3, True), (1e-6, True),
+                                               (0.0, False)])
+def test_spacing_violation_starts_just_inside_the_minimum(inside_m, crowded):
+    # two antennas 0.5 m apart at the minimum, then closer by 1 mm down to 1 um
+    codes = [code for code, _ in one_layout_violations([0, 0], [1.0, 1.5 - inside_m],
+                                                       [math.sqrt(0.5)] * 2, 0.5)]
+    assert codes == (["spacing_violation"] if crowded else [])
+
+
 def test_layout_violations_name_their_guide(guide_y):
     assert one_layout_violations([1, 1, 2], [3.0, 1.0, -1.0], [1.0, 1.0, 0.5], -0.5,
                                  (20.0,) * 3) == [
