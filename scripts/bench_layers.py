@@ -13,7 +13,10 @@ them. The ``compare-mimo`` runs give link synthesis (``link_gains``) per candida
 offset; grid scan (descent time outside zoom and column synthesis) and zoom
 (``_zoom_max``) per state-step, one guide step of one descent state, which stays
 comparable however many states one ``_descend`` call steps in lockstep; and
-descent (``_descend``) per state. The
+descent (``_descend``) per state. Beside the grid scan's time they count the work
+it skipped: the share of scanned grid candidates that reach the exact law
+(``_zf_law``), and the scans per run that fell back to it on every candidate.
+The
 ``heatmap`` runs give ``write_csv`` per cell and ``guide_distances`` per link. The
 ``tdma-crowd`` probe times ``load_scenario`` on that workload's scenario file, per
 user, and takes ``tracemalloc``'s peak over one untimed load. Repeats alternate
@@ -75,14 +78,34 @@ wrap("_zoom_max")
 # out[2] holds each state's cycles, and each cycle steps every guide once
 wrap("_descend", lambda args, out: {"states": len(out[2]),
                                     "state_steps": len(args[0].waveguides) * int(out[2].sum())})
+scanned = [0]  # the open grid scan's candidates, 0 outside a scan
+law, scorer = getattr(P, "_zf_law", None), P._scorer  # older trees have no window scan
+def counted_law(F, T, dc, snr, *peaks):
+    if scanned[0]:  # a scan's exact law on all its candidates is a fallback
+        size.update({"exact": T.shape[0] * T.shape[-1], "fallbacks": T.shape[-1] == scanned[0]})
+    return law(F, T, dc, snr, *peaks)
+def counted_scorer(*args):
+    score, scan = scorer(*args)
+    def counted_scan(i, table):
+        scanned[0] = table.shape[-1]
+        size["grid"] += table.shape[-1]
+        try:
+            return scan(i, table)
+        finally:
+            scanned[0] = 0
+    return score, counted_scan
+if law is not None:
+    P._zf_law, P._scorer = counted_law, counted_scorer
 def measure():
     spent.clear()
     size.clear()
     run("mimo-sweep")
     scan = spent["_descend"] - spent["_zoom_max"] - spent["_guide_columns"]
+    counts = {"exact_law_share_of_grid": size["exact"] / size["grid"],
+              "fallbacks_per_run": size["fallbacks"]} if law is not None else {}
     return {
         "link_us_per_candidate": 1e6 * spent["link_gains"] / size["candidates"],
-        "grid_scan_ms_per_state_step": 1e3 * scan / size["state_steps"],
+        "grid_scan_ms_per_state_step": 1e3 * scan / size["state_steps"], **counts,
         "zoom_ms_per_state_step": 1e3 * spent["_zoom_max"] / size["state_steps"],
         "descent_ms_per_state": 1e3 * spent["_descend"] / size["states"]}
 report(measure)
