@@ -222,6 +222,22 @@ def test_compare_mimo_sweep_csv_is_pinned(tmp_path, threads):
     assert hashlib.sha256(data).hexdigest() == PINNED_SWEEP_SHA256
 
 
+# sha256 of a 4-guide, 4-user run's CSV, and of its rows alone, computed
+# while every K > 3 candidate of the grid scan was rank-tested: the scan that
+# rank-tests only the candidates that can win writes the same bytes
+PINNED_SWEEP_4X4_SHA256 = "05892e131a2a04dd7d60cd2d93f747ca79d370e74df5613cadcc3a917be7afe3"
+PINNED_SWEEP_4X4_BODY_SHA256 = "3ae40a9bf2690caa8a9171aa63adb91aa5bb497c954c8beb3bb77b91cc15b815"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_compare_mimo_four_user_csv_is_pinned(tmp_path, threads):
+    data = run_cli_csv(tmp_path, threads, compare_scenario(n_guides=4, n_users=4),
+                       ["compare-mimo", "--seed", "3", "--snr-db", "90,110",
+                        "--drops", "2", "--budget", "3"], "compare_mimo.csv")
+    assert hashlib.sha256(data.split(b"\n", 1)[1]).hexdigest() == PINNED_SWEEP_4X4_BODY_SHA256
+    assert hashlib.sha256(data).hexdigest() == PINNED_SWEEP_4X4_SHA256
+
+
 def test_compare_mimo_default_sweep_is_the_case_study():
     args = cli.build_parser().parse_args(["compare-mimo", "--scenario", "s.yaml", "--out", "o"])
     assert cli.config_from_args(args).snr_sweep_db == (90.0, 100.0, 110.0, 120.0)
