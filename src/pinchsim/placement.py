@@ -409,13 +409,13 @@ def _scorer(F: np.ndarray, rho: np.ndarray):
     The exact law runs only on the window of candidates with p >= max(p) *
     ``WINDOW``. A candidate outside it has an objective below log2 of that
     threshold plus eps, the rounding gap between log2 p and the summed logs
-    (64*K ulps of the objective), so the window's tie-smallest argmax is the
+    (16*K ulps of the objective), so the window's tie-smallest argmax is the
     row's once its best value clears that line by ``TIE_TOL``. If it does not,
     for example when the window's winners are rank-deficient, the window's
     candidates leave the bound and the next window is scanned; once no
     candidate left has p >= 1, none counts. If p has no finite maximum
-    (overflow, NaN), or four windows pass uncertified, the exact law scores
-    the whole row.
+    (overflow near 3000 dB, or NaN), or four windows pass uncertified, the
+    exact law scores the whole row.
     """
     K = math.isqrt(F.shape[-1])
     weights, consts = _zf_map(F, K)
@@ -551,9 +551,12 @@ def _descend(s: Scenario, users: np.ndarray, transmit_snrs: np.ndarray, budget: 
     drop. A drop's states share its start and its candidate tables: the Gram
     features (:func:`_features`) of each guide's channel column at every grid
     offset, (K*K, n), candidate axis last so that each feature is a contiguous
-    array. A guide step builds one :func:`_scorer` for all live states, scans
-    each state's grid against its drop's table, keeping only the best cell,
-    and refines the best cells of all states in one batched zoom. A state
+    array. A guide step builds one :func:`_scorer` for all live states. Its
+    ``scan`` finds each state's best grid cell in its drop's table from the
+    product bound, with the exact law on the bound's certified window alone,
+    or on the whole grid where the bound has no finite maximum or four
+    windows fail. One batched zoom then refines the best cells of all states,
+    rank-testing (K > 3) only each pass's best candidates. A state
     leaves the lockstep when a cycle improves it by less than
     ``DESCENT_TOL``. Returns per state the offsets (D*B, M), traces, cycles,
     converged flags, final objective values (D*B,) and final channel columns

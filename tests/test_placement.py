@@ -103,6 +103,24 @@ def test_place_single_for_user_finds_lossy_peak(guide_y):
         assert rate >= scanned - 1e-12
 
 
+def test_place_single_for_user_breaks_an_exact_power_tie_to_the_feed():
+    # On a 100 m guide at 0.0465 Np/m this user's interior peak, 64.7 m out,
+    # gets the feed's link power to the last bit (found by bisecting the user's
+    # y for the crossing, then stepping it by ulps): the feed, the smaller
+    # offset, wins the tie
+    alpha = 0.0465079594127189
+    w = WaveguideSpec(feed_point=(0.0, 0.0, 3.0), axis_direction=(0, 1, 0), length_m=100.0,
+                      relative_permittivity=2.1, guide_attenuation_np_per_m=alpha)
+    user = np.array([1.0600523344396762, 65.19878096143269, 0.0])
+    r2 = user[0] ** 2 + 9.0
+    x = np.array([user[1] - 2.0 * alpha * r2 / (1.0 + math.sqrt(1.0 - 4.0 * alpha ** 2 * r2)), 0.0])
+    power = np.exp(-2.0 * alpha * x) / placement.guide_distances(w, x, user) ** 2
+    if power[0] != power[1]:
+        pytest.skip("this numpy's exp does not tie the two powers")
+    assert x[0] > 60.0
+    assert place_single_for_user(w, user) == 0.0
+
+
 def test_align_centres_on_lossy_peak(guide_y):
     lossy = dataclasses.replace(guide_y, guide_attenuation_np_per_m=0.08)
     user = (4.0, 12.0, 0.0)
