@@ -142,9 +142,9 @@ def write_csv(path, columns, rows, metadata: dict) -> Path:
     other input raises ``ValueError`` before a file is created. A column with
     at most half as many distinct values as rows (float64 columns by bit
     pattern) has each value formatted once and enters the row template as
-    ``%s`` of those strings. Rows are formatted in chunks into a temporary file next to
-    ``path``, renamed onto it once complete: a failed write leaves no partial
-    CSV and any earlier file as it was.
+    ``%s`` of those strings. Rows are formatted in chunks into a temporary
+    file next to ``path``, renamed onto it once complete: a failed write
+    leaves no partial CSV and any earlier file as it was.
     """
     path = Path(path)
     columns = tuple(columns)
@@ -162,8 +162,10 @@ def write_csv(path, columns, rows, metadata: dict) -> Path:
 
     texts = {}  # column -> (its sorted distinct keys, their strings)
     for j, name in enumerate(columns):
-        # a sort finds the distinct values several times faster than np.unique's hash table
-        ordered = np.sort(keys(j, rows[name]))
+        # a sort finds the distinct values several times faster than np.unique's
+        # hash table; timsort ("stable") takes the runs of str and integer columns
+        # (one scheme, ascending indices) in one pass, quicksort unordered floats
+        ordered = np.sort(keys(j, rows[name]), kind=None if floats[j] else "stable")
         first = np.ones(ordered.shape, dtype=bool)
         first[1:] = ordered[1:] != ordered[:-1]
         if 2 * np.count_nonzero(first) <= len(rows):
