@@ -16,7 +16,9 @@ comparable however many states one ``_descend`` call steps in lockstep; and
 descent (``_descend``) per state. Beside the grid scan's time they count the work
 it skipped: the share of scanned grid candidates that reach the exact law
 (``_zf_law``), and the scans per run that fell back to it on every candidate.
-The
+The descent probe pins its own process to one CPU (``os.sched_setaffinity``),
+so that ``compare-mimo`` steps its drop groups in that process, where the
+wrappers see them, rather than in worker processes. The
 ``heatmap`` runs give ``write_csv`` per cell and ``guide_distances`` per link. The
 ``tdma-crowd`` probe times ``load_scenario`` on that workload's scenario file, per
 user, and takes ``tracemalloc``'s peak over one untimed load. Repeats alternate
@@ -57,6 +59,8 @@ def report(measure, runs=5):
 """
 
 DESCENT_PROBE = PRELUDE + """\
+import os
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})  # no worker processes: see above
 run("mimo-sweep")  # warm-up, untimed
 spent, size = collections.Counter(), collections.Counter()
 zooms = [0]  # open zoom calls: column synthesis inside a zoom counts as zoom

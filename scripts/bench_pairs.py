@@ -19,6 +19,9 @@ on each side, on the input that side's own ``perfbench/workloads.py``
 builds from the seed, and whether the two match; the same for the CSV's
 body (every line after the ``#`` metadata line, whose ``config_digest``
 moves whenever the digest's definition does), with both metadata lines.
+Beside the benchmark's ``peak_rss_mb``, which reads the benchmark process
+alone (``RUSAGE_SELF``), it records that CLI run's peak RSS in its own process
+and in its worker processes (``RUSAGE_CHILDREN``; 0 where it started none).
 Invocations with the same ``--number`` add to the existing file: each
 workload and seed holds the list of its series, in run order.
 """
@@ -39,9 +42,10 @@ ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Run from a checkout's root: one CLI run on the workload's input, then a
-# JSON line with the sha256 of its CSV and of its body, and its metadata line.
+# JSON line with the sha256 of its CSV and of its body, its metadata line and
+# the peak RSS of this process and of its children (ru_maxrss is in KiB).
 CSV_HASH_CODE = """\
-import hashlib, json, sys, tempfile
+import hashlib, json, resource, sys, tempfile
 from pathlib import Path
 sys.path[:0] = ["src", "perfbench"]
 from pinchsim import cli
@@ -52,9 +56,12 @@ with tempfile.TemporaryDirectory() as tmp:
         sys.exit("the workload's CLI run failed")
     data = workload.csv.read_bytes()
     meta, body = data.split(b"\\n", 1)
+    mb = lambda who: resource.getrusage(who).ru_maxrss * 1024 / 1e6
     print(json.dumps({"sha256": hashlib.sha256(data).hexdigest(),
                       "body_sha256": hashlib.sha256(body).hexdigest(),
-                      "metadata": meta.decode()}))
+                      "metadata": meta.decode(),
+                      "peak_rss_mb": {"self": mb(resource.RUSAGE_SELF),
+                                      "children": mb(resource.RUSAGE_CHILDREN)}}))
 """
 
 
@@ -106,7 +113,8 @@ def run_once(side: str, checkout: Path, args: argparse.Namespace) -> dict:
 
 def csv_hashes(checkout: Path, args: argparse.Namespace) -> dict:
     """sha256 of the CSV of one CLI run of the workload in ``checkout``, of
-    its body, and its metadata line."""
+    its body, its metadata line, and the run's peak RSS in its own process
+    and in its children."""
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
     done = subprocess.run([sys.executable, "-c", CSV_HASH_CODE, args.workload, str(args.seed)],
                           cwd=checkout, env=env, capture_output=True, text=True, check=True)
@@ -170,6 +178,7 @@ def main(argv=None) -> int:
         sides = {side: hashes[side][key] for side in hashes}
         summary[f"csv_{key}"] = {**sides, "match": sides["parent"] == sides["change"]}
     summary["csv_metadata"] = {side: hashes[side]["metadata"] for side in hashes}
+    summary["one_run_peak_rss_mb"] = {side: hashes[side]["peak_rss_mb"] for side in hashes}
     report["results"].setdefault(args.workload, {}).setdefault(str(args.seed), []).append(summary)
     out_path.write_text(json.dumps(report, indent=2) + "\n")
     for name, m in summary["metrics"].items():

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -671,8 +672,11 @@ def optimize_multi_waveguide_sweep(s: Scenario, transmit_snrs,
     lowered to it, so the trace stays nondecreasing.
 
     The descents share one user drop and one set of candidate tables, built
-    here and freed on return, and are stepped together. The descents do not
-    interact: each solution's bits are those of a sweep of its SNR alone.
+    here and freed on return, and are stepped together in this process: one
+    drop is one group of :func:`_sweep_drops`, which forks workers only for
+    two groups or more. The descents do not interact: each solution's bits
+    are those of a sweep of its SNR alone, and those of the same drop inside
+    a multi-drop sweep at any worker count.
     """
     K, M = len(s.users.positions), len(s.waveguides)
     if K == 0 or M == 0:
@@ -695,15 +699,18 @@ def _sweep_drops(s: Scenario, users: np.ndarray, snrs: np.ndarray,
 
     Drops pass through :func:`_descend` in groups, as many per group as keep
     the candidate tables in flight within ``TABLE_BYTES_IN_FLIGHT`` (at least
-    one). Every state's bits are those of its own one-drop sweep.
+    one), and the groups through :func:`_descend_groups`, in worker processes
+    where there are CPUs for them. This process rank-tests the final layouts,
+    recomputes their values and builds every solution, in group order. Every
+    state's bits are those of its own one-drop sweep, at any worker count.
     """
     K, M, B = users.shape[1], len(s.waveguides), len(snrs)
     drop_bytes = 8 * K * K * sum(grid.size for grid in _grids(s))
     group = max(1, TABLE_BYTES_IN_FLIGHT // drop_bytes)
+    groups = [users[first:first + group] for first in range(0, len(users), group)]
     solutions = []
-    for first in range(0, len(users), group):
-        chunk = users[first:first + group]
-        offsets, traces, cycles, converged, values, cols = _descend(s, chunk, snrs, budget)
+    for chunk, descent in zip(groups, _descend_groups(s, groups, snrs, budget)):
+        offsets, traces, cycles, converged, values, cols = descent
         values[_rcond(cols) < ZF_RCOND_LIMIT] = -np.inf
         final = np.flatnonzero(np.isfinite(values))
         values[final] = _qr_zf_sum_rates(cols[final], np.tile(snrs, len(chunk))[final])
@@ -715,3 +722,40 @@ def _sweep_drops(s: Scenario, users: np.ndarray, snrs: np.ndarray,
                   for row, v, n, done, trace in zip(offsets, values, cycles, converged, traces)]
         solutions += [tuple(states[i:i + B]) for i in range(0, len(states), B)]
     return solutions
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _descend_groups(s: Scenario, groups: list[np.ndarray], snrs: np.ndarray,
+                    budget: int) -> list[tuple]:
+    """:func:`_descend` of each group of drops under ``s``'s guides, in order.
+
+    The groups run in a ``fork`` pool of one worker per usable CPU, at most one
+    per group, where that makes at least two workers, the platform can fork
+    and this process is not a daemon (which may have no children); otherwise
+    one after another in this process. A worker builds the tables of one group
+    at a time, so ``TABLE_BYTES_IN_FLIGHT`` bounds each process. The pool's
+    processes and threads are joined before return, also on error; a worker's
+    exception is raised here with its type and message, and a worker that
+    dies raises ``BrokenProcessPool`` rather than waiting forever. Workers
+    fork rather than spawn: a spawned worker imports numpy and the package
+    afresh, which takes about as long as the groups of a ``mimo-sweep`` run.
+    """
+    import multiprocessing
+
+    workers = min(_usable_cpus(), len(groups))
+    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return [_descend(s, users, snrs, budget) for users in groups]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        # map cancels the groups not yet started when one raises; leaving the
+        # block waits for the running ones and joins every worker
+        descend = functools.partial(_descend, s, transmit_snrs=snrs, budget=budget)
+        return list(pool.map(descend, groups))

@@ -238,6 +238,19 @@ def test_compare_mimo_four_user_csv_is_pinned(tmp_path, threads):
     assert hashlib.sha256(data).hexdigest() == PINNED_SWEEP_4X4_SHA256
 
 
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_four_user_csv_is_pinned_at_one_and_two_workers(tmp_path, monkeypatch, workers):
+    # each of the two drops' tables fills a group, so two workers take one each
+    from pinchsim import placement
+
+    monkeypatch.setattr(placement, "_usable_cpus", lambda: workers)
+    path = str(save_scenario(compare_scenario(n_guides=4, n_users=4), tmp_path / "s.yaml"))
+    assert cli.main(["compare-mimo", "--scenario", path, "--out", str(tmp_path / "out"),
+                     "--seed", "3", "--snr-db", "90,110", "--drops", "2", "--budget", "3"]) == 0
+    data = (tmp_path / "out" / "compare_mimo.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == PINNED_SWEEP_4X4_SHA256
+
 def test_compare_mimo_default_sweep_is_the_case_study():
     args = cli.build_parser().parse_args(["compare-mimo", "--scenario", "s.yaml", "--out", "o"])
     assert cli.config_from_args(args).snr_sweep_db == (90.0, 100.0, 110.0, 120.0)

@@ -1,6 +1,9 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import math
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -149,13 +152,13 @@ def test_compare_mimo_drop_groups_match_one_sweep_per_drop(tmp_path, monkeypatch
         scenario_path=write_preset(tmp_path, compare_scenario()),
         kind="compare_mimo", out_dir=str(tmp_path / "grouped"), seed=5,
         snr_sweep_db=(0.0, 60.0, 120.0), drops=drops, cd_budget=3)
-    descend, groups = placement._descend, []
+    descend_groups, groups = placement._descend_groups, []
 
-    def counted(s, users, *rest):
-        groups.append(len(users))
-        return descend(s, users, *rest)
+    def counted(s, users_by_group, *rest):  # the groups as this process forms them
+        groups.extend(len(users) for users in users_by_group)
+        return descend_groups(s, users_by_group, *rest)
 
-    monkeypatch.setattr(placement, "_descend", counted)
+    monkeypatch.setattr(placement, "_descend_groups", counted)
     run_compare_mimo(cfg)
     # the preset's candidate tables let two drops share a lockstep; an odd tail steps alone
     assert groups == [2] * (drops // 2) + [1] * (drops % 2)
@@ -168,6 +171,144 @@ def test_compare_mimo_drop_groups_match_one_sweep_per_drop(tmp_path, monkeypatch
     run_compare_mimo(dataclasses.replace(cfg, out_dir=str(tmp_path / "reference")))
     assert ((tmp_path / "grouped" / "compare_mimo.csv").read_bytes()
             == (tmp_path / "reference" / "compare_mimo.csv").read_bytes())
+
+
+# The worker path: _sweep_drops maps _descend over its drop groups in a fork
+# pool of min(usable CPUs, groups) workers. The tests set the CPU count, so
+# that two workers run on any host, and count the pools that open.
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of each process pool opened, in order."""
+    opened = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return opened
+
+
+def set_cpus(monkeypatch, n):
+    from pinchsim import placement
+
+    monkeypatch.setattr(placement, "_usable_cpus", lambda: n)
+
+
+def solution_fields(placed):
+    return [[(sol.layout.offsets.tobytes(), sol.objective_value, sol.objective_kind,
+              sol.iterations, sol.converged, sol.trace) for sol in solutions]
+            for solutions in placed]
+
+
+# the 3x3 preset steps two drops per group, so 5 drops make 3 groups; the 4x4
+# one's tables fill a group with one drop
+@pytest.mark.parametrize("guides, drops", [(3, 5), (4, 2)])
+def test_compare_mimo_bits_match_at_one_and_two_workers(tmp_path, monkeypatch, pools,
+                                                        guides, drops):
+    from pinchsim import experiments
+
+    cfg = ExperimentConfig(
+        scenario_path=write_preset(tmp_path, compare_scenario(n_guides=guides,
+                                                              n_users=guides)),
+        kind="compare_mimo", out_dir="", seed=4, snr_sweep_db=(0.0, 90.0, 120.0),
+        drops=drops, cd_budget=3)
+    sweep, placed = experiments._sweep_drops, []
+
+    def kept(*args):
+        placed.append(sweep(*args))
+        return placed[-1]
+
+    monkeypatch.setattr(experiments, "_sweep_drops", kept)
+    csvs = []
+    for workers in (1, 2):
+        set_cpus(monkeypatch, workers)
+        out = tmp_path / f"w{workers}"
+        run_compare_mimo(dataclasses.replace(cfg, out_dir=str(out)))
+        csvs.append((out / "compare_mimo.csv").read_bytes())
+    assert pools == [2]
+    assert len(placed) == 2 and len(placed[0]) == drops
+    assert solution_fields(placed[0]) == solution_fields(placed[1])
+    assert csvs[0] == csvs[1]
+
+
+def test_compare_mimo_leaves_no_process_or_thread(tmp_path, monkeypatch, pools):
+    from pinchsim import placement
+
+    set_cpus(monkeypatch, 2)
+    cfg = ExperimentConfig(
+        scenario_path=write_preset(tmp_path, compare_scenario()), kind="compare_mimo",
+        out_dir=str(tmp_path / "out"), seed=2, snr_sweep_db=(90.0,), drops=4, cd_budget=2)
+    threads = threading.active_count()
+    run_compare_mimo(cfg)
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+
+    def broken(*args):
+        raise ValueError("no table")
+
+    monkeypatch.setattr(placement, "_table", broken)
+    with pytest.raises(ValueError, match="^no table$"):
+        run_compare_mimo(cfg)
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+    assert pools == [2, 2]
+
+
+@pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError])
+def test_worker_errors_reach_the_cli_as_in_process(tmp_path, monkeypatch, capsys, pools,
+                                                   error):
+    from pinchsim import cli, placement
+
+    def broken(*args):  # only _descend builds tables, so only a worker calls this
+        raise error("table synthesis failed")
+
+    monkeypatch.setattr(placement, "_table", broken)
+    argv = ["compare-mimo", "--scenario", write_preset(tmp_path, compare_scenario()),
+            "--out", str(tmp_path / "out"), "--snr-db", "90", "--drops", "4"]
+    outcomes = []
+    for workers in (1, 2):
+        set_cpus(monkeypatch, workers)
+        try:
+            outcomes.append(cli.main(argv))
+        except Exception as exc:  # what reaches the caller of the CLI
+            outcomes.append((type(exc), str(exc)))
+        outcomes.append(capsys.readouterr().err)
+    assert pools == [2]
+    assert outcomes[:2] == outcomes[2:]
+    assert outcomes[:2] == ([(ValueError, "table synthesis failed"), ""]
+                            if error is ValueError else
+                            [cli.EXIT_NUMERICAL,
+                             "pinchsim: numerical failure: table synthesis failed\n"])
+
+
+def test_a_daemonic_caller_descends_in_process(monkeypatch, pools):
+    from pinchsim import placement
+
+    set_cpus(monkeypatch, 2)
+    s = compare_scenario()
+    users = np.random.default_rng(6).uniform(-5.0, 5.0, (4, 3, 3)) * [1.0, 1.0, 0.0]
+    snrs = np.asarray([1e9, 1e11])
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+
+    def descend():  # a daemon may not fork, so the pool would raise here
+        try:
+            send.send((len(pools), solution_fields(placement._sweep_drops(s, users, snrs, 2))))
+        except Exception as exc:
+            send.send(repr(exc))
+
+    child = ctx.Process(target=descend, daemon=True)
+    child.start()
+    try:
+        assert receive.poll(120)
+        result = receive.recv()
+    finally:
+        child.join(30)
+    assert child.exitcode == 0
+    assert result == (0, solution_fields(placement._sweep_drops(s, users, snrs, 2)))
+    assert pools == [2]  # this process is no daemon: the reference used workers
 
 
 def test_compare_mimo_ordering_emerges_at_high_power(tmp_path):

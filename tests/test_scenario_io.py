@@ -355,18 +355,21 @@ def saved_texts(draw):
     block = yaml.safe_dump({"users": [list(r) for r in rows]}).splitlines(keepends=True)
     mutations = draw(st.lists(st.sampled_from(MUTATIONS), max_size=3, unique=True))
     tail = ""
+    cells = range(1, 1 + 3 * len(rows))  # the rows' lines, which the cell and tab mutate
     if "comment" in mutations:  # between two rows, or after the last
-        block.insert(1 + 3 * draw(st.integers(1, len(rows))), "# a note\n")
+        at = 1 + 3 * draw(st.integers(1, len(rows)))
+        block.insert(at, "# a note\n")
+        cells = [i + (i >= at) for i in cells]
     if "extra" in mutations:  # a 4th cell or a deeper line after the last row
         block.append(draw(st.sampled_from(["  - 1.5\n", "    - 1.5\n", "   x: 1.5\n"])))
     if "cell" in mutations:
-        i = draw(st.integers(1, 3 * len(rows)))
+        i = draw(st.sampled_from(cells))
         cell = draw(st.sampled_from(["1", "-7", "1e3", "1.5E+3", ".inf", "-.inf", ".nan",
                                      "1.0e+999", "-1.0e+999", "1_0.5", "1.0 # c", "!!float 2.5",
                                      "'1.5'", "&a 1.5"]))
         block[i] = block[i][:block[i].rindex("- ") + 2] + cell + "\n"
     if "tab" in mutations:  # after a dash, which YAML accepts, or as indentation
-        i = draw(st.integers(1, 3 * len(rows)))
+        i = draw(st.sampled_from(cells))
         old, new = draw(st.sampled_from([("- ", "-\t"), ("  ", "\t"), ("", "\t")]))
         block[i] = block[i].replace(old, new, 1)
     block = "".join(block)
