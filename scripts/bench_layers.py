@@ -15,7 +15,8 @@ offset; grid scan (descent time outside zoom and column synthesis) and zoom
 comparable however many states one ``_descend`` call steps in lockstep; and
 descent (``_descend``) per state. Beside the grid scan's time they count the work
 it skipped: the share of scanned grid candidates that reach the exact law
-(``_zf_law``), and the scans per run that fell back to it on every candidate.
+(``_zf_law``), the scans per run, and those of them that fell back to it on every
+candidate.
 The descent probe pins its own process to one CPU (``os.sched_setaffinity``),
 so that ``compare-mimo`` steps its drop groups in that process, where the
 wrappers see them, rather than in worker processes. The
@@ -92,7 +93,7 @@ def counted_scorer(*args):
     score, scan = scorer(*args)
     def counted_scan(i, table):
         scanned[0] = table.shape[-1]
-        size["grid"] += table.shape[-1]
+        size.update({"grid": table.shape[-1], "scans": 1})
         try:
             return scan(i, table)
         finally:
@@ -106,6 +107,7 @@ def measure():
     run("mimo-sweep")
     scan = spent["_descend"] - spent["_zoom_max"] - spent["_guide_columns"]
     counts = {"exact_law_share_of_grid": size["exact"] / size["grid"],
+              "scans_per_run": size["scans"],
               "fallbacks_per_run": size["fallbacks"]} if law is not None else {}
     return {
         "link_us_per_candidate": 1e6 * spent["link_gains"] / size["candidates"],

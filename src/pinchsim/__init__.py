@@ -32,7 +32,6 @@ from .channel import (
 from .placement import (
     PlacementSolution,
     align_multi_on_guide,
-    coherent_gain_bound,
     noma_gain_reorder,
     optimize_multi_waveguide_sweep,
     place_single_for_group,
@@ -80,7 +79,6 @@ __all__ = [
     "place_single_for_user",
     "place_single_for_group",
     "align_multi_on_guide",
-    "coherent_gain_bound",
     "optimize_multi_waveguide_sweep",
     "TdmaSchedule",
     "NomaCluster",

@@ -356,6 +356,7 @@ def run_noma_region(cfg: ExperimentConfig) -> ExperimentTable:
     strong, weak = (0, 1) if gains[0] >= gains[1] else (1, 0)
 
     alphas = np.arange(cfg.alpha_step, 1.0, cfg.alpha_step)
+    alphas = alphas[alphas < 1.0]  # arange can round its last step up to 1
     beam = np.ones(1, dtype=complex)
     rates = np.empty((len(alphas), 2))  # weak, strong
     for i, alpha in enumerate(alphas):

@@ -265,13 +265,6 @@ def align_multi_on_guide(w: WaveguideSpec, user, n_antennas: int,
     return PlacementSolution(layout, rate, "single_user_rate", 1, aligned, (rate,))
 
 
-def coherent_gain_bound(H, user_index: int = 0) -> float:
-    """Triangle-inequality ceiling: sum of per-antenna magnitudes for a user."""
-    if H.per_antenna_breakdown is None:
-        raise ValueError("channel matrix has no per-antenna breakdown")
-    return float(np.sum(np.abs(H.per_antenna_breakdown[user_index])))
-
-
 # ---------------------------------------------------------------------------
 # Multi-waveguide coordinate descent
 # ---------------------------------------------------------------------------
@@ -412,11 +405,9 @@ def _scorer(F: np.ndarray, rho: np.ndarray):
     threshold plus eps, the rounding gap between log2 p and the summed logs
     (16*K ulps of the objective), so the window's tie-smallest argmax is the
     row's once its best value clears that line by ``TIE_TOL``. If it does not,
-    for example when the window's winners are rank-deficient, the window's
-    candidates leave the bound and the next window is scanned; once no
-    candidate left has p >= 1, none counts. If p has no finite maximum
-    (overflow near 3000 dB, or NaN), or four windows pass uncertified, the
-    exact law scores the whole row.
+    for example when the window's winners are rank-deficient, or if p has no
+    maximum in [1, inf) (overflow near 3000 dB, NaN, or no candidate that
+    counts), the exact law scores the whole row.
     """
     K = math.isqrt(F.shape[-1])
     weights, consts = _zf_map(F, K)
@@ -438,44 +429,23 @@ def _scorer(F: np.ndarray, rho: np.ndarray):
                 f += 1.0
                 if k > 1:
                     p *= f
-        windows, values, best = [], [], -math.inf
-        for _ in range(4):
-            top = float(p.max())
-            if not top < math.inf:  # overflow, or NaN
-                break
-            if not top >= 1.0:  # no candidate left can count
-                return _window_best(windows, values)
+        top = float(p.max())
+        if 1.0 <= top < math.inf:
             line = top * WINDOW
             w = (p >= line).nonzero()[0]
-            windows.append(w)
-            values.append(_zf_law(F[i:i + 1], table[:, w][None], dc[:, w][None],
-                                  snr[i:i + 1, None, None])[0])
-            best = max(best, float(values[-1].max()))
+            obj = _zf_law(F[i:i + 1], table[:, w][None], dc[:, w][None],
+                          snr[i:i + 1, None, None])[0]
+            j = _argmax_tie_smallest(obj)
             # the certificate in the bound's terms: 2^(best - TIE_TOL - eps) > line
+            best = float(obj[j])
             clear = best - TIE_TOL - 16 * K * math.ulp(max(1.0, best))
             if clear >= 1024.0 or 2.0 ** clear > line:
-                return _window_best(windows, values)
-            p[w] = -np.inf
+                return w[j], obj[j]
         obj = _zf_law(F[i:i + 1], table[None], dc[None], snr[i:i + 1, None, None])[0]
         j = _argmax_tie_smallest(obj)
         return j, obj[j]
 
     return score, scan
-
-
-def _window_best(windows, values):
-    """Tie-smallest argmax (index, value) over the scanned windows' candidates,
-    (0, -inf) if none counts, as :func:`_argmax_tie_smallest` gives for a row
-    of -inf."""
-    if not windows:
-        return 0, -np.inf
-    idx, vals = windows[0], values[0]
-    if len(windows) > 1:  # indices in order, as one window holds them
-        idx, vals = np.concatenate(windows), np.concatenate(values)
-        order = np.argsort(idx)
-        idx, vals = idx[order], vals[order]
-    j = _argmax_tie_smallest(vals) if vals.size > 1 else 0
-    return (idx[j], vals[j]) if vals[j] != -np.inf else (0, -np.inf)
 
 
 def _guide_columns(s: Scenario, g: int, xs: np.ndarray, users: np.ndarray) -> np.ndarray:
@@ -555,9 +525,9 @@ def _descend(s: Scenario, users: np.ndarray, transmit_snrs: np.ndarray, budget: 
     array. A guide step builds one :func:`_scorer` for all live states. Its
     ``scan`` finds each state's best grid cell in its drop's table from the
     product bound, with the exact law on the bound's certified window alone,
-    or on the whole grid where the bound has no finite maximum or four
-    windows fail. One batched zoom then refines the best cells of all states,
-    rank-testing (K > 3) only each pass's best candidates. A state
+    or on the whole grid where the window is not certified or the bound has
+    no maximum in [1, inf). One batched zoom then refines the best cells of
+    all states, rank-testing (K > 3) only each pass's best candidates. A state
     leaves the lockstep when a cycle improves it by less than
     ``DESCENT_TOL``. Returns per state the offsets (D*B, M), traces, cycles,
     converged flags, final objective values (D*B,) and final channel columns

@@ -168,22 +168,35 @@ class Violation:
     detail: str
 
 
-def layout_violations(slot, guide, offsets, weights, minimum_spacing_m,
-                      lengths) -> dict[int, list[Violation]]:
-    """Layout invariant violations of many slots' antennas, found in one vectorized pass.
+def first_layout_fault(s: Scenario, slot, guide, offsets, weights,
+                       minimum_spacing_m) -> tuple[int, str] | None:
+    """The first slot whose layout does not fit ``s`` and why, or None: the one
+    check of antenna arrays, for a schedule's slots and for a lone layout.
 
     Antenna ``a`` is active in slot ``slot[a]`` on guide ``guide[a]``, at
     ``offsets[a]`` with weight ``weights[a]``. The antennas of one slot and
     guide form that slot's layout on the guide, in array order.
-    ``minimum_spacing_m`` holds each slot's smallest allowed spacing, and
-    ``lengths`` each guide's length, against which offsets are range-checked;
-    every guide index must lie in [0, len(lengths)). Each faulty slot maps to its
-    violations, in this order: a negative spacing, then guide by guide
-    ``offsets_unsorted`` or else ``spacing_violation``,
-    ``weights_not_normalized`` and ``offset_out_of_range``. A NaN weight is
-    not normalized, a NaN offset out of range and a NaN spacing negative.
+    ``minimum_spacing_m`` holds each slot's smallest allowed spacing.
+    ``ValueError`` is raised unless the four antenna arrays are 1-D of one
+    shape, each slot index lies in [0, len(minimum_spacing_m)) and each guide
+    index in [0, len(s.waveguides)). Every slot's layout is then checked in
+    one vectorized pass. A slot's fault is its violation codes, in this
+    order: a negative spacing, then guide by guide ``offsets_unsorted`` or
+    else ``spacing_violation``, ``weights_not_normalized`` and
+    ``offset_out_of_range`` (against the guide's length); else that it has
+    no antennas. A NaN weight is not normalized, a NaN offset out of range
+    and a NaN spacing negative.
     """
     slot, guide = np.asarray(slot, dtype=np.intp), np.asarray(guide, dtype=np.intp)
+    n_slots, n_guides = np.size(minimum_spacing_m), len(s.waveguides)
+    if not (slot.ndim == 1 and slot.shape == guide.shape == np.shape(offsets)
+            == np.shape(weights)):
+        raise ValueError("invalid layout: layout_shape_mismatch "
+                         "(antenna arrays of different shapes)")
+    if np.any((slot < 0) | (slot >= n_slots)):
+        raise ValueError(f"antenna slot indices must lie in [0, {n_slots})")
+    if np.any((guide < 0) | (guide >= n_guides)):
+        raise ValueError(f"antenna guide indices must lie in [0, {n_guides})")
     x, w = np.asarray(offsets, dtype=float), np.asarray(weights, dtype=float)
     spacing = np.asarray(minimum_spacing_m, dtype=float)
 
@@ -203,58 +216,22 @@ def layout_violations(slot, guide, offsets, weights, minimum_spacing_m,
     crowded = any_in_group(~first & (step < spacing[slot] - 1e-12)) & ~unsorted
     sos = np.bincount(group, w * w, n_groups)  # summed in array order
     unnormalized = ~(np.abs(sos - 1.0) <= 1e-9)  # NaN fails these comparisons
-    length = np.asarray(lengths, dtype=float)[guide]
+    length = np.array([g.length_m for g in s.waveguides], dtype=float)[guide]
     out_of_range = any_in_group(~((x >= -1e-12) & (x <= length + 1e-12)))
 
-    found = {int(i): [Violation("negative_minimum_spacing", f"minimum_spacing_m = {spacing[i]}")]
-             for i in np.flatnonzero(~(spacing >= 0))}
-    group_slot, group_guide = slot[first], guide[first]
-    for k in np.flatnonzero(unsorted | crowded | unnormalized | out_of_range):
-        g, out = int(group_guide[k]), found.setdefault(int(group_slot[k]), [])
-        if unsorted[k]:
-            out.append(Violation("offsets_unsorted", f"guide {g}: offsets not ascending"))
-        elif crowded[k]:
-            out.append(Violation("spacing_violation",
-                                 f"guide {g}: adjacent offsets closer than minimum spacing"))
-        if unnormalized[k]:
-            out.append(Violation("weights_not_normalized",
-                                 f"guide {g}: sum of squared weights = {float(sos[k])!r}"))
-        if out_of_range[k]:
-            out.append(Violation("offset_out_of_range",
-                                 f"guide {g}: offsets outside [0, {lengths[g]}]"))
-    return found
-
-
-def first_layout_fault(s: Scenario, slot, guide, offsets, weights,
-                       minimum_spacing_m) -> tuple[int, str] | None:
-    """The first slot whose layout does not fit ``s`` and why, or None: the one
-    check of antenna arrays, for a schedule's slots and for a lone layout.
-
-    The antennas and spacings are given as to :func:`layout_violations`.
-    ``ValueError`` is raised unless the four antenna arrays are 1-D of one
-    shape, each slot index lies in [0, len(minimum_spacing_m)) and each guide
-    index in [0, len(s.waveguides)). A slot's fault is then its layout's
-    violation codes, else that it has no antennas.
-    """
-    slot, guide = np.asarray(slot, dtype=np.intp), np.asarray(guide, dtype=np.intp)
-    n_slots, n_guides = np.size(minimum_spacing_m), len(s.waveguides)
-    if not (slot.ndim == 1 and slot.shape == guide.shape == np.shape(offsets)
-            == np.shape(weights)):
-        raise ValueError("invalid layout: layout_shape_mismatch "
-                         "(antenna arrays of different shapes)")
-    if np.any((slot < 0) | (slot >= n_slots)):
-        raise ValueError(f"antenna slot indices must lie in [0, {n_slots})")
-    if np.any((guide < 0) | (guide >= n_guides)):
-        raise ValueError(f"antenna guide indices must lie in [0, {n_guides})")
-    found = layout_violations(slot, guide, offsets, weights, minimum_spacing_m,
-                              [w.length_m for w in s.waveguides])
-    faulty = np.bincount(slot, minlength=n_slots) == 0
-    faulty[list(found)] = True
+    flags = np.stack([unsorted, crowded, unnormalized, out_of_range], axis=1)
+    group_slot = slot[first]
+    faulty = (np.bincount(slot, minlength=n_slots) == 0) | ~(spacing >= 0)
+    faulty[group_slot[flags.any(axis=1)]] = True
     if not np.any(faulty):
         return None
     i = int(np.argmax(faulty))
-    if i in found:
-        return i, "invalid layout: " + "; ".join(v.code for v in found[i])
+    names = np.array(["offsets_unsorted", "spacing_violation", "weights_not_normalized",
+                      "offset_out_of_range"])
+    codes = [] if spacing[i] >= 0 else ["negative_minimum_spacing"]
+    codes += names[flags[group_slot == i].nonzero()[1]].tolist()  # guide by guide
+    if codes:
+        return i, "invalid layout: " + "; ".join(codes)
     return i, "layout activates no antennas"
 
 

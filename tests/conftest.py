@@ -79,3 +79,10 @@ def schedule_from_layouts(slots, slot_fractions) -> TdmaSchedule:
                         antenna_guide=np.concatenate([lay.guide for lay in layouts]),
                         offsets=np.concatenate([lay.offsets for lay in layouts]),
                         weights=np.concatenate([lay.weights for lay in layouts]))
+
+
+def coherent_gain_bound(H, user_index: int = 0) -> float:
+    """Triangle-inequality ceiling: sum of per-antenna magnitudes for a user."""
+    if H.per_antenna_breakdown is None:
+        raise ValueError("channel matrix has no per-antenna breakdown")
+    return float(np.sum(np.abs(H.per_antenna_breakdown[user_index])))

@@ -19,7 +19,6 @@ from pinchsim import (
     PinchingLayout,
     align_multi_on_guide,
     build_channel,
-    coherent_gain_bound,
     conventional_bound,
     evaluate_rates,
     guide_distances,
@@ -36,7 +35,7 @@ from pinchsim.experiments import ExperimentConfig, run_compare_mimo, run_heatmap
 from pinchsim.presets import compare_scenario, heatmap_scenario, noma_scenario
 from pinchsim.scenario import WaveguideSpec
 from pinchsim.scenario_io import save_scenario
-from tests.conftest import make_scenario, schedule_from_layouts
+from tests.conftest import coherent_gain_bound, make_scenario, schedule_from_layouts
 
 LAMBDA0 = 299792458.0 / 28e9
 # Noise floor of the 28 GHz case study that ``compare_scenario`` copies. The

@@ -168,6 +168,17 @@ def test_noma_and_tdma_subcommands(tmp_path):
     assert (tmp_path / "t" / "tdma_demo.csv").exists()
 
 
+@pytest.mark.parametrize("step, rows", [(1 / 3, 2), (1 / 7, 6)])
+def test_noma_region_alpha_grid_stops_below_one(tmp_path, step, rows):
+    # np.arange rounds the last alpha of these steps up to 1.0, a split of (0, 1)
+    noma_path = str(save_scenario(noma_scenario(), tmp_path / "noma.yaml"))
+    assert cli.main(["noma-region", "--scenario", noma_path, "--out", str(tmp_path / "n"),
+                     "--alpha-step", repr(step)]) == 0
+    lines = (tmp_path / "n" / "noma_region.csv").read_text().splitlines()
+    alphas = [float(line.split(",")[0]) for line in lines[2:]]
+    assert len(alphas) == rows and max(alphas) < 1.0
+
+
 def test_compare_mimo_subcommand(tmp_path):
     from pinchsim.presets import compare_scenario
 

@@ -7,7 +7,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from pinchsim.experiments import (
@@ -500,7 +500,9 @@ def structured(names, arrays):
     return rows
 
 
-@settings(max_examples=60, deadline=None)
+# no shrinking: a failing table of up to 8,193 rows shrinks for minutes
+@settings(max_examples=60, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
 @given(n_rows=st.sampled_from([0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1]),
        fields=st.lists(st.one_of(*(st.tuples(st.just(k), pool) for k, pool in POOLS.items())),
                        min_size=1, max_size=5),
@@ -522,8 +524,13 @@ def test_write_csv_matches_reference(tmp_path_factory, n_rows, fields, seed):
     rows = structured(names, arrays)
     meta = {"experiment": "t", "seed": seed}
     path = write_csv(tmp_path_factory.mktemp("csv") / "t.csv", names, rows, meta)
-    # the reference sees the rows as tuples of Python floats, ints, bools and strs
-    assert path.read_bytes().decode("utf-8") == reference_csv(names, rows.tolist(), meta)
+    # the reference sees the rows as tuples of Python floats, ints, bools and strs;
+    # compared line by line, as pytest's diff of two whole texts takes minutes
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    expected = reference_csv(names, rows.tolist(), meta).split("\n")
+    assert len(lines) == len(expected)
+    for line, want in zip(lines, expected):
+        assert line == want
 
 
 @pytest.mark.parametrize("rows", [

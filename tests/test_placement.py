@@ -12,7 +12,6 @@ from pinchsim import (
     WaveguideSpec,
     align_multi_on_guide,
     build_channel,
-    coherent_gain_bound,
     conventional_bound,
     evaluate_rates,
     guided_wavelength,
@@ -41,7 +40,7 @@ from pinchsim.placement import (
     _zoom_offsets,
 )
 from pinchsim.scenario import first_layout_fault, projected_offsets
-from tests.conftest import make_scenario
+from tests.conftest import coherent_gain_bound, make_scenario
 
 LAMBDA0 = 299792458.0 / 28e9
 
@@ -544,20 +543,8 @@ def test_window_scan_is_the_eager_argmax(case):
         assert peaks.argmax() == obj.argmax() and peaks.max() == obj.max()
 
 
-def test_window_scan_takes_the_next_window_or_the_full_row(monkeypatch):
-    # K = 4: the bound's best candidate, the best column's features times -1e6,
-    # has a Gram with a negative eigenvalue, so a second window is scanned; a
-    # NaN cell, or a 3000 dB SNR that overflows the bound, leaves the exact law
-    # the whole row
-    rng = np.random.default_rng(5)
-    K, n = 4, 50
-
-    def columns(*shape):
-        return rng.normal(size=(K,) + shape) + 1j * rng.normal(size=(K,) + shape)
-
-    F = _features(columns(1, K)).sum(axis=-1).T
-    T = _features(columns(n))
-    T[:, 7] = -1e6 * T[:, _argmax_tie_smallest(_scorer(F, np.array([1e9]))[0]([0], T[None])[0])]
+def counted_law(monkeypatch):
+    """The candidate counts of the exact law's calls, from now on."""
     law, sizes = placement._zf_law, []
 
     def counted(F, T, dc, snr, *peaks):
@@ -565,17 +552,77 @@ def test_window_scan_takes_the_next_window_or_the_full_row(monkeypatch):
         return law(F, T, dc, snr, *peaks)
 
     monkeypatch.setattr(placement, "_zf_law", counted)
+    return sizes
+
+
+def test_window_scan_falls_back_to_the_full_row(monkeypatch):
+    # K = 4: the bound's best candidate, the best column's features times -1e6,
+    # has a Gram with a negative eigenvalue, so the window is not certified; a
+    # NaN cell, or a 3000 dB SNR that overflows the bound, leaves the bound no
+    # finite maximum; a negated table at K = 1 leaves every bound below 1, so no
+    # candidate counts. Each time the exact law scores the whole row.
+    rng = np.random.default_rng(5)
+    n = 50
+
+    def columns(K, *shape):
+        return rng.normal(size=(K,) + shape) + 1j * rng.normal(size=(K,) + shape)
+
+    F = _features(columns(4, 1, 4)).sum(axis=-1).T
+    T = _features(columns(4, n))
+    T[:, 7] = -1e6 * T[:, _argmax_tie_smallest(_scorer(F, np.array([1e9]))[0]([0], T[None])[0])]
     nan_cell = T.copy()
     nan_cell[0, 3] = np.nan
-    for table, rho, full in ((T, 1e9, False), (nan_cell, 1e9, True), (T, 1e300, True)):
-        score, scan = _scorer(F, np.array([rho]))
+    sizes = counted_law(monkeypatch)
+    for fixed, table, rho, windowed in ((F, T, 1e9, True), (F, nan_cell, 1e9, False),
+                                        (F, T, 1e300, False),
+                                        (np.zeros((1, 1)), -_features(columns(1, n)), 1e9, False)):
+        score, scan = _scorer(fixed, np.array([rho]))
         obj = score([0], table[None])[0]
         j = _argmax_tie_smallest(obj)
         sizes.clear()
         assert scan(0, table) == (j, obj[j])
-        assert (sizes[-1] == n) == full
-        if not full:
-            assert obj[7] == -np.inf and j != 7 and len(sizes) == 2
+        assert sizes[-1] == n and len(sizes) == 1 + windowed
+        if windowed:
+            assert obj[7] == -np.inf and j != 7
+    assert obj.max() == -np.inf  # the negated table's
+
+
+def test_window_certificate_fails_a_best_just_above_its_line(monkeypatch):
+    # K = 2 at 90 dB. Column 0 copies the best random column, 1 + b, scaled by
+    # 1 - 2e-13: a value within TIE_TOL below it, so the eager argmax is 0. The
+    # last column maps to det -y and cofactors 1: the exact law drops it, as
+    # det / C_kk < 0, while its bound (y rho / 2 - 1)^2 tops the row. y is
+    # bisected until the window holds that column and column 1 + b alone, which
+    # then clears the window's line by less than TIE_TOL: the certificate fails,
+    # and the full row finds column 0 outside the window.
+    rng = np.random.default_rng(11)
+    K, n, rho = 2, 20, 1e9
+    c = rng.normal(size=(K, 1 + n)) + 1j * rng.normal(size=(K, 1 + n))
+    F, T = _features(c[:, :1]).T, _features(c[:, 1:])  # M = 2 guides
+    score, scan = _scorer(F, np.array([rho]))
+    obj = score([0], T[None])[0]
+    b = _argmax_tie_smallest(obj)
+    weights, consts = _zf_map(F, K)
+    rhs = np.column_stack([[0.0, 1.0, 1.0] - consts[0], [-1.0, 0.0, 0.0]])
+    u, v = np.linalg.lstsq(weights[0], rhs, rcond=None)[0].T  # u + y v maps to (-y, 1, 1)
+
+    def table(y):
+        return np.column_stack([T[:, b] * (1 - 2e-13), T, u + y * v])
+
+    sizes = counted_law(monkeypatch)
+    lo, hi = ((1.0 + math.sqrt(2.0 ** obj[b] * f)) / (rho / K) for f in (1 + 1e-10, 1 + 1e-9))
+    for _ in range(60):
+        y = (lo + hi) / 2
+        sizes.clear()
+        scan(0, table(y))
+        if sizes[0] == 2:
+            break
+        lo, hi = (y, hi) if sizes[0] > 2 else (lo, y)
+    obj = score([0], table(y)[None])[0]
+    assert obj[-1] == -np.inf and 0 < obj[1 + b] - obj[0] < placement.TIE_TOL
+    sizes.clear()
+    assert scan(0, table(y)) == (0, obj[0])
+    assert sizes == [2, n + 2]
 
 
 def test_descent_never_steps_on_singular_grams_at_four_users():

@@ -12,7 +12,7 @@ from pinchsim import (
     guide_distances,
     validate_scenario,
 )
-from pinchsim.scenario import first_layout_fault, layout_violations, projected_offsets
+from pinchsim.scenario import first_layout_fault, projected_offsets
 from tests.conftest import make_scenario
 
 finite_coord = st.floats(min_value=-50.0, max_value=50.0,
@@ -210,41 +210,42 @@ def test_projection_beats_random_clamped_points(x, y, z, seed):
 # --- layouts --------------------------------------------------------------
 
 
-def one_layout_violations(guide, offsets, weights, minimum_spacing_m=0.0, lengths=(20.0,)):
-    """(code, detail) of each violation of one layout's antenna arrays."""
-    found = layout_violations(np.zeros(len(guide), np.intp), guide, offsets, weights,
-                              [minimum_spacing_m], lengths)
-    return [(v.code, v.detail) for v in found.get(0, [])]
+def one_layout_codes(guide, offsets, weights, minimum_spacing_m=0.0, n_guides=1):
+    """The violation codes of one layout's antenna arrays on 20 m guides, in
+    :func:`first_layout_fault`'s order."""
+    s = make_scenario([(1.0, 2.0, 0.0)], (WaveguideSpec((0, 0, 3), (0, 1, 0), 20.0),) * n_guides)
+    fault = first_layout_fault(s, np.zeros(len(guide), np.intp), guide, offsets, weights,
+                               [minimum_spacing_m])
+    if fault is None:
+        return []
+    slot, message = fault
+    assert slot == 0 and message.startswith("invalid layout: ")
+    return message.removeprefix("invalid layout: ").split("; ")
 
 
-def test_layout_violations():
-    def codes(*layout, **kwargs):
-        return [code for code, _ in one_layout_violations(*layout, **kwargs)]
-
-    assert "offsets_unsorted" in codes([0, 0], [2.0, 1.0], [0.8, 0.6])
-    assert "spacing_violation" in codes([0, 0], [1.0, 1.001], [0.8, 0.6], 0.01)
-    assert "weights_not_normalized" in codes([0], [1.0], [0.5])
-    assert "offset_out_of_range" in codes([0], [25.0], [1.0])
-    assert codes([0, 0], [1.0, 2.0], [math.sqrt(0.5)] * 2, 0.5) == []
+def test_first_layout_fault_codes():
+    assert "offsets_unsorted" in one_layout_codes([0, 0], [2.0, 1.0], [0.8, 0.6])
+    assert "spacing_violation" in one_layout_codes([0, 0], [1.0, 1.001], [0.8, 0.6], 0.01)
+    assert "weights_not_normalized" in one_layout_codes([0], [1.0], [0.5])
+    assert "offset_out_of_range" in one_layout_codes([0], [25.0], [1.0])
+    assert one_layout_codes([0, 0], [1.0, 2.0], [math.sqrt(0.5)] * 2, 0.5) == []
 
 
 @pytest.mark.parametrize("inside_m, crowded", [(1e-3, True), (0.5e-3, True), (1e-6, True),
                                                (0.0, False)])
 def test_spacing_violation_starts_just_inside_the_minimum(inside_m, crowded):
     # two antennas 0.5 m apart at the minimum, then closer by 1 mm down to 1 um
-    codes = [code for code, _ in one_layout_violations([0, 0], [1.0, 1.5 - inside_m],
-                                                       [math.sqrt(0.5)] * 2, 0.5)]
+    codes = one_layout_codes([0, 0], [1.0, 1.5 - inside_m], [math.sqrt(0.5)] * 2, 0.5)
     assert codes == (["spacing_violation"] if crowded else [])
 
 
-def test_layout_violations_name_their_guide(guide_y):
-    assert one_layout_violations([1, 1, 2], [3.0, 1.0, -1.0], [1.0, 1.0, 0.5], -0.5,
-                                 (20.0,) * 3) == [
-        ("negative_minimum_spacing", "minimum_spacing_m = -0.5"),
-        ("offsets_unsorted", "guide 1: offsets not ascending"),
-        ("weights_not_normalized", "guide 1: sum of squared weights = 2.0"),
-        ("weights_not_normalized", "guide 2: sum of squared weights = 0.25"),
-        ("offset_out_of_range", "guide 2: offsets outside [0, 20.0]"),
+def test_first_layout_fault_orders_codes_guide_by_guide(guide_y):
+    assert one_layout_codes([1, 1, 2], [3.0, 1.0, -1.0], [1.0, 1.0, 0.5], -0.5, 3) == [
+        "negative_minimum_spacing",
+        "offsets_unsorted",  # guide 1
+        "weights_not_normalized",  # guide 1
+        "weights_not_normalized",  # guide 2
+        "offset_out_of_range",  # guide 2
     ]
     # antenna arrays of different lengths fail the shared check's shape test
     s = make_scenario([(1.0, 2.0, 0.0)], (guide_y,) * 2)
