@@ -20,9 +20,10 @@ candidate.
 The descent probe pins its own process to one CPU (``os.sched_setaffinity``),
 so that ``compare-mimo`` steps its drop groups in that process, where the
 wrappers see them, rather than in worker processes. The
-``heatmap`` runs give ``write_csv`` per cell and ``guide_distances`` per link. The
-``tdma-crowd`` probe times ``load_scenario`` on that workload's scenario file, per
-user, and takes ``tracemalloc``'s peak over one untimed load. Repeats alternate
+``heatmap`` runs give ``write_csv`` per cell and ``guide_distances`` per link,
+and ``tracemalloc``'s peak over one more untimed run. The ``tdma-crowd`` probe
+times ``load_scenario`` on that workload's scenario file, per user, and takes
+``tracemalloc``'s peak over one untimed load. Repeats alternate
 with ``<rev>`` if given; ``--number`` appends the medians over repeats and every
 repeat's values to ``"layers"`` in ``BENCH_<n>.json``.
 """
@@ -119,6 +120,10 @@ report(measure)
 
 HEATMAP_PROBE = PRELUDE + """\
 run("heatmap-dense")  # warm-up, untimed
+tracemalloc.start()
+run("heatmap-dense")  # traced, untimed
+peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+tracemalloc.stop()
 spent, size = collections.Counter(), collections.Counter()
 def wrap(module, name, key, count):
     fn = getattr(module, name)
@@ -138,7 +143,8 @@ def measure():
     run("heatmap-dense")
     return {
         "write_csv_us_per_cell": 1e6 * spent["write_csv"] / size["write_csv"],
-        "guide_distances_ns_per_link": 1e9 * spent["guide_distances"] / size["guide_distances"]}
+        "guide_distances_ns_per_link": 1e9 * spent["guide_distances"] / size["guide_distances"],
+        "heatmap_tracemalloc_peak_mb": peak_mb}
 report(measure)
 """
 

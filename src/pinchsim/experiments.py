@@ -201,13 +201,17 @@ def write_csv(path, columns, rows, metadata: dict) -> Path:
     return path
 
 
-def _write_table(cfg: ExperimentConfig, scenario: Scenario, **columns) -> ExperimentTable:
-    """Write ``columns`` (name -> 1-D array, in CSV order) as one structured
-    array to ``<out_dir>/<kind>.csv`` and return it as a table."""
+def _rows(**columns) -> np.ndarray:
+    """``columns`` (name -> 1-D array, in CSV order) as one structured array."""
     values = [np.asarray(v) for v in columns.values()]
     rows = np.empty(len(values[0]), dtype=[(name, v.dtype) for name, v in zip(columns, values)])
     for name, v in zip(columns, values):
         rows[name] = v
+    return rows
+
+
+def _write_table(cfg: ExperimentConfig, scenario: Scenario, rows: np.ndarray) -> ExperimentTable:
+    """Write the structured ``rows`` to ``<out_dir>/<kind>.csv`` as a table."""
     table = ExperimentTable(rows.dtype.names, rows, _metadata(cfg, scenario))
     write_csv(Path(cfg.out_dir) / f"{cfg.kind}.csv", table.columns, rows, table.metadata)
     return table
@@ -222,13 +226,15 @@ def _load_validated(cfg: ExperimentConfig, require_common_height=False) -> Scena
     return scenario
 
 
-def _grid_axis(lo: float, hi: float, res: float, name: str) -> np.ndarray:
+def _grid_points(lo: float, hi: float, res: float, name: str) -> int:
     steps = (hi - lo) / res
+    if not math.isfinite(steps):
+        raise ConfigError(f"grid resolution {res} gives {steps} steps over {name} [{lo}, {hi}]")
     if abs(steps - round(steps)) > 1e-9:
         raise ConfigError(
             f"grid resolution {res} does not evenly divide the {name} span "
             f"[{lo}, {hi}]; the grid must cover the bounds exactly")
-    return np.linspace(lo, hi, int(round(steps)) + 1)
+    return int(round(steps)) + 1
 
 
 def run_heatmap(cfg: ExperimentConfig) -> ExperimentTable:
@@ -237,7 +243,9 @@ def run_heatmap(cfg: ExperimentConfig) -> ExperimentTable:
     One user per grid cell: the conventional antenna sits at the waveguide's
     feed point with its LoS state sampled from the scenario's model (seeded,
     one draw per cell in index order); the pinching antenna moves to the
-    cell's projection onto the guide and is LoS by construction.
+    cell's projection onto the guide and is LoS by construction. Blocks of
+    ``_CHUNK_ROWS`` cells are computed straight into the table, drawing in
+    turn from one generator: the stream, and so the bits, of one batch.
     """
     cfg.validate()
     scenario = _load_validated(cfg)
@@ -249,22 +257,27 @@ def run_heatmap(cfg: ExperimentConfig) -> ExperimentTable:
     penalty = scenario.los_model.nlos_extra_loss_db
 
     xmin, xmax, ymin, ymax = cfg.grid_bounds
-    xs = _grid_axis(xmin, xmax, cfg.grid_res_m, "x")
-    ys = _grid_axis(ymin, ymax, cfg.grid_res_m, "y")
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    cells = np.column_stack([X.ravel(), Y.ravel(), np.zeros(X.size)])
+    nx = _grid_points(xmin, xmax, cfg.grid_res_m, "x")
+    ny = _grid_points(ymin, ymax, cfg.grid_res_m, "y")
+    try:
+        rows = np.empty(nx * ny, dtype=[(name, np.float64) for name in (
+            "x_m", "y_m", "rate_conventional_bps_hz", "rate_pinching_bps_hz")])
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest array
+        raise ConfigError(f"a grid of {nx:.6g} x {ny:.6g} cells does not fit: {exc}") from None
+    rows["x_m"] = np.repeat(np.linspace(xmin, xmax, nx), ny)  # x-major, meshgrid's "ij"
+    rows["y_m"] = np.tile(np.linspace(ymin, ymax, ny), nx)
 
-    d_conv = guide_distances(w, 0.0, cells)  # the conventional antenna sits at the feed
     rng = np.random.default_rng(cfg.seed)
-    los = rng.uniform(size=cells.shape[0]) < los_probability(scenario.los_model, d_conv)
-    g_conv = free_space_gain(d_conv, lam0, los, penalty)
-    rate_conv = shannon_rate(rho * np.abs(g_conv) ** 2)
-
-    offsets = projected_offsets(w, cells)
-    rate_pinch = shannon_rate(rho * link_power(scenario, w, offsets, cells))
-
-    return _write_table(cfg, scenario, x_m=cells[:, 0], y_m=cells[:, 1],
-                        rate_conventional_bps_hz=rate_conv, rate_pinching_bps_hz=rate_pinch)
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        block = rows[start:start + _CHUNK_ROWS]  # a view: the rates land in rows
+        cells = np.column_stack([block["x_m"], block["y_m"], np.zeros(len(block))])
+        d_conv = guide_distances(w, 0.0, cells)  # the conventional antenna sits at the feed
+        los = rng.uniform(size=len(cells)) < los_probability(scenario.los_model, d_conv)
+        g_conv = free_space_gain(d_conv, lam0, los, penalty)
+        block["rate_conventional_bps_hz"] = shannon_rate(rho * np.abs(g_conv) ** 2)
+        offsets = projected_offsets(w, cells)
+        block["rate_pinching_bps_hz"] = shannon_rate(rho * link_power(scenario, w, offsets, cells))
+    return _write_table(cfg, scenario, rows)
 
 
 def conventional_array_positions(scenario: Scenario) -> np.ndarray:
@@ -333,9 +346,9 @@ def run_compare_mimo(cfg: ExperimentConfig) -> ExperimentTable:
             sums[rho_db, "pinching_zf"] += solution.objective_value
 
     keys = [(rho_db, scheme) for rho_db in cfg.snr_sweep_db for scheme in COMPARE_SCHEMES]
-    return _write_table(cfg, scenario, rho_db=[float(rho_db) for rho_db, _ in keys],
-                        scheme=[scheme for _, scheme in keys],
-                        mean_sum_rate_bps_hz=[sums[key] / cfg.drops for key in keys])
+    return _write_table(cfg, scenario, _rows(
+        rho_db=[float(rho_db) for rho_db, _ in keys], scheme=[scheme for _, scheme in keys],
+        mean_sum_rate_bps_hz=[sums[key] / cfg.drops for key in keys]))
 
 
 def run_noma_region(cfg: ExperimentConfig) -> ExperimentTable:
@@ -364,8 +377,9 @@ def run_noma_region(cfg: ExperimentConfig) -> ExperimentTable:
                               power_split=(1.0 - float(alpha), float(alpha)),
                               sic_order=(weak, strong))
         rates[i] = noma_rates(scenario, H, cluster, beam).per_user_rate_bps_hz
-    return _write_table(cfg, scenario, alpha=alphas, rate_weak_bps_hz=rates[:, 0],
-                        rate_strong_bps_hz=rates[:, 1], sum_rate_bps_hz=rates[:, 0] + rates[:, 1])
+    return _write_table(cfg, scenario, _rows(
+        alpha=alphas, rate_weak_bps_hz=rates[:, 0], rate_strong_bps_hz=rates[:, 1],
+        sum_rate_bps_hz=rates[:, 0] + rates[:, 1]))
 
 
 def run_tdma_demo(cfg: ExperimentConfig) -> ExperimentTable:
@@ -392,8 +406,9 @@ def run_tdma_demo(cfg: ExperimentConfig) -> ExperimentTable:
     served = sinr > 0
     # math.log10 per user, not np.log10: the CSV keeps the libm digits
     sinr_db[served] = 10.0 * np.fromiter(map(math.log10, sinr[served].tolist()), float)
-    return _write_table(cfg, scenario, scheme=np.full(k, report.scheme_label), user=np.arange(k),
-                        sinr_db=sinr_db, rate_bps_hz=report.per_user_rate_bps_hz)
+    return _write_table(cfg, scenario, _rows(
+        scheme=np.full(k, report.scheme_label), user=np.arange(k), sinr_db=sinr_db,
+        rate_bps_hz=report.per_user_rate_bps_hz))
 
 
 def run_experiment(cfg: ExperimentConfig):

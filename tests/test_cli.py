@@ -141,13 +141,18 @@ def test_bad_inmo_constants_exit_2(tmp_path, capsys, constant, value):
     ["compare-mimo", "--drops", "1", "--snr-db", "10", "--bounds", "nan", "5", "-5", "5"],
     ["heatmap", "--bounds", "nan", "5", "-5", "5"],
     ["heatmap", "--grid-res", "nan"],
+    # grids whose step count overflows a float, or whose cells overflow an array
+    ["heatmap", "--grid-res", "1e-320"],
+    ["heatmap", "--bounds", "-5", "1.7e308", "-5", "5"],
+    ["heatmap", "--grid-res", "1e-300"],
 ])
 def test_malformed_experiment_flags_exit_2(tmp_path, capsys, argv):
     preset = compare_scenario() if argv[0] == "compare-mimo" else heatmap_scenario()
     path = save_scenario(preset, tmp_path / "scenario.yaml")
     out = tmp_path / "out"
     assert cli.main(argv + ["--scenario", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -291,6 +296,11 @@ def test_tdma_demo_crowd_csv_is_pinned(tmp_path, threads):
 # heatmap and NOMA outputs that no other test pins byte for byte
 PINNED_HEATMAP_SHA256 = "418ab65d7dcdc7a623576aef843b720e2b11b400ef03e86325f62979ea019c94"
 PINNED_HEATMAP_BODY_SHA256 = "d8136f65130970faf0c4bb66a9727f3c62baa07dbd606f59e434b5676f676f7e"
+# the same at 5 cm cells: 40,401 cells, so the map is computed in five blocks
+# of write_csv's chunk size, the last one partial, with sampled LoS states
+PINNED_HEATMAP_BLOCKS_SHA256 = "551d8bf6ee6d63aeaff98430cecaa5044464aa280e303fc592f8cfe449b0b481"
+PINNED_HEATMAP_BLOCKS_BODY_SHA256 = (
+    "d4e9d23f0e319603798d4aec42673b9948c6cdd226acf2de57a73f97c8a6a366")
 PINNED_NOMA_SHA256 = "4d5f0548172d4ddc0a99e9dab918d4a07f4527196d4449887f97e7f0c92fbf3a"
 PINNED_NOMA_BODY_SHA256 = "dfb2acacd12a27db801a0611892dda118e07ca9d12e3473179644f716539799a"
 
@@ -301,6 +311,14 @@ def test_heatmap_csv_is_pinned(tmp_path, threads):
                        ["heatmap", "--grid-res", "0.25", "--seed", "3"], "heatmap.csv")
     assert hashlib.sha256(data.split(b"\n", 1)[1]).hexdigest() == PINNED_HEATMAP_BODY_SHA256
     assert hashlib.sha256(data).hexdigest() == PINNED_HEATMAP_SHA256
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_heatmap_csv_over_several_blocks_is_pinned(tmp_path, threads):
+    data = run_cli_csv(tmp_path, threads, heatmap_scenario(),
+                       ["heatmap", "--grid-res", "0.05", "--seed", "3"], "heatmap.csv")
+    assert hashlib.sha256(data.split(b"\n", 1)[1]).hexdigest() == PINNED_HEATMAP_BLOCKS_BODY_SHA256
+    assert hashlib.sha256(data).hexdigest() == PINNED_HEATMAP_BLOCKS_SHA256
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -4,6 +4,7 @@ import hashlib
 import math
 import multiprocessing
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ def write_preset(tmp_path, scenario, name="scenario.yaml"):
 
 def heatmap_cfg(tmp_path, **overrides):
     kwargs = dict(
-        scenario_path=write_preset(tmp_path, heatmap_scenario(los_kind="always_los")),
         kind="heatmap",
         out_dir=str(tmp_path / "out"),
         seed=5,
@@ -46,6 +46,8 @@ def heatmap_cfg(tmp_path, **overrides):
         grid_res_m=0.5,
     )
     kwargs.update(overrides)
+    if "scenario_path" not in kwargs:  # the default file would overwrite a given scenario.yaml
+        kwargs["scenario_path"] = write_preset(tmp_path, heatmap_scenario(los_kind="always_los"))
     return ExperimentConfig(**kwargs)
 
 
@@ -101,6 +103,21 @@ def test_heatmap_grid_must_cover_bounds(tmp_path):
     cfg = heatmap_cfg(tmp_path, grid_res_m=0.3)
     with pytest.raises(ConfigError, match="cover the bounds"):
         run_heatmap(cfg)
+
+
+def test_heatmap_memory_is_the_table_plus_one_block(tmp_path):
+    # 251,001 cells: whole-grid temporaries of the channel math would peak at
+    # about four tables
+    cfg = heatmap_cfg(tmp_path, scenario_path=write_preset(tmp_path, heatmap_scenario()),
+                      grid_res_m=0.02)
+    tracemalloc.start()
+    try:
+        table = run_heatmap(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.rows) == 501 * 501
+    assert peak <= 2 * table.rows.nbytes
 
 
 def test_compare_mimo_small_run(tmp_path):
