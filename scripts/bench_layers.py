@@ -21,7 +21,10 @@ The descent probe pins its own process to one CPU (``os.sched_setaffinity``),
 so that ``compare-mimo`` steps its drop groups in that process, where the
 wrappers see them, rather than in worker processes. The
 ``heatmap`` runs give ``write_csv`` per cell and ``guide_distances`` per link,
-and ``tracemalloc``'s peak over one more untimed run. The ``tdma-crowd`` probe
+and ``tracemalloc``'s peak over one more untimed run, and over one with the
+always-LoS model. Where the writer pulls the heatmap's blocks from
+``run_heatmap``'s source, as it does since the heatmap streams, ``write_csv``'s
+time includes computing the cells. The ``tdma-crowd`` probe
 times ``load_scenario`` on that workload's scenario file, per user, and takes
 ``tracemalloc``'s peak over one untimed load. Repeats alternate
 with ``<rev>`` if given; ``--number`` appends the medians over repeats and every
@@ -47,7 +50,7 @@ PRELUDE = """\
 import collections, contextlib, io, json, statistics, sys, tempfile, time, tracemalloc
 from pathlib import Path
 sys.path[:0] = ["src", "perfbench"]
-from pinchsim import channel, cli, experiments, placement as P, scenario_io
+from pinchsim import channel, cli, experiments, placement as P, presets, scenario_io
 from workloads import WORKLOADS
 def run(name):
     with tempfile.TemporaryDirectory() as tmp:
@@ -124,6 +127,17 @@ tracemalloc.start()
 run("heatmap-dense")  # traced, untimed
 peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
 tracemalloc.stop()
+with tempfile.TemporaryDirectory() as tmp:  # the same map, every conventional link LoS
+    argv = list(WORKLOADS["heatmap-dense"](int(sys.argv[1]), Path(tmp)).argv)
+    argv[argv.index("--scenario") + 1] = str(scenario_io.save_scenario(
+        presets.heatmap_scenario(los_kind="always_los"), Path(tmp) / "always_los.yaml"))
+    tracemalloc.start()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    always_los_peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    tracemalloc.stop()
+    if code != 0:
+        sys.exit("the always-LoS heatmap run failed")
 spent, size = collections.Counter(), collections.Counter()
 def wrap(module, name, key, count):
     fn = getattr(module, name)
@@ -134,7 +148,8 @@ def wrap(module, name, key, count):
         size[key] += count(args, out)
         return out
     setattr(module, name, timed)
-wrap(experiments, "write_csv", "write_csv", lambda args, out: len(args[2]))  # a row per grid cell
+# a row per grid cell; the time includes the blocks' synthesis where the writer pulls them
+wrap(experiments, "write_csv", "write_csv", lambda args, out: len(args[2]))
 for module in (experiments, channel):  # run_heatmap's own call, and link_power's
     wrap(module, "guide_distances", "guide_distances", lambda args, out: out.size)
 def measure():
@@ -144,7 +159,8 @@ def measure():
     return {
         "write_csv_us_per_cell": 1e6 * spent["write_csv"] / size["write_csv"],
         "guide_distances_ns_per_link": 1e9 * spent["guide_distances"] / size["guide_distances"],
-        "heatmap_tracemalloc_peak_mb": peak_mb}
+        "heatmap_tracemalloc_peak_mb": peak_mb,
+        "heatmap_always_los_tracemalloc_peak_mb": always_los_peak_mb}
 report(measure)
 """
 

@@ -4,19 +4,25 @@ Every run is deterministic given (config, seed): random user drops use one
 seeded stream per experiment with per-drop substreams derived by counter,
 grid cells consume draws in index order, and result files are written in a
 fixed order with fixed formatting, so identical inputs yield byte-identical
-outputs. Every runner returns an :class:`ExperimentTable` whose rows are one
-1-D structured array, a field per CSV column, and writes it as
-``<out_dir>/<kind>.csv`` through :func:`write_csv`. Each CSV starts with one
-``#`` metadata line embedding the config digest and seed.
+outputs. Every runner writes its rows as ``<out_dir>/<kind>.csv`` through
+:func:`write_csv` and returns an :class:`ExperimentTable`. Its rows come as
+a :class:`RowBlocks` source of 1-D structured arrays, a field per CSV column:
+the heatmap computes its cells one block at a time inside the writer's loop,
+the other runners hand over one block. ``table.rows`` joins the blocks on
+first access. Each CSV starts with one ``#`` metadata line embedding the
+config digest and seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import os
+import shutil
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,16 +94,48 @@ class ExperimentConfig:
             raise ConfigError(f"alpha_step must lie in (0, 1), got {self.alpha_step}")
 
 
+@dataclass(frozen=True)
+class RowBlocks:
+    """``n_rows`` rows of the 1-D structured ``dtype``, given in blocks: each
+    iteration calls ``blocks()`` afresh for 1-D structured arrays of that
+    dtype whose lengths add up to ``n_rows``, the rows in order."""
+
+    dtype: np.dtype
+    n_rows: int
+    blocks: Callable[[], Iterable[np.ndarray]]
+
+    @classmethod
+    def of(cls, rows: np.ndarray) -> RowBlocks:
+        """``rows`` as a source of one block."""
+        return cls(rows.dtype, len(rows), lambda: (rows,))
+
+    def __len__(self) -> int:
+        return self.n_rows
+
+    def __iter__(self):
+        return iter(self.blocks())
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentTable:
     """One experiment's result, as written to its CSV: the column names, the
-    rows as a 1-D structured array with one field per column (its dtype gives
-    the column's kind, e.g. ``table.rows["x_m"]``) and the metadata line's
-    fields."""
+    rows as blocks and the metadata line's fields. ``rows`` is the whole table
+    as a 1-D structured array with one field per column (its dtype gives the
+    column's kind, e.g. ``table.rows["x_m"]``), joined from a fresh pass over
+    the blocks on first access."""
 
     columns: tuple[str, ...]
-    rows: np.ndarray
+    blocks: RowBlocks
     metadata: dict
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        rows = np.empty(len(self.blocks), self.blocks.dtype)
+        start = 0
+        for block in self.blocks:
+            rows[start:start + len(block)] = block
+            start += len(block)
+        return rows
 
 
 def config_digest(cfg: ExperimentConfig, scenario: Scenario) -> str:
@@ -136,46 +174,28 @@ _CHUNK_ROWS = 8192  # rows formatted per write: bounds the memory of one chunk
 def write_csv(path, columns, rows, metadata: dict) -> Path:
     """Write a ``#`` metadata line, the header and ``rows`` to ``path``.
 
-    ``rows`` is a 1-D structured array with one field per column, named as
-    in ``columns``; the field's dtype gives the column's kind. Float64 cells
-    are written as ``%.12g``; integer, bool and str cells as ``str``. Any
-    other input raises ``ValueError`` before a file is created. A column with
-    at most half as many distinct values as rows (float64 columns by bit
-    pattern) has each value formatted once and enters the row template as
-    ``%s`` of those strings. Rows are formatted in chunks into a temporary
-    file next to ``path``, renamed onto it once complete: a failed write
-    leaves no partial CSV and any earlier file as it was.
+    ``rows`` is a 1-D structured array, or a :class:`RowBlocks` of them, with
+    one field per column, named as in ``columns``; the field's dtype gives the
+    column's kind. ``len(rows)`` is the number of data rows written. Float64
+    cells are written as ``%.12g``; integer, bool and str cells as ``str``.
+    Any other dtype raises ``ValueError`` before a file is created; a block of
+    another dtype, or blocks whose rows do not add up to ``len(rows)``, raise
+    it while writing. Rows are formatted in chunks of ``_CHUNK_ROWS`` into a
+    temporary file next to ``path``, renamed onto it once complete: a failed
+    write leaves no partial CSV and any earlier file as it was. Only one block
+    and one chunk are held at a time.
     """
     path = Path(path)
     columns = tuple(columns)
-    fields = rows.dtype.fields if isinstance(rows, np.ndarray) and rows.ndim == 1 else None
-    if (not fields or rows.dtype.names != columns
-            or not all(dt == np.float64 or dt.kind in "iubU" for dt, *_ in fields.values())):
-        got = rows.dtype if isinstance(rows, np.ndarray) else type(rows).__name__
+    if isinstance(rows, np.ndarray) and rows.ndim == 1:
+        rows = RowBlocks.of(rows)
+    dtype = rows.dtype if isinstance(rows, RowBlocks) else None
+    if (dtype is None or dtype.names != columns
+            or not all(dt == np.float64 or dt.kind in "iubU" for dt, *_ in dtype.fields.values())):
+        got = getattr(rows, "dtype", type(rows).__name__)
         raise ValueError(f"rows must be a 1-D structured array of float64, integer, bool "
                          f"and str fields named {columns}, got {got}")
-    floats = [rows.dtype[name] == np.float64 for name in columns]
-
-    def keys(j, values):
-        # bit patterns keep 0.0 and -0.0, and NaN payloads, apart
-        return values.view(np.int64) if floats[j] else values
-
-    texts = {}  # column -> (its sorted distinct keys, their strings)
-    for j, name in enumerate(columns):
-        # a sort finds the distinct values several times faster than np.unique's
-        # hash table; timsort ("stable") takes the runs of str and integer columns
-        # (one scheme, ascending indices) in one pass, quicksort unordered floats
-        ordered = np.sort(keys(j, rows[name]), kind=None if floats[j] else "stable")
-        first = np.ones(ordered.shape, dtype=bool)
-        first[1:] = ordered[1:] != ordered[:-1]
-        if 2 * np.count_nonzero(first) <= len(rows):
-            distinct = ordered[first]
-            values = distinct.view(np.float64) if floats[j] else distinct
-            fmt = "%.12g" if floats[j] else "%s"
-            texts[j] = distinct, np.array([fmt % v for v in values.tolist()], dtype=object)
-    # "%.12g" % v == format(v, ".12g") for a float and "%s" % v == str(v)
-    line = ",".join("%.12g" if floats[j] and j not in texts else "%s"
-                    for j in range(len(columns))) + "\n"
+    floats = [dtype[name] == np.float64 for name in columns]
     path.parent.mkdir(parents=True, exist_ok=True)
     # "x" creates the file with the mode write_text would give it, unlike
     # tempfile's 0o600; the random name keeps concurrent writers apart
@@ -185,33 +205,70 @@ def write_csv(path, columns, rows, metadata: dict) -> Path:
         with fh:
             fh.write("# " + " ".join(f"{k}={v}" for k, v in metadata.items()) + "\n")
             fh.write(",".join(columns) + "\n")
-            for start in range(0, len(rows), _CHUNK_ROWS):
-                chunk = rows[start:start + _CHUNK_ROWS]
-                cells = np.empty((len(chunk), len(columns)), dtype=object)
-                for j, name in enumerate(columns):
-                    if j in texts:
-                        distinct, text = texts[j]
-                        cells[:, j] = text[np.searchsorted(distinct, keys(j, chunk[name]))]
-                    else:
-                        cells[:, j] = chunk[name]  # as Python floats, ints, bools and strs
-                fh.write((line * len(chunk)) % tuple(cells.ravel().tolist()))
+            written, pools = 0, {}
+            for block in rows:
+                if not (isinstance(block, np.ndarray) and block.ndim == 1
+                        and block.dtype == dtype):
+                    got = getattr(block, "dtype", type(block).__name__)
+                    raise ValueError(f"every block must be a 1-D array of {dtype}, got {got}")
+                written += len(block)
+                if written > len(rows):
+                    break
+                for start in range(0, len(block), _CHUNK_ROWS):
+                    fh.write(_format_chunk(block[start:start + _CHUNK_ROWS], floats, pools))
+            if written != len(rows):
+                raise ValueError(f"the blocks do not hold the {len(rows)} rows "
+                                 f"their source's len() gives")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
     return path
 
 
-def _rows(**columns) -> np.ndarray:
-    """``columns`` (name -> 1-D array, in CSV order) as one structured array."""
+def _format_chunk(chunk: np.ndarray, floats: list[bool], pools: dict) -> str:
+    """``chunk``'s rows as CSV lines. A column with at most half as many
+    distinct values as the chunk has rows (float64 columns by bit pattern)
+    has each of them formatted once and enters the row template as ``%s`` of
+    those strings; "%.12g" % v == format(v, ".12g") for a float and
+    "%s" % v == str(v), so pooling does not change the bytes. ``pools`` holds
+    each column's last pool, which a chunk of the same distinct values reuses
+    (the heatmap's y coordinates repeat in every chunk)."""
+    cells = np.empty((len(chunk), len(floats)), dtype=object)
+    template = []
+    for j, name in enumerate(chunk.dtype.names):
+        fmt = "%.12g" if floats[j] else "%s"
+        # bit patterns keep 0.0 and -0.0, and NaN payloads, apart
+        keys = chunk[name].view(np.int64) if floats[j] else chunk[name]
+        # a sort finds the distinct values several times faster than np.unique's
+        # hash table; timsort ("stable") takes the runs of str and integer columns
+        # (one scheme, ascending indices) in one pass, quicksort unordered floats
+        ordered = np.sort(keys, kind=None if floats[j] else "stable")
+        first = np.ones(ordered.shape, dtype=bool)
+        first[1:] = ordered[1:] != ordered[:-1]
+        if 2 * np.count_nonzero(first) <= len(chunk):
+            distinct = ordered[first]
+            if j not in pools or not np.array_equal(pools[j][0], distinct):
+                values = distinct.view(np.float64) if floats[j] else distinct
+                pools[j] = distinct, np.array([fmt % v for v in values.tolist()], dtype=object)
+            cells[:, j] = pools[j][1][np.searchsorted(distinct, keys)]
+            template.append("%s")
+        else:
+            cells[:, j] = chunk[name]  # as Python floats, ints, bools and strs
+            template.append(fmt)
+    return ((",".join(template) + "\n") * len(chunk)) % tuple(cells.ravel().tolist())
+
+
+def _rows(**columns) -> RowBlocks:
+    """``columns`` (name -> 1-D array, in CSV order) as one structured block."""
     values = [np.asarray(v) for v in columns.values()]
     rows = np.empty(len(values[0]), dtype=[(name, v.dtype) for name, v in zip(columns, values)])
     for name, v in zip(columns, values):
         rows[name] = v
-    return rows
+    return RowBlocks.of(rows)
 
 
-def _write_table(cfg: ExperimentConfig, scenario: Scenario, rows: np.ndarray) -> ExperimentTable:
-    """Write the structured ``rows`` to ``<out_dir>/<kind>.csv`` as a table."""
+def _write_table(cfg: ExperimentConfig, scenario: Scenario, rows: RowBlocks) -> ExperimentTable:
+    """Write ``rows`` to ``<out_dir>/<kind>.csv`` and return them as a table."""
     table = ExperimentTable(rows.dtype.names, rows, _metadata(cfg, scenario))
     write_csv(Path(cfg.out_dir) / f"{cfg.kind}.csv", table.columns, rows, table.metadata)
     return table
@@ -237,6 +294,24 @@ def _grid_points(lo: float, hi: float, res: float, name: str) -> int:
     return int(round(steps)) + 1
 
 
+def _grid_axes(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The heatmap grid's points along x and y, once its cells are known to
+    fit an array index and their smallest CSV the free disk space."""
+    xmin, xmax, ymin, ymax = cfg.grid_bounds
+    nx = _grid_points(xmin, xmax, cfg.grid_res_m, "x")
+    ny = _grid_points(ymin, ymax, cfg.grid_res_m, "y")
+    if nx * ny > np.iinfo(np.intp).max:
+        raise ConfigError(f"a grid of {nx:.6g} x {ny:.6g} cells exceeds the largest "
+                          f"array index, {np.iinfo(np.intp).max}")
+    out = Path(cfg.out_dir).absolute()
+    free = shutil.disk_usage(next(p for p in (out, *out.parents) if p.exists())).free
+    if 8 * nx * ny > free:  # 8 bytes: four one-character cells, three commas, a newline
+        raise ConfigError(f"a grid of {nx:.6g} x {ny:.6g} cells needs at least "
+                          f"{8 * nx * ny:.6g} bytes of CSV, more than the {free} free "
+                          f"under {cfg.out_dir}")
+    return np.linspace(xmin, xmax, nx), np.linspace(ymin, ymax, ny)
+
+
 def run_heatmap(cfg: ExperimentConfig) -> ExperimentTable:
     """Rate-vs-location maps for a fixed conventional antenna and a pinched one.
 
@@ -244,8 +319,10 @@ def run_heatmap(cfg: ExperimentConfig) -> ExperimentTable:
     feed point with its LoS state sampled from the scenario's model (seeded,
     one draw per cell in index order); the pinching antenna moves to the
     cell's projection onto the guide and is LoS by construction. Blocks of
-    ``_CHUNK_ROWS`` cells are computed straight into the table, drawing in
-    turn from one generator: the stream, and so the bits, of one batch.
+    ``_CHUNK_ROWS`` cells are computed one at a time as the writer asks for
+    them, drawing in turn from one generator: the stream, and so the bits, of
+    one batch. No array sized by the grid is made until ``.rows`` is read,
+    which computes the blocks afresh from the same validated scenario.
     """
     cfg.validate()
     scenario = _load_validated(cfg)
@@ -256,28 +333,29 @@ def run_heatmap(cfg: ExperimentConfig) -> ExperimentTable:
     rho = scenario.transmit_snr
     penalty = scenario.los_model.nlos_extra_loss_db
 
-    xmin, xmax, ymin, ymax = cfg.grid_bounds
-    nx = _grid_points(xmin, xmax, cfg.grid_res_m, "x")
-    ny = _grid_points(ymin, ymax, cfg.grid_res_m, "y")
-    try:
-        rows = np.empty(nx * ny, dtype=[(name, np.float64) for name in (
-            "x_m", "y_m", "rate_conventional_bps_hz", "rate_pinching_bps_hz")])
-    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest array
-        raise ConfigError(f"a grid of {nx:.6g} x {ny:.6g} cells does not fit: {exc}") from None
-    rows["x_m"] = np.repeat(np.linspace(xmin, xmax, nx), ny)  # x-major, meshgrid's "ij"
-    rows["y_m"] = np.tile(np.linspace(ymin, ymax, ny), nx)
+    xs, ys = _grid_axes(cfg)
+    ny, n_cells = len(ys), len(xs) * len(ys)
+    dtype = np.dtype([(name, np.float64) for name in (
+        "x_m", "y_m", "rate_conventional_bps_hz", "rate_pinching_bps_hz")])
 
-    rng = np.random.default_rng(cfg.seed)
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        block = rows[start:start + _CHUNK_ROWS]  # a view: the rates land in rows
-        cells = np.column_stack([block["x_m"], block["y_m"], np.zeros(len(block))])
-        d_conv = guide_distances(w, 0.0, cells)  # the conventional antenna sits at the feed
-        los = rng.uniform(size=len(cells)) < los_probability(scenario.los_model, d_conv)
-        g_conv = free_space_gain(d_conv, lam0, los, penalty)
-        block["rate_conventional_bps_hz"] = shannon_rate(rho * np.abs(g_conv) ** 2)
-        offsets = projected_offsets(w, cells)
-        block["rate_pinching_bps_hz"] = shannon_rate(rho * link_power(scenario, w, offsets, cells))
-    return _write_table(cfg, scenario, rows)
+    def blocks():
+        rng = np.random.default_rng(cfg.seed)
+        for start in range(0, n_cells, _CHUNK_ROWS):
+            cell = np.arange(start, min(start + _CHUNK_ROWS, n_cells))
+            block = np.empty(len(cell), dtype)
+            block["x_m"] = xs[cell // ny]  # x-major, meshgrid's "ij"
+            block["y_m"] = ys[cell % ny]
+            cells = np.column_stack([block["x_m"], block["y_m"], np.zeros(len(block))])
+            d_conv = guide_distances(w, 0.0, cells)  # the conventional antenna sits at the feed
+            los = rng.uniform(size=len(cells)) < los_probability(scenario.los_model, d_conv)
+            g_conv = free_space_gain(d_conv, lam0, los, penalty)
+            block["rate_conventional_bps_hz"] = shannon_rate(rho * np.abs(g_conv) ** 2)
+            offsets = projected_offsets(w, cells)
+            block["rate_pinching_bps_hz"] = shannon_rate(
+                rho * link_power(scenario, w, offsets, cells))
+            yield block
+
+    return _write_table(cfg, scenario, RowBlocks(dtype, n_cells, blocks))
 
 
 def conventional_array_positions(scenario: Scenario) -> np.ndarray:

@@ -141,10 +141,13 @@ def test_bad_inmo_constants_exit_2(tmp_path, capsys, constant, value):
     ["compare-mimo", "--drops", "1", "--snr-db", "10", "--bounds", "nan", "5", "-5", "5"],
     ["heatmap", "--bounds", "nan", "5", "-5", "5"],
     ["heatmap", "--grid-res", "nan"],
-    # grids whose step count overflows a float, or whose cells overflow an array
+    # grids whose step count overflows a float, whose cells overflow an array
+    # index, or whose smallest CSV (8 bytes a row, 1e16 rows) exceeds the free disk
     ["heatmap", "--grid-res", "1e-320"],
     ["heatmap", "--bounds", "-5", "1.7e308", "-5", "5"],
     ["heatmap", "--grid-res", "1e-300"],
+    ["heatmap", "--grid-res", "1e-12"],
+    ["heatmap", "--grid-res", "1e-7"],
 ])
 def test_malformed_experiment_flags_exit_2(tmp_path, capsys, argv):
     preset = compare_scenario() if argv[0] == "compare-mimo" else heatmap_scenario()

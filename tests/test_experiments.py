@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from pinchsim.experiments import (
     _CHUNK_ROWS,
+    EXPERIMENT_KINDS,
     ConfigError,
     ExperimentConfig,
+    RowBlocks,
     config_digest,
     run_compare_mimo,
     run_experiment,
@@ -105,19 +107,20 @@ def test_heatmap_grid_must_cover_bounds(tmp_path):
         run_heatmap(cfg)
 
 
-def test_heatmap_memory_is_the_table_plus_one_block(tmp_path):
-    # 251,001 cells: whole-grid temporaries of the channel math would peak at
-    # about four tables
-    cfg = heatmap_cfg(tmp_path, scenario_path=write_preset(tmp_path, heatmap_scenario()),
-                      grid_res_m=0.02)
+@pytest.mark.parametrize("los_kind", ["inmo", "exponential", "always_los"])
+def test_heatmap_memory_is_one_block(tmp_path, los_kind):
+    # 251,001 cells, an 8 MB table: a run holds one block and one chunk's
+    # strings, whatever the LoS model; pooling the always-LoS rates over the
+    # whole column held 21 MB
+    cfg = heatmap_cfg(tmp_path, scenario_path=write_preset(
+        tmp_path, heatmap_scenario(los_kind=los_kind)), grid_res_m=0.02)
     tracemalloc.start()
     try:
-        table = run_heatmap(cfg)
+        run_heatmap(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(table.rows) == 501 * 501
-    assert peak <= 2 * table.rows.nbytes
+    assert peak <= 4e6
 
 
 def test_compare_mimo_small_run(tmp_path):
@@ -572,21 +575,76 @@ def test_write_csv_rejects_other_tables_before_any_file(tmp_path, rows):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_heatmap_csv_matches_reference(tmp_path):
-    cfg = heatmap_cfg(tmp_path, scenario_path=write_preset(
-        tmp_path, heatmap_scenario(los_kind="inmo")))
-    table = run_heatmap(cfg)
+def test_heatmap_rows_match_the_csv_after_the_scenario_changes(tmp_path):
+    # 40,401 cells: five blocks, the last partial
+    path = write_preset(tmp_path, heatmap_scenario(los_kind="inmo"))
+    table = run_heatmap(heatmap_cfg(tmp_path, scenario_path=path, grid_res_m=0.05))
+    write_preset(tmp_path, compare_scenario())  # the rows come from the validated scenario
     text = (tmp_path / "out" / "heatmap.csv").read_bytes().decode("utf-8")
+    assert len(table.rows) == len(table.blocks) == 201 * 201
     assert text == reference_csv(HEATMAP_COLUMNS, table.rows.tolist(), table.metadata)
 
 
-def test_failed_write_keeps_earlier_csv(tmp_path, monkeypatch):
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_write_csv_rows_len_is_the_rows_written(tmp_path, monkeypatch, kind):
+    from pinchsim import experiments
+
+    counted = []
+    write = experiments.write_csv
+
+    def count_rows(*args, **kwargs):  # as the benchmark's per-layer trace counts them
+        path = write(*args, **kwargs)
+        counted.append(len(args[2]))
+        return path
+
+    monkeypatch.setattr(experiments, "write_csv", count_rows)
+    out = tmp_path / "out"
+    preset = {"heatmap": heatmap_scenario, "compare_mimo": compare_scenario,
+              "noma_region": noma_scenario, "tdma_demo": tdma_scenario}[kind]()
+    cfg = ExperimentConfig(scenario_path=write_preset(tmp_path, preset), kind=kind,
+                           out_dir=str(out), grid_res_m=0.05, snr_sweep_db=(90.0, 100.0),
+                           drops=2, alpha_step=0.1)
+    run_experiment(cfg)
+    lines = (out / f"{kind}.csv").read_text().count("\n")
+    assert counted == [lines - 2]
+    if kind == "heatmap":
+        assert counted == [40401]
+
+
+def blocks_of(rows, sizes, n_rows=None, fail_after=None, last_dtype=None):
+    """``rows`` as blocks of ``sizes`` rows, claiming ``n_rows``: the block after
+    ``fail_after`` blocks raises, and the last one can take another dtype."""
+    def blocks():
+        start = 0
+        for i, size in enumerate(sizes):
+            if i == fail_after:
+                raise RuntimeError("source failed")
+            block = rows[start:start + size]
+            if last_dtype is not None and i == len(sizes) - 1:
+                block = block.astype(last_dtype)
+            start += size
+            yield block
+    return RowBlocks(rows.dtype, len(rows) if n_rows is None else n_rows, blocks)
+
+
+FLOAT_ROWS = structured(HEATMAP_COLUMNS, [np.arange(2 * _CHUNK_ROWS + 5.0)] * 4)
+SIZES = (_CHUNK_ROWS + 5, _CHUNK_ROWS)
+
+
+@pytest.mark.parametrize("rows, error", [
+    (FLOAT_ROWS, (OSError, "disk full")),
+    (blocks_of(FLOAT_ROWS, SIZES, fail_after=1), (RuntimeError, "source failed")),
+    (blocks_of(FLOAT_ROWS, SIZES, last_dtype=[(n, "<i8") for n in HEATMAP_COLUMNS]),
+     (ValueError, "every block")),
+    (blocks_of(FLOAT_ROWS, SIZES[:1]), (ValueError, "do not hold the 16389 rows")),
+    (blocks_of(FLOAT_ROWS, SIZES, n_rows=_CHUNK_ROWS + 6), (ValueError, "the 8198 rows")),
+], ids=["write-fails", "source-raises", "later-dtype", "fewer-rows", "more-rows"])
+def test_failed_write_keeps_earlier_csv(tmp_path, monkeypatch, rows, error):
     from pinchsim import experiments
 
     run_heatmap(heatmap_cfg(tmp_path))
     out = tmp_path / "out"
     before = (out / "heatmap.csv").read_bytes()
-    rows = structured(HEATMAP_COLUMNS, [np.arange(_CHUNK_ROWS + 5.0)] * 4)
     writes = []
 
     def open_failing_after_first_chunk(*args, **kwargs):
@@ -594,7 +652,7 @@ def test_failed_write_keeps_earlier_csv(tmp_path, monkeypatch):
         write = fh.write
 
         def write_three_then_fail(text):  # the metadata line, the header, one chunk
-            if len(writes) == 3:
+            if len(writes) == 3 and error[0] is OSError:
                 raise OSError("disk full")
             writes.append(text)
             return write(text)
@@ -603,8 +661,8 @@ def test_failed_write_keeps_earlier_csv(tmp_path, monkeypatch):
         return fh
 
     monkeypatch.setattr(experiments, "open", open_failing_after_first_chunk, raising=False)
-    with pytest.raises(OSError, match="disk full"):
+    with pytest.raises(error[0], match=error[1]):
         write_csv(out / "heatmap.csv", HEATMAP_COLUMNS, rows, {"seed": 0})
-    assert writes[2].count("\n") == _CHUNK_ROWS
+    assert len(writes) >= 3 and writes[2].count("\n") == _CHUNK_ROWS
     assert (out / "heatmap.csv").read_bytes() == before
     assert [p.name for p in out.iterdir()] == ["heatmap.csv"]
