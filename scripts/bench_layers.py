@@ -88,7 +88,7 @@ wrap("_zoom_max")
 wrap("_descend", lambda args, out: {"states": len(out[2]),
                                     "state_steps": len(args[0].waveguides) * int(out[2].sum())})
 scanned = [0]  # the open grid scan's candidates, 0 outside a scan
-law, scorer = getattr(P, "_zf_law", None), P._scorer  # older trees have no window scan
+law, scorer = P._zf_law, P._scorer
 def counted_law(F, T, dc, snr, *peaks):
     if scanned[0]:  # a scan's exact law on all its candidates is a fallback
         size.update({"exact": T.shape[0] * T.shape[-1], "fallbacks": T.shape[-1] == scanned[0]})
@@ -103,19 +103,18 @@ def counted_scorer(*args):
         finally:
             scanned[0] = 0
     return score, counted_scan
-if law is not None:
-    P._zf_law, P._scorer = counted_law, counted_scorer
+P._zf_law, P._scorer = counted_law, counted_scorer
 def measure():
     spent.clear()
     size.clear()
     run("mimo-sweep")
     scan = spent["_descend"] - spent["_zoom_max"] - spent["_guide_columns"]
-    counts = {"exact_law_share_of_grid": size["exact"] / size["grid"],
-              "scans_per_run": size["scans"],
-              "fallbacks_per_run": size["fallbacks"]} if law is not None else {}
     return {
         "link_us_per_candidate": 1e6 * spent["link_gains"] / size["candidates"],
-        "grid_scan_ms_per_state_step": 1e3 * scan / size["state_steps"], **counts,
+        "grid_scan_ms_per_state_step": 1e3 * scan / size["state_steps"],
+        "exact_law_share_of_grid": size["exact"] / size["grid"],
+        "scans_per_run": size["scans"],
+        "fallbacks_per_run": size["fallbacks"],
         "zoom_ms_per_state_step": 1e3 * spent["_zoom_max"] / size["state_steps"],
         "descent_ms_per_state": 1e3 * spent["_descend"] / size["states"]}
 report(measure)

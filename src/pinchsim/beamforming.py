@@ -65,12 +65,6 @@ class RateReport:
     sum_rate_bps_hz: float
     scheme_label: str
 
-    @classmethod
-    def from_sinr(cls, sinr, scheme_label: str) -> "RateReport":
-        sinr = np.asarray(sinr, dtype=float)
-        rates = shannon_rate(sinr)
-        return cls(sinr, rates, float(rates.sum()), scheme_label)
-
 
 def mrc_beamformer(H) -> Beamformer:
     """Match each beam to its user's own channel direction: w_i = h_i/|h_i|."""
@@ -107,8 +101,7 @@ def zf_beamformer(H) -> Beamformer:
     return Beamformer((P / norms).T, np.full(K, 1.0 / K))
 
 
-def evaluate_rates(H, B: Beamformer, transmit_snr: float,
-                   scheme_label: str = "") -> RateReport:
+def evaluate_rates(H, B: Beamformer, transmit_snr: float) -> RateReport:
     """SINRs and rates under a beamformer with unit-normalized noise."""
     G = _gains(H)
     K = G.shape[0]
@@ -120,7 +113,8 @@ def evaluate_rates(H, B: Beamformer, transmit_snr: float,
     signal = np.diag(weighted)
     interference = weighted.sum(axis=1) - signal
     sinr = signal * transmit_snr / (1.0 + transmit_snr * interference)
-    return RateReport.from_sinr(sinr, scheme_label)
+    rates = shannon_rate(sinr)
+    return RateReport(sinr, rates, float(rates.sum()), "")
 
 
 def conventional_bound(H, transmit_snr: float) -> np.ndarray:

@@ -8,6 +8,7 @@ numerical failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -35,7 +36,10 @@ def _parse_snr_list(text: str) -> tuple[float, ...]:
         raise ConfigError(f"--snr-db expects comma-separated numbers, got {text!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: every call returns
+    the same parser, which callers use without changing it."""
     parser = argparse.ArgumentParser(
         prog="pinchsim",
         description="Pinching-antenna system simulator and experiment runner")

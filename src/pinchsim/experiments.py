@@ -5,12 +5,12 @@ seeded stream per experiment with per-drop substreams derived by counter,
 grid cells consume draws in index order, and result files are written in a
 fixed order with fixed formatting, so identical inputs yield byte-identical
 outputs. Every runner writes its rows as ``<out_dir>/<kind>.csv`` through
-:func:`write_csv` and returns an :class:`ExperimentTable`. Its rows come as
-a :class:`RowBlocks` source of 1-D structured arrays, a field per CSV column:
-the heatmap computes its cells one block at a time inside the writer's loop,
-the other runners hand over one block. ``table.rows`` joins the blocks on
-first access. Each CSV starts with one ``#`` metadata line embedding the
-config digest and seed.
+:func:`write_csv` and returns them as an :class:`ExperimentTable`: a dtype
+with a field per CSV column, the row count, a source of 1-D structured
+blocks of that dtype and the metadata line's fields. The heatmap computes its
+cells one block at a time inside the writer's loop, the other runners hand
+over one block. ``table.rows`` joins the blocks on first access. Each CSV
+starts with one ``#`` metadata line embedding the config digest and seed.
 """
 
 from __future__ import annotations
@@ -94,20 +94,21 @@ class ExperimentConfig:
             raise ConfigError(f"alpha_step must lie in (0, 1), got {self.alpha_step}")
 
 
-@dataclass(frozen=True)
-class RowBlocks:
-    """``n_rows`` rows of the 1-D structured ``dtype``, given in blocks: each
-    iteration calls ``blocks()`` afresh for 1-D structured arrays of that
-    dtype whose lengths add up to ``n_rows``, the rows in order."""
+@dataclass(frozen=True, eq=False)
+class ExperimentTable:
+    """One experiment's result, as written to its CSV: ``n_rows`` rows of the
+    1-D structured ``dtype``, whose field names are the CSV's columns and whose
+    field dtypes give the columns' kinds, and the metadata line's fields.
+    ``len(table)`` is ``n_rows``. Each iteration calls ``blocks()`` afresh for
+    1-D structured arrays of ``dtype`` whose lengths add up to ``n_rows``, the
+    rows in order. ``rows`` is the whole table as one array (e.g.
+    ``table.rows["x_m"]``), joined from a fresh pass over the blocks on first
+    access."""
 
     dtype: np.dtype
     n_rows: int
     blocks: Callable[[], Iterable[np.ndarray]]
-
-    @classmethod
-    def of(cls, rows: np.ndarray) -> RowBlocks:
-        """``rows`` as a source of one block."""
-        return cls(rows.dtype, len(rows), lambda: (rows,))
+    metadata: dict
 
     def __len__(self) -> int:
         return self.n_rows
@@ -115,24 +116,11 @@ class RowBlocks:
     def __iter__(self):
         return iter(self.blocks())
 
-
-@dataclass(frozen=True, eq=False)
-class ExperimentTable:
-    """One experiment's result, as written to its CSV: the column names, the
-    rows as blocks and the metadata line's fields. ``rows`` is the whole table
-    as a 1-D structured array with one field per column (its dtype gives the
-    column's kind, e.g. ``table.rows["x_m"]``), joined from a fresh pass over
-    the blocks on first access."""
-
-    columns: tuple[str, ...]
-    blocks: RowBlocks
-    metadata: dict
-
     @functools.cached_property
     def rows(self) -> np.ndarray:
-        rows = np.empty(len(self.blocks), self.blocks.dtype)
+        rows = np.empty(self.n_rows, self.dtype)
         start = 0
-        for block in self.blocks:
+        for block in self:
             rows[start:start + len(block)] = block
             start += len(block)
         return rows
@@ -174,22 +162,24 @@ _CHUNK_ROWS = 8192  # rows formatted per write: bounds the memory of one chunk
 def write_csv(path, columns, rows, metadata: dict) -> Path:
     """Write a ``#`` metadata line, the header and ``rows`` to ``path``.
 
-    ``rows`` is a 1-D structured array, or a :class:`RowBlocks` of them, with
-    one field per column, named as in ``columns``; the field's dtype gives the
-    column's kind. ``len(rows)`` is the number of data rows written. Float64
-    cells are written as ``%.12g``; integer, bool and str cells as ``str``.
-    Any other dtype raises ``ValueError`` before a file is created; a block of
-    another dtype, or blocks whose rows do not add up to ``len(rows)``, raise
-    it while writing. Rows are formatted in chunks of ``_CHUNK_ROWS`` into a
-    temporary file next to ``path``, renamed onto it once complete: a failed
-    write leaves no partial CSV and any earlier file as it was. Only one block
-    and one chunk are held at a time.
+    ``rows`` is a 1-D structured array, taken as a table of one block, or an
+    :class:`ExperimentTable`, with one field per column, named as in
+    ``columns``; the field's dtype gives the column's kind. ``len(rows)`` is
+    the number of data rows written. Float64 cells are written as ``%.12g``;
+    integer, bool and str cells as ``str``. Any other dtype raises
+    ``ValueError`` before a file is created; a block of another dtype, or
+    blocks whose rows do not add up to ``len(rows)``, raise it while writing.
+    Rows are formatted in chunks of ``_CHUNK_ROWS`` into a temporary file next
+    to ``path``, renamed onto it once complete: a failed write leaves no
+    partial CSV and any earlier file as it was. Only one block and one chunk
+    are held at a time.
     """
     path = Path(path)
     columns = tuple(columns)
     if isinstance(rows, np.ndarray) and rows.ndim == 1:
-        rows = RowBlocks.of(rows)
-    dtype = rows.dtype if isinstance(rows, RowBlocks) else None
+        # a default binds the array: the name ``rows`` is rebound to the table
+        rows = ExperimentTable(rows.dtype, len(rows), lambda rows=rows: (rows,), metadata)
+    dtype = rows.dtype if isinstance(rows, ExperimentTable) else None
     if (dtype is None or dtype.names != columns
             or not all(dt == np.float64 or dt.kind in "iubU" for dt, *_ in dtype.fields.values())):
         got = getattr(rows, "dtype", type(rows).__name__)
@@ -258,19 +248,15 @@ def _format_chunk(chunk: np.ndarray, floats: list[bool], pools: dict) -> str:
     return ((",".join(template) + "\n") * len(chunk)) % tuple(cells.ravel().tolist())
 
 
-def _rows(**columns) -> RowBlocks:
-    """``columns`` (name -> 1-D array, in CSV order) as one structured block."""
+def _write_table(cfg: ExperimentConfig, scenario: Scenario, **columns) -> ExperimentTable:
+    """Write ``columns`` (name -> 1-D array, in CSV order) to ``<out_dir>/<kind>.csv``
+    as one structured block and return them as a table."""
     values = [np.asarray(v) for v in columns.values()]
     rows = np.empty(len(values[0]), dtype=[(name, v.dtype) for name, v in zip(columns, values)])
     for name, v in zip(columns, values):
         rows[name] = v
-    return RowBlocks.of(rows)
-
-
-def _write_table(cfg: ExperimentConfig, scenario: Scenario, rows: RowBlocks) -> ExperimentTable:
-    """Write ``rows`` to ``<out_dir>/<kind>.csv`` and return them as a table."""
-    table = ExperimentTable(rows.dtype.names, rows, _metadata(cfg, scenario))
-    write_csv(Path(cfg.out_dir) / f"{cfg.kind}.csv", table.columns, rows, table.metadata)
+    table = ExperimentTable(rows.dtype, len(rows), lambda: (rows,), _metadata(cfg, scenario))
+    write_csv(Path(cfg.out_dir) / f"{cfg.kind}.csv", rows.dtype.names, table, table.metadata)
     return table
 
 
@@ -294,9 +280,9 @@ def _grid_points(lo: float, hi: float, res: float, name: str) -> int:
     return int(round(steps)) + 1
 
 
-def _grid_axes(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The heatmap grid's points along x and y, once its cells are known to
-    fit an array index and their smallest CSV the free disk space."""
+def _grid_shape(cfg: ExperimentConfig) -> tuple[int, int]:
+    """The heatmap grid's number of points along x and y, once its cells are
+    known to fit an array index and their smallest CSV the free disk space."""
     xmin, xmax, ymin, ymax = cfg.grid_bounds
     nx = _grid_points(xmin, xmax, cfg.grid_res_m, "x")
     ny = _grid_points(ymin, ymax, cfg.grid_res_m, "y")
@@ -309,7 +295,13 @@ def _grid_axes(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError(f"a grid of {nx:.6g} x {ny:.6g} cells needs at least "
                           f"{8 * nx * ny:.6g} bytes of CSV, more than the {free} free "
                           f"under {cfg.out_dir}")
-    return np.linspace(xmin, xmax, nx), np.linspace(ymin, ymax, ny)
+    return nx, ny
+
+
+def _grid_coords(i: np.ndarray, n: int, lo: float, hi: float) -> np.ndarray:
+    """``np.linspace(lo, hi, n)[i]``, bit for bit, without making the axis:
+    linspace's last point is ``hi`` itself, unless it is its only point."""
+    return np.where(i < max(n - 1, 1), i * ((hi - lo) / max(n - 1, 1)) + lo, hi)
 
 
 def run_heatmap(cfg: ExperimentConfig) -> ExperimentTable:
@@ -333,8 +325,9 @@ def run_heatmap(cfg: ExperimentConfig) -> ExperimentTable:
     rho = scenario.transmit_snr
     penalty = scenario.los_model.nlos_extra_loss_db
 
-    xs, ys = _grid_axes(cfg)
-    ny, n_cells = len(ys), len(xs) * len(ys)
+    xmin, xmax, ymin, ymax = cfg.grid_bounds
+    nx, ny = _grid_shape(cfg)
+    n_cells = nx * ny
     dtype = np.dtype([(name, np.float64) for name in (
         "x_m", "y_m", "rate_conventional_bps_hz", "rate_pinching_bps_hz")])
 
@@ -343,8 +336,8 @@ def run_heatmap(cfg: ExperimentConfig) -> ExperimentTable:
         for start in range(0, n_cells, _CHUNK_ROWS):
             cell = np.arange(start, min(start + _CHUNK_ROWS, n_cells))
             block = np.empty(len(cell), dtype)
-            block["x_m"] = xs[cell // ny]  # x-major, meshgrid's "ij"
-            block["y_m"] = ys[cell % ny]
+            block["x_m"] = _grid_coords(cell // ny, nx, xmin, xmax)  # x-major, meshgrid's "ij"
+            block["y_m"] = _grid_coords(cell % ny, ny, ymin, ymax)
             cells = np.column_stack([block["x_m"], block["y_m"], np.zeros(len(block))])
             d_conv = guide_distances(w, 0.0, cells)  # the conventional antenna sits at the feed
             los = rng.uniform(size=len(cells)) < los_probability(scenario.los_model, d_conv)
@@ -355,7 +348,9 @@ def run_heatmap(cfg: ExperimentConfig) -> ExperimentTable:
                 rho * link_power(scenario, w, offsets, cells))
             yield block
 
-    return _write_table(cfg, scenario, RowBlocks(dtype, n_cells, blocks))
+    table = ExperimentTable(dtype, n_cells, blocks, _metadata(cfg, scenario))
+    write_csv(Path(cfg.out_dir) / "heatmap.csv", dtype.names, table, table.metadata)
+    return table
 
 
 def conventional_array_positions(scenario: Scenario) -> np.ndarray:
@@ -424,9 +419,10 @@ def run_compare_mimo(cfg: ExperimentConfig) -> ExperimentTable:
             sums[rho_db, "pinching_zf"] += solution.objective_value
 
     keys = [(rho_db, scheme) for rho_db in cfg.snr_sweep_db for scheme in COMPARE_SCHEMES]
-    return _write_table(cfg, scenario, _rows(
-        rho_db=[float(rho_db) for rho_db, _ in keys], scheme=[scheme for _, scheme in keys],
-        mean_sum_rate_bps_hz=[sums[key] / cfg.drops for key in keys]))
+    return _write_table(
+        cfg, scenario, rho_db=[float(rho_db) for rho_db, _ in keys],
+        scheme=[scheme for _, scheme in keys],
+        mean_sum_rate_bps_hz=[sums[key] / cfg.drops for key in keys])
 
 
 def run_noma_region(cfg: ExperimentConfig) -> ExperimentTable:
@@ -455,9 +451,9 @@ def run_noma_region(cfg: ExperimentConfig) -> ExperimentTable:
                               power_split=(1.0 - float(alpha), float(alpha)),
                               sic_order=(weak, strong))
         rates[i] = noma_rates(scenario, H, cluster, beam).per_user_rate_bps_hz
-    return _write_table(cfg, scenario, _rows(
-        alpha=alphas, rate_weak_bps_hz=rates[:, 0], rate_strong_bps_hz=rates[:, 1],
-        sum_rate_bps_hz=rates[:, 0] + rates[:, 1]))
+    return _write_table(
+        cfg, scenario, alpha=alphas, rate_weak_bps_hz=rates[:, 0],
+        rate_strong_bps_hz=rates[:, 1], sum_rate_bps_hz=rates[:, 0] + rates[:, 1])
 
 
 def run_tdma_demo(cfg: ExperimentConfig) -> ExperimentTable:
@@ -484,9 +480,9 @@ def run_tdma_demo(cfg: ExperimentConfig) -> ExperimentTable:
     served = sinr > 0
     # math.log10 per user, not np.log10: the CSV keeps the libm digits
     sinr_db[served] = 10.0 * np.fromiter(map(math.log10, sinr[served].tolist()), float)
-    return _write_table(cfg, scenario, _rows(
-        scheme=np.full(k, report.scheme_label), user=np.arange(k), sinr_db=sinr_db,
-        rate_bps_hz=report.per_user_rate_bps_hz))
+    return _write_table(
+        cfg, scenario, scheme=np.full(k, report.scheme_label), user=np.arange(k),
+        sinr_db=sinr_db, rate_bps_hz=report.per_user_rate_bps_hz)
 
 
 def run_experiment(cfg: ExperimentConfig):

@@ -190,7 +190,7 @@ def _wrap(phase):
 
 
 def align_multi_on_guide(w: WaveguideSpec, user, n_antennas: int,
-                         s: Scenario, min_spacing: float | None = None) -> PlacementSolution:
+                         s: Scenario) -> PlacementSolution:
     """Place n antennas on one guide so their contributions add coherently.
 
     The link's phase lag from offset x to the user, k_g*x + k_0*d(x), rises
@@ -200,14 +200,12 @@ def align_multi_on_guide(w: WaveguideSpec, user, n_antennas: int,
     the one with a tooth on :func:`place_single_for_user`'s offset), as many
     turns of the lag either side of that offset as n antennas can span.
     From every tooth a chain takes, n - 1 times, the first tooth at least
-    ``min_spacing`` (default lambda0/2) past its last; of the chains on the
-    guide, the one with the largest coherent gain wins, and ``ValueError``
-    says none fits.
+    lambda0/2 past its last; of the chains on the guide, the one with the
+    largest coherent gain wins, and ``ValueError`` says none fits.
     """
     if n_antennas < 1:
         raise ValueError("need at least one antenna")
-    lam0 = s.carrier.free_space_wavelength_m
-    spacing = lam0 / 2.0 if min_spacing is None else float(min_spacing)
+    spacing = s.carrier.free_space_wavelength_m / 2.0
     user = np.asarray(user, dtype=float).reshape(3)
 
     if n_antennas == 1:

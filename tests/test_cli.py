@@ -273,6 +273,7 @@ def test_four_user_csv_is_pinned_at_one_and_two_workers(tmp_path, monkeypatch, w
 def test_compare_mimo_default_sweep_is_the_case_study():
     args = cli.build_parser().parse_args(["compare-mimo", "--scenario", "s.yaml", "--out", "o"])
     assert cli.config_from_args(args).snr_sweep_db == (90.0, 100.0, 110.0, 120.0)
+    assert cli.build_parser() is cli.build_parser()  # built once per process
 
 
 # sha256 of this run's CSV, and of its rows alone (every line after the

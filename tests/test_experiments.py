@@ -16,7 +16,8 @@ from pinchsim.experiments import (
     EXPERIMENT_KINDS,
     ConfigError,
     ExperimentConfig,
-    RowBlocks,
+    ExperimentTable,
+    _grid_coords,
     config_digest,
     run_compare_mimo,
     run_experiment,
@@ -121,6 +122,39 @@ def test_heatmap_memory_is_one_block(tmp_path, los_kind):
     finally:
         tracemalloc.stop()
     assert peak <= 4e6
+
+
+def test_heatmap_makes_no_array_sized_by_an_axis(tmp_path, monkeypatch):
+    # a 500,001 x 2 strip, stopped in its first chunk: its x axis as an array
+    # would take 4 MB on its own
+    from pinchsim import experiments
+
+    def stop(*args):
+        raise RuntimeError("stopped after the first block")
+
+    monkeypatch.setattr(experiments, "_format_chunk", stop)
+    cfg = heatmap_cfg(tmp_path, grid_bounds=(0.0, 5000.0, 0.0, 0.01), grid_res_m=0.01)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="first block"):
+            run_heatmap(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+
+
+def test_grid_coords_are_the_bits_of_linspace():
+    rng = np.random.default_rng(27)
+    axes = [(-0.0, 1.0, 1), (-0.0, 1.0, 2), (-5.0, 5.0, 1), (0.0, 5000.0, 500_001)]
+    for _ in range(2000):
+        lo = rng.standard_normal() * 10.0 ** rng.integers(-6, 7)
+        hi = lo + rng.uniform(1e-3, 1.0) * 10.0 ** rng.integers(-6, 7)
+        axes.append((lo, hi, int(rng.integers(1, 400))))
+    for lo, hi, n in axes:
+        i = np.arange(n)
+        assert np.array_equal(_grid_coords(i, n, lo, hi).view(np.int64),
+                              np.linspace(lo, hi, n).view(np.int64)), (lo, hi, n)
 
 
 def test_compare_mimo_small_run(tmp_path):
@@ -520,6 +554,22 @@ def structured(names, arrays):
     return rows
 
 
+def blocks_of(rows, sizes, n_rows=None, fail_after=None, last_dtype=None):
+    """``rows`` as blocks of ``sizes`` rows, claiming ``n_rows``: the block after
+    ``fail_after`` blocks raises, and the last one can take another dtype."""
+    def blocks():
+        start = 0
+        for i, size in enumerate(sizes):
+            if i == fail_after:
+                raise RuntimeError("source failed")
+            block = rows[start:start + size]
+            if last_dtype is not None and i == len(sizes) - 1:
+                block = block.astype(last_dtype)
+            start += size
+            yield block
+    return ExperimentTable(rows.dtype, len(rows) if n_rows is None else n_rows, blocks, {})
+
+
 # no shrinking: a failing table of up to 8,193 rows shrinks for minutes
 @settings(max_examples=60, deadline=None,
           phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
@@ -546,11 +596,17 @@ def test_write_csv_matches_reference(tmp_path_factory, n_rows, fields, seed):
     path = write_csv(tmp_path_factory.mktemp("csv") / "t.csv", names, rows, meta)
     # the reference sees the rows as tuples of Python floats, ints, bools and strs;
     # compared line by line, as pytest's diff of two whole texts takes minutes
-    lines = path.read_bytes().decode("utf-8").split("\n")
+    text = path.read_bytes()
+    lines = text.decode("utf-8").split("\n")
     expected = reference_csv(names, rows.tolist(), meta).split("\n")
     assert len(lines) == len(expected)
     for line, want in zip(lines, expected):
         assert line == want
+    # the same rows as a table of blocks of random sizes, empty ones included
+    cuts = np.sort(rng.integers(0, n_rows + 1, rng.integers(0, 5)))
+    sizes = np.diff(cuts, prepend=0, append=n_rows).tolist()
+    table = blocks_of(rows, sizes)
+    assert write_csv(path, names, table, meta).read_bytes() == text
 
 
 @pytest.mark.parametrize("rows", [
@@ -581,7 +637,7 @@ def test_heatmap_rows_match_the_csv_after_the_scenario_changes(tmp_path):
     table = run_heatmap(heatmap_cfg(tmp_path, scenario_path=path, grid_res_m=0.05))
     write_preset(tmp_path, compare_scenario())  # the rows come from the validated scenario
     text = (tmp_path / "out" / "heatmap.csv").read_bytes().decode("utf-8")
-    assert len(table.rows) == len(table.blocks) == 201 * 201
+    assert len(table.rows) == len(table) == 201 * 201
     assert text == reference_csv(HEATMAP_COLUMNS, table.rows.tolist(), table.metadata)
 
 
@@ -611,28 +667,12 @@ def test_write_csv_rows_len_is_the_rows_written(tmp_path, monkeypatch, kind):
         assert counted == [40401]
 
 
-def blocks_of(rows, sizes, n_rows=None, fail_after=None, last_dtype=None):
-    """``rows`` as blocks of ``sizes`` rows, claiming ``n_rows``: the block after
-    ``fail_after`` blocks raises, and the last one can take another dtype."""
-    def blocks():
-        start = 0
-        for i, size in enumerate(sizes):
-            if i == fail_after:
-                raise RuntimeError("source failed")
-            block = rows[start:start + size]
-            if last_dtype is not None and i == len(sizes) - 1:
-                block = block.astype(last_dtype)
-            start += size
-            yield block
-    return RowBlocks(rows.dtype, len(rows) if n_rows is None else n_rows, blocks)
-
-
 FLOAT_ROWS = structured(HEATMAP_COLUMNS, [np.arange(2 * _CHUNK_ROWS + 5.0)] * 4)
 SIZES = (_CHUNK_ROWS + 5, _CHUNK_ROWS)
 
 
 @pytest.mark.parametrize("rows, error", [
-    (FLOAT_ROWS, (OSError, "disk full")),
+    (blocks_of(FLOAT_ROWS, (len(FLOAT_ROWS),)), (OSError, "disk full")),
     (blocks_of(FLOAT_ROWS, SIZES, fail_after=1), (RuntimeError, "source failed")),
     (blocks_of(FLOAT_ROWS, SIZES, last_dtype=[(n, "<i8") for n in HEATMAP_COLUMNS]),
      (ValueError, "every block")),
