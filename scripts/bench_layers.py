@@ -89,10 +89,10 @@ wrap("_descend", lambda args, out: {"states": len(out[2]),
                                     "state_steps": len(args[0].waveguides) * int(out[2].sum())})
 scanned = [0]  # the open grid scan's candidates, 0 outside a scan
 law, scorer = P._zf_law, P._scorer
-def counted_law(F, T, dc, snr, *peaks):
+def counted_law(F, T, dc, snr, *rest):  # trees before the one-mode law pass peaks
     if scanned[0]:  # a scan's exact law on all its candidates is a fallback
         size.update({"exact": T.shape[0] * T.shape[-1], "fallbacks": T.shape[-1] == scanned[0]})
-    return law(F, T, dc, snr, *peaks)
+    return law(F, T, dc, snr, *rest)
 def counted_scorer(*args):
     score, scan = scorer(*args)
     def counted_scan(i, table):

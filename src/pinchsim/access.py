@@ -148,8 +148,7 @@ class NomaCluster:
             raise ValueError("sic_order must be a permutation of the cluster users")
 
 
-def noma_rates(s: Scenario, H, cluster: NomaCluster, beam,
-               transmit_snr: float | None = None) -> RateReport:
+def noma_rates(s: Scenario, H, cluster: NomaCluster, beam) -> RateReport:
     """Superposition-coding rates for one cluster sharing a single beam.
 
     The message decoded at stage t sees interference from the power of all
@@ -158,7 +157,6 @@ def noma_rates(s: Scenario, H, cluster: NomaCluster, beam,
     Cluster users must be distinct rows of ``H``.
     """
     cluster.validate()
-    rho = s.transmit_snr if transmit_snr is None else float(transmit_snr)
     G = _gains(H)
     _check_user_indices(cluster.users, G.shape[0])
     beam = np.asarray(beam, dtype=complex).reshape(-1)
@@ -176,6 +174,7 @@ def noma_rates(s: Scenario, H, cluster: NomaCluster, beam,
     # power of the messages decoded after each stage, summed in decode order
     later = functools.reduce(np.add, np.triu(np.tile(power, (n, 1)), 1).T)
     # stage t's SINR (rows) at each user (columns); users from stage t on decode it
+    rho = s.transmit_snr
     at = gain * power[:, None] * rho / (1.0 + rho * (gain * later[:, None]))
     sinr = np.empty(n)
     sinr[order] = np.where(np.triu(np.ones((n, n), dtype=bool)), at, np.inf).min(axis=1)

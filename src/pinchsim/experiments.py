@@ -167,7 +167,8 @@ def write_csv(path, columns, rows, metadata: dict) -> Path:
     ``columns``; the field's dtype gives the column's kind. ``len(rows)`` is
     the number of data rows written. Float64 cells are written as ``%.12g``;
     integer, bool and str cells as ``str``. Any other dtype raises
-    ``ValueError`` before a file is created; a block of another dtype, or
+    ``ValueError`` before a file is created, as does a table whose
+    ``metadata`` is not ``metadata``; a block of another dtype, or
     blocks whose rows do not add up to ``len(rows)``, raise it while writing.
     Rows are formatted in chunks of ``_CHUNK_ROWS`` into a temporary file next
     to ``path``, renamed onto it once complete: a failed write leaves no
@@ -185,6 +186,8 @@ def write_csv(path, columns, rows, metadata: dict) -> Path:
         got = getattr(rows, "dtype", type(rows).__name__)
         raise ValueError(f"rows must be a 1-D structured array of float64, integer, bool "
                          f"and str fields named {columns}, got {got}")
+    if rows.metadata != metadata:
+        raise ValueError(f"metadata {metadata} differs from the table's {rows.metadata}")
     floats = [dtype[name] == np.float64 for name in columns]
     path.parent.mkdir(parents=True, exist_ok=True)
     # "x" creates the file with the mode write_text would give it, unlike

@@ -341,8 +341,7 @@ def _resolved(m: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _zf_law(F: np.ndarray, T: np.ndarray, dc: np.ndarray, snr: np.ndarray,
-            peaks: bool = False) -> np.ndarray:
+def _zf_law(F: np.ndarray, T: np.ndarray, dc: np.ndarray, snr: np.ndarray) -> np.ndarray:
     """The exact law: zero-forcing sum rates (rows, n) of candidate features ``T``
     (rows, K*K, n) beside fixed features ``F`` (rows, K*K), -inf where degenerate.
 
@@ -351,28 +350,26 @@ def _zf_law(F: np.ndarray, T: np.ndarray, dc: np.ndarray, snr: np.ndarray,
     per-user SNR rho/K of equal power. Then sinr_k = snr * det / C_kk, and a
     candidate counts where det / C_kk is positive (NaN and inf end up
     non-finite) and, for K > 3, where its Gram is :func:`_resolved`. Per-user
-    rates are summed elementwise in user order. With ``peaks``, the rank test
-    runs only on each row's first maximum, which falls to -inf and yields to
-    the next until one passes: the first maximum and its value are the eager
-    law's, and only they are.
+    rates are summed elementwise in user order. The rank test runs on the
+    candidates within ``TIE_TOL`` of each row's best, where failures fall to
+    -inf, until every candidate left in that band passes: each row's best
+    value, first maximum and tie-smallest argmax are those of testing all.
     """
     K = dc.shape[1] - 1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # det / C_kk = 1 / [Gram^{-1}]_kk, over the cofactors' rows
         sinr = np.divide(dc[:, :1], dc[:, 1:], out=dc[:, 1:])
         bad = sinr <= 0
-        if K > 3 and not peaks:
-            bad |= ~_resolved(_hermitian(np.moveaxis(F[:, :, None] + T, 1, -1), K))[:, None]
         sinr *= snr
         np.copyto(sinr, np.nan, where=bad)
         obj = functools.reduce(np.add, shannon_rate(sinr, out=sinr).swapaxes(0, 1))
     np.copyto(obj, -np.inf, where=~np.isfinite(obj))
-    rows = np.arange(len(obj)) if K > 3 and peaks else ()
-    while len(rows):
-        j = np.argmax(obj[rows], axis=-1)
-        fail = ~_resolved(_hermitian(F[rows] + T[rows, :, j], K)) & (obj[rows, j] > -np.inf)
-        rows, j = rows[fail], j[fail]
-        obj[rows, j] = -np.inf
+    while K > 3:
+        r, j = np.nonzero((obj >= obj.max(axis=-1, keepdims=True) - TIE_TOL) & (obj > -np.inf))
+        fail = ~_resolved(_hermitian(F[r] + T[r, :, j], K))
+        obj[r[fail], j[fail]] = -np.inf
+        if not fail.any():
+            break
     return obj
 
 
@@ -388,9 +385,9 @@ def _scorer(F: np.ndarray, rho: np.ndarray):
     ``F`` (L, K*K) holds each state's Gram features without the guide's
     column, ``rho`` (L,) its transmit SNR. Zero-forcing at equal power p =
     1/K gives sinr_k = p * rho * det / C_kk from :func:`_zf_map`'s affine map,
-    built once here, and :func:`_zf_law` turns them into rates.
-    ``score(rows, T)`` gives the objectives (rows, n) of the Grams F + T for
-    candidate features ``T`` (rows, K*K, n), one matrix product per state.
+    built once here, and :func:`_zf_law` turns them into rates. ``score(rows,
+    T)`` gives the law's objectives (rows, n), tie band rank-tested, of the
+    Grams F + T for candidates ``T`` (rows, K*K, n), one product per state.
 
     ``scan(i, table)`` gives state i's best candidate of a grid table (K*K,
     n) as (index, value), ties within ``TIE_TOL`` to the smallest index: the
@@ -411,10 +408,10 @@ def _scorer(F: np.ndarray, rho: np.ndarray):
     weights, consts = _zf_map(F, K)
     snr = 1.0 / K * rho
 
-    def score(rows, T, peaks=False):
+    def score(rows, T):
         dc = weights[rows] @ T  # (rows, 1+K, n)
         dc += consts[rows, :, None]
-        return _zf_law(F[rows], T, dc, snr[rows, None, None], peaks)
+        return _zf_law(F[rows], T, dc, snr[rows, None, None])
 
     def scan(i, table):
         dc = weights[i] @ table  # (1+K, n)
@@ -511,55 +508,51 @@ def _table(s: Scenario, g: int, grid: np.ndarray, users: np.ndarray) -> np.ndarr
     return table
 
 
-def _descend(s: Scenario, users: np.ndarray, transmit_snrs: np.ndarray, budget: int):
-    """Zero-forcing sum-rate coordinate descent of one state per (drop, transmit
-    SNR), stepped in lockstep.
+def _nearest_user_starts(s: Scenario, users: np.ndarray) -> np.ndarray:
+    """Elementwise start offsets (..., M) of drops (..., K, 3): each guide's
+    antenna at the projection of its nearest user, lower user index on ties."""
+    t = np.stack([projected_offsets(w, users) for w in s.waveguides], axis=-1)  # (..., K, M)
+    d = np.stack([guide_distances(w, t[..., g], users) for g, w in enumerate(s.waveguides)], -1)
+    return np.take_along_axis(t, np.argmin(d, axis=-2)[..., None, :], axis=-2)[..., 0, :]
+
+
+def _descend(s: Scenario, users: np.ndarray, drop: np.ndarray, rho: np.ndarray,
+             start: np.ndarray, budget: int):
+    """Zero-forcing sum-rate coordinate descent of L states, stepped in lockstep.
 
     ``users`` (D, K, 3) holds the drops' user positions under ``s``'s guides;
-    the states are drop-major, one per SNR of ``transmit_snrs`` (B,) in each
-    drop. A drop's states share its start and its candidate tables: the Gram
-    features (:func:`_features`) of each guide's channel column at every grid
-    offset, (K*K, n), candidate axis last so that each feature is a contiguous
-    array. A guide step builds one :func:`_scorer` for all live states. Its
-    ``scan`` finds each state's best grid cell in its drop's table from the
-    product bound, with the exact law on the bound's certified window alone,
-    or on the whole grid where the window is not certified or the bound has
-    no maximum in [1, inf). One batched zoom then refines the best cells of
-    all states, rank-testing (K > 3) only each pass's best candidates. A state
-    leaves the lockstep when a cycle improves it by less than
-    ``DESCENT_TOL``. Returns per state the offsets (D*B, M), traces, cycles,
-    converged flags, final objective values (D*B,) and final channel columns
-    (D*B, K, M).
+    state i descends drop ``drop[i]`` at transmit SNR ``rho[i]`` from the
+    offsets ``start[i]`` (M,). The states of a drop share its candidate
+    tables, built once: the Gram features (:func:`_features`) of each guide's
+    channel column at every grid offset, (K*K, n), candidate axis last so that
+    each feature is a contiguous array. A guide step builds one
+    :func:`_scorer` for all live states. Its ``scan`` finds each state's best
+    grid cell in its drop's table from the product bound, with the exact law
+    on the bound's certified window alone, or on the whole grid where the
+    window is not certified or the bound has no maximum in [1, inf). One
+    batched zoom then refines the best cells of all states. A state leaves
+    the lockstep when a cycle improves it by less than ``DESCENT_TOL``.
+    Returns per state the offsets (L, M), traces, cycles, converged flags,
+    final objective values (L,) and final channel columns (L, K, M).
     """
-    D, K = users.shape[:2]
-    M, B = len(s.waveguides), len(transmit_snrs)
-    grids = _grids(s)
+    M, grids = len(s.waveguides), _grids(s)
     tables = [[_table(s, g, grid, drop_users) for g, grid in enumerate(grids)]
               for drop_users in users]
-    state_users = np.repeat(users, B, axis=0)  # (D*B, K, 3)
-    drop = np.repeat(np.arange(D), B)
-    rho = np.tile(transmit_snrs, D)
+    state_users = users[drop]  # (L, K, 3)
 
     def others(c, g):
         """Gram features (L, K*K) of the columns c (L, K, M) but column g."""
         return _features(np.delete(c, g, axis=-1).swapaxes(0, 1)).sum(axis=-1).T
 
-    # Start each antenna at the projection of the user nearest to its guide
-    # (argmin breaks ties to the lower user index).
-    start = np.empty((D, M))
-    for d, g in np.ndindex(D, M):
-        t = projected_offsets(s.waveguides[g], users[d])
-        start[d, g] = t[np.argmin(guide_distances(s.waveguides[g], t, users[d]))]
-    cols = np.repeat(np.stack([_guide_columns(s, g, start[:, g], users) for g in range(M)],
-                              axis=-1).swapaxes(0, 1), B, axis=0)  # (D*B, K, M)
-    live = np.arange(D * B)
+    offsets = np.array(start, dtype=float)
+    cols = np.stack([_guide_columns(s, g, offsets[:, g], state_users) for g in range(M)],
+                    axis=-1).swapaxes(0, 1)  # (L, K, M)
+    live = np.arange(len(drop))
     # the start is scored as the last guide's candidate
     last = _features(cols[:, :, M - 1:].swapaxes(0, 1)).swapaxes(0, 1)
     value = _scorer(others(cols, M - 1), rho)[0](live, last)[:, 0]
     traces = [[float(v)] for v in value]
-    offsets = np.repeat(start, B, axis=0)
-    cycles = np.zeros(D * B, dtype=int)
-    converged = np.zeros(D * B, dtype=bool)
+    cycles, converged = np.zeros(live.size, dtype=int), np.zeros(live.size, dtype=bool)
     for _ in range(budget):
         cycles[live] += 1
         cycle_gain = np.zeros(live.size)
@@ -577,7 +570,7 @@ def _descend(s: Scenario, users: np.ndarray, transmit_snrs: np.ndarray, budget: 
 
             def zoom_scores(open_rows, xs):
                 c = link_gains(s, s.waveguides[g], xs, zoom_users[:, open_rows])
-                return score(pos[open_rows], _features(c).swapaxes(0, 1), peaks=True)
+                return score(pos[open_rows], _features(c).swapaxes(0, 1))
 
             x, v = _zoom_max(zoom_scores, grids[g], idx[pos], best[pos], REFINE_TOL_M)
             up = v > value[live[pos]]
@@ -667,28 +660,32 @@ def _sweep_drops(s: Scenario, users: np.ndarray, snrs: np.ndarray,
 
     Drops pass through :func:`_descend` in groups, as many per group as keep
     the candidate tables in flight within ``TABLE_BYTES_IN_FLIGHT`` (at least
-    one), and the groups through :func:`_descend_groups`, in worker processes
-    where there are CPUs for them. This process rank-tests the final layouts,
-    recomputes their values and builds every solution, in group order. Every
-    state's bits are those of its own one-drop sweep, at any worker count.
+    one), each as one state per SNR from :func:`_nearest_user_starts`, and the
+    groups through :func:`_descend_groups`, in worker processes where there
+    are CPUs for them. This process rank-tests the final layouts, recomputes
+    their values and builds every solution, in group order. Every state's
+    bits are those of its own one-drop sweep, at any worker count.
     """
     K, M, B = users.shape[1], len(s.waveguides), len(snrs)
     drop_bytes = 8 * K * K * sum(grid.size for grid in _grids(s))
     group = max(1, TABLE_BYTES_IN_FLIGHT // drop_bytes)
-    groups = [users[first:first + group] for first in range(0, len(users), group)]
+    cuts = range(group, len(users), group)
+    states = (np.repeat(np.arange(len(users)) % group, B), np.tile(snrs, len(users)),
+              np.repeat(_nearest_user_starts(s, users), B, axis=0))  # drop, rho, start
+    groups = list(zip(np.split(users, cuts), *(np.split(a, [B * c for c in cuts]) for a in states)))
     solutions = []
-    for chunk, descent in zip(groups, _descend_groups(s, groups, snrs, budget)):
+    for (_, _, rho, _), descent in zip(groups, _descend_groups(s, groups, budget)):
         offsets, traces, cycles, converged, values, cols = descent
         values[_rcond(cols) < ZF_RCOND_LIMIT] = -np.inf
         final = np.flatnonzero(np.isfinite(values))
-        values[final] = _qr_zf_sum_rates(cols[final], np.tile(snrs, len(chunk))[final])
+        values[final] = _qr_zf_sum_rates(cols[final], rho[final])
         for i in final:
             v = float(values[i])
             traces[i] = [min(t, v) for t in traces[i][:-1]] + [v]
-        states = [PlacementSolution(PinchingLayout(np.arange(M), row, np.ones(M)), float(v),
+        placed = [PlacementSolution(PinchingLayout(np.arange(M), row, np.ones(M)), float(v),
                                     "sum_rate", int(n), bool(done), tuple(trace))
                   for row, v, n, done, trace in zip(offsets, values, cycles, converged, traces)]
-        solutions += [tuple(states[i:i + B]) for i in range(0, len(states), B)]
+        solutions += [tuple(placed[i:i + B]) for i in range(0, len(placed), B)]
     return solutions
 
 
@@ -699,9 +696,9 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _descend_groups(s: Scenario, groups: list[np.ndarray], snrs: np.ndarray,
-                    budget: int) -> list[tuple]:
-    """:func:`_descend` of each group of drops under ``s``'s guides, in order.
+def _descend_groups(s: Scenario, groups: list[tuple], budget: int) -> list[tuple]:
+    """:func:`_descend` of each group's states, a tuple (users, drop, rho, start)
+    of its arguments, under ``s``'s guides, in order.
 
     The groups run in a ``fork`` pool of one worker per usable CPU, at most one
     per group, where that makes at least two workers, the platform can fork
@@ -719,11 +716,11 @@ def _descend_groups(s: Scenario, groups: list[np.ndarray], snrs: np.ndarray,
     workers = min(_usable_cpus(), len(groups))
     if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon):
-        return [_descend(s, users, snrs, budget) for users in groups]
+        return [_descend(s, *group, budget) for group in groups]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         # map cancels the groups not yet started when one raises; leaving the
         # block waits for the running ones and joins every worker
-        descend = functools.partial(_descend, s, transmit_snrs=snrs, budget=budget)
-        return list(pool.map(descend, groups))
+        descend = functools.partial(_descend, s, budget=budget)
+        return list(pool.map(descend, *zip(*groups)))

@@ -4,6 +4,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see one line per
 criterion. Each test pins the tolerance stated for its criterion.
 """
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -164,7 +165,8 @@ def test_criterion_06_bound_dominance(guide_y):
         cluster = NomaCluster((int(weak), int(strong)), (1 - alpha, alpha),
                               (int(weak), int(strong)))
         s = make_scenario([(1, 1, 0)], snr_db=10 * math.log10(rho))
-        rates = noma_rates(s, G, cluster, beam, transmit_snr=rho).per_user_rate_bps_hz
+        rates = noma_rates(dataclasses.replace(s, transmit_snr=rho), G, cluster,
+                           beam).per_user_rate_bps_hz
         bound = conventional_bound(G, rho)[[int(weak), int(strong)]]
         gap = float(np.max(rates - bound))
         worst = max(worst, gap)

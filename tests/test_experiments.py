@@ -208,9 +208,9 @@ def test_compare_mimo_drop_groups_match_one_sweep_per_drop(tmp_path, monkeypatch
         snr_sweep_db=(0.0, 60.0, 120.0), drops=drops, cd_budget=3)
     descend_groups, groups = placement._descend_groups, []
 
-    def counted(s, users_by_group, *rest):  # the groups as this process forms them
-        groups.extend(len(users) for users in users_by_group)
-        return descend_groups(s, users_by_group, *rest)
+    def counted(s, states_by_group, *rest):  # the groups' drops as this process forms them
+        groups.extend(len(users) for users, *_ in states_by_group)
+        return descend_groups(s, states_by_group, *rest)
 
     monkeypatch.setattr(placement, "_descend_groups", counted)
     run_compare_mimo(cfg)
@@ -554,9 +554,10 @@ def structured(names, arrays):
     return rows
 
 
-def blocks_of(rows, sizes, n_rows=None, fail_after=None, last_dtype=None):
+def blocks_of(rows, sizes, n_rows=None, fail_after=None, last_dtype=None, metadata=None):
     """``rows`` as blocks of ``sizes`` rows, claiming ``n_rows``: the block after
-    ``fail_after`` blocks raises, and the last one can take another dtype."""
+    ``fail_after`` blocks raises, and the last one can take another dtype. The
+    metadata defaults to ``{"seed": 0}``."""
     def blocks():
         start = 0
         for i, size in enumerate(sizes):
@@ -567,7 +568,8 @@ def blocks_of(rows, sizes, n_rows=None, fail_after=None, last_dtype=None):
                 block = block.astype(last_dtype)
             start += size
             yield block
-    return ExperimentTable(rows.dtype, len(rows) if n_rows is None else n_rows, blocks, {})
+    return ExperimentTable(rows.dtype, len(rows) if n_rows is None else n_rows, blocks,
+                           {"seed": 0} if metadata is None else metadata)
 
 
 # no shrinking: a failing table of up to 8,193 rows shrinks for minutes
@@ -605,7 +607,7 @@ def test_write_csv_matches_reference(tmp_path_factory, n_rows, fields, seed):
     # the same rows as a table of blocks of random sizes, empty ones included
     cuts = np.sort(rng.integers(0, n_rows + 1, rng.integers(0, 5)))
     sizes = np.diff(cuts, prepend=0, append=n_rows).tolist()
-    table = blocks_of(rows, sizes)
+    table = blocks_of(rows, sizes, metadata=meta)
     assert write_csv(path, names, table, meta).read_bytes() == text
 
 
@@ -629,6 +631,25 @@ def test_write_csv_rejects_other_tables_before_any_file(tmp_path, rows):
     with pytest.raises(ValueError, match="1-D structured array"):
         write_csv(tmp_path / "out" / "m.csv", ("v",), rows, {})
     assert list(tmp_path.iterdir()) == []
+
+
+def test_write_csv_rejects_other_metadata_before_any_file(tmp_path):
+    rows = structured(("v",), [np.arange(3.0)])
+    table = blocks_of(rows, (3,), metadata={"seed": 1})
+    out = tmp_path / "out"
+    for earlier in (None, b"# seed=1\nv\n7\n"):
+        if earlier is not None:
+            (out / "m.csv").write_bytes(earlier)
+        with pytest.raises(ValueError, match="differs from the table's"):
+            write_csv(out / "m.csv", ("v",), table, {"seed": 2})
+        if earlier is None:
+            assert not out.exists()  # no CSV, no temporary file
+            out.mkdir()
+        else:
+            assert [p.name for p in out.iterdir()] == ["m.csv"]
+            assert (out / "m.csv").read_bytes() == earlier
+    assert write_csv(out / "m.csv", ("v",), table, {"seed": 1}).read_text() == (
+        "# seed=1\nv\n0\n1\n2\n")
 
 
 def test_heatmap_rows_match_the_csv_after_the_scenario_changes(tmp_path):

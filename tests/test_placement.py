@@ -32,6 +32,7 @@ from pinchsim.placement import (
     _hermitian,
     _offset_grid,
     _qr_zf_sum_rates,
+    _resolved,
     _scorer,
     _sweep_drops,
     _wrap,
@@ -529,27 +530,71 @@ def planted_tables(draw):
     return F, T, 10.0 ** (snr_db / 10.0)
 
 
+def eager_law(F, T, score, i):
+    """State i's exact law on every candidate of T (K*K, n), each Gram rank-tested
+    for K > 3: ``score``'s values, -inf wherever :func:`_resolved` fails."""
+    obj = score([i], T[None])[0]
+    K = math.isqrt(len(T))
+    if K > 3:
+        obj[~_resolved(_hermitian(np.moveaxis(F[i][:, None] + T, 0, -1), K))] = -np.inf
+    return obj
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=planted_tables())
 def test_window_scan_is_the_eager_argmax(case):
     F, T, rho = case
     score, scan = _scorer(F, np.full(2, rho))
     for i in range(2):
+        eager = eager_law(F, T, score, i)
+        j = _argmax_tie_smallest(eager)
+        assert scan(i, T) == (j, eager[j])
+        # the law rank-tests only each row's TIE_TOL band: the best value, first
+        # maximum and tie-smallest argmax are the eager law's
         obj = score([i], T[None])[0]
-        j = _argmax_tie_smallest(obj)
-        assert scan(i, T) == (j, obj[j])
-        # the zoom's law, rank-tested at its maxima: the first maximum is the eager one
-        peaks = score([i], T[None], peaks=True)[0]
-        assert peaks.argmax() == obj.argmax() and peaks.max() == obj.max()
+        assert obj.max() == eager.max() and obj.argmax() == eager.argmax()
+        assert _argmax_tie_smallest(obj) == j
+
+
+def test_band_is_tested_again_until_it_passes(monkeypatch):
+    # K = 4 beside four random columns at 90 dB. Column 3 copies the best random
+    # column b, an exact tie; column 7 is b's features times -1e6, whose Gram has
+    # a negative eigenvalue but whose value tops the row. The first rank test
+    # holds column 7 alone and fails it; the second holds the tie, which passes.
+    rng = np.random.default_rng(5)
+    n = 50
+
+    def columns(*shape):
+        return rng.normal(size=(4,) + shape) + 1j * rng.normal(size=(4,) + shape)
+
+    F = _features(columns(1, 4)).sum(axis=-1).T
+    T = _features(columns(n))
+    score, _ = _scorer(F, np.array([1e9]))
+    b = _argmax_tie_smallest(score([0], T[None])[0])
+    T[:, 3], T[:, 7] = T[:, b], -1e6 * T[:, b]
+    resolved, tested = placement._resolved, []
+
+    def counted(m):
+        tested.append(len(m))
+        return resolved(m)
+
+    monkeypatch.setattr(placement, "_resolved", counted)
+    obj = score([0], T[None])[0]
+    assert tested == [1, 2]
+    assert obj[7] == -np.inf and obj[3] == obj[b] == obj.max()
+    assert obj.argmax() == _argmax_tie_smallest(obj) == 3
+    monkeypatch.undo()
+    eager = eager_law(F, T, score, 0)
+    assert eager.max() == obj.max() and eager.argmax() == 3
 
 
 def counted_law(monkeypatch):
     """The candidate counts of the exact law's calls, from now on."""
     law, sizes = placement._zf_law, []
 
-    def counted(F, T, dc, snr, *peaks):
+    def counted(F, T, dc, snr):
         sizes.append(T.shape[-1])
-        return law(F, T, dc, snr, *peaks)
+        return law(F, T, dc, snr)
 
     monkeypatch.setattr(placement, "_zf_law", counted)
     return sizes
@@ -683,6 +728,49 @@ def assert_drops_match_one_sweep_each(s, drops, rhos, budget):
         for sol, ref in zip(solutions, references):
             assert_same_solution(sol, ref)
     return singles
+
+
+def test_nearest_user_starts_match_a_loop_per_drop_and_guide():
+    # drops 0 and 1: users 0 and 1 are the same distance from the first guide,
+    # sqrt(10) m, at different offsets, and user 2 is 5 m from it, so the
+    # start is the lower index's
+    guides = (WaveguideSpec((0.0, -10.0, 3.0), (0, 1, 0), 20.0),) + tuple(
+        WaveguideSpec((x, -1.0, z), (math.cos(a), math.sin(a), 0.1), 3.0)
+        for x, z, a in ((2.0, 2.5, 0.3), (-1.5, 3.5, 2.0)))
+    s = make_scenario([(0.0, 0.0, 0.0)] * 3, guides)
+    users = np.random.default_rng(3).uniform(-4.0, 4.0, (6, 3, 3)) * [1.0, 1.0, 0.0]
+    users[0] = [(1.0, 2.0, 0.0), (-1.0, 5.0, 0.0), (4.0, -4.0, 0.0)]
+    users[1] = users[0, [1, 0, 2]]
+    starts = placement._nearest_user_starts(s, users)
+    assert starts.shape == (6, 3) and (starts[0, 0], starts[1, 0]) == (12.0, 15.0)
+    for d, g in np.ndindex(6, 3):
+        t = projected_offsets(s.waveguides[g], users[d])
+        dist = [float(np.linalg.norm(u - s.waveguides[g].feed_point
+                                     - x * s.waveguides[g].axis_direction))
+                for u, x in zip(users[d], t)]
+        near = min(range(3), key=lambda k: (dist[k], k))
+        assert starts[d, g].tobytes() == t[near].tobytes()
+    for d in range(6):  # one drop at a time
+        assert placement._nearest_user_starts(s, users[d]).tobytes() == starts[d].tobytes()
+
+
+def test_states_of_one_drop_descend_from_their_own_starts():
+    # two states of drop B, one from its nearest-user start and one from the
+    # other ends of the guides, stepped together and alone
+    s = make_scenario(GROUP_B, PAIR_GUIDES)
+    users = np.asarray([GROUP_B], dtype=float)
+    starts = np.stack([placement._nearest_user_starts(s, users[0]), [0.9, 0.1]])
+    rho = np.array([1e9, 1e9])
+    together = placement._descend(s, users, np.array([0, 0]), rho, starts, 4)
+    assert together[1][0] != together[1][1]
+    for i in range(2):
+        alone = placement._descend(s, users, np.array([0]), rho[i:i + 1], starts[i:i + 1], 4)
+        offsets, traces, cycles, converged, values, cols = together
+        assert offsets[i].tobytes() == alone[0][0].tobytes()
+        assert traces[i] == alone[1][0]
+        assert (cycles[i], converged[i]) == (alone[2][0], alone[3][0])
+        assert values[i].tobytes() == alone[4][0].tobytes()
+        assert cols[i].tobytes() == alone[5][0].tobytes()
 
 
 def test_grouped_descent_steps_mixed_drops_as_one_sweep_each(monkeypatch):
