@@ -22,9 +22,11 @@ so that ``compare-mimo`` steps its drop groups in that process, where the
 wrappers see them, rather than in worker processes. The
 ``heatmap`` runs give ``write_csv`` per cell and ``guide_distances`` per link,
 and ``tracemalloc``'s peak over one more untimed run, and over one with the
-always-LoS model. Where the writer pulls the heatmap's blocks from
-``run_heatmap``'s source, as it does since the heatmap streams, ``write_csv``'s
-time includes computing the cells. The ``tdma-crowd`` probe
+always-LoS model. The heatmap probe pins itself to one CPU too: given two CPUs
+or more, the writer computes and formats the map's chunks in forked workers,
+whose calls no wrapper sees and whose memory ``tracemalloc`` does not trace.
+As the writer asks the table for each chunk's cells, ``write_csv``'s time
+includes computing them. The ``tdma-crowd`` probe
 times ``load_scenario`` on that workload's scenario file, per user, and takes
 ``tracemalloc``'s peak over one untimed load. Repeats alternate
 with ``<rev>`` if given; ``--number`` appends the medians over repeats and every
@@ -121,6 +123,8 @@ report(measure)
 """
 
 HEATMAP_PROBE = PRELUDE + """\
+import os
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})  # no worker processes: see above
 run("heatmap-dense")  # warm-up, untimed
 tracemalloc.start()
 run("heatmap-dense")  # traced, untimed
@@ -147,7 +151,7 @@ def wrap(module, name, key, count):
         size[key] += count(args, out)
         return out
     setattr(module, name, timed)
-# a row per grid cell; the time includes the blocks' synthesis where the writer pulls them
+# a row per grid cell; the time includes computing the chunks the writer asks for
 wrap(experiments, "write_csv", "write_csv", lambda args, out: len(args[2]))
 for module in (experiments, channel):  # run_heatmap's own call, and link_power's
     wrap(module, "guide_distances", "guide_distances", lambda args, out: out.size)

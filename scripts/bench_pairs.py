@@ -22,8 +22,12 @@ moves whenever the digest's definition does), with both metadata lines.
 Beside the benchmark's ``peak_rss_mb``, which reads the benchmark process
 alone (``RUSAGE_SELF``), it records that CLI run's peak RSS in its own process
 and in its worker processes (``RUSAGE_CHILDREN``; 0 where it started none).
-Invocations with the same ``--number`` add to the existing file: each
-workload and seed holds the list of its series, in run order.
+Before each pair it probes the host's parallel throughput: the work of two
+concurrent CPU-bound processes per second over that of one, 2.0 where two
+CPUs are free; on a shared host it moves within minutes, and with it what
+worker processes can gain. Invocations with the same ``--number`` add to the
+existing file: each workload and seed holds the list of its series, in run
+order.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -121,6 +126,19 @@ def csv_hashes(checkout: Path, args: argparse.Namespace) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def parallel_throughput() -> float:
+    """Work per second of two concurrent CPU-bound processes over that of one."""
+    def wall(n: int) -> float:
+        start = time.perf_counter()
+        procs = [subprocess.Popen([sys.executable, "-c", "sum(i * i for i in range(10_000_000))"])
+                 for _ in range(n)]
+        for proc in procs:
+            proc.wait()
+        return time.perf_counter() - start
+
+    return 2 * wall(1) / wall(2)
+
+
 def spread(values: list) -> dict:
     if len(values) < 2:
         q1 = median = q3 = values[0]
@@ -162,6 +180,7 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
     })
     runs: dict = {"parent": [], "change": []}
+    probes = []
     with tempfile.TemporaryDirectory() as tmp:
         checkouts = {"parent": export(args.parent, Path(tmp)), "change": ROOT}
         hashes = {side: csv_hashes(checkouts[side], args) for side in checkouts}
@@ -169,7 +188,9 @@ def main(argv=None) -> int:
             print(f"csv {key}: parent {hashes['parent'][key]}, "
                   f"change {hashes['change'][key]}", flush=True)
         for i in range(args.pairs):
-            print(f"pair {i + 1}/{args.pairs}", flush=True)
+            probes.append(parallel_throughput())
+            print(f"pair {i + 1}/{args.pairs} (two-process throughput {probes[-1]:.2f}x)",
+                  flush=True)
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 runs[side].append(run_once(side, checkouts[side], args))
@@ -179,6 +200,7 @@ def main(argv=None) -> int:
         summary[f"csv_{key}"] = {**sides, "match": sides["parent"] == sides["change"]}
     summary["csv_metadata"] = {side: hashes[side]["metadata"] for side in hashes}
     summary["one_run_peak_rss_mb"] = {side: hashes[side]["peak_rss_mb"] for side in hashes}
+    summary["two_process_throughput"] = probes
     report["results"].setdefault(args.workload, {}).setdefault(str(args.seed), []).append(summary)
     out_path.write_text(json.dumps(report, indent=2) + "\n")
     for name, m in summary["metrics"].items():

@@ -6,11 +6,11 @@ grid cells consume draws in index order, and result files are written in a
 fixed order with fixed formatting, so identical inputs yield byte-identical
 outputs. Every runner writes its rows as ``<out_dir>/<kind>.csv`` through
 :func:`write_csv` and returns them as an :class:`ExperimentTable`: a dtype
-with a field per CSV column, the row count, a source of 1-D structured
-blocks of that dtype and the metadata line's fields. The heatmap computes its
-cells one block at a time inside the writer's loop, the other runners hand
-over one block. ``table.rows`` joins the blocks on first access. Each CSV
-starts with one ``#`` metadata line embedding the config digest and seed.
+with a field per CSV column, the row count, a function from a chunk's index
+to that chunk's rows and the metadata line's fields. The heatmap computes
+each chunk's cells when the writer asks for it, the other runners slice one
+array. ``table.rows`` joins the chunks on first access. Each CSV starts with
+one ``#`` metadata line embedding the config digest and seed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import json
 import math
 import os
 import shutil
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from .beamforming import (
     zf_beamformer,
 )
 from .channel import build_channel, free_space_gain, guide_distances, link_power, los_probability
-from .placement import _sweep_drops, place_single_for_group
+from .placement import _fork_map, _sweep_drops, _usable_cpus, place_single_for_group
 from .scenario import Scenario, projected_offsets, validate_scenario
 from .scenario_io import SNR_DB_LIMIT, _scenario_settings, load_scenario
 
@@ -94,35 +95,43 @@ class ExperimentConfig:
             raise ConfigError(f"alpha_step must lie in (0, 1), got {self.alpha_step}")
 
 
+_CHUNK_ROWS = 8192  # rows per chunk: bounds the memory of one chunk and its strings
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentTable:
     """One experiment's result, as written to its CSV: ``n_rows`` rows of the
     1-D structured ``dtype``, whose field names are the CSV's columns and whose
     field dtypes give the columns' kinds, and the metadata line's fields.
-    ``len(table)`` is ``n_rows``. Each iteration calls ``blocks()`` afresh for
-    1-D structured arrays of ``dtype`` whose lengths add up to ``n_rows``, the
-    rows in order. ``rows`` is the whole table as one array (e.g.
-    ``table.rows["x_m"]``), joined from a fresh pass over the blocks on first
-    access."""
+    ``len(table)`` is ``n_rows``. ``chunk(i)`` returns rows ``[i *
+    _CHUNK_ROWS, (i + 1) * _CHUNK_ROWS)``, fewer in the last chunk, as a 1-D
+    structured array of ``dtype``, for any i of the ``n_chunks`` in any order,
+    in this process or a forked one. ``rows`` is the whole table as one array
+    (e.g. ``table.rows["x_m"]``), joined from the chunks on first access."""
 
     dtype: np.dtype
     n_rows: int
-    blocks: Callable[[], Iterable[np.ndarray]]
+    chunk: Callable[[int], np.ndarray]
     metadata: dict
+
+    @classmethod
+    def of(cls, rows: np.ndarray, metadata: dict) -> ExperimentTable:
+        """The 1-D structured array ``rows`` as a table of its slices."""
+        return cls(rows.dtype, len(rows),
+                   lambda i: rows[i * _CHUNK_ROWS:(i + 1) * _CHUNK_ROWS], metadata)
 
     def __len__(self) -> int:
         return self.n_rows
 
-    def __iter__(self):
-        return iter(self.blocks())
+    @property
+    def n_chunks(self) -> int:
+        return -(-self.n_rows // _CHUNK_ROWS)
 
     @functools.cached_property
     def rows(self) -> np.ndarray:
         rows = np.empty(self.n_rows, self.dtype)
-        start = 0
-        for block in self:
-            rows[start:start + len(block)] = block
-            start += len(block)
+        for i in range(self.n_chunks):
+            rows[i * _CHUNK_ROWS:(i + 1) * _CHUNK_ROWS] = self.chunk(i)
         return rows
 
 
@@ -156,30 +165,30 @@ def _metadata(cfg: ExperimentConfig, scenario: Scenario) -> dict:
     }
 
 
-_CHUNK_ROWS = 8192  # rows formatted per write: bounds the memory of one chunk
-
-
 def write_csv(path, columns, rows, metadata: dict) -> Path:
     """Write a ``#`` metadata line, the header and ``rows`` to ``path``.
 
-    ``rows`` is a 1-D structured array, taken as a table of one block, or an
-    :class:`ExperimentTable`, with one field per column, named as in
+    ``rows`` is a 1-D structured array, taken as ``ExperimentTable.of`` it,
+    or an :class:`ExperimentTable`, with one field per column, named as in
     ``columns``; the field's dtype gives the column's kind. ``len(rows)`` is
     the number of data rows written. Float64 cells are written as ``%.12g``;
     integer, bool and str cells as ``str``. Any other dtype raises
     ``ValueError`` before a file is created, as does a table whose
-    ``metadata`` is not ``metadata``; a block of another dtype, or
-    blocks whose rows do not add up to ``len(rows)``, raise it while writing.
-    Rows are formatted in chunks of ``_CHUNK_ROWS`` into a temporary file next
-    to ``path``, renamed onto it once complete: a failed write leaves no
-    partial CSV and any earlier file as it was. Only one block and one chunk
-    are held at a time.
+    ``metadata`` is not ``metadata``; a chunk of another dtype or of another
+    row count than the table's ``n_rows`` gives it raises it while writing.
+    Each chunk is formatted on its own and the texts are written in order
+    into a temporary file next to ``path``, renamed onto it once complete: a
+    failed write leaves no partial CSV and any earlier file as it was. A
+    table of at least four chunks per worker is computed and formatted in
+    ``min(usable CPUs, n_chunks // 4)`` forked workers (:func:`_fork_map`),
+    so a chunk's error is raised here with its type and message and no
+    worker outlives the call; otherwise chunk by chunk in this process. Each
+    process holds one chunk and its text at a time.
     """
     path = Path(path)
     columns = tuple(columns)
     if isinstance(rows, np.ndarray) and rows.ndim == 1:
-        # a default binds the array: the name ``rows`` is rebound to the table
-        rows = ExperimentTable(rows.dtype, len(rows), lambda rows=rows: (rows,), metadata)
+        rows = ExperimentTable.of(rows, metadata)
     dtype = rows.dtype if isinstance(rows, ExperimentTable) else None
     if (dtype is None or dtype.names != columns
             or not all(dt == np.float64 or dt.kind in "iubU" for dt, *_ in dtype.fields.values())):
@@ -189,29 +198,31 @@ def write_csv(path, columns, rows, metadata: dict) -> Path:
     if rows.metadata != metadata:
         raise ValueError(f"metadata {metadata} differs from the table's {rows.metadata}")
     floats = [dtype[name] == np.float64 for name in columns]
+    pools = {}
+
+    def formatted(i):
+        chunk = rows.chunk(i)
+        if not (isinstance(chunk, np.ndarray) and chunk.ndim == 1 and chunk.dtype == dtype):
+            got = getattr(chunk, "dtype", type(chunk).__name__)
+            raise ValueError(f"every chunk must be a 1-D array of {dtype}, got {got}")
+        want = min(_CHUNK_ROWS, len(rows) - i * _CHUNK_ROWS)
+        if len(chunk) != want:
+            raise ValueError(f"chunk {i} of a table of {len(rows)} rows holds "
+                             f"{len(chunk)} rows, not {want}")
+        return _format_chunk(chunk, floats, pools)
+
     path.parent.mkdir(parents=True, exist_ok=True)
     # "x" creates the file with the mode write_text would give it, unlike
     # tempfile's 0o600; the random name keeps concurrent writers apart
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8")
     try:
-        with fh:
+        workers = min(_usable_cpus(), rows.n_chunks // 4)
+        with fh, closing(_fork_map(formatted, rows.n_chunks, workers)) as texts:
             fh.write("# " + " ".join(f"{k}={v}" for k, v in metadata.items()) + "\n")
             fh.write(",".join(columns) + "\n")
-            written, pools = 0, {}
-            for block in rows:
-                if not (isinstance(block, np.ndarray) and block.ndim == 1
-                        and block.dtype == dtype):
-                    got = getattr(block, "dtype", type(block).__name__)
-                    raise ValueError(f"every block must be a 1-D array of {dtype}, got {got}")
-                written += len(block)
-                if written > len(rows):
-                    break
-                for start in range(0, len(block), _CHUNK_ROWS):
-                    fh.write(_format_chunk(block[start:start + _CHUNK_ROWS], floats, pools))
-            if written != len(rows):
-                raise ValueError(f"the blocks do not hold the {len(rows)} rows "
-                                 f"their source's len() gives")
+            for text in texts:
+                fh.write(text)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -253,12 +264,12 @@ def _format_chunk(chunk: np.ndarray, floats: list[bool], pools: dict) -> str:
 
 def _write_table(cfg: ExperimentConfig, scenario: Scenario, **columns) -> ExperimentTable:
     """Write ``columns`` (name -> 1-D array, in CSV order) to ``<out_dir>/<kind>.csv``
-    as one structured block and return them as a table."""
+    as one structured array and return them as a table of its slices."""
     values = [np.asarray(v) for v in columns.values()]
     rows = np.empty(len(values[0]), dtype=[(name, v.dtype) for name, v in zip(columns, values)])
     for name, v in zip(columns, values):
         rows[name] = v
-    table = ExperimentTable(rows.dtype, len(rows), lambda: (rows,), _metadata(cfg, scenario))
+    table = ExperimentTable.of(rows, _metadata(cfg, scenario))
     write_csv(Path(cfg.out_dir) / f"{cfg.kind}.csv", rows.dtype.names, table, table.metadata)
     return table
 
@@ -313,11 +324,14 @@ def run_heatmap(cfg: ExperimentConfig) -> ExperimentTable:
     One user per grid cell: the conventional antenna sits at the waveguide's
     feed point with its LoS state sampled from the scenario's model (seeded,
     one draw per cell in index order); the pinching antenna moves to the
-    cell's projection onto the guide and is LoS by construction. Blocks of
-    ``_CHUNK_ROWS`` cells are computed one at a time as the writer asks for
-    them, drawing in turn from one generator: the stream, and so the bits, of
-    one batch. No array sized by the grid is made until ``.rows`` is read,
-    which computes the blocks afresh from the same validated scenario.
+    cell's projection onto the guide and is LoS by construction. The table's
+    ``chunk(i)`` computes cells ``[i * _CHUNK_ROWS, ...)`` when asked, in the
+    writer's workers or in this process: its uniforms come from a generator
+    seeded with the run's seed and advanced past the cells before it, so
+    they are the slice of one stream, and the bits those of one batch, in
+    whatever order or process the chunks are computed. No array sized by the
+    grid is made until ``.rows`` is read, which computes the chunks afresh
+    from the same validated scenario.
     """
     cfg.validate()
     scenario = _load_validated(cfg)
@@ -334,24 +348,24 @@ def run_heatmap(cfg: ExperimentConfig) -> ExperimentTable:
     dtype = np.dtype([(name, np.float64) for name in (
         "x_m", "y_m", "rate_conventional_bps_hz", "rate_pinching_bps_hz")])
 
-    def blocks():
+    def chunk(i):
+        cell = np.arange(i * _CHUNK_ROWS, min((i + 1) * _CHUNK_ROWS, n_cells))
         rng = np.random.default_rng(cfg.seed)
-        for start in range(0, n_cells, _CHUNK_ROWS):
-            cell = np.arange(start, min(start + _CHUNK_ROWS, n_cells))
-            block = np.empty(len(cell), dtype)
-            block["x_m"] = _grid_coords(cell // ny, nx, xmin, xmax)  # x-major, meshgrid's "ij"
-            block["y_m"] = _grid_coords(cell % ny, ny, ymin, ymax)
-            cells = np.column_stack([block["x_m"], block["y_m"], np.zeros(len(block))])
-            d_conv = guide_distances(w, 0.0, cells)  # the conventional antenna sits at the feed
-            los = rng.uniform(size=len(cells)) < los_probability(scenario.los_model, d_conv)
-            g_conv = free_space_gain(d_conv, lam0, los, penalty)
-            block["rate_conventional_bps_hz"] = shannon_rate(rho * np.abs(g_conv) ** 2)
-            offsets = projected_offsets(w, cells)
-            block["rate_pinching_bps_hz"] = shannon_rate(
-                rho * link_power(scenario, w, offsets, cells))
-            yield block
+        rng.bit_generator.advance(i * _CHUNK_ROWS)  # one draw per cell before this chunk
+        block = np.empty(len(cell), dtype)
+        block["x_m"] = _grid_coords(cell // ny, nx, xmin, xmax)  # x-major, meshgrid's "ij"
+        block["y_m"] = _grid_coords(cell % ny, ny, ymin, ymax)
+        cells = np.column_stack([block["x_m"], block["y_m"], np.zeros(len(block))])
+        d_conv = guide_distances(w, 0.0, cells)  # the conventional antenna sits at the feed
+        los = rng.uniform(size=len(cells)) < los_probability(scenario.los_model, d_conv)
+        g_conv = free_space_gain(d_conv, lam0, los, penalty)
+        block["rate_conventional_bps_hz"] = shannon_rate(rho * np.abs(g_conv) ** 2)
+        offsets = projected_offsets(w, cells)
+        block["rate_pinching_bps_hz"] = shannon_rate(
+            rho * link_power(scenario, w, offsets, cells))
+        return block
 
-    table = ExperimentTable(dtype, n_cells, blocks, _metadata(cfg, scenario))
+    table = ExperimentTable(dtype, n_cells, chunk, _metadata(cfg, scenario))
     write_csv(Path(cfg.out_dir) / "heatmap.csv", dtype.names, table, table.metadata)
     return table
 

@@ -696,31 +696,101 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _fork_map(fn, n: int, workers: int):
+    """Yield ``fn(i)`` for i in range(n), in order, computed in ``workers``
+    forked child processes.
+
+    Child w computes ``fn(i)`` for each i = w (mod workers) and streams the
+    pickled results through a pipe of its own; this process reads the pipes
+    in index order, so a child runs at most a pipe's buffer ahead of the
+    reader. A child's exception is raised here, with its type and message,
+    in the place of its result, and a child that dies raises ``RuntimeError``
+    rather than waiting forever. Every child is killed and reaped before the
+    generator ends, also on error or an early ``close()``. With fewer than
+    two workers, on a platform without ``os.fork`` or in a daemonic process
+    (which may have no children), ``fn`` runs in this process instead, one
+    index after another. Only the results need to pickle, not ``fn``.
+    Children fork rather than spawn: a spawned child imports numpy and the
+    package afresh, which takes about as long as the groups of a
+    ``mimo-sweep`` run. A child has only the thread that forked it: a lock
+    that another thread of the caller held at the fork stays held there.
+    """
+    serial = workers < 2 or not hasattr(os, "fork")
+    if not serial:
+        import multiprocessing
+
+        serial = multiprocessing.current_process().daemon
+    if serial:
+        yield from map(fn, range(n))
+        return
+    import pickle
+    import signal
+
+    children = []  # (pid, the read end of its pipe)
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:  # the child: it never returns from here
+                status = 1
+                try:
+                    os.close(read_fd)
+                    for _, reader in children:
+                        reader.close()
+                    with open(write_fd, "wb") as out:
+                        for i in range(w, n, workers):
+                            try:
+                                result = True, fn(i)
+                            except BaseException as exc:
+                                result = False, exc
+                            try:
+                                data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+                            except Exception as exc:  # a result that does not pickle
+                                result = False, exc
+                                data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+                            out.write(data)
+                            out.flush()
+                            if not result[0]:
+                                break
+                    status = 0
+                finally:
+                    os._exit(status)  # no atexit handlers, no flush of inherited buffers
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        for i in range(n):
+            pid, reader = children[i % workers]
+            try:
+                ok, result = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"worker process {pid} died before sending "
+                                   f"result {i}") from None
+            if not ok:
+                raise result
+            yield result
+    finally:
+        for pid, reader in children:
+            reader.close()
+            os.kill(pid, signal.SIGKILL)  # only a child with results still unread can be busy
+            os.waitpid(pid, 0)
+
+
 def _descend_groups(s: Scenario, groups: list[tuple], budget: int) -> list[tuple]:
     """:func:`_descend` of each group's states, a tuple (users, drop, rho, start)
     of its arguments, under ``s``'s guides, in order.
 
-    The groups run in a ``fork`` pool of one worker per usable CPU, at most one
-    per group, where that makes at least two workers, the platform can fork
-    and this process is not a daemon (which may have no children); otherwise
-    one after another in this process. A worker builds the tables of one group
-    at a time, so ``TABLE_BYTES_IN_FLIGHT`` bounds each process. The pool's
-    processes and threads are joined before return, also on error; a worker's
-    exception is raised here with its type and message, and a worker that
-    dies raises ``BrokenProcessPool`` rather than waiting forever. Workers
-    fork rather than spawn: a spawned worker imports numpy and the package
-    afresh, which takes about as long as the groups of a ``mimo-sweep`` run.
+    The groups run through :func:`_fork_map` in one child process per usable
+    CPU, at most one per group; on one CPU, without ``fork`` or in a daemonic
+    process, one after another in this process. A child builds the tables
+    of one group at a time, so ``TABLE_BYTES_IN_FLIGHT`` bounds each
+    process. A child's exception is raised here with its type and message,
+    and no child outlives the call.
     """
-    import multiprocessing
+    def descend(i):
+        return _descend(s, *groups[i], budget)
 
-    workers = min(_usable_cpus(), len(groups))
-    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return [_descend(s, *group, budget) for group in groups]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        # map cancels the groups not yet started when one raises; leaving the
-        # block waits for the running ones and joins every worker
-        descend = functools.partial(_descend, s, budget=budget)
-        return list(pool.map(descend, *zip(*groups)))
+    return list(_fork_map(descend, len(groups), min(_usable_cpus(), len(groups))))

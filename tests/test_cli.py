@@ -300,8 +300,8 @@ def test_tdma_demo_crowd_csv_is_pinned(tmp_path, threads):
 # heatmap and NOMA outputs that no other test pins byte for byte
 PINNED_HEATMAP_SHA256 = "418ab65d7dcdc7a623576aef843b720e2b11b400ef03e86325f62979ea019c94"
 PINNED_HEATMAP_BODY_SHA256 = "d8136f65130970faf0c4bb66a9727f3c62baa07dbd606f59e434b5676f676f7e"
-# the same at 5 cm cells: 40,401 cells, so the map is computed in five blocks
-# of write_csv's chunk size, the last one partial, with sampled LoS states
+# the same at 5 cm cells: 40,401 cells, so the map is computed in five chunks,
+# the last one partial, with sampled LoS states
 PINNED_HEATMAP_BLOCKS_SHA256 = "551d8bf6ee6d63aeaff98430cecaa5044464aa280e303fc592f8cfe449b0b481"
 PINNED_HEATMAP_BLOCKS_BODY_SHA256 = (
     "d4e9d23f0e319603798d4aec42673b9948c6cdd226acf2de57a73f97c8a6a366")

@@ -1,9 +1,10 @@
-import concurrent.futures
 import dataclasses
 import hashlib
 import math
 import multiprocessing
+import os
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -108,11 +109,14 @@ def test_heatmap_grid_must_cover_bounds(tmp_path):
         run_heatmap(cfg)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("los_kind", ["inmo", "exponential", "always_los"])
-def test_heatmap_memory_is_one_block(tmp_path, los_kind):
+def test_heatmap_memory_is_one_block(tmp_path, monkeypatch, los_kind, workers):
     # 251,001 cells, an 8 MB table: a run holds one block and one chunk's
-    # strings, whatever the LoS model; pooling the always-LoS rates over the
-    # whole column held 21 MB
+    # strings, whatever the LoS model and whether the chunks are computed
+    # here or in workers; pooling the always-LoS rates over the whole column
+    # held 21 MB
+    set_cpus(monkeypatch, workers)
     cfg = heatmap_cfg(tmp_path, scenario_path=write_preset(
         tmp_path, heatmap_scenario(los_kind=los_kind)), grid_res_m=0.02)
     tracemalloc.start()
@@ -227,27 +231,48 @@ def test_compare_mimo_drop_groups_match_one_sweep_per_drop(tmp_path, monkeypatch
             == (tmp_path / "reference" / "compare_mimo.csv").read_bytes())
 
 
-# The worker path: _sweep_drops maps _descend over its drop groups in a fork
-# pool of min(usable CPUs, groups) workers. The tests set the CPU count, so
-# that two workers run on any host, and count the pools that open.
+# The worker path: _sweep_drops maps _descend over its drop groups through
+# _fork_map in min(usable CPUs, groups) forked workers, and write_csv formats
+# the chunks of a table of at least four chunks per worker the same way. The
+# tests set the CPU count, so that two workers run on any host, and count the
+# workers each map forks.
 @pytest.fixture
-def pools(monkeypatch):
-    """The worker count of each process pool opened, in order."""
-    opened = []
+def forks(monkeypatch):
+    """The worker count of each _fork_map call that forks, in order."""
+    from pinchsim import experiments, placement
 
-    class Counted(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            opened.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    opened, children, fork, fork_map = [], [], os.fork, placement._fork_map
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    def counted_fork():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    def counted_map(fn, n, workers):
+        start = len(children)
+        try:
+            yield from fork_map(fn, n, workers)
+        finally:
+            if len(children) > start:
+                opened.append(len(children) - start)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    for module in (placement, experiments):
+        monkeypatch.setattr(module, "_fork_map", counted_map)
     return opened
 
 
 def set_cpus(monkeypatch, n):
-    from pinchsim import placement
+    from pinchsim import experiments, placement
 
-    monkeypatch.setattr(placement, "_usable_cpus", lambda: n)
+    for module in (placement, experiments):
+        monkeypatch.setattr(module, "_usable_cpus", lambda: n)
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def solution_fields(placed):
@@ -259,7 +284,7 @@ def solution_fields(placed):
 # the 3x3 preset steps two drops per group, so 5 drops make 3 groups; the 4x4
 # one's tables fill a group with one drop
 @pytest.mark.parametrize("guides, drops", [(3, 5), (4, 2)])
-def test_compare_mimo_bits_match_at_one_and_two_workers(tmp_path, monkeypatch, pools,
+def test_compare_mimo_bits_match_at_one_and_two_workers(tmp_path, monkeypatch, forks,
                                                         guides, drops):
     from pinchsim import experiments
 
@@ -281,13 +306,13 @@ def test_compare_mimo_bits_match_at_one_and_two_workers(tmp_path, monkeypatch, p
         out = tmp_path / f"w{workers}"
         run_compare_mimo(dataclasses.replace(cfg, out_dir=str(out)))
         csvs.append((out / "compare_mimo.csv").read_bytes())
-    assert pools == [2]
+    assert forks == [2]
     assert len(placed) == 2 and len(placed[0]) == drops
     assert solution_fields(placed[0]) == solution_fields(placed[1])
     assert csvs[0] == csvs[1]
 
 
-def test_compare_mimo_leaves_no_process_or_thread(tmp_path, monkeypatch, pools):
+def test_compare_mimo_leaves_no_process_or_thread(tmp_path, monkeypatch, forks):
     from pinchsim import placement
 
     set_cpus(monkeypatch, 2)
@@ -297,6 +322,7 @@ def test_compare_mimo_leaves_no_process_or_thread(tmp_path, monkeypatch, pools):
     threads = threading.active_count()
     run_compare_mimo(cfg)
     assert multiprocessing.active_children() == []
+    assert_no_child()  # raw forks are no multiprocessing children
     assert threading.active_count() == threads
 
     def broken(*args):
@@ -306,12 +332,13 @@ def test_compare_mimo_leaves_no_process_or_thread(tmp_path, monkeypatch, pools):
     with pytest.raises(ValueError, match="^no table$"):
         run_compare_mimo(cfg)
     assert multiprocessing.active_children() == []
+    assert_no_child()
     assert threading.active_count() == threads
-    assert pools == [2, 2]
+    assert forks == [2, 2]
 
 
 @pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError])
-def test_worker_errors_reach_the_cli_as_in_process(tmp_path, monkeypatch, capsys, pools,
+def test_worker_errors_reach_the_cli_as_in_process(tmp_path, monkeypatch, capsys, forks,
                                                    error):
     from pinchsim import cli, placement
 
@@ -329,7 +356,7 @@ def test_worker_errors_reach_the_cli_as_in_process(tmp_path, monkeypatch, capsys
         except Exception as exc:  # what reaches the caller of the CLI
             outcomes.append((type(exc), str(exc)))
         outcomes.append(capsys.readouterr().err)
-    assert pools == [2]
+    assert forks == [2]
     assert outcomes[:2] == outcomes[2:]
     assert outcomes[:2] == ([(ValueError, "table synthesis failed"), ""]
                             if error is ValueError else
@@ -337,7 +364,7 @@ def test_worker_errors_reach_the_cli_as_in_process(tmp_path, monkeypatch, capsys
                              "pinchsim: numerical failure: table synthesis failed\n"])
 
 
-def test_a_daemonic_caller_descends_in_process(monkeypatch, pools):
+def test_a_daemonic_caller_descends_in_process(monkeypatch, forks):
     from pinchsim import placement
 
     set_cpus(monkeypatch, 2)
@@ -347,9 +374,9 @@ def test_a_daemonic_caller_descends_in_process(monkeypatch, pools):
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
 
-    def descend():  # a daemon may not fork, so the pool would raise here
+    def descend():  # a daemon may have no children
         try:
-            send.send((len(pools), solution_fields(placement._sweep_drops(s, users, snrs, 2))))
+            send.send((len(forks), solution_fields(placement._sweep_drops(s, users, snrs, 2))))
         except Exception as exc:
             send.send(repr(exc))
 
@@ -362,7 +389,7 @@ def test_a_daemonic_caller_descends_in_process(monkeypatch, pools):
         child.join(30)
     assert child.exitcode == 0
     assert result == (0, solution_fields(placement._sweep_drops(s, users, snrs, 2)))
-    assert pools == [2]  # this process is no daemon: the reference used workers
+    assert forks == [2]  # this process is no daemon: the reference used workers
 
 
 def test_compare_mimo_ordering_emerges_at_high_power(tmp_path):
@@ -554,21 +581,23 @@ def structured(names, arrays):
     return rows
 
 
-def blocks_of(rows, sizes, n_rows=None, fail_after=None, last_dtype=None, metadata=None):
-    """``rows`` as blocks of ``sizes`` rows, claiming ``n_rows``: the block after
-    ``fail_after`` blocks raises, and the last one can take another dtype. The
-    metadata defaults to ``{"seed": 0}``."""
-    def blocks():
-        start = 0
-        for i, size in enumerate(sizes):
-            if i == fail_after:
-                raise RuntimeError("source failed")
-            block = rows[start:start + size]
-            if last_dtype is not None and i == len(sizes) - 1:
-                block = block.astype(last_dtype)
-            start += size
-            yield block
-    return ExperimentTable(rows.dtype, len(rows) if n_rows is None else n_rows, blocks,
+def chunks_of(rows, n_rows=None, fail_at=None, last_dtype=None, metadata=None):
+    """``rows`` as a table of copies of its chunks, claiming ``n_rows``: chunk
+    ``fail_at`` raises, and the last one can take another dtype. The metadata
+    defaults to ``{"seed": 0}``."""
+    from pinchsim import experiments
+
+    n_rows = len(rows) if n_rows is None else n_rows
+
+    def chunk(i):
+        size = experiments._CHUNK_ROWS  # as the writer reads it
+        if i == fail_at:
+            raise RuntimeError("source failed")
+        rows_i = rows[i * size:(i + 1) * size].copy()
+        if last_dtype is not None and (i + 1) * size >= n_rows:
+            rows_i = rows_i.astype(last_dtype)
+        return rows_i
+    return ExperimentTable(rows.dtype, n_rows, chunk,
                            {"seed": 0} if metadata is None else metadata)
 
 
@@ -580,6 +609,8 @@ def blocks_of(rows, sizes, n_rows=None, fail_after=None, last_dtype=None, metada
                        min_size=1, max_size=5),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_write_csv_matches_reference(tmp_path_factory, n_rows, fields, seed):
+    from pinchsim import experiments, placement
+
     rng = np.random.default_rng(seed)
     arrays = []
     for kind, pool in fields:
@@ -604,11 +635,21 @@ def test_write_csv_matches_reference(tmp_path_factory, n_rows, fields, seed):
     assert len(lines) == len(expected)
     for line, want in zip(lines, expected):
         assert line == want
-    # the same rows as a table of blocks of random sizes, empty ones included
-    cuts = np.sort(rng.integers(0, n_rows + 1, rng.integers(0, 5)))
-    sizes = np.diff(cuts, prepend=0, append=n_rows).tolist()
-    table = blocks_of(rows, sizes, metadata=meta)
-    assert write_csv(path, names, table, meta).read_bytes() == text
+    # the same rows as a table of copies of chunks of a random size, up to 40
+    # of them, formatted by two forked workers from 8 on
+    chunk_rows = max(1, n_rows // int(rng.integers(1, 41)))
+    table = chunks_of(rows, metadata=meta)
+    patched = [(experiments, "_CHUNK_ROWS", chunk_rows),
+               (experiments, "_usable_cpus", lambda: 2), (placement, "_usable_cpus", lambda: 2)]
+    saved = [(module, name, getattr(module, name)) for module, name, _ in patched]
+    try:
+        for module, name, value in patched:
+            setattr(module, name, value)
+        assert write_csv(path, names, table, meta).read_bytes() == text
+        assert table.rows.tobytes() == rows.tobytes()
+    finally:
+        for module, name, value in saved:
+            setattr(module, name, value)
 
 
 @pytest.mark.parametrize("rows", [
@@ -635,7 +676,7 @@ def test_write_csv_rejects_other_tables_before_any_file(tmp_path, rows):
 
 def test_write_csv_rejects_other_metadata_before_any_file(tmp_path):
     rows = structured(("v",), [np.arange(3.0)])
-    table = blocks_of(rows, (3,), metadata={"seed": 1})
+    table = chunks_of(rows, metadata={"seed": 1})
     out = tmp_path / "out"
     for earlier in (None, b"# seed=1\nv\n7\n"):
         if earlier is not None:
@@ -689,16 +730,18 @@ def test_write_csv_rows_len_is_the_rows_written(tmp_path, monkeypatch, kind):
 
 
 FLOAT_ROWS = structured(HEATMAP_COLUMNS, [np.arange(2 * _CHUNK_ROWS + 5.0)] * 4)
-SIZES = (_CHUNK_ROWS + 5, _CHUNK_ROWS)
 
 
+# three chunks, too few for workers: the writes happen here, where the hook sees them
 @pytest.mark.parametrize("rows, error", [
-    (blocks_of(FLOAT_ROWS, (len(FLOAT_ROWS),)), (OSError, "disk full")),
-    (blocks_of(FLOAT_ROWS, SIZES, fail_after=1), (RuntimeError, "source failed")),
-    (blocks_of(FLOAT_ROWS, SIZES, last_dtype=[(n, "<i8") for n in HEATMAP_COLUMNS]),
-     (ValueError, "every block")),
-    (blocks_of(FLOAT_ROWS, SIZES[:1]), (ValueError, "do not hold the 16389 rows")),
-    (blocks_of(FLOAT_ROWS, SIZES, n_rows=_CHUNK_ROWS + 6), (ValueError, "the 8198 rows")),
+    (chunks_of(FLOAT_ROWS), (OSError, "disk full")),
+    (chunks_of(FLOAT_ROWS, fail_at=1), (RuntimeError, "source failed")),
+    (chunks_of(FLOAT_ROWS, last_dtype=[(n, "<i8") for n in HEATMAP_COLUMNS]),
+     (ValueError, "every chunk")),
+    (chunks_of(FLOAT_ROWS[:_CHUNK_ROWS + 5], n_rows=len(FLOAT_ROWS)),
+     (ValueError, "chunk 1 of a table of 16389 rows holds 5 rows, not 8192")),
+    (chunks_of(FLOAT_ROWS, n_rows=_CHUNK_ROWS + 6),
+     (ValueError, "chunk 1 of a table of 8198 rows holds 8192 rows, not 6")),
 ], ids=["write-fails", "source-raises", "later-dtype", "fewer-rows", "more-rows"])
 def test_failed_write_keeps_earlier_csv(tmp_path, monkeypatch, rows, error):
     from pinchsim import experiments
@@ -727,3 +770,130 @@ def test_failed_write_keeps_earlier_csv(tmp_path, monkeypatch, rows, error):
     assert len(writes) >= 3 and writes[2].count("\n") == _CHUNK_ROWS
     assert (out / "heatmap.csv").read_bytes() == before
     assert [p.name for p in out.iterdir()] == ["heatmap.csv"]
+
+
+# 251 x 251 cells make 8 chunks and 401 x 201 make 10, both with a partial
+# last chunk: at two CPUs, two workers format them
+@pytest.mark.parametrize("bounds, res", [((-5.0, 5.0, -5.0, 5.0), 0.04),
+                                         ((0.0, 20.0, -5.0, 5.0), 0.05)])
+def test_heatmap_bits_match_at_one_and_two_workers(tmp_path, monkeypatch, forks, bounds, res):
+    path = write_preset(tmp_path, heatmap_scenario(los_kind="inmo"))
+    outcomes = []
+    for workers in (1, 2):
+        set_cpus(monkeypatch, workers)
+        cfg = heatmap_cfg(tmp_path, scenario_path=path, grid_bounds=bounds, grid_res_m=res,
+                          out_dir=str(tmp_path / f"w{workers}"))
+        table = run_heatmap(cfg)
+        assert table.n_chunks in (8, 10) and len(table) % _CHUNK_ROWS
+        outcomes.append(((tmp_path / f"w{workers}" / "heatmap.csv").read_bytes(),
+                         table.rows.tobytes()))
+        assert_no_child()
+    assert forks == [2]
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 7, 11])
+def test_heatmap_chunks_draw_the_slices_of_one_stream(tmp_path, seed):
+    from pinchsim.beamforming import shannon_rate
+    from pinchsim.channel import free_space_gain, guide_distances, los_probability
+
+    n = 5 * _CHUNK_ROWS + 7
+    stream = np.random.default_rng(seed).uniform(size=n)
+    for i in (0, 1, 3, 5):
+        rng = np.random.default_rng(seed)
+        rng.bit_generator.advance(i * _CHUNK_ROWS)
+        size = min(_CHUNK_ROWS, n - i * _CHUNK_ROWS)
+        assert np.array_equal(rng.uniform(size=size), stream[i * _CHUNK_ROWS:][:size])
+    # 40,401 cells, five chunks: the conventional rates of one batch of draws,
+    # whatever order the chunks are computed in
+    path = write_preset(tmp_path, heatmap_scenario(los_kind="inmo"))
+    table = run_heatmap(heatmap_cfg(tmp_path, scenario_path=path, grid_res_m=0.05, seed=seed))
+    s = load_scenario(path)
+    x, y = np.meshgrid(np.linspace(-5.0, 5.0, 201), np.linspace(-5.0, 5.0, 201), indexing="ij")
+    cells = np.column_stack([x.ravel(), y.ravel(), np.zeros(x.size)])
+    d = guide_distances(s.waveguides[0], 0.0, cells)
+    los = np.random.default_rng(seed).uniform(size=len(cells)) < los_probability(s.los_model, d)
+    gain = free_space_gain(d, s.carrier.free_space_wavelength_m, los,
+                           s.los_model.nlos_extra_loss_db)
+    want = shannon_rate(s.transmit_snr * np.abs(gain) ** 2)
+    assert 0 < np.count_nonzero(los) < len(cells)
+    assert table.rows["rate_conventional_bps_hz"].tobytes() == want.tobytes()
+    for i in (4, 0, 2, 1, 3):
+        assert table.chunk(i).tobytes() == table.rows[i * _CHUNK_ROWS:][:_CHUNK_ROWS].tobytes()
+
+
+def nine_chunks(chunk):
+    rows = structured(("v",), [np.arange(8 * _CHUNK_ROWS + 3.0)])
+    return ExperimentTable(rows.dtype, len(rows),
+                           lambda i: chunk(i, rows[i * _CHUNK_ROWS:(i + 1) * _CHUNK_ROWS]),
+                           {"seed": 0})
+
+
+def chunk_5_raises(i, rows):
+    if i == 5:
+        raise KeyError("chunk 5 failed")
+    return rows
+
+
+def chunk_5_is_short(i, rows):
+    return rows[:-1] if i == 5 else rows
+
+
+@pytest.mark.parametrize("chunk, error", [
+    (chunk_5_raises, (KeyError, "'chunk 5 failed'")),
+    (chunk_5_is_short, (ValueError, "chunk 5 of a table of 65539 rows holds 8191 rows, "
+                                    "not 8192")),
+], ids=["source-raises", "wrong-rows"])
+def test_a_worker_error_is_raised_as_in_process(tmp_path, monkeypatch, forks, chunk, error):
+    table = nine_chunks(chunk)
+    out = tmp_path / "m.csv"
+    out.write_bytes(b"earlier")
+    outcomes = []
+    for workers in (1, 2):
+        set_cpus(monkeypatch, workers)
+        with pytest.raises(Exception) as raised:
+            write_csv(out, ("v",), table, {"seed": 0})
+        outcomes.append((type(raised.value), str(raised.value)))
+        assert out.read_bytes() == b"earlier"
+        assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+        assert_no_child()
+    assert forks == [2]
+    assert outcomes == [error, error]
+
+
+def test_a_worker_that_dies_fails_the_write_promptly(tmp_path, monkeypatch, forks):
+    parent = os.getpid()
+
+    def chunk_5_exits(i, rows):
+        if i == 5 and os.getpid() != parent:
+            os._exit(3)
+        return rows
+
+    set_cpus(monkeypatch, 2)
+    out = tmp_path / "m.csv"
+    out.write_bytes(b"earlier")
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="died before sending result 5"):
+        write_csv(out, ("v",), nine_chunks(chunk_5_exits), {"seed": 0})
+    assert time.perf_counter() - start < 30
+    assert out.read_bytes() == b"earlier"
+    assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+    assert_no_child()
+    assert forks == [2]
+
+
+def test_closing_a_fork_map_early_kills_its_workers(monkeypatch, forks):
+    from pinchsim import placement
+
+    def slow_after_two(i):
+        if i >= 2:
+            time.sleep(60)  # far longer than the close may take
+        return i * i
+
+    results = placement._fork_map(slow_after_two, 6, 2)
+    assert [next(results), next(results)] == [0, 1]
+    start = time.perf_counter()
+    results.close()
+    assert time.perf_counter() - start < 30
+    assert_no_child()
+    assert forks == [2]
