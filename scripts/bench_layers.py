@@ -86,15 +86,18 @@ def wrap(name, count=lambda args, out: {}):
 wrap("link_gains", lambda args, out: {"candidates": args[2].size})
 wrap("_guide_columns")
 wrap("_zoom_max")
-# out[2] holds each state's cycles, and each cycle steps every guide once
-wrap("_descend", lambda args, out: {"states": len(out[2]),
-                                    "state_steps": len(args[0].waveguides) * int(out[2].sum())})
+# one solution per state, whose iterations are its cycles, each stepping every
+# guide once; a --parent tree from before that returns a tuple, out[2] the cycles
+def descent_size(args, out):
+    cycles = out[2] if isinstance(out, tuple) else [sol.iterations for sol in out]
+    return {"states": len(cycles), "state_steps": len(args[0].waveguides) * int(sum(cycles))}
+wrap("_descend", descent_size)
 scanned = [0]  # the open grid scan's candidates, 0 outside a scan
 law, scorer = P._zf_law, P._scorer
-def counted_law(F, T, dc, snr, *rest):  # trees before the one-mode law pass peaks
+def counted_law(F, T, dc, snr):
     if scanned[0]:  # a scan's exact law on all its candidates is a fallback
         size.update({"exact": T.shape[0] * T.shape[-1], "fallbacks": T.shape[-1] == scanned[0]})
-    return law(F, T, dc, snr, *rest)
+    return law(F, T, dc, snr)
 def counted_scorer(*args):
     score, scan = scorer(*args)
     def counted_scan(i, table):

@@ -23,9 +23,10 @@ Beside the benchmark's ``peak_rss_mb``, which reads the benchmark process
 alone (``RUSAGE_SELF``), it records that CLI run's peak RSS in its own process
 and in its worker processes (``RUSAGE_CHILDREN``; 0 where it started none).
 Before each pair it probes the host's parallel throughput: the work of two
-concurrent CPU-bound processes per second over that of one, 2.0 where two
-CPUs are free; on a shared host it moves within minutes, and with it what
-worker processes can gain. Invocations with the same ``--number`` add to the
+concurrent CPU-bound processes per second over that of one (timed once
+before the pair and once after, and averaged), 2.0 where two CPUs are
+free; on a shared host it moves within minutes, and with it what worker
+processes can gain. Invocations with the same ``--number`` add to the
 existing file: each workload and seed holds the list of its series, in run
 order.
 """
@@ -127,7 +128,8 @@ def csv_hashes(checkout: Path, args: argparse.Namespace) -> dict:
 
 
 def parallel_throughput() -> float:
-    """Work per second of two concurrent CPU-bound processes over that of one."""
+    """Work per second of two concurrent CPU-bound processes over that of one,
+    the mean of one process timed before the pair and one after."""
     def wall(n: int) -> float:
         start = time.perf_counter()
         procs = [subprocess.Popen([sys.executable, "-c", "sum(i * i for i in range(10_000_000))"])
@@ -136,7 +138,8 @@ def parallel_throughput() -> float:
             proc.wait()
         return time.perf_counter() - start
 
-    return 2 * wall(1) / wall(2)
+    before, pair, after = wall(1), wall(2), wall(1)
+    return (before + after) / pair
 
 
 def spread(values: list) -> dict:

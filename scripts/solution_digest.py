@@ -8,14 +8,17 @@ Usage, from the root of a checkout::
 
 Cases: the ``mimo-sweep`` workload's input (``perfbench/workloads.py``) at seeds
 3, 7 and 11; criterion 8's, the 3 x 3 preset at seed 8 with 100 drops at
-90-120 dB; M = K = 4, 5 and 6 guides and users on the same preset at seed
-8, 4 drops at 90-120 dB; and the ``heatmap-dense`` workload's input at seeds 7
-and 11. Each case runs the CLI through ``cli.main`` in a process of its own,
-BLAS on one thread, with ``experiments._sweep_drops`` wrapped to hash every
-solution it returns (layout arrays, value and trace bits, kind, cycles,
-convergence; a heatmap has none): once pinned to one CPU, so that the drop
-groups descend and the heatmap's chunks are formatted in that process, and
-once with two worker processes. With ``--parent`` every case runs again on
+90-120 dB; M = K = 4, 5 and 6 guides and users, and 3 guides over 2 users
+(M > K: a non-square channel), on the same preset at seed 8, 4 drops at
+90-120 dB (the M > K case's small tables fit its 4 drops in one group,
+which descends in the CLI's process at any worker count); and the
+``heatmap-dense`` workload's input at seeds 7 and 11. Each case runs the
+CLI through ``cli.main`` in a process of its own, BLAS on one thread, with
+``experiments._sweep_drops`` wrapped to hash every solution it returns
+(layout arrays, value and trace bits, kind, cycles, convergence; a heatmap
+has none): once pinned to one CPU, so that the drop groups descend and the
+heatmap's chunks are formatted in that process, and once with two worker
+processes. With ``--parent`` every case runs again on
 ``<rev>``, exported with ``git archive``. Exits 1 if the hashes of one case
 differ between worker counts or between the two sides.
 """
@@ -31,17 +34,18 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import ROOT, THREAD_VARS, export  # noqa: E402
 
-# (name, workload, guides = users, seed, drops; None drops: the workload's input)
-CASES = [("mimo-sweep s3", "mimo-sweep", 3, 3, None),
-         ("mimo-sweep s7", "mimo-sweep", 3, 7, None),
-         ("mimo-sweep s11", "mimo-sweep", 3, 11, None),
-         ("criterion 8", "mimo-sweep", 3, 8, 100), ("M=K=4", "mimo-sweep", 4, 8, 4),
-         ("M=K=5", "mimo-sweep", 5, 8, 4), ("M=K=6", "mimo-sweep", 6, 8, 4),
-         ("heatmap-dense s7", "heatmap-dense", 1, 7, None),
-         ("heatmap-dense s11", "heatmap-dense", 1, 11, None)]
+# (name, workload, guides, users, seed, drops; None drops: the workload's input)
+CASES = [("mimo-sweep s3", "mimo-sweep", 3, 3, 3, None),
+         ("mimo-sweep s7", "mimo-sweep", 3, 3, 7, None),
+         ("mimo-sweep s11", "mimo-sweep", 3, 3, 11, None),
+         ("criterion 8", "mimo-sweep", 3, 3, 8, 100), ("M=K=4", "mimo-sweep", 4, 4, 8, 4),
+         ("M=K=5", "mimo-sweep", 5, 5, 8, 4), ("M=K=6", "mimo-sweep", 6, 6, 8, 4),
+         ("M=3>K=2", "mimo-sweep", 3, 2, 8, 4),
+         ("heatmap-dense s7", "heatmap-dense", 1, 1, 7, None),
+         ("heatmap-dense s11", "heatmap-dense", 1, 1, 11, None)]
 
-# Run from a checkout's root with the case's workload, guides, seed, drops (""
-# for the workload's input) and worker count; the last stdout line is the JSON
+# Run from a checkout's root with the case's workload, guides, users, seed, drops
+# ("" for the workload's input) and worker count; the last stdout line is the JSON
 # result, with the worker count of each map that forked workers.
 PROBE = """\
 import contextlib, hashlib, io, json, os, sys, tempfile
@@ -50,35 +54,27 @@ sys.path[:0] = ["src", "perfbench"]
 import numpy as np
 from pinchsim import cli, experiments, placement, presets, scenario_io
 from workloads import WORKLOADS
-name, guides, seed, drops, workers = (sys.argv[1], int(sys.argv[2]), int(sys.argv[3]),
-                                      sys.argv[4], int(sys.argv[5]))
+name, guides, users, seed, drops, workers = (sys.argv[1], int(sys.argv[2]), int(sys.argv[3]),
+                                             int(sys.argv[4]), sys.argv[5], int(sys.argv[6]))
 if workers == 1:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 placement._usable_cpus = experiments._usable_cpus = lambda: workers
 forks, children = [], []
-if hasattr(placement, "_fork_map"):
-    fork, fork_map = os.fork, placement._fork_map
-    def counted_fork():
-        pid = fork()
-        if pid:
-            children.append(pid)
-        return pid
-    def counted_map(fn, n, workers):
-        start = len(children)
-        try:
-            yield from fork_map(fn, n, workers)
-        finally:
-            if len(children) > start:
-                forks.append(len(children) - start)
-    os.fork = counted_fork
-    placement._fork_map = experiments._fork_map = counted_map
-else:  # a revision from before _fork_map: count its process pools
-    import concurrent.futures
-    class Counted(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            forks.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-    concurrent.futures.ProcessPoolExecutor = Counted
+fork, fork_map = os.fork, placement._fork_map
+def counted_fork():
+    pid = fork()
+    if pid:
+        children.append(pid)
+    return pid
+def counted_map(fn, n, workers):
+    start = len(children)
+    try:
+        yield from fork_map(fn, n, workers)
+    finally:
+        if len(children) > start:
+            forks.append(len(children) - start)
+os.fork = counted_fork
+placement._fork_map = experiments._fork_map = counted_map
 digest, sweep = hashlib.sha256(), experiments._sweep_drops
 def hashed(*args):
     placed = sweep(*args)
@@ -93,7 +89,7 @@ experiments._sweep_drops = hashed
 with tempfile.TemporaryDirectory() as tmp:
     work = Path(tmp)
     if drops:
-        scenario = scenario_io.save_scenario(presets.compare_scenario(guides, guides),
+        scenario = scenario_io.save_scenario(presets.compare_scenario(guides, users),
                                              work / "scenario.yaml")
         argv = ["compare-mimo", "--scenario", str(scenario), "--out", str(work / "out"),
                 "--seed", str(seed), "--snr-db", "90,100,110,120", "--drops", drops]
@@ -109,11 +105,11 @@ with tempfile.TemporaryDirectory() as tmp:
 """
 
 
-def digest(checkout: Path, workload: str, guides: int, seed: int, drops,
+def digest(checkout: Path, workload: str, guides: int, users: int, seed: int, drops,
            workers: int) -> dict:
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
-    done = subprocess.run([sys.executable, "-c", PROBE, workload, str(guides), str(seed),
-                           "" if drops is None else str(drops), str(workers)],
+    done = subprocess.run([sys.executable, "-c", PROBE, workload, str(guides), str(users),
+                           str(seed), "" if drops is None else str(drops), str(workers)],
                           cwd=checkout, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
@@ -127,11 +123,11 @@ def main(argv=None) -> int:
         checkouts = {"change": ROOT}
         if args.parent is not None:
             checkouts["parent"] = export(args.parent, Path(tmp))
-        for name, workload, guides, seed, drops in CASES:
+        for name, workload, guides, users, seed, drops in CASES:
             seen = set()
             for side, checkout in checkouts.items():
                 for workers in (1, 2):
-                    out = digest(checkout, workload, guides, seed, drops, workers)
+                    out = digest(checkout, workload, guides, users, seed, drops, workers)
                     seen.add((out["solutions"], out["csv"]))
                     print(f"{name:17} {side:6} workers={workers} forks={out['forks']} "
                           f"solutions={out['solutions'][:16]} csv={out['csv'][:16]}",

@@ -114,7 +114,7 @@ def tdma_rates(s: Scenario, schedule: TdmaSchedule) -> RateReport:
     rates = np.zeros(len(s.users))
     np.add.at(rates, served, schedule.slot_fractions * shannon_rate(rho * gain2))
     sinr = np.exp2(rates) - 1.0
-    return RateReport(sinr, rates, float(rates.sum()), "tdma")
+    return RateReport(sinr, rates, float(rates.sum()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,4 +179,4 @@ def noma_rates(s: Scenario, H, cluster: NomaCluster, beam) -> RateReport:
     sinr = np.empty(n)
     sinr[order] = np.where(np.triu(np.ones((n, n), dtype=bool)), at, np.inf).min(axis=1)
     rates = shannon_rate(sinr)
-    return RateReport(sinr, rates, float(rates.sum()), "noma")
+    return RateReport(sinr, rates, float(rates.sum()))

@@ -63,7 +63,6 @@ class RateReport:
     per_user_sinr: np.ndarray
     per_user_rate_bps_hz: np.ndarray
     sum_rate_bps_hz: float
-    scheme_label: str
 
 
 def mrc_beamformer(H) -> Beamformer:
@@ -114,7 +113,7 @@ def evaluate_rates(H, B: Beamformer, transmit_snr: float) -> RateReport:
     interference = weighted.sum(axis=1) - signal
     sinr = signal * transmit_snr / (1.0 + transmit_snr * interference)
     rates = shannon_rate(sinr)
-    return RateReport(sinr, rates, float(rates.sum()), "")
+    return RateReport(sinr, rates, float(rates.sum()))
 
 
 def conventional_bound(H, transmit_snr: float) -> np.ndarray:

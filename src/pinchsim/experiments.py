@@ -294,21 +294,25 @@ def _grid_points(lo: float, hi: float, res: float, name: str) -> int:
     return int(round(steps)) + 1
 
 
+def _check_rows(cfg: ExperimentConfig, rows, what: str) -> None:
+    """Raise ``ConfigError``, naming the rows ``what``, unless ``rows`` (NaN
+    and inf fail) fit an array index and their smallest CSV the free disk."""
+    if not rows <= np.iinfo(np.intp).max:
+        raise ConfigError(f"{what} exceeds the largest array index, {np.iinfo(np.intp).max}")
+    out = Path(cfg.out_dir).absolute()
+    free = shutil.disk_usage(next(p for p in (out, *out.parents) if p.exists())).free
+    if 8 * rows > free:  # 8 bytes: four one-character cells, three commas, a newline
+        raise ConfigError(f"{what} needs at least {8 * rows:.6g} bytes of CSV, more than "
+                          f"the {free} free under {cfg.out_dir}")
+
+
 def _grid_shape(cfg: ExperimentConfig) -> tuple[int, int]:
     """The heatmap grid's number of points along x and y, once its cells are
     known to fit an array index and their smallest CSV the free disk space."""
     xmin, xmax, ymin, ymax = cfg.grid_bounds
     nx = _grid_points(xmin, xmax, cfg.grid_res_m, "x")
     ny = _grid_points(ymin, ymax, cfg.grid_res_m, "y")
-    if nx * ny > np.iinfo(np.intp).max:
-        raise ConfigError(f"a grid of {nx:.6g} x {ny:.6g} cells exceeds the largest "
-                          f"array index, {np.iinfo(np.intp).max}")
-    out = Path(cfg.out_dir).absolute()
-    free = shutil.disk_usage(next(p for p in (out, *out.parents) if p.exists())).free
-    if 8 * nx * ny > free:  # 8 bytes: four one-character cells, three commas, a newline
-        raise ConfigError(f"a grid of {nx:.6g} x {ny:.6g} cells needs at least "
-                          f"{8 * nx * ny:.6g} bytes of CSV, more than the {free} free "
-                          f"under {cfg.out_dir}")
+    _check_rows(cfg, nx * ny, f"a grid of {nx:.6g} x {ny:.6g} cells")
     return nx, ny
 
 
@@ -450,6 +454,8 @@ def run_noma_region(cfg: ExperimentConfig) -> ExperimentTable:
     decoded first at both receivers.
     """
     cfg.validate()
+    steps = (1.0 - cfg.alpha_step) / cfg.alpha_step  # inf where it overflows
+    _check_rows(cfg, steps, f"an alpha step of {cfg.alpha_step!r} ({steps:.6g} rows)")
     scenario = _load_validated(cfg)
     if len(scenario.waveguides) != 1 or len(scenario.users) != 2:
         raise ConfigError("noma_region needs exactly one waveguide and two users")
@@ -498,7 +504,7 @@ def run_tdma_demo(cfg: ExperimentConfig) -> ExperimentTable:
     # math.log10 per user, not np.log10: the CSV keeps the libm digits
     sinr_db[served] = 10.0 * np.fromiter(map(math.log10, sinr[served].tolist()), float)
     return _write_table(
-        cfg, scenario, scheme=np.full(k, report.scheme_label), user=np.arange(k),
+        cfg, scenario, scheme=np.full(k, "tdma"), user=np.arange(k),
         sinr_db=sinr_db, rate_bps_hz=report.per_user_rate_bps_hz)
 
 

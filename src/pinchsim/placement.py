@@ -517,7 +517,7 @@ def _nearest_user_starts(s: Scenario, users: np.ndarray) -> np.ndarray:
 
 
 def _descend(s: Scenario, users: np.ndarray, drop: np.ndarray, rho: np.ndarray,
-             start: np.ndarray, budget: int):
+             start: np.ndarray, budget: int) -> list[PlacementSolution]:
     """Zero-forcing sum-rate coordinate descent of L states, stepped in lockstep.
 
     ``users`` (D, K, 3) holds the drops' user positions under ``s``'s guides;
@@ -531,9 +531,12 @@ def _descend(s: Scenario, users: np.ndarray, drop: np.ndarray, rho: np.ndarray,
     on the bound's certified window alone, or on the whole grid where the
     window is not certified or the bound has no maximum in [1, inf). One
     batched zoom then refines the best cells of all states. A state leaves
-    the lockstep when a cycle improves it by less than ``DESCENT_TOL``.
-    Returns per state the offsets (L, M), traces, cycles, converged flags,
-    final objective values (L,) and final channel columns (L, K, M).
+    the lockstep when a cycle improves it by less than ``DESCENT_TOL``. Each
+    state's final layout is then finished as
+    :func:`optimize_multi_waveguide_sweep` says: rank-tested by
+    :func:`_rcond`, its value recomputed by :func:`_qr_zf_sum_rates` and its
+    trace lowered to that value. Returns one solution per state, in state
+    order.
     """
     M, grids = len(s.waveguides), _grids(s)
     tables = [[_table(s, g, grid, drop_users) for g, grid in enumerate(grids)]
@@ -565,11 +568,10 @@ def _descend(s: Scenario, users: np.ndarray, drop: np.ndarray, rho: np.ndarray,
             pos = np.flatnonzero(best != -np.inf)
             if not pos.size:
                 continue
-            # the zoomed states' users, in link_gains' broadcast shape (K, rows, 1, 3)
-            zoom_users = np.ascontiguousarray(np.moveaxis(state_users[live[pos]], 1, 0)[:, :, None])
+            zoom_users = state_users[live[pos]]
 
             def zoom_scores(open_rows, xs):
-                c = link_gains(s, s.waveguides[g], xs, zoom_users[:, open_rows])
+                c = _guide_columns(s, g, xs, zoom_users[open_rows])
                 return score(pos[open_rows], _features(c).swapaxes(0, 1))
 
             x, v = _zoom_max(zoom_scores, grids[g], idx[pos], best[pos], REFINE_TOL_M)
@@ -587,7 +589,15 @@ def _descend(s: Scenario, users: np.ndarray, drop: np.ndarray, rho: np.ndarray,
         live = live[~done]
         if not live.size:
             break
-    return offsets, traces, cycles, converged, value, cols
+    value[_rcond(cols) < ZF_RCOND_LIMIT] = -np.inf
+    final = np.flatnonzero(np.isfinite(value))
+    value[final] = _qr_zf_sum_rates(cols[final], rho[final])
+    for i in final:
+        v = float(value[i])
+        traces[i] = [min(t, v) for t in traces[i][:-1]] + [v]
+    return [PlacementSolution(PinchingLayout(np.arange(M), row, np.ones(M)), float(v),
+                              "sum_rate", int(n), bool(done), tuple(trace))
+            for row, v, n, done, trace in zip(offsets, value, cycles, converged, traces)]
 
 
 def _qr_zf_sum_rates(cols: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -625,8 +635,9 @@ def optimize_multi_waveguide_sweep(s: Scenario, transmit_snrs,
     are accepted only when they improve the objective, so each recorded
     trace is nondecreasing; a descent stops when a full cycle improves it by
     less than ``DESCENT_TOL`` or the cycle budget runs out. Candidates that leave the
-    channel rank-deficient are skipped. A final layout whose channel rows fail
-    :func:`zf_beamformer`'s rank test scores -inf. Any other final value is
+    channel rank-deficient are skipped. Each descent then finishes its own
+    layout, in the process where it ran: a final layout whose channel rows
+    fail :func:`zf_beamformer`'s rank test scores -inf. Any other final value is
     recomputed by :func:`_qr_zf_sum_rates`, which keeps the digits the
     kernel loses to an ill-conditioned Gram, and replaces the trace's last
     entry. Earlier entries that the kernel's rounding left above it are
@@ -660,33 +671,26 @@ def _sweep_drops(s: Scenario, users: np.ndarray, snrs: np.ndarray,
 
     Drops pass through :func:`_descend` in groups, as many per group as keep
     the candidate tables in flight within ``TABLE_BYTES_IN_FLIGHT`` (at least
-    one), each as one state per SNR from :func:`_nearest_user_starts`, and the
-    groups through :func:`_descend_groups`, in worker processes where there
-    are CPUs for them. This process rank-tests the final layouts, recomputes
-    their values and builds every solution, in group order. Every state's
-    bits are those of its own one-drop sweep, at any worker count.
+    one), each as one state per SNR from :func:`_nearest_user_starts`. The
+    groups run through :func:`_fork_map` in one child process per usable
+    CPU, at most one per group; on one CPU, without ``fork`` or in a
+    daemonic process, one after another in this process. A child builds the
+    tables of one group at a time, so ``TABLE_BYTES_IN_FLIGHT`` bounds each
+    process, and its exception is raised here with its type and message.
+    A group's solutions depend on its states alone, so every state's bits
+    are those of its own one-drop sweep, at any worker count.
     """
-    K, M, B = users.shape[1], len(s.waveguides), len(snrs)
+    K, B = users.shape[1], len(snrs)
     drop_bytes = 8 * K * K * sum(grid.size for grid in _grids(s))
     group = max(1, TABLE_BYTES_IN_FLIGHT // drop_bytes)
     cuts = range(group, len(users), group)
     states = (np.repeat(np.arange(len(users)) % group, B), np.tile(snrs, len(users)),
               np.repeat(_nearest_user_starts(s, users), B, axis=0))  # drop, rho, start
     groups = list(zip(np.split(users, cuts), *(np.split(a, [B * c for c in cuts]) for a in states)))
-    solutions = []
-    for (_, _, rho, _), descent in zip(groups, _descend_groups(s, groups, budget)):
-        offsets, traces, cycles, converged, values, cols = descent
-        values[_rcond(cols) < ZF_RCOND_LIMIT] = -np.inf
-        final = np.flatnonzero(np.isfinite(values))
-        values[final] = _qr_zf_sum_rates(cols[final], rho[final])
-        for i in final:
-            v = float(values[i])
-            traces[i] = [min(t, v) for t in traces[i][:-1]] + [v]
-        placed = [PlacementSolution(PinchingLayout(np.arange(M), row, np.ones(M)), float(v),
-                                    "sum_rate", int(n), bool(done), tuple(trace))
-                  for row, v, n, done, trace in zip(offsets, values, cycles, converged, traces)]
-        solutions += [tuple(placed[i:i + B]) for i in range(0, len(placed), B)]
-    return solutions
+    descents = _fork_map(lambda i: _descend(s, *groups[i], budget), len(groups),
+                         min(_usable_cpus(), len(groups)))
+    placed = [solution for solutions in descents for solution in solutions]
+    return [tuple(placed[i:i + B]) for i in range(0, len(placed), B)]
 
 
 def _usable_cpus() -> int:
@@ -777,20 +781,3 @@ def _fork_map(fn, n: int, workers: int):
             reader.close()
             os.kill(pid, signal.SIGKILL)  # only a child with results still unread can be busy
             os.waitpid(pid, 0)
-
-
-def _descend_groups(s: Scenario, groups: list[tuple], budget: int) -> list[tuple]:
-    """:func:`_descend` of each group's states, a tuple (users, drop, rho, start)
-    of its arguments, under ``s``'s guides, in order.
-
-    The groups run through :func:`_fork_map` in one child process per usable
-    CPU, at most one per group; on one CPU, without ``fork`` or in a daemonic
-    process, one after another in this process. A child builds the tables
-    of one group at a time, so ``TABLE_BYTES_IN_FLIGHT`` bounds each
-    process. A child's exception is raised here with its type and message,
-    and no child outlives the call.
-    """
-    def descend(i):
-        return _descend(s, *groups[i], budget)
-
-    return list(_fork_map(descend, len(groups), min(_usable_cpus(), len(groups))))

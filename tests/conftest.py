@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -86,3 +87,42 @@ def coherent_gain_bound(H, user_index: int = 0) -> float:
     if H.per_antenna_breakdown is None:
         raise ValueError("channel matrix has no per-antenna breakdown")
     return float(np.sum(np.abs(H.per_antenna_breakdown[user_index])))
+
+
+# The worker path: _sweep_drops maps _descend over its drop groups through
+# _fork_map in min(usable CPUs, groups) forked workers, and write_csv formats
+# the chunks of a table of at least four chunks per worker the same way. The
+# tests set the CPU count (set_cpus), so that two workers run on any host, and
+# count the workers each map forks (the forks fixture).
+@pytest.fixture
+def forks(monkeypatch):
+    """The worker count of each _fork_map call that forks, in order."""
+    from pinchsim import experiments, placement
+
+    opened, children, fork, fork_map = [], [], os.fork, placement._fork_map
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    def counted_map(fn, n, workers):
+        start = len(children)
+        try:
+            yield from fork_map(fn, n, workers)
+        finally:
+            if len(children) > start:
+                opened.append(len(children) - start)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    for module in (placement, experiments):
+        monkeypatch.setattr(module, "_fork_map", counted_map)
+    return opened
+
+
+def set_cpus(monkeypatch, n):
+    from pinchsim import experiments, placement
+
+    for module in (placement, experiments):
+        monkeypatch.setattr(module, "_usable_cpus", lambda: n)

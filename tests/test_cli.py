@@ -148,9 +148,15 @@ def test_bad_inmo_constants_exit_2(tmp_path, capsys, constant, value):
     ["heatmap", "--grid-res", "1e-300"],
     ["heatmap", "--grid-res", "1e-12"],
     ["heatmap", "--grid-res", "1e-7"],
+    # alpha sweeps of the same three kinds (1e12 rows at 1e-12); steps above
+    # about 1e-11 allocate, and their per-alpha loop then runs for hours
+    ["noma-region", "--alpha-step", "5e-324"],
+    ["noma-region", "--alpha-step", "1e-300"],
+    ["noma-region", "--alpha-step", "1e-12"],
 ])
 def test_malformed_experiment_flags_exit_2(tmp_path, capsys, argv):
-    preset = compare_scenario() if argv[0] == "compare-mimo" else heatmap_scenario()
+    preset = {"compare-mimo": compare_scenario, "noma-region": noma_scenario}.get(
+        argv[0], heatmap_scenario)()
     path = save_scenario(preset, tmp_path / "scenario.yaml")
     out = tmp_path / "out"
     assert cli.main(argv + ["--scenario", str(path), "--out", str(out)]) == cli.EXIT_CONFIG

@@ -35,6 +35,7 @@ from pinchsim.presets import (
 )
 from pinchsim.scenario import UserSet
 from pinchsim.scenario_io import load_scenario, save_scenario
+from tests.conftest import set_cpus
 
 
 def write_preset(tmp_path, scenario, name="scenario.yaml"):
@@ -210,13 +211,14 @@ def test_compare_mimo_drop_groups_match_one_sweep_per_drop(tmp_path, monkeypatch
         scenario_path=write_preset(tmp_path, compare_scenario()),
         kind="compare_mimo", out_dir=str(tmp_path / "grouped"), seed=5,
         snr_sweep_db=(0.0, 60.0, 120.0), drops=drops, cd_budget=3)
-    descend_groups, groups = placement._descend_groups, []
+    descend, groups = placement._descend, []
 
-    def counted(s, states_by_group, *rest):  # the groups' drops as this process forms them
-        groups.extend(len(users) for users, *_ in states_by_group)
-        return descend_groups(s, states_by_group, *rest)
+    def counted(s, users, *rest):  # one call per group, in this process on one CPU
+        groups.append(len(users))
+        return descend(s, users, *rest)
 
-    monkeypatch.setattr(placement, "_descend_groups", counted)
+    set_cpus(monkeypatch, 1)
+    monkeypatch.setattr(placement, "_descend", counted)
     run_compare_mimo(cfg)
     # the preset's candidate tables let two drops share a lockstep; an odd tail steps alone
     assert groups == [2] * (drops // 2) + [1] * (drops % 2)
@@ -229,45 +231,6 @@ def test_compare_mimo_drop_groups_match_one_sweep_per_drop(tmp_path, monkeypatch
     run_compare_mimo(dataclasses.replace(cfg, out_dir=str(tmp_path / "reference")))
     assert ((tmp_path / "grouped" / "compare_mimo.csv").read_bytes()
             == (tmp_path / "reference" / "compare_mimo.csv").read_bytes())
-
-
-# The worker path: _sweep_drops maps _descend over its drop groups through
-# _fork_map in min(usable CPUs, groups) forked workers, and write_csv formats
-# the chunks of a table of at least four chunks per worker the same way. The
-# tests set the CPU count, so that two workers run on any host, and count the
-# workers each map forks.
-@pytest.fixture
-def forks(monkeypatch):
-    """The worker count of each _fork_map call that forks, in order."""
-    from pinchsim import experiments, placement
-
-    opened, children, fork, fork_map = [], [], os.fork, placement._fork_map
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            children.append(pid)
-        return pid
-
-    def counted_map(fn, n, workers):
-        start = len(children)
-        try:
-            yield from fork_map(fn, n, workers)
-        finally:
-            if len(children) > start:
-                opened.append(len(children) - start)
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    for module in (placement, experiments):
-        monkeypatch.setattr(module, "_fork_map", counted_map)
-    return opened
-
-
-def set_cpus(monkeypatch, n):
-    from pinchsim import experiments, placement
-
-    for module in (placement, experiments):
-        monkeypatch.setattr(module, "_usable_cpus", lambda: n)
 
 
 def assert_no_child():

@@ -41,7 +41,7 @@ from pinchsim.placement import (
     _zoom_offsets,
 )
 from pinchsim.scenario import first_layout_fault, projected_offsets
-from tests.conftest import coherent_gain_bound, make_scenario
+from tests.conftest import coherent_gain_bound, make_scenario, set_cpus
 
 LAMBDA0 = 299792458.0 / 28e9
 
@@ -762,15 +762,11 @@ def test_states_of_one_drop_descend_from_their_own_starts():
     starts = np.stack([placement._nearest_user_starts(s, users[0]), [0.9, 0.1]])
     rho = np.array([1e9, 1e9])
     together = placement._descend(s, users, np.array([0, 0]), rho, starts, 4)
-    assert together[1][0] != together[1][1]
+    assert together[0].trace != together[1].trace
     for i in range(2):
-        alone = placement._descend(s, users, np.array([0]), rho[i:i + 1], starts[i:i + 1], 4)
-        offsets, traces, cycles, converged, values, cols = together
-        assert offsets[i].tobytes() == alone[0][0].tobytes()
-        assert traces[i] == alone[1][0]
-        assert (cycles[i], converged[i]) == (alone[2][0], alone[3][0])
-        assert values[i].tobytes() == alone[4][0].tobytes()
-        assert cols[i].tobytes() == alone[5][0].tobytes()
+        (alone,) = placement._descend(s, users, np.array([0]), rho[i:i + 1], starts[i:i + 1], 4)
+        assert together[i].layout.offsets.tobytes() == alone.layout.offsets.tobytes()
+        assert_same_solution(together[i], alone)
 
 
 def test_grouped_descent_steps_mixed_drops_as_one_sweep_each(monkeypatch):
@@ -792,6 +788,33 @@ def test_grouped_descent_steps_mixed_drops_as_one_sweep_each(monkeypatch):
     assert len(e.trace) > 1
     # one lockstep per case, then one per drop for the references
     assert calls == [3, 1, 1, 1, 2, 1, 1]
+
+
+def test_workers_finish_their_states(monkeypatch, forks):
+    # one group per drop, so the three groups fork two workers at two CPUs;
+    # C's final layouts fail the rank test in whichever process descends them
+    monkeypatch.setattr(placement, "TABLE_BYTES_IN_FLIGHT", 1)
+    s = make_scenario(GROUP_A, PAIR_GUIDES)
+    drops = np.asarray([GROUP_A, GROUP_B, GROUP_C], dtype=float)
+    runs = []
+    for cpus in (2, 1):
+        set_cpus(monkeypatch, cpus)
+        runs.append([sol for solutions in _sweep_drops(s, drops, np.asarray([1.0, 1e6]), 4)
+                     for sol in solutions])
+    assert forks == [2]
+    assert [sol.objective_value for sol in runs[0][4:]] == [-np.inf, -np.inf]
+    assert math.isfinite(runs[0][4].trace[-1])
+
+    def bits(sol):
+        layout = sol.layout
+        return (layout.guide.tobytes(), layout.offsets.tobytes(), layout.weights.tobytes(),
+                np.float64(sol.objective_value).tobytes(), np.array(sol.trace).tobytes(),
+                sol.iterations, sol.converged)
+
+    assert [bits(sol) for sol in runs[0]] == [bits(sol) for sol in runs[1]]
+    for sol in runs[0] + runs[1]:
+        assert not any(a.flags.writeable
+                       for a in (sol.layout.guide, sol.layout.offsets, sol.layout.weights))
 
 
 @st.composite
