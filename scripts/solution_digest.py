@@ -8,10 +8,10 @@ Usage, from the root of a checkout::
 
 Cases: the ``mimo-sweep`` workload's input (``perfbench/workloads.py``) at seeds
 3, 7 and 11; criterion 8's, the 3 x 3 preset at seed 8 with 100 drops at
-90-120 dB; M = K = 4, 5 and 6 guides and users, and 3 guides over 2 users
-(M > K: a non-square channel), on the same preset at seed 8, 4 drops at
-90-120 dB (the M > K case's small tables fit its 4 drops in one group,
-which descends in the CLI's process at any worker count); and the
+90-120 dB; M = K = 4, 5 and 6 guides and users on the same preset at seed
+8, 4 drops at 90-120 dB, and 3 guides over 2 users (M > K: a non-square
+channel) with 6 drops (its small tables fit 4 drops in one group, so it
+takes 6 to make two groups, which two workers descend); and the
 ``heatmap-dense`` workload's input at seeds 7 and 11. Each case runs the
 CLI through ``cli.main`` in a process of its own, BLAS on one thread, with
 ``experiments._sweep_drops`` wrapped to hash every solution it returns
@@ -40,7 +40,7 @@ CASES = [("mimo-sweep s3", "mimo-sweep", 3, 3, 3, None),
          ("mimo-sweep s11", "mimo-sweep", 3, 3, 11, None),
          ("criterion 8", "mimo-sweep", 3, 3, 8, 100), ("M=K=4", "mimo-sweep", 4, 4, 8, 4),
          ("M=K=5", "mimo-sweep", 5, 5, 8, 4), ("M=K=6", "mimo-sweep", 6, 6, 8, 4),
-         ("M=3>K=2", "mimo-sweep", 3, 2, 8, 4),
+         ("M=3>K=2", "mimo-sweep", 3, 2, 8, 6),
          ("heatmap-dense s7", "heatmap-dense", 1, 1, 7, None),
          ("heatmap-dense s11", "heatmap-dense", 1, 1, 11, None)]
 

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .access import NomaCluster, TdmaSchedule, noma_rates, tdma_rates
+from .access import TdmaSchedule, tdma_rates
 from .beamforming import (
     RankDeficiencyError,
     conventional_bound,
@@ -96,6 +96,23 @@ class ExperimentConfig:
 
 
 _CHUNK_ROWS = 8192  # rows per chunk: bounds the memory of one chunk and its strings
+
+# The writer's byte matrices mark unused bytes with _FILL, which UTF-8 never
+# uses. _POW10[k] is 10**k, exact; _DIGITS[g] the four ASCII digits of g,
+# zero-padded, as one uint32; _ZEROS[g] the trailing zeros
+# of those four digits, one per power of ten that divides g. _LEAD[n] fills
+# the first 16 - n of 16 bytes and _TAIL[n] the last 16 - n: OR-ed onto
+# n-digit strings they drop the zeros before and after the n digits. Built
+# by numpy in well under a millisecond, as the import is part of every run.
+_FILL = 0xFF
+_POW10 = np.array([float(10 ** k) for k in range(17)])
+_DIGITS = np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4,
+                               indexing="ij"), axis=-1).reshape(-1, 4).view(np.uint32).ravel()
+_ZEROS = np.zeros(10_000, dtype=np.intp)
+for _k in range(1, 5):
+    _ZEROS[::10 ** _k] += 1
+_LEAD = np.where(np.arange(16) < 16 - np.arange(17)[:, None], _FILL, 0).astype(np.uint8)
+_TAIL = _LEAD[:, ::-1].copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +189,9 @@ def write_csv(path, columns, rows, metadata: dict) -> Path:
     or an :class:`ExperimentTable`, with one field per column, named as in
     ``columns``; the field's dtype gives the column's kind. ``len(rows)`` is
     the number of data rows written. Float64 cells are written as ``%.12g``;
-    integer, bool and str cells as ``str``. Any other dtype raises
+    integer, bool and str cells as ``str``: the bytes of formatting each cell
+    with ``%``, which :func:`_format_chunk` builds for a whole chunk at once
+    as one byte matrix, most numbers from a digit table. Any other dtype raises
     ``ValueError`` before a file is created, as does a table whose
     ``metadata`` is not ``metadata``; a chunk of another dtype or of another
     row count than the table's ``n_rows`` gives it raises it while writing.
@@ -197,7 +216,6 @@ def write_csv(path, columns, rows, metadata: dict) -> Path:
                          f"and str fields named {columns}, got {got}")
     if rows.metadata != metadata:
         raise ValueError(f"metadata {metadata} differs from the table's {rows.metadata}")
-    floats = [dtype[name] == np.float64 for name in columns]
     pools = {}
 
     def formatted(i):
@@ -209,7 +227,7 @@ def write_csv(path, columns, rows, metadata: dict) -> Path:
         if len(chunk) != want:
             raise ValueError(f"chunk {i} of a table of {len(rows)} rows holds "
                              f"{len(chunk)} rows, not {want}")
-        return _format_chunk(chunk, floats, pools)
+        return _format_chunk(chunk, pools)
 
     path.parent.mkdir(parents=True, exist_ok=True)
     # "x" creates the file with the mode write_text would give it, unlike
@@ -229,37 +247,173 @@ def write_csv(path, columns, rows, metadata: dict) -> Path:
     return path
 
 
-def _format_chunk(chunk: np.ndarray, floats: list[bool], pools: dict) -> str:
-    """``chunk``'s rows as CSV lines. A column with at most half as many
-    distinct values as the chunk has rows (float64 columns by bit pattern)
-    has each of them formatted once and enters the row template as ``%s`` of
-    those strings; "%.12g" % v == format(v, ".12g") for a float and
-    "%s" % v == str(v), so pooling does not change the bytes. ``pools`` holds
-    each column's last pool, which a chunk of the same distinct values reuses
-    (the heatmap's y coordinates repeat in every chunk)."""
-    cells = np.empty((len(chunk), len(floats)), dtype=object)
-    template = []
+def _format_chunk(chunk: np.ndarray, pools: dict) -> str:
+    """``chunk``'s rows as CSV lines, built as one byte matrix of a row per
+    line, each column a block of bytes wide enough for its longest cell,
+    and the commas and newlines between; the line is the bytes that are not
+    ``_FILL``. A column with at most half as many distinct values as the
+    chunk has rows (float64 columns by bit pattern) has each of them
+    formatted once, as ``"%.12g" % v`` or ``"%s" % v`` (which is ``str(v)``),
+    and gathered by the codes of one argsort; a column already in order,
+    such as an index, needs none. ``pools`` holds each column's last pool,
+    which a chunk of the same distinct values reuses (the heatmap's y
+    coordinates repeat in every chunk). Other float64 and integer columns
+    take :func:`_float_block` and :func:`_integer_block`, which give the
+    bytes of ``%.12g`` and ``str``; bool and str columns are joined and
+    encoded in one string."""
+    n = len(chunk)
+    blocks = []
     for j, name in enumerate(chunk.dtype.names):
-        fmt = "%.12g" if floats[j] else "%s"
+        if blocks:
+            blocks.append(np.full((n, 1), ord(","), dtype=np.uint8))
+        column = chunk[name]
+        is_float = column.dtype == np.float64
         # bit patterns keep 0.0 and -0.0, and NaN payloads, apart
-        keys = chunk[name].view(np.int64) if floats[j] else chunk[name]
-        # a sort finds the distinct values several times faster than np.unique's
-        # hash table; timsort ("stable") takes the runs of str and integer columns
-        # (one scheme, ascending indices) in one pass, quicksort unordered floats
-        ordered = np.sort(keys, kind=None if floats[j] else "stable")
-        first = np.ones(ordered.shape, dtype=bool)
+        keys = column.view(np.int64) if is_float else column
+        descents = np.count_nonzero(keys[1:] < keys[:-1])
+        order, ordered = None, keys
+        if descents:
+            # timsort ("stable") takes a column of few runs (one scheme, a
+            # coordinate repeated or stepping) in one pass, quicksort the rest
+            order = np.argsort(keys, kind="stable" if 16 * descents <= n else None)
+            ordered = keys[order]
+        first = np.ones(n, dtype=bool)
         first[1:] = ordered[1:] != ordered[:-1]
-        if 2 * np.count_nonzero(first) <= len(chunk):
+        if 2 * np.count_nonzero(first) <= n:
             distinct = ordered[first]
             if j not in pools or not np.array_equal(pools[j][0], distinct):
-                values = distinct.view(np.float64) if floats[j] else distinct
-                pools[j] = distinct, np.array([fmt % v for v in values.tolist()], dtype=object)
-            cells[:, j] = pools[j][1][np.searchsorted(distinct, keys)]
-            template.append("%s")
+                values = distinct.view(np.float64) if is_float else distinct
+                fmt = "%.12g" if is_float else "%s"
+                pools[j] = distinct, _text_block([fmt % v for v in values.tolist()])
+            codes = np.cumsum(first) - 1
+            if order is not None:
+                codes[order] = codes.copy()
+            blocks.append(np.take(pools[j][1], codes, axis=0))
+        elif is_float:
+            blocks.append(_float_block(column))
+        elif column.dtype.kind in "iu":
+            blocks.append(_integer_block(column))
         else:
-            cells[:, j] = chunk[name]  # as Python floats, ints, bools and strs
-            template.append(fmt)
-    return ((",".join(template) + "\n") * len(chunk)) % tuple(cells.ravel().tolist())
+            blocks.append(_text_block(list(map(str, column.tolist()))))
+    blocks.append(np.full((n, 1), ord("\n"), dtype=np.uint8))
+    lines = np.concatenate(blocks, axis=1)
+    # _FILL is no byte of UTF-8 text: deleting it leaves the lines
+    return lines.tobytes().translate(None, bytes([_FILL])).decode()
+
+
+def _text_block(texts: list[str]) -> np.ndarray:
+    """``texts`` as a byte matrix: one row per text, its UTF-8 bytes, then
+    ``_FILL`` up to the longest."""
+    data = "".join(texts).encode()
+    sizes = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+    if len(data) != sizes.sum():  # not all ASCII
+        sizes = np.fromiter((len(t.encode()) for t in texts), dtype=np.intp, count=len(texts))
+    used = np.arange(sizes.max(initial=0)) < sizes[:, None]
+    block = np.full(used.shape, _FILL, dtype=np.uint8)
+    block[used] = np.frombuffer(data, dtype=np.uint8)
+    return block
+
+
+def _digits(x: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The integers ``x`` (float64, below ``10**width`` and 2**53) as a byte
+    matrix of ``width`` zero-padded ASCII digits, and the 4-digit groups
+    they were read from, most significant first. Each step divides by 10**4
+    exactly: the floor of the rounded quotient of an integer below 2**53 is
+    that of the exact one."""
+    n = -(-width // 4)
+    groups = np.empty((len(x), n), dtype=np.intp)
+    for g in range(n - 1, 0, -1):
+        q = x / 1e4
+        np.floor(q, out=q)
+        groups[:, g] = x - q * 1e4
+        x = q
+    groups[:, 0] = x
+    return _DIGITS[groups].view(np.uint8)[:, 4 * n - width:], groups
+
+
+def _trailing_zeros(groups: np.ndarray) -> np.ndarray:
+    """The trailing zeros of the digits of ``groups`` (:func:`_digits`)."""
+    n = groups.shape[1]
+    zeros = _ZEROS[groups[:, -1]]
+    for g in range(n - 2, -1, -1):  # rows whose later groups are all 0000
+        rows = np.flatnonzero(zeros == 4 * (n - 1 - g))
+        zeros[rows] += _ZEROS[groups[rows, g]]
+    return zeros
+
+
+def _float_block(v: np.ndarray) -> np.ndarray:
+    """The bytes of ``"%.12g" % x`` for each x of ``v``, as a byte matrix.
+
+    With e = floor(log10|x|) in [-4, 11], the range ``%.12g`` writes in
+    fixed notation, t = |x| * 10**(11 - e) is one correctly rounded product
+    (the power is exact), so it is within ulp(1e12) / 2 (6.1e-5) of the
+    exact value. Where t lies in [1e11, 1e12) and its fraction more than
+    1e-3 from one half, rint(t) is the 12 significant digits that the
+    correctly rounded conversion writes. Its integer part and fraction are
+    split exactly and written from 4-digit table entries, zeros before the
+    integer part and after the fraction, and a point with no fraction,
+    dropped. Every other cell (0, -0, NaN, inf, scientific notation, a near
+    tie such as 123456789012.5, a rounding up to 1e12) is formatted by
+    ``%``."""
+    a = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0, inf and NaN fail the test
+        e = np.floor(np.log10(a))
+        # digits after the point; 0 outside [-4, 11], where t = |x| then fails
+        k = np.where((e >= -4) & (e <= 11), 11 - e, 0).astype(np.intp)
+        p = _POW10[k]
+        t = np.multiply(a, p, out=a)
+        m = np.rint(t)
+        exact = np.abs(np.subtract(t, m, out=e), out=e) < 0.499
+        exact &= t >= 1e11
+        exact &= m < 1e12
+    others = np.flatnonzero(~exact)
+    m[others], k[others], p[others] = 1e11, 11, 1e11  # stand-ins, "1", for rows written by %
+    whole = np.floor(m / p)
+    k_max = int(k.max(initial=0))
+    # the fraction's digits, k_max of them: exact, as m < 10**12 and k_max <= 15
+    fraction = np.subtract(m, whole * p, out=m)
+    fraction *= _POW10[k_max - k]
+    return _decimal_block(v, whole, np.maximum(12 - k, 1), fraction, k_max,
+                          others, "%.12g")
+
+
+def _integer_block(v: np.ndarray) -> np.ndarray:
+    """The bytes of ``str(i)`` for each i of ``v``, as a byte matrix: below
+    2**53 in magnitude from the digit table, larger ones by ``%``."""
+    exact = (v > -2 ** 53) & (v < 2 ** 53)
+    whole = np.abs(np.where(exact, v, 0).astype(np.float64))
+    digits = np.maximum(np.searchsorted(_POW10, whole, side="right"), 1)
+    return _decimal_block(v, whole, digits, None, 0, np.flatnonzero(~exact), "%d")
+
+
+def _decimal_block(v, whole, whole_digits, fraction, fraction_digits, others, fmt):
+    """A sign where ``v`` is negative, the integers ``whole`` with
+    ``whole_digits`` digits, and, unless all are 0, a point and the first of
+    the ``fraction_digits`` digits of ``fraction`` (float64 integers) up to
+    its last nonzero one, as one byte matrix; rows ``others`` instead hold
+    ``fmt % v``."""
+    width = int(whole_digits.max(initial=1))
+    digits, _ = _digits(whole, width)
+    parts = [digits | np.take(_LEAD[:, 16 - width:], whole_digits, axis=0)]
+    negative = v < 0
+    if negative.any():
+        parts.insert(0, np.where(negative, np.uint8(ord("-")), np.uint8(_FILL))[:, None])
+    if fraction_digits:
+        digits, groups = _digits(fraction, fraction_digits)
+        kept = np.maximum(fraction_digits - _trailing_zeros(groups), 0)
+        width = int(kept.max(initial=0))
+        if width:
+            parts.append(np.where(kept > 0, np.uint8(ord(".")), np.uint8(_FILL))[:, None])
+            parts.append(digits[:, :width] | np.take(_TAIL[:, :width], kept, axis=0))
+    block = np.concatenate(parts, axis=1)
+    if len(others):
+        texts = _text_block([fmt % x for x in v[others].tolist()])
+        if texts.shape[1] > block.shape[1]:
+            block = np.pad(block, ((0, 0), (0, texts.shape[1] - block.shape[1])),
+                           constant_values=_FILL)
+        block[others] = _FILL
+        block[others, :texts.shape[1]] = texts
+    return block
 
 
 def _write_table(cfg: ExperimentConfig, scenario: Scenario, **columns) -> ExperimentTable:
@@ -451,7 +605,10 @@ def run_noma_region(cfg: ExperimentConfig) -> ExperimentTable:
 
     The antenna sits at the group sum-rate-optimal offset; alpha is the
     power fraction of the stronger user, the weaker user's message is
-    decoded first at both receivers.
+    decoded first at both receivers. The rates are :func:`noma_rates`' for
+    the cluster ``(weak, strong)`` with power split ``(1 - alpha, alpha)``,
+    bit for bit: its two-user SIC law over the whole alpha array, each
+    operation in its order.
     """
     cfg.validate()
     steps = (1.0 - cfg.alpha_step) / cfg.alpha_step  # inf where it overflows
@@ -467,16 +624,18 @@ def run_noma_region(cfg: ExperimentConfig) -> ExperimentTable:
 
     alphas = np.arange(cfg.alpha_step, 1.0, cfg.alpha_step)
     alphas = alphas[alphas < 1.0]  # arange can round its last step up to 1
-    beam = np.ones(1, dtype=complex)
-    rates = np.empty((len(alphas), 2))  # weak, strong
-    for i, alpha in enumerate(alphas):
-        cluster = NomaCluster(users=(weak, strong),
-                              power_split=(1.0 - float(alpha), float(alpha)),
-                              sic_order=(weak, strong))
-        rates[i] = noma_rates(scenario, H, cluster, beam).per_user_rate_bps_hz
+    # |h_u^H beam|^2 for the one-feed unit beam: |conj(h) * 1| is |h|
+    g_weak, g_strong = np.float_power(np.abs(H.gains[[weak, strong], 0]), 2)
+    rho = scenario.transmit_snr
+    # the weak message is decoded by both users, under the strong one's power
+    # alpha; the strong one, decoded last, sees no interference: 1 + rho * 0
+    rate_weak = shannon_rate(np.minimum(
+        g_weak * (1.0 - alphas) * rho / (1.0 + rho * (g_weak * alphas)),
+        g_strong * (1.0 - alphas) * rho / (1.0 + rho * (g_strong * alphas))))
+    rate_strong = shannon_rate(g_strong * alphas * rho)
     return _write_table(
-        cfg, scenario, alpha=alphas, rate_weak_bps_hz=rates[:, 0],
-        rate_strong_bps_hz=rates[:, 1], sum_rate_bps_hz=rates[:, 0] + rates[:, 1])
+        cfg, scenario, alpha=alphas, rate_weak_bps_hz=rate_weak,
+        rate_strong_bps_hz=rate_strong, sum_rate_bps_hz=rate_weak + rate_strong)
 
 
 def run_tdma_demo(cfg: ExperimentConfig) -> ExperimentTable:

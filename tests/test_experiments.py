@@ -421,6 +421,33 @@ def test_noma_region_equal_gains_reproduce_sum_identity(tmp_path):
     assert (tmp_path / "out" / "noma_region.csv").exists()
 
 
+# the per-alpha loop the runner's array expression replaced, as its oracle:
+# the same bits, whichever user is the stronger, at low and high SNR
+@pytest.mark.parametrize("scenario", [
+    noma_scenario(), noma_scenario(asymmetric=False), noma_scenario(snr_db=20.0),
+    dataclasses.replace(noma_scenario(), users=UserSet([(3.5, 6.0, 0.0), (1.0, -2.0, 0.0)]))],
+    ids=["preset", "symmetric", "20dB", "swapped"])
+def test_noma_region_rates_are_noma_rates_per_alpha(tmp_path, scenario):
+    from pinchsim.access import NomaCluster, noma_rates
+    from pinchsim.channel import build_channel
+    from pinchsim.placement import place_single_for_group
+
+    cfg = ExperimentConfig(scenario_path=write_preset(tmp_path, scenario), kind="noma_region",
+                           out_dir=str(tmp_path / "out"), alpha_step=0.0125)
+    table = run_noma_region(cfg)
+    s = load_scenario(cfg.scenario_path)
+    H = build_channel(s, place_single_for_group(s.waveguides[0], s.users, "sum_rate", s).layout,
+                      los_states=True)
+    gains = np.abs(H.gains[:, 0]) ** 2
+    strong, weak = (0, 1) if gains[0] >= gains[1] else (1, 0)
+    assert len(table) == 79
+    for alpha, *rates in table.rows.tolist():
+        cluster = NomaCluster(users=(weak, strong), power_split=(1.0 - alpha, alpha),
+                              sic_order=(weak, strong))
+        want = noma_rates(s, H, cluster, np.ones(1, dtype=complex)).per_user_rate_bps_hz
+        assert rates == [want[0], want[1], want[0] + want[1]]
+
+
 def test_noma_region_requires_two_users(tmp_path):
     cfg = ExperimentConfig(
         scenario_path=write_preset(tmp_path, tdma_scenario()),
@@ -522,6 +549,31 @@ POOLED_FLOATS = np.array([0x0, 0x8000000000000000, 0x7FF8000000000000, 0x7FF8000
                           0xFFF0000000000000, 0x1, 0x800000000000000F, 0x000FFFFFFFFFFFFF],
                          dtype=np.uint64).view(np.float64)
 
+
+def ulps_around(x, n=3):
+    """x and the n floats on either side of it."""
+    lo, hi, out = x, x, [x]
+    for _ in range(n):
+        lo, hi = np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+# a few ulps from the ties of %.12g's 12th digit (123456789012.5), from its
+# rounding up to the next power of ten (9.9999999999995, 999999999999.5) and
+# from the powers of ten where it changes notation (1e-5, 1e-4, 1e11, 1e12)
+NEAR_EDGES = np.array([v for x in (123456789012.5, 1.000000000005, 0.000123456789012345,
+                                   9.9999999999995, 999999999999.5, 99999999999.95,
+                                   1e-5, 1e-4, 1e11, 1e12, 0.1, 0.3, 2.5)
+                       for sign in (1.0, -1.0) for v in ulps_around(sign * x)])
+# 2**53 and its neighbours, where exact float64 integers end, and int64's extremes
+EDGE_INTS = np.array([sign * (2 ** 53 + d) for sign in (1, -1) for d in (-1, 0, 1)]
+                     + [2 ** 63 - 1, -2 ** 63, 0, 9, -10, 9999, 10 ** 4, 10 ** 16 - 1],
+                     dtype=np.int64)
+# non-ASCII text and NUL characters, which the CSV keeps (a str field drops
+# trailing NULs itself)
+EDGE_TEXTS = ["\x00", "a\x00b", "\x00\x00c", "é", "日本語", "\U0001f4e1", "ß\x00ü"]
+
 # each field kind's pool of values; rows draw from it, so a float pool of a few
 # values over many rows is a column of few distinct values
 FLOAT_POOL = st.lists(st.one_of(st.integers(0, POOLED_FLOATS.size - 1).map(POOLED_FLOATS.take),
@@ -530,11 +582,36 @@ FLOAT_POOL = st.lists(st.one_of(st.integers(0, POOLED_FLOATS.size - 1).map(POOLE
 POOLS = {
     "float": FLOAT_POOL,
     "distinct": FLOAT_POOL,  # float64, mostly distinct: every value is formatted in place
+    # mostly distinct float64 that %.12g writes in fixed notation, some near its edges
+    "fixed": st.just(NEAR_EDGES),
     "int": st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=12),
+    "distinct_int": st.just(EDGE_INTS),  # int64 of every size, mostly distinct
+    "index": st.just(None),  # strictly ascending int64
     "bool": st.just([False, True]),
-    "str": st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+    "str": st.lists(st.one_of(st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+                              st.sampled_from(EDGE_TEXTS)),
                     min_size=1, max_size=12),
+    "distinct_str": st.just(EDGE_TEXTS),  # each row's number, then an edge text
 }
+DISTINCT_KINDS = ("distinct", "fixed", "distinct_int", "index", "distinct_str")
+
+
+def distinct_column(kind, pool, n_rows, rng):
+    """A column of ``kind`` with more distinct values than half its rows."""
+    if kind == "index":
+        return rng.integers(-2 ** 62, 2 ** 62) + np.cumsum(rng.integers(1, 10 ** 6, n_rows))
+    if kind == "distinct_str":
+        return np.array([f"{i}{pool[j]}" for i, j in enumerate(rng.integers(0, len(pool), n_rows))])
+    if kind == "distinct":
+        values = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-320, 300, n_rows)
+    elif kind == "fixed":
+        values = (rng.choice([-1.0, 1.0], n_rows) * rng.uniform(1.0, 10.0, n_rows)
+                  * 10.0 ** rng.integers(-4, 12, n_rows))
+    else:
+        values = rng.integers(-2 ** 63, 2 ** 63, n_rows) >> rng.integers(0, 64, n_rows)
+    special = rng.uniform(size=n_rows) < 0.3
+    values[special] = rng.choice(np.array(pool), size=int(special.sum()))
+    return values
 
 
 def structured(names, arrays):
@@ -577,10 +654,8 @@ def test_write_csv_matches_reference(tmp_path_factory, n_rows, fields, seed):
     rng = np.random.default_rng(seed)
     arrays = []
     for kind, pool in fields:
-        if kind == "distinct":
-            values = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-320, 300, n_rows)
-            special = rng.uniform(size=n_rows) < 0.3
-            values[special] = rng.choice(np.array(pool), size=int(special.sum()))
+        if kind in DISTINCT_KINDS:
+            values = distinct_column(kind, pool, n_rows, rng)
             assert n_rows == 0 or 2 * np.unique(values).size > n_rows
         else:
             values = np.array(pool, dtype={"float": float, "int": np.int64}.get(kind))
